@@ -71,7 +71,6 @@ DEFAULT_CONFIG = {
         "lambda_step_min": 1e-4,
         "newton_tol": 1e-10,
         "newton_max_iters": 25,
-        "fd_step": 1e-7,
     },
     "bounds": {
         "a_margin": 0.5,
@@ -183,7 +182,6 @@ def _continuation_config(cfg: dict) -> ContinuationConfig:
         lambda_step_min=float(ccfg["lambda_step_min"]),
         newton_tol=float(ccfg["newton_tol"]),
         newton_max_iters=int(ccfg["newton_max_iters"]),
-        fd_step=float(ccfg["fd_step"]),
     )
 
 

@@ -146,11 +146,18 @@ def rhs_planar(t: float, state: PhaseState, params: ModelParams,
     return p.copy(), R * x + phi
 
 
-def make_field(params: ModelParams, F: PeriodicSignal):
+def make_field(params: ModelParams, F: PeriodicSignal, variational: bool = False):
     """Compile the flat-vector field ``f(t, y) -> dy/dt`` for the integrator.
 
     The returned closure works on plain float math (no PhaseState
     construction per call) since the stepper evaluates it millions of times.
+
+    With ``variational=True`` the field acts on ``[y, vec M]`` (``M`` an
+    ``n x n`` matrix stored row by row, ``n = 2 * dim``) and adds the
+    variational equation ``dM/dt = J(t, y) M``; started from ``M = I`` it
+    carries the derivative of the flow.  The state rows are computed with
+    the same expressions as the plain field, and the forcing is evaluated
+    once per call.
     """
     if F.dim != params.dim:
         raise ValueError(f"forcing dim {F.dim} does not match model dim {params.dim}")
@@ -158,6 +165,9 @@ def make_field(params: ModelParams, F: PeriodicSignal):
     lam = params.lam
     guard2 = GUARD * GUARD
     eval_scalar = F.eval_scalar
+
+    if variational:
+        return _variational_field(params.dim, G, lam, guard2, eval_scalar)
 
     if params.dim == 1:
 
@@ -198,6 +208,80 @@ def make_field(params: ModelParams, F: PeriodicSignal):
         ])
 
     return field2
+
+
+def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scalar):
+    """The field of ``make_field(..., variational=True)``.
+
+    The Jacobian entries are those of ``_jacobian_analytic``, written out
+    in plain floats; its top block is ``[0, I]``, so the top rows of
+    ``dM/dt`` are the bottom rows of ``M``.
+    """
+    if dim == 1:
+
+        def field1_var(t: float, y: np.ndarray) -> np.ndarray:
+            x, p, m00, m01, m10, m11 = y.tolist()
+            r2 = x * x
+            if r2 >= guard2:
+                raise SingularityError(f"|x| = {abs(x):.17g} at the singular radius",
+                                       time=t, state=np.asarray(y[:2], dtype=float))
+            one_minus = 1.0 - r2
+            f = eval_scalar(t)[0]
+            root = math.sqrt(one_minus)
+            acc = (G * root - p * p / one_minus) * x - lam * one_minus * f
+            A = G * (1.0 - 2.0 * x * x) / root \
+                - p * p * (1.0 + x * x) / (one_minus * one_minus) \
+                + 2.0 * lam * x * f
+            B = -2.0 * p * x / one_minus
+            return np.asarray([p, acc, m10, m11,
+                               A * m00 + B * m10, A * m01 + B * m11])
+
+        return field1_var
+
+    def field2_var(t: float, y: np.ndarray) -> np.ndarray:
+        x0, x1, p0, p1, *m = y.tolist()
+        r2 = x0 * x0 + x1 * x1
+        if r2 >= guard2:
+            raise SingularityError(f"|x| = {math.sqrt(r2):.17g} at the singular radius",
+                                   time=t, state=np.asarray(y[:4], dtype=float))
+        one_minus = 1.0 - r2
+        f0, f1 = eval_scalar(t)
+        root = math.sqrt(one_minus)
+        xp = x0 * p0 + x1 * p1
+        R = G * root - xp * xp / one_minus - (p0 * p0 + p1 * p1)
+        xf = x0 * f0 + x1 * f1
+        # dR/dx = -(G / root + 2 xp^2 / one_minus^2) x - (2 xp / one_minus) p
+        c = 2.0 * xp / one_minus
+        g = G / root + c * xp / one_minus
+        dRx0 = -g * x0 - c * p0
+        dRx1 = -g * x1 - c * p1
+        dRp0 = -c * x0 - 2.0 * p0
+        dRp1 = -c * x1 - 2.0 * p1
+        # d(dp/dt)/dx = x dR/dx^T + R I + lam (xf I + x f^T); d(dp/dt)/dp = x dR/dp^T
+        diag = R + lam * xf
+        a00 = x0 * dRx0 + diag + lam * x0 * f0
+        a01 = x0 * dRx1 + lam * x0 * f1
+        a10 = x1 * dRx0 + lam * x1 * f0
+        a11 = x1 * dRx1 + diag + lam * x1 * f1
+        b00 = x0 * dRp0
+        b01 = x0 * dRp1
+        b10 = x1 * dRp0
+        b11 = x1 * dRp1
+        m0, m1, m2, m3 = m[0:4], m[4:8], m[8:12], m[12:16]
+        return np.asarray([
+            p0,
+            p1,
+            R * x0 + lam * (xf * x0 - f0),
+            R * x1 + lam * (xf * x1 - f1),
+            *m2,
+            *m3,
+            *[a00 * u + a01 * v + b00 * w + b01 * s
+              for u, v, w, s in zip(m0, m1, m2, m3)],
+            *[a10 * u + a11 * v + b10 * w + b11 * s
+              for u, v, w, s in zip(m0, m1, m2, m3)],
+        ])
+
+    return field2_var
 
 
 def _jacobian_analytic(t: float, state: PhaseState, params: ModelParams,

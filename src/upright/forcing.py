@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InsufficientDataError
 
@@ -256,6 +255,9 @@ def ingest_path(samples: PathSamples, gravity: float):
     Sup norms are exact for the spline: ``|F|`` is convex between knots, so
     its maximum sits at a knot, and ``dF/dt`` is constant between knots.
     """
+    # imported here: scipy.interpolate takes most of the package's import time
+    from scipy.interpolate import CubicSpline
+
     if gravity <= 0:
         raise ValueError(f"gravity must be positive, got {gravity}")
     ell = samples.rod_length

@@ -201,11 +201,16 @@ class Trajectory:
                 fh.write(",".join(f"{v:.17g}" for v in cols) + "\n")
 
 
-def _initial_step(fun, t0, y0, f0, t1, cfg):
-    """Starting step size from the standard two-evaluation heuristic."""
-    sc = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / sc) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / sc) ** 2)))
+def _initial_step(fun, t0, y0, f0, t1, cfg, n_err):
+    """Starting step size from the standard two-evaluation heuristic.
+
+    Only the first ``n_err`` components are measured.
+    """
+    y0e = y0[:n_err]
+    f0e = f0[:n_err]
+    sc = cfg.abs_tol + cfg.rel_tol * np.abs(y0e)
+    d0 = math.sqrt(float(np.mean((y0e / sc) ** 2)))
+    d1 = math.sqrt(float(np.mean((f0e / sc) ** 2)))
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -213,7 +218,7 @@ def _initial_step(fun, t0, y0, f0, t1, cfg):
     h0 = min(h0, abs(t1 - t0))
     try:
         f1 = fun(t0 + h0, y0 + h0 * f0)
-        d2 = math.sqrt(float(np.mean(((f1 - f0) / sc) ** 2))) / h0
+        d2 = math.sqrt(float(np.mean(((f1[:n_err] - f0e) / sc) ** 2))) / h0
     except SingularityError:
         d2 = math.inf
     if max(d1, d2) <= 1e-15:
@@ -246,12 +251,16 @@ def _locate_event(g, t_left, h, y_left, K, t_right):
     return b, yb
 
 
-def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None) -> Trajectory:
+def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None,
+                    n_err=None) -> Trajectory:
     """Integrate ``dy/dt = fun(t, y)`` from t0 to t1 (t1 >= t0).
 
     ``events`` is a list of ``(EventKind, g)`` pairs with scalar
     ``g(t, y)``; integration stops at the first time where some ``g``
-    becomes nonnegative, recorded as a terminal event.  Raises
+    becomes nonnegative, recorded as a terminal event.  ``n_err`` limits
+    step control to the first ``n_err`` components (partial error control,
+    Hairer-Norsett-Wanner I, II.4): a state integrated together with its
+    variational equation then takes the steps it takes alone.  Raises
     ``StepBudgetError`` if the step budget is exhausted and propagates
     ``SingularityError`` if the field is singular even at the minimum step.
     """
@@ -280,7 +289,7 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None) -> Traj
         return Trajectory(t_nodes, y_nodes, seg_h, seg_K, ev_out, 0, 0)
 
     f0 = fun(t0, y0)
-    h = _initial_step(fun, t0, y0, f0, t1, cfg)
+    h = _initial_step(fun, t0, y0, f0, t1, cfg, n_err)
     t = t0
     y = y0
     k1 = f0
@@ -316,6 +325,8 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None) -> Traj
         y_new = y + h * (_B @ K)
         sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = h * (_E @ K)
+        if n_err is not None:
+            sc, err = sc[:n_err], err[:n_err]
         err_norm = math.sqrt(float(np.mean((err / sc) ** 2)))
 
         if err_norm > 1.0:
@@ -379,6 +390,16 @@ def _fall_events(dim: int, thr: float, boundary=None):
     return evs
 
 
+def _check_start(s0: PhaseState, params: ModelParams, cfg: IntegratorConfig) -> None:
+    """Reject a start of the wrong dimension or already at the fall threshold."""
+    if s0.dim != params.dim:
+        raise ValueError(f"state dim {s0.dim} does not match model dim {params.dim}")
+    r = float(np.linalg.norm(s0.x))
+    if r >= cfg.fall_threshold:
+        raise ValueError(
+            f"initial |x| = {r:.17g} already at the fall threshold {cfg.fall_threshold}")
+
+
 def evolve(t0: float, t1: float, s0: PhaseState, params: ModelParams,
            F: PeriodicSignal, cfg: IntegratorConfig | None = None,
            boundary=None) -> Trajectory:
@@ -390,12 +411,7 @@ def evolve(t0: float, t1: float, s0: PhaseState, params: ModelParams,
     zero crossing from below.
     """
     cfg = cfg or IntegratorConfig()
-    if s0.dim != params.dim:
-        raise ValueError(f"state dim {s0.dim} does not match model dim {params.dim}")
-    r = float(np.linalg.norm(s0.x))
-    if r >= cfg.fall_threshold:
-        raise ValueError(
-            f"initial |x| = {r:.17g} already at the fall threshold {cfg.fall_threshold}")
+    _check_start(s0, params, cfg)
     fun = make_field(params, F)
     evs = _fall_events(params.dim, cfg.fall_threshold, boundary)
     return integrate_field(fun, t0, t1, s0.flat(), cfg, evs)

@@ -10,16 +10,22 @@ the fully driven equation together with its monodromy matrix.
 from __future__ import annotations
 
 import json
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+# ``jacobian`` is not called here; bench/spans.py counts calls to
+# ``poincare.jacobian``, so the name stays an attribute of this module.
 from .dynamics import ModelParams, PhaseState, jacobian, make_field
 from .errors import (ContinuationStuckError, FallError, IllConditionedError,
                      NewtonConvergenceError)
 from .forcing import PeriodicSignal
-from .integrator import IntegratorConfig, Trajectory, evolve, integrate_field
+from .integrator import (IntegratorConfig, Trajectory, _check_start,
+                         _fall_events, evolve, integrate_field)
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "ContinuationConfig",
@@ -41,12 +47,11 @@ class ContinuationConfig:
     lambda_step_min: float = 1e-4
     newton_tol: float = 1e-10
     newton_max_iters: int = 25
-    fd_step: float = 1e-7
 
     def __post_init__(self):
         if not (0 < self.lambda_step_min <= self.lambda_step_init <= 1):
             raise ValueError("need 0 < lambda_step_min <= lambda_step_init <= 1")
-        if self.newton_tol <= 0 or self.fd_step <= 0:
+        if self.newton_tol <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -66,33 +71,45 @@ class PeriodicOrbitResult:
         return np.linalg.eigvals(self.monodromy)
 
 
+def _raise_if_fell(traj: Trajectory) -> None:
+    ev = traj.fall_event
+    if ev is not None:
+        raise FallError(f"rod fell at t={ev.time:.6g} during the period map",
+                        time=ev.time, kind=ev.kind)
+
+
 def poincare_map(z: PhaseState, params: ModelParams, F: PeriodicSignal,
                  cfg: IntegratorConfig | None = None) -> PhaseState:
     """One application of the period map.  Raises ``FallError`` on a fall."""
     cfg = cfg or IntegratorConfig()
     traj = evolve(0.0, F.period, z, params, F, cfg)
-    ev = traj.fall_event
-    if ev is not None:
-        raise FallError(f"rod fell at t={ev.time:.6g} during the period map",
-                        time=ev.time, kind=ev.kind)
+    _raise_if_fell(traj)
     return traj.end_state()
 
 
-def _variational_matrix(z: PhaseState, params: ModelParams, F: PeriodicSignal,
-                        cfg: IntegratorConfig) -> np.ndarray:
+def _period_pass(z: PhaseState, params: ModelParams, F: PeriodicSignal,
+                 cfg: IntegratorConfig, n_err: int | None):
+    """``(P(z), DP(z))`` from one integration over a period.
+
+    The state is integrated together with its flow derivative ``M``
+    (``dM/dt = J(t, y) M``, ``M(0) = I``).  With ``n_err = 2 * dim`` step
+    control measures the state rows only, so they take the steps of
+    ``poincare_map(z)`` and agree with it to rounding, and ``M`` is the
+    derivative of that discrete map.  With ``n_err = None`` ``M`` is under
+    step control too; only that resolves ``M`` where the state itself
+    barely moves, as at a rest point of the unforced rod.  Raises
+    ``FallError`` on a fall.
+    """
+    _check_start(z, params, cfg)
     n = 2 * params.dim
-    fun = make_field(params, F)
-
-    def fun_aug(t, Y):
-        y = Y[:n]
-        M = Y[n:].reshape(n, n)
-        dy = fun(t, y)
-        J = jacobian(t, PhaseState.from_flat(y), params, F)
-        return np.concatenate([dy, (J @ M).ravel()])
-
+    fun = make_field(params, F, variational=True)
     Y0 = np.concatenate([z.flat(), np.eye(n).ravel()])
-    traj = integrate_field(fun_aug, 0.0, F.period, Y0, cfg)
-    return traj.states[-1, n:].reshape(n, n)
+    traj = integrate_field(fun, 0.0, F.period, Y0, cfg,
+                           _fall_events(params.dim, cfg.fall_threshold),
+                           n_err=n_err)
+    _raise_if_fell(traj)
+    end = traj.states[-1]
+    return end[:n], end[n:].reshape(n, n)
 
 
 def poincare_jacobian(z: PhaseState, params: ModelParams, F: PeriodicSignal,
@@ -108,7 +125,7 @@ def poincare_jacobian(z: PhaseState, params: ModelParams, F: PeriodicSignal,
     """
     cfg = cfg or IntegratorConfig()
     if mode == "variational":
-        return _variational_matrix(z, params, F, cfg)
+        return _period_pass(z, params, F, cfg, n_err=None)[1]
     if mode != "finite_difference":
         raise ValueError(f"unknown jacobian mode: {mode!r}")
     n = 2 * params.dim
@@ -130,25 +147,31 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
             cfg: IntegratorConfig, ccfg: ContinuationConfig):
     """Bare Newton iteration on ``P(z) - z``; returns ``(z, residual)``.
 
-    Raises ``NewtonConvergenceError`` when the iteration budget runs out,
-    ``IllConditionedError`` when ``DP - I`` is numerically singular (e.g.
-    at a fold), and passes through ``FallError`` from the map itself.
+    Each iteration is one integration that yields both ``P(z)`` and
+    ``DP(z)``.  Raises ``NewtonConvergenceError`` when the iteration budget
+    runs out, ``IllConditionedError`` when ``DP - I`` is numerically
+    singular (e.g. at a fold), and passes through ``FallError`` from the
+    map itself.  Every outcome is logged at debug level.
     """
     z = z0.flat().copy()
     n = z.shape[0]
     eye = np.eye(n)
-    residual = math.inf
-    for _ in range(ccfg.newton_max_iters):
-        Pz = poincare_map(PhaseState.from_flat(z), params, F, cfg).flat()
+    residual = cond = math.nan
+    for it in range(ccfg.newton_max_iters):
+        try:
+            Pz, J = _period_pass(PhaseState.from_flat(z), params, F, cfg, n_err=n)
+        except FallError:
+            _log_attempt(params.lam, "fell", it, residual, cond)
+            raise
         res_vec = Pz - z
         residual = float(np.linalg.norm(res_vec))
-        if residual <= ccfg.newton_tol:
-            return PhaseState.from_flat(z), residual
-        J = poincare_jacobian(PhaseState.from_flat(z), params, F, cfg,
-                              fd_step=ccfg.fd_step)
         A = J - eye
         cond = float(np.linalg.cond(A))
+        if residual <= ccfg.newton_tol:
+            _log_attempt(params.lam, "converged", it, residual, cond)
+            return PhaseState.from_flat(z), residual
         if not np.isfinite(cond) or cond > 1e12:
+            _log_attempt(params.lam, "ill-conditioned", it, residual, cond)
             raise IllConditionedError(
                 f"period-map Jacobian minus identity has condition {cond:.3e}",
                 condition=cond)
@@ -160,10 +183,18 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
                 break
             dz *= 0.5
         z = z + dz
+    _log_attempt(params.lam, "Newton stalled", ccfg.newton_max_iters, residual, cond)
     raise NewtonConvergenceError(
         f"no fixed point after {ccfg.newton_max_iters} iterations "
         f"(residual {residual:.3e})", residual=residual,
         iterations=ccfg.newton_max_iters)
+
+
+def _log_attempt(lam: float, outcome: str, iterations: int, residual: float,
+                 cond: float) -> None:
+    """One line per Newton run: the last residual and ``cond(DP - I)`` seen."""
+    log.debug("lam=%.6g %s: %d Newton iterations, residual %.3e, "
+              "cond(DP - I) %.3e", lam, outcome, iterations, residual, cond)
 
 
 def _finish(z: PhaseState, residual: float, path: list, params: ModelParams,

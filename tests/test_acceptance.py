@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ F_LIN = make_fourier_forcing(1.0, 1, [2.0], [])
 F_PLA = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
 Z_LIN = make_fourier_forcing(1.0, 1, [0.0], [])
 Z_PLA = make_fourier_forcing(1.0, 2, [(0.0, 0.0)], [])
+DEMO_OUTPUT = Path(__file__).resolve().parents[1] / "demos" / "output"
 
 
 def criterion(label):
@@ -165,6 +167,23 @@ def test_planar_periodic_orbit(planar_orbit, planar_constants):
     R[2:, 2:] = Q
     assert np.linalg.norm(result_q.fixed_point.flat() - R @ z.flat()) < 1e-6
     assert elapsed + elapsed_q < 300.0
+
+
+@criterion("orbit demos reproduce demos/output/orbit_{linear,planar}.csv "
+           "to 1e-10")
+def test_orbit_demos_reproduce_committed_csv(tmp_path):
+    # the configs and sampling of demos/periodic_orbit_{linear,planar}.py
+    for name, dim, F in (("orbit_linear.csv", 1, F_LIN),
+                         ("orbit_planar.csv", 2, F_PLA)):
+        result = continue_in_lambda(ModelParams(G=G_EARTH, lam=0.0, dim=dim), F)
+        result.orbit.to_csv(tmp_path / name, n_samples=501)
+        committed = (DEMO_OUTPUT / name).read_text().splitlines()
+        rerun = (tmp_path / name).read_text().splitlines()
+        assert rerun[0] == committed[0]
+        assert len(rerun) == len(committed) == 502
+        ref = np.loadtxt(committed[1:], delimiter=",")
+        new = np.loadtxt(rerun[1:], delimiter=",")
+        assert np.max(np.abs(new - ref)) < 1e-10, name
 
 
 @criterion("bound certificates verified at default and doubled density "

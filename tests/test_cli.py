@@ -3,7 +3,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import upright
 from upright.cli import DEFAULT_CONFIG, load_config, main
 
 
@@ -169,6 +174,34 @@ def test_solve_periodic_planar(tmp_path):
     assert header == ["t", "x1", "x2", "p1", "p2", "y"]
 
 
+def test_solve_periodic_verbose_streams_attempts_only_to_the_log(tmp_path):
+    cfg = write_config(tmp_path, problem="linear", forcing={"cosine": [2.0]},
+                       bounds={"samples_per_face": 8})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(upright.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    runs = {}
+    for name, extra in (("quiet", []), ("verbose", ["--verbose"])):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "upright.cli", "solve-periodic",
+             "--config", str(cfg), "--out", str(out), *extra],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        attempts = [line for line in proc.stderr.splitlines()
+                    if line.startswith("DEBUG upright.poincare: lam=")]
+        artifacts = [(out / f).read_bytes()
+                     for f in ("result.json", "certificate.json")]
+        runs[name] = (attempts, artifacts)
+    assert runs["quiet"][0] == []
+    attempts = runs["verbose"][0]
+    result = json.loads(runs["verbose"][1][0])
+    assert sum(" converged: " in line for line in attempts) == \
+        len(result["lambda_path"]) - 1
+    assert runs["quiet"][1] == runs["verbose"][1]
+
+
 # -- whitney-search -----------------------------------------------------------
 
 def test_whitney_search(tmp_path, capsys):
@@ -206,6 +239,10 @@ def test_whitney_search_no_bracket(tmp_path):
 
 def test_config_unknown_key(tmp_path):
     rc, _ = run(tmp_path, "degree", problem="linear", grvity=9.81)
+    assert rc == 1
+    # Newton no longer takes finite-difference Jacobians
+    rc, _ = run(tmp_path, "degree", problem="linear",
+                continuation={"fd_step": 1e-7})
     assert rc == 1
 
 

@@ -245,6 +245,26 @@ def test_jacobian_fd_mode(dim):
     assert np.allclose(J, J_fd, rtol=1e-6, atol=1e-6)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_variational_field_is_the_field_and_its_jacobian(dim):
+    rng = np.random.default_rng(40 + dim)
+    F = F1 if dim == 1 else F2
+    params = ModelParams(G=9.81, lam=0.8, dim=dim)
+    n = 2 * dim
+    plain = make_field(params, F)
+    fused = make_field(params, F, variational=True)
+    for _ in range(100):
+        s = _rand_state(rng, dim, r_max=0.85)
+        t = rng.uniform(0.0, 1.0)
+        M = rng.normal(size=(n, n))
+        out = fused(t, np.concatenate([s.flat(), M.ravel()]))
+        # the same expressions as the plain field, so equal to the bit
+        assert np.array_equal(out[:n], plain(t, s.flat()))
+        expect = jacobian(t, s, params, F) @ M
+        scale = np.abs(jacobian(t, s, params, F)) @ np.abs(M) + 1.0
+        assert np.max(np.abs(out[n:].reshape(n, n) - expect) / scale) < 1e-13
+
+
 # -- height readout -----------------------------------------------------
 
 def test_height_values():

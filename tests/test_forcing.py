@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import upright
 from upright.errors import InsufficientDataError
 from upright.forcing import (PathSamples, ingest_path, make_fourier_forcing,
                              read_path_csv, sup_norms)
@@ -217,3 +222,16 @@ def test_read_path_csv_planar_and_header_check(tmp_path):
     bad.write_text("time,x\n0,0\n1,0\n")
     with pytest.raises(ValueError):
         read_path_csv(bad)
+
+
+def test_package_import_leaves_scipy_interpolate_unloaded():
+    # only ingest_path needs the spline; every CLI run pays the package import
+    src = str(Path(upright.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, upright; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

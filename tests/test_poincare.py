@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 from scipy.linalg import expm
 
 from oracles import linear_scalar_rhs, rk4_scalar
+from upright import integrator, poincare
 from upright.dynamics import ModelParams, PhaseState
 from upright.errors import FallError
 from upright.forcing import make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve
 from upright.poincare import (ContinuationConfig, PeriodicOrbitResult,
-                              continue_in_lambda, newton_correct,
+                              _period_pass, continue_in_lambda, newton_correct,
                               poincare_jacobian, poincare_map, result_to_dict,
                               save_result_json)
 
@@ -24,6 +26,9 @@ SINH1 = 1.1752011936438014
 Z1 = make_fourier_forcing(1.0, 1, [0.0], [])
 Z2 = make_fourier_forcing(1.0, 2, [(0.0, 0.0)], [])
 F_SMALL = make_fourier_forcing(1.0, 1, [0.05], [])
+F_LIN = make_fourier_forcing(1.0, 1, [2.0], [])
+F_CIRCLE = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
+TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
 def test_poincare_map_fixes_origin():
@@ -90,6 +95,67 @@ def test_jacobian_modes_agree_on_random_states():
         J_fd = poincare_jacobian(z, params, F, cfg, mode="finite_difference")
         J_var = poincare_jacobian(z, params, F, cfg, mode="variational")
         assert np.max(np.abs(J_fd - J_var) / (np.abs(J_var) + 1.0)) < 1e-4
+
+
+@pytest.mark.parametrize("cfg", [IntegratorConfig(), TIGHT], ids=["default", "tight"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("dim, F", [(1, F_LIN), (2, F_CIRCLE)], ids=["line", "plane"])
+def test_newton_pass_state_rows_are_the_period_map(dim, F, lam, cfg):
+    # the state rows of Newton's fused pass take the steps of the plain map
+    params = ModelParams(G=9.81, lam=lam, dim=dim)
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for _ in range(8):
+        z = PhaseState(rng.uniform(-0.2, 0.2, dim), rng.uniform(-0.5, 0.5, dim))
+        try:
+            expect = poincare_map(z, params, F, cfg).flat()
+        except FallError:
+            with pytest.raises(FallError):
+                _period_pass(z, params, F, cfg, n_err=2 * dim)
+            verdicts.add("fell")
+            continue
+        Pz, _ = _period_pass(z, params, F, cfg, n_err=2 * dim)
+        assert np.linalg.norm(Pz - expect) <= 1e-12 * np.linalg.norm(expect)
+        verdicts.add("stayed")
+    assert verdicts == {"fell", "stayed"}
+
+
+@pytest.mark.parametrize("dim, F", [(1, F_LIN), (2, F_CIRCLE)], ids=["line", "plane"])
+def test_newton_pass_jacobian_matches_finite_differences(dim, F):
+    params = ModelParams(G=9.81, lam=0.5, dim=dim)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        z = PhaseState(rng.uniform(-0.02, 0.02, dim), rng.uniform(-0.05, 0.05, dim))
+        _, DP = _period_pass(z, params, F, TIGHT, n_err=2 * dim)
+        J_fd = poincare_jacobian(z, params, F, TIGHT, mode="finite_difference")
+        assert np.max(np.abs(J_fd - DP) / (np.abs(DP) + 1.0)) < 1e-4
+
+
+def test_continuation_runs_one_integration_per_newton_step(monkeypatch):
+    # reference linear problem at default tolerances: finite-difference
+    # Jacobians made this 77 integrations
+    calls = []
+    for mod in (integrator, poincare):
+        def counted(*args, _inner=mod.integrate_field, **kwargs):
+            calls.append(None)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(mod, "integrate_field", counted)
+    continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_LIN)
+    assert 0 < len(calls) <= 30
+
+
+def test_continuation_logs_every_lambda_attempt(caplog):
+    caplog.set_level(logging.DEBUG, logger="upright.poincare")
+    F = make_fourier_forcing(1.5, 1, [2.0], [])
+    result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "upright.poincare"]
+    converged = [line for line in lines if " converged: " in line]
+    assert len(converged) == len(result.lambda_path) - 1
+    assert any(" fell: " in line for line in lines)
+    for line in lines:
+        assert line.startswith("lam=")
+        assert "Newton iterations, residual " in line and "cond(DP - I) " in line
 
 
 def test_newton_converges_to_origin():
