@@ -11,17 +11,16 @@ from .bounds import (BoundSetCertificate, BoundSetSpec, compute_a_linear,
                      curvature_check_m, curvature_check_n,
                      degree_of_autonomous_field, exit_cone_check,
                      orbit_containment, verify_bound_set)
-from .dynamics import (GUARD, HeightReadout, ModelParams, PhaseState, height,
-                       jacobian, make_field, rhs_linear, rhs_planar)
+from .dynamics import GUARD, ModelParams, PhaseState, jacobian, make_field
 from .errors import (BoundVerificationError, BracketError,
                      ContinuationStuckError, FallError, IllConditionedError,
                      InsufficientDataError, InvalidSampleError,
                      NewtonConvergenceError, SingularityError,
                      StepBudgetError, UprightError)
 from .forcing import (PathSamples, PeriodicSignal, ingest_path,
-                      make_fourier_forcing, read_path_csv, sup_norms)
+                      make_fourier_forcing, read_path_csv)
 from .integrator import (Event, EventKind, IntegratorConfig, Trajectory,
-                         evolve, integrate_field, shift_periodicity_check)
+                         evolve, integrate_field)
 from .poincare import (ContinuationConfig, PeriodicOrbitResult,
                        continue_in_lambda, newton_correct, poincare_jacobian,
                        poincare_map)
@@ -35,13 +34,12 @@ __all__ = [
     "__version__",
     # forcing
     "PeriodicSignal", "PathSamples", "make_fourier_forcing", "ingest_path",
-    "sup_norms", "read_path_csv",
+    "read_path_csv",
     # dynamics
-    "GUARD", "ModelParams", "PhaseState", "HeightReadout", "height",
-    "jacobian", "make_field", "rhs_linear", "rhs_planar",
+    "GUARD", "ModelParams", "PhaseState", "jacobian", "make_field",
     # integration
     "IntegratorConfig", "EventKind", "Event", "Trajectory", "evolve",
-    "integrate_field", "shift_periodicity_check",
+    "integrate_field",
     # periodic orbits
     "ContinuationConfig", "PeriodicOrbitResult", "poincare_map",
     "poincare_jacobian", "newton_correct", "continue_in_lambda",

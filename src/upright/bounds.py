@@ -731,12 +731,17 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     # linear term of the gauge dominates over the window: |g| dt must beat
     # the quadratic term |c| dt^2 / 2 with room to spare, else the sample
     # is effectively tangent and belongs to the gate machinery instead.
+    # The same argument needs a smooth gauge along the arc, and the cone
+    # gauge b|x| + |p| - b has a kink at x = 0: a cone-face arc, which moves
+    # x by about |p| dt each way, must keep |x| > 2 |p| dt to stay clear of it.
     spot_result = {"attempted": 0, "passed": 0, "failures": []}
     dt = 1e-3 * T
     usable = [s for s in spot_pool
-              if s["exact_gate"]
-              or (abs(s["gate"]) >= 10.0 * gate_tol
-                  and abs(s["gate"]) >= 8.0 * abs(s["curv"] or 0.0) * dt)]
+              if (s["face"] == "gamma"
+                  or np.linalg.norm(s["x"]) > 2.0 * np.linalg.norm(s["p"]) * dt)
+              and (s["exact_gate"]
+                   or (abs(s["gate"]) >= 10.0 * gate_tol
+                       and abs(s["gate"]) >= 8.0 * abs(s["curv"] or 0.0) * dt))]
     rng.shuffle(usable)
     for sample in usable[:spot_checks]:
         spot_result["attempted"] += 1

@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from .bounds import (BoundSetSpec, compute_a_linear, compute_a_planar,
                      compute_b_linear, compute_b_planar,
                      degree_of_autonomous_field, orbit_containment,
@@ -185,9 +184,21 @@ def _continuation_config(cfg: dict) -> ContinuationConfig:
     )
 
 
-def _bound_constants(cfg: dict, G: float, F, dim: int, icfg: IntegratorConfig,
-                     seed: int):
+def _out_dir(cfg: dict, args) -> Path:
+    out = Path(args.out) if args.out else Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _certify(cfg: dict, G: float, F, dim: int, icfg: IntegratorConfig,
+             seed: int, out: Path):
+    """Bound constants and their certificate, saved as ``certificate.json``.
+
+    Returns the trap spec and its certificate, or ``None`` when no planar
+    ``b`` passed verification.
+    """
     bcfg = cfg["bounds"]
+    spf = int(bcfg["samples_per_face"])
     lam_grid = np.linspace(0.0, 1.0, int(bcfg["lambda_grid_size"]))
     if bcfg["a_override"] is not None:
         a = float(bcfg["a_override"])
@@ -201,41 +212,32 @@ def _bound_constants(cfg: dict, G: float, F, dim: int, icfg: IntegratorConfig,
     elif dim == 1:
         b = compute_b_linear(a, F.sup_norm, float(bcfg["b_margin"]))
     else:
-        b, cert = compute_b_planar(a, F, G, lam_grid, icfg,
-                                   samples_per_face=int(bcfg["samples_per_face"]),
-                                   seed=seed, return_certificate=True)
-    return a, b, lam_grid, cert
-
-
-def _verify(cfg: dict, spec: BoundSetSpec, G: float, F, icfg, lam_grid, seed):
-    return verify_bound_set(spec, G, F, icfg,
-                            samples_per_face=int(cfg["bounds"]["samples_per_face"]),
-                            lambda_grid=lam_grid, seed=seed)
-
-
-def _out_dir(cfg: dict, args) -> Path:
-    out = Path(args.out) if args.out else Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        try:
+            b, cert = compute_b_planar(a, F, G, lam_grid, icfg,
+                                       samples_per_face=spf, seed=seed,
+                                       return_certificate=True)
+        except BoundVerificationError as exc:
+            log.error("bound escalation failed: %s", exc)
+            if exc.certificate is not None:
+                save_certificate_json(exc.certificate, out / "certificate.json")
+            return None
+    spec = BoundSetSpec(a=a, b=b, dim=dim)
+    if cert is None:
+        cert = verify_bound_set(spec, G, F, icfg, samples_per_face=spf,
+                                lambda_grid=lam_grid, seed=seed)
+    save_certificate_json(cert, out / "certificate.json")
+    return spec, cert
 
 
 def cmd_verify_bounds(cfg: dict, args) -> int:
     G, F, dim = _build_model(cfg)
-    icfg = _integrator_config(cfg)
-    out = _out_dir(cfg, args)
-    try:
-        a, b, lam_grid, cert = _bound_constants(cfg, G, F, dim, icfg, args.seed)
-    except BoundVerificationError as exc:
-        log.error("bound escalation failed: %s", exc)
-        if exc.certificate is not None:
-            save_certificate_json(exc.certificate, out / "certificate.json")
+    certified = _certify(cfg, G, F, dim, _integrator_config(cfg), args.seed,
+                         _out_dir(cfg, args))
+    if certified is None:
         return 2
-    spec = BoundSetSpec(a=a, b=b, dim=dim)
-    if cert is None or cfg["bounds"]["b_override"] is not None:
-        cert = _verify(cfg, spec, G, F, icfg, lam_grid, args.seed)
-    save_certificate_json(cert, out / "certificate.json")
-    print(f"a = {a:.17g}")
-    print(f"b = {b:.17g}")
+    spec, cert = certified
+    print(f"a = {spec.a:.17g}")
+    print(f"b = {spec.b:.17g}")
     print(f"verified = {cert.verified}")
     print(f"min margins: cylinder {cert.min_margin_gamma:.6g}, "
           f"cone {cert.min_margin_delta:.6g}, vertex ok {cert.corner_ok}")
@@ -247,19 +249,12 @@ def cmd_solve_periodic(cfg: dict, args) -> int:
     icfg = _integrator_config(cfg)
     ccfg = _continuation_config(cfg)
     out = _out_dir(cfg, args)
-    try:
-        a, b, lam_grid, cert = _bound_constants(cfg, G, F, dim, icfg, args.seed)
-    except BoundVerificationError as exc:
-        log.error("bound escalation failed: %s", exc)
-        if exc.certificate is not None:
-            save_certificate_json(exc.certificate, out / "certificate.json")
+    certified = _certify(cfg, G, F, dim, icfg, args.seed, out)
+    if certified is None:
         return 2
-    spec = BoundSetSpec(a=a, b=b, dim=dim)
-    if cert is None:
-        cert = _verify(cfg, spec, G, F, icfg, lam_grid, args.seed)
-    save_certificate_json(cert, out / "certificate.json")
+    spec, cert = certified
     if not cert.verified:
-        log.error("bound set (a=%.6g, b=%.6g) failed verification", a, b)
+        log.error("bound set (a=%.6g, b=%.6g) failed verification", spec.a, spec.b)
         return 2
     params0 = ModelParams(G=G, lam=0.0, dim=dim)
     try:

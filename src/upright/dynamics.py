@@ -32,12 +32,8 @@ __all__ = [
     "GUARD",
     "ModelParams",
     "PhaseState",
-    "HeightReadout",
-    "rhs_linear",
-    "rhs_planar",
     "make_field",
     "jacobian",
-    "height",
 ]
 
 # Hard guard on |x|: the equation is singular at |x| = 1, and evaluating past
@@ -96,54 +92,6 @@ class PhaseState:
             raise ValueError(f"flat state must have length 2 or 4, got shape {y.shape}")
         d = y.shape[0] // 2
         return PhaseState(y[:d], y[d:])
-
-
-@dataclass(frozen=True)
-class HeightReadout:
-    """Rod height ``y = sqrt(1 - |x|^2)`` together with the raw radicand."""
-
-    y: float
-    radicand: float
-
-
-def height(state: PhaseState) -> HeightReadout:
-    """Height of the rod tip above the pivot plane, in rod lengths."""
-    rad = 1.0 - float(np.dot(state.x, state.x))
-    if rad < -1e-14:
-        raise ValueError(f"state lies outside the unit disk: 1 - |x|^2 = {rad:.3e}")
-    return HeightReadout(math.sqrt(max(rad, 0.0)), rad)
-
-
-def rhs_linear(t: float, state: PhaseState, params: ModelParams,
-               F: PeriodicSignal) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dx/dt, dp/dt) of the one-dimensional equation."""
-    x = float(state.x[0])
-    p = float(state.p[0])
-    one_minus = 1.0 - x * x
-    if one_minus <= 1.0 - GUARD * GUARD:
-        raise SingularityError(f"|x| = {abs(x):.17g} at the singular radius", time=t,
-                               state=state.flat())
-    f = F.eval_scalar(t)[0]
-    acc = (params.G * math.sqrt(one_minus) - p * p / one_minus) * x \
-        - params.lam * one_minus * f
-    return np.asarray([p]), np.asarray([acc])
-
-
-def rhs_planar(t: float, state: PhaseState, params: ModelParams,
-               F: PeriodicSignal) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dx/dt, dp/dt) of the planar equation."""
-    x = state.x
-    p = state.p
-    r2 = float(np.dot(x, x))
-    one_minus = 1.0 - r2
-    if one_minus <= 1.0 - GUARD * GUARD:
-        raise SingularityError(f"|x| = {math.sqrt(r2):.17g} at the singular radius",
-                               time=t, state=state.flat())
-    f = np.asarray(F.eval_scalar(t), dtype=float)
-    xp = float(np.dot(x, p))
-    R = params.G * math.sqrt(one_minus) - xp * xp / one_minus - float(np.dot(p, p))
-    phi = params.lam * (float(np.dot(x, f)) * x - f)
-    return p.copy(), R * x + phi
 
 
 def make_field(params: ModelParams, F: PeriodicSignal, variational: bool = False):
@@ -213,9 +161,9 @@ def make_field(params: ModelParams, F: PeriodicSignal, variational: bool = False
 def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scalar):
     """The field of ``make_field(..., variational=True)``.
 
-    The Jacobian entries are those of ``_jacobian_analytic``, written out
-    in plain floats; its top block is ``[0, I]``, so the top rows of
-    ``dM/dt`` are the bottom rows of ``M``.
+    The Jacobian entries are the partial derivatives of the plain field,
+    written out in plain floats; its top block is ``[0, I]``, so the top
+    rows of ``dM/dt`` are the bottom rows of ``M``.
     """
     if dim == 1:
 
@@ -284,66 +232,13 @@ def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scala
     return field2_var
 
 
-def _jacobian_analytic(t: float, state: PhaseState, params: ModelParams,
-                       F: PeriodicSignal) -> np.ndarray:
-    d = state.dim
-    x = state.x
-    p = state.p
-    r2 = float(np.dot(x, x))
-    one_minus = 1.0 - r2
-    if one_minus <= 1.0 - GUARD * GUARD:
-        raise SingularityError("state at the singular radius", time=t, state=state.flat())
-    f = np.asarray(F.eval_scalar(t), dtype=float)
-    lam = params.lam
-    G = params.G
-    if d == 1:
-        xx = float(x[0])
-        pp = float(p[0])
-        A = G * (1.0 - 2.0 * xx * xx) / math.sqrt(one_minus) \
-            - pp * pp * (1.0 + xx * xx) / (one_minus * one_minus) \
-            + 2.0 * lam * xx * float(f[0])
-        B = -2.0 * pp * xx / one_minus
-        return np.asarray([[0.0, 1.0], [A, B]])
-    xp = float(np.dot(x, p))
-    R = G * math.sqrt(one_minus) - xp * xp / one_minus - float(np.dot(p, p))
-    dR_dx = -(G / math.sqrt(one_minus)) * x \
-        - (2.0 * xp / one_minus) * p \
-        - (2.0 * xp * xp / (one_minus * one_minus)) * x
-    dR_dp = -(2.0 * xp / one_minus) * x - 2.0 * p
-    xf = float(np.dot(x, f))
-    eye = np.eye(d)
-    dpdot_dx = np.outer(x, dR_dx) + R * eye + lam * (xf * eye + np.outer(x, f))
-    dpdot_dp = np.outer(x, dR_dp)
-    top = np.hstack([np.zeros((d, d)), eye])
-    bottom = np.hstack([dpdot_dx, dpdot_dp])
-    return np.vstack([top, bottom])
-
-
-def _jacobian_fd(t: float, state: PhaseState, params: ModelParams,
-                 F: PeriodicSignal) -> np.ndarray:
-    field = make_field(params, F)
-    y0 = state.flat()
-    n = y0.shape[0]
-    J = np.empty((n, n))
-    for j in range(n):
-        h = 1e-7 * (1.0 + abs(y0[j]))
-        yp = y0.copy()
-        ym = y0.copy()
-        yp[j] += h
-        ym[j] -= h
-        J[:, j] = (field(t, yp) - field(t, ym)) / (2.0 * h)
-    return J
-
-
 def jacobian(t: float, state: PhaseState, params: ModelParams,
-             F: PeriodicSignal, mode: str = "analytic") -> np.ndarray:
+             F: PeriodicSignal) -> np.ndarray:
     """State-space Jacobian of the flat vector field at ``(t, state)``.
 
-    ``mode="analytic"`` uses the closed-form partial derivatives,
-    ``mode="fd"`` central finite differences of the compiled field.
+    Read from the variational field at ``[y, vec I]``, whose ``M`` rows are
+    then ``J I = J``.
     """
-    if mode == "analytic":
-        return _jacobian_analytic(t, state, params, F)
-    if mode == "fd":
-        return _jacobian_fd(t, state, params, F)
-    raise ValueError(f"unknown jacobian mode: {mode!r}")
+    n = 2 * state.dim
+    y = np.concatenate([state.flat(), np.eye(n).ravel()])
+    return make_field(params, F, variational=True)(t, y)[n:].reshape(n, n)

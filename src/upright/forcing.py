@@ -28,7 +28,6 @@ __all__ = [
     "PathSamples",
     "make_fourier_forcing",
     "ingest_path",
-    "sup_norms",
     "read_path_csv",
 ]
 
@@ -40,11 +39,12 @@ class PeriodicSignal:
 
     Evaluation reduces the argument to one period first, so the signal is
     defined for every real ``t``; exact multiples of the period map to 0.
+    ``value_fn`` and ``derivative_fn`` take an array of reduced times;
+    ``scalar_value_fn`` takes one reduced time and returns a tuple of floats.
     """
 
     def __init__(self, period, dim, value_fn, derivative_fn, sup_norm,
-                 sup_norm_derivative, scalar_value_fn=None,
-                 scalar_derivative_fn=None):
+                 sup_norm_derivative, scalar_value_fn):
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         if dim not in (1, 2):
@@ -56,7 +56,6 @@ class PeriodicSignal:
         self._value_fn = value_fn
         self._derivative_fn = derivative_fn
         self._scalar_value_fn = scalar_value_fn
-        self._scalar_derivative_fn = scalar_derivative_fn
 
     # -- range reduction -------------------------------------------------
 
@@ -76,9 +75,7 @@ class PeriodicSignal:
         """F(t).  Scalar input gives shape (dim,), array input (..., dim)."""
         if np.ndim(t) == 0:
             u = self._reduce_scalar(float(t))
-            if self._scalar_value_fn is not None:
-                return np.asarray(self._scalar_value_fn(u), dtype=float)
-            return np.asarray(self._value_fn(np.asarray([u]))[0], dtype=float)
+            return np.asarray(self._scalar_value_fn(u), dtype=float)
         u = self._reduce(np.asarray(t, dtype=float))
         return self._value_fn(u)
 
@@ -86,18 +83,13 @@ class PeriodicSignal:
         """dF/dt at t, same shape conventions as :meth:`eval`."""
         if np.ndim(t) == 0:
             u = self._reduce_scalar(float(t))
-            if self._scalar_derivative_fn is not None:
-                return np.asarray(self._scalar_derivative_fn(u), dtype=float)
             return np.asarray(self._derivative_fn(np.asarray([u]))[0], dtype=float)
         u = self._reduce(np.asarray(t, dtype=float))
         return self._derivative_fn(u)
 
     def eval_scalar(self, t: float):
         """Fast path used by the integrator: returns a plain tuple of floats."""
-        u = self._reduce_scalar(t)
-        if self._scalar_value_fn is not None:
-            return self._scalar_value_fn(u)
-        return tuple(self._value_fn(np.asarray([u]))[0])
+        return self._scalar_value_fn(self._reduce_scalar(t))
 
     def __repr__(self):
         return (f"PeriodicSignal(period={self.period!r}, dim={self.dim}, "
@@ -173,15 +165,6 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
                 out[i] += ck[i] * cw + sk[i] * sw
         return tuple(out)
 
-    def derivative_scalar(u):
-        out = [0.0] * dim
-        for w, ck, sk in modes:
-            cw = math.cos(w * u)
-            sw = math.sin(w * u)
-            for i in range(dim):
-                out[i] += -ck[i] * w * sw + sk[i] * w * cw
-        return tuple(out)
-
     n_grid = max(int(grid_points), _DENSE_GRID)
     u = np.linspace(0.0, period, n_grid, endpoint=False)
     h = period / n_grid
@@ -193,8 +176,7 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
     sup_df = float(np.max(np.linalg.norm(derivative(u), axis=1))) + 0.5 * lip_df * h
 
     return PeriodicSignal(period, dim, value, derivative, sup_f, sup_df,
-                          scalar_value_fn=value_scalar,
-                          scalar_derivative_fn=derivative_scalar)
+                          scalar_value_fn=value_scalar)
 
 
 @dataclass(frozen=True)
@@ -280,9 +262,6 @@ def ingest_path(samples: PathSamples, gravity: float):
     def value_scalar(u):
         return tuple(np.asarray(d2(u), dtype=float) / ell)
 
-    def derivative_scalar(u):
-        return tuple(np.asarray(d3(u), dtype=float) / ell)
-
     sup_f = float(np.max(np.linalg.norm(np.atleast_2d(d2(knots)), axis=1))) / ell
     # third derivative per piece: 6 * leading coefficient
     lead = 6.0 * np.abs(spline.c[0])
@@ -291,25 +270,8 @@ def ingest_path(samples: PathSamples, gravity: float):
     sup_df = float(np.max(np.linalg.norm(lead, axis=1))) / ell
 
     signal = PeriodicSignal(period, dim, value, derivative, sup_f, sup_df,
-                            scalar_value_fn=value_scalar,
-                            scalar_derivative_fn=derivative_scalar)
+                            scalar_value_fn=value_scalar)
     return signal, gravity / ell
-
-
-def sup_norms(signal: PeriodicSignal, grid_points: int = _DENSE_GRID,
-              safety: float = 1.01):
-    """Grid estimates of ``max |F|`` and ``max |dF/dt|`` over one period.
-
-    Maxima over a uniform grid of ``grid_points`` points, each multiplied by
-    the declared ``safety`` factor.  Refining the grid can only raise the
-    bare maxima, so the estimates are monotone up to the safety factor.
-    """
-    if grid_points < 64:
-        raise ValueError(f"grid_points must be at least 64, got {grid_points}")
-    u = np.linspace(0.0, signal.period, int(grid_points), endpoint=False)
-    f = np.linalg.norm(signal.eval(u), axis=1)
-    df = np.linalg.norm(signal.eval_derivative(u), axis=1)
-    return float(np.max(f)) * safety, float(np.max(df)) * safety
 
 
 def read_path_csv(path, rod_length: float = 1.0, closure_tol: float = 1e-8) -> PathSamples:

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import ModelParams, PhaseState, make_field
-from .errors import FallError, SingularityError, StepBudgetError
+from .errors import SingularityError, StepBudgetError
 from .forcing import PeriodicSignal
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "Trajectory",
     "integrate_field",
     "evolve",
-    "shift_periodicity_check",
 ]
 
 # Dormand-Prince 5(4) tableau.
@@ -416,25 +415,3 @@ def evolve(t0: float, t1: float, s0: PhaseState, params: ModelParams,
     evs = _fall_events(params.dim, cfg.fall_threshold, boundary)
     return integrate_field(fun, t0, t1, s0.flat(), cfg, evs)
 
-
-def shift_periodicity_check(z: PhaseState, params: ModelParams,
-                            F: PeriodicSignal,
-                            cfg: IntegratorConfig | None = None) -> float:
-    """Defect of time-shift invariance of the flow over one forcing period.
-
-    Because the forcing is periodic, flowing ``z`` from time 0 to T and
-    flowing the same ``z`` from time T to 2T must land on the same state.
-    Returns the norm of the difference; raises ``FallError`` if either leg
-    falls.
-    """
-    cfg = cfg or IntegratorConfig()
-    T = F.period
-    a = evolve(0.0, T, z, params, F, cfg)
-    if a.fall_event is not None:
-        raise FallError("rod fell during the first period",
-                        time=a.fall_event.time, kind=a.fall_event.kind)
-    b = evolve(T, 2.0 * T, z, params, F, cfg)
-    if b.fall_event is not None:
-        raise FallError("rod fell during the shifted period",
-                        time=b.fall_event.time, kind=b.fall_event.kind)
-    return float(np.linalg.norm(a.states[-1] - b.states[-1]))

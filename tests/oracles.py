@@ -30,6 +30,32 @@ def rhs_planar(t: float, y, G: float, lam: float, F) -> np.ndarray:
     return np.concatenate([p, acc])
 
 
+def jacobian(t: float, y, G: float, lam: float, F) -> np.ndarray:
+    """Jacobian of the rod equation in either dimension, differentiated by hand.
+
+    With ``R = G sqrt(1 - |x|^2) - (x.p)^2 / (1 - |x|^2) - |p|^2`` the
+    acceleration is ``R x + lam ((x.F) x - F)``, so its partials are
+    ``x dR/dx^T + R I + lam ((x.F) I + x F^T)`` and ``x dR/dp^T``.
+    F maps t to an array of length ``dim``; on the line this is the
+    derivative of :func:`rhs_linear`.
+    """
+    d = len(y) // 2
+    x = np.asarray(y[:d], dtype=float)
+    p = np.asarray(y[d:], dtype=float)
+    Fv = np.asarray(F(t), dtype=float)
+    one = 1.0 - float(x @ x)
+    xp = float(x @ p)
+    R = G * math.sqrt(one) - xp ** 2 / one - float(p @ p)
+    dR_dx = -(G / math.sqrt(one) + 2.0 * xp ** 2 / one ** 2) * x - (2.0 * xp / one) * p
+    dR_dp = -(2.0 * xp / one) * x - 2.0 * p
+    eye = np.eye(d)
+    J = np.zeros((2 * d, 2 * d))
+    J[:d, d:] = eye
+    J[d:, :d] = np.outer(x, dR_dx) + R * eye + lam * (float(x @ Fv) * eye + np.outer(x, Fv))
+    J[d:, d:] = np.outer(x, dR_dp)
+    return J
+
+
 def unresolved_planar_residual(t: float, y, G: float, lam: float, F) -> float:
     """Residual of the pre-elimination linear system in the acceleration.
 

@@ -16,7 +16,7 @@ from upright.bounds import (BoundSetSpec, certificate_to_dict,
                             degree_of_autonomous_field, exit_cone_check,
                             orbit_containment, save_certificate_json,
                             verify_bound_set)
-from upright.dynamics import ModelParams, PhaseState, rhs_linear
+from upright.dynamics import ModelParams, PhaseState, make_field
 from upright.errors import BoundVerificationError, InvalidSampleError
 from upright.forcing import make_fourier_forcing
 from upright.integrator import evolve
@@ -198,11 +198,11 @@ def test_linear_cone_face_chain_identity():
     # field with (b, 1) factors exactly as
     #   b^2 (1-x) (1 - x/(1+x) - lam (1+x) F/b^2) + G x sqrt(1-x^2)
     G, b, lam = 9.81, 4.0, 1.0
-    params = ModelParams(G=G, lam=lam, dim=1)
+    field = make_field(ModelParams(G=G, lam=lam, dim=1), F1)
     for x in np.linspace(0.05, 0.6, 12):
         p = b * (1.0 - x)
         t = 0.37
-        xdot, pdot = rhs_linear(t, PhaseState(x, p), params, F1)
+        xdot, pdot = field(t, np.array([x, p]))
         lhs = b * xdot.item() + pdot.item()
         Ft = F1.eval(t).item()
         rhs = b * b * (1 - x) * (1 - x / (1 + x) - lam * (1 + x) * Ft / b**2) \
@@ -215,14 +215,14 @@ def test_linear_cone_face_chain_lower_bound():
     # floor b^2 (1-a)(1 - a - (1+a)|F|/b^2); the sampled values must sit above
     G, b, a = 9.81, 4.0, 0.6
     Fn = F1.sup_norm
-    params = ModelParams(G=G, lam=1.0, dim=1)
+    field = make_field(ModelParams(G=G, lam=1.0, dim=1), F1)
     floor = b * b * (1 - a) * (1 - a - (1 + a) * Fn / b**2)
     assert floor > 0.0
     worst = math.inf
     for x in np.linspace(1e-3, a, 50):
         p = b * (1.0 - x)
         for t in np.linspace(0.0, 1.0, 11):
-            xdot, pdot = rhs_linear(t, PhaseState(x, p), params, F1)
+            xdot, pdot = field(t, np.array([x, p]))
             worst = min(worst, b * xdot.item() + pdot.item())
     assert worst > floor
 

@@ -104,6 +104,18 @@ def test_verify_bounds_failure_exit_code(tmp_path, capsys):
     assert "verified = False" in capsys.readouterr().out
 
 
+def test_verify_bounds_spot_checks_skip_arcs_through_the_cone_vertex(tmp_path):
+    # at this seed a cone-face spot sample at x = 0.00227, p = 4.234 has a
+    # two-sided arc crossing x = 0, where the cone gauge has a kink; such
+    # samples say nothing about the crossing direction and are not checked
+    rc, out = run(tmp_path, "verify-bounds", ("--seed", "502"), problem="linear",
+                  forcing={"cosine": [2.0]}, bounds={"samples_per_face": 32})
+    assert rc == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["verified"] is True
+    assert cert["spot_checks"]["passed"] == cert["spot_checks"]["attempted"] > 0
+
+
 def test_verify_bounds_reruns_byte_stable(tmp_path):
     cfg = write_config(tmp_path, problem="linear",
                        forcing={"cosine": [2.0]},

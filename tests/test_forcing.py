@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import upright
 from upright.errors import InsufficientDataError
 from upright.forcing import (PathSamples, ingest_path, make_fourier_forcing,
-                             read_path_csv, sup_norms)
+                             read_path_csv)
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,32 +77,6 @@ def test_vectorized_eval_matches_scalar():
     assert block.shape == (17, 2)
     for i, t in enumerate(ts):
         assert np.allclose(block[i], F.eval(float(t)), atol=1e-14)
-
-
-def test_sup_norms_known_signal():
-    F = make_fourier_forcing(1.0, 1, [2.0], [])
-    f_norm, fd_norm = sup_norms(F, grid_points=4096)
-    # analytic maxima are 2 and 4*pi, then a 1% declared safety factor
-    assert f_norm == pytest.approx(2.0 * 1.01, rel=1e-3)
-    assert fd_norm == pytest.approx(4.0 * math.pi * 1.01, rel=1e-3)
-
-
-def test_sup_norms_zero_and_circle():
-    Z = make_fourier_forcing(1.0, 1, [0.0], [])
-    assert sup_norms(Z, 64) == (0.0, 0.0)
-    C = make_fourier_forcing(TWO_PI, 2, [(1.0, 0.0)], [(0.0, 1.0)])
-    f_norm, fd_norm = sup_norms(C, 512)
-    assert f_norm == pytest.approx(1.01, rel=1e-6)
-    assert fd_norm == pytest.approx(1.01, rel=1e-6)
-
-
-def test_sup_norms_monotone_under_grid_refinement():
-    F = make_fourier_forcing(1.0, 1, [1.0, 0.3], [0.0, 0.0, 0.5])
-    prev = 0.0
-    for n in (64, 128, 256, 512, 1024):
-        f_norm, _ = sup_norms(F, n)
-        assert f_norm >= prev - 1e-15
-        prev = f_norm
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,8 +10,7 @@ from upright.dynamics import ModelParams, PhaseState, make_field
 from upright.errors import StepBudgetError
 from upright.forcing import make_fourier_forcing
 from upright.integrator import (EventKind, IntegratorConfig, Trajectory,
-                                evolve, integrate_field,
-                                shift_periodicity_check)
+                                evolve, integrate_field)
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,17 +147,25 @@ def test_config_validation():
         IntegratorConfig(fall_threshold=1.5)
 
 
+# flowing z over [0, T] and over [T, 2T] must land on the same state
+
 def test_shift_periodicity_autonomous_zero():
     params = ModelParams(G=9.81, lam=0.0, dim=1)
-    d = shift_periodicity_check(PhaseState(0.0, 0.0), params, Z1)
-    assert d == 0.0
+    z = PhaseState(0.0, 0.0)
+    a = evolve(0.0, 1.0, z, params, Z1)
+    b = evolve(1.0, 2.0, z, params, Z1)
+    assert a.fall_event is None and b.fall_event is None
+    assert float(np.linalg.norm(a.states[-1] - b.states[-1])) == 0.0
 
 
 def test_shift_periodicity_forced():
     params = ModelParams(G=9.81, lam=1.0, dim=1)
     cfg = IntegratorConfig()
     z = PhaseState(0.05, 0.0)
-    d = shift_periodicity_check(z, params, F1, cfg)
+    a = evolve(0.0, 1.0, z, params, F1, cfg)
+    b = evolve(1.0, 2.0, z, params, F1, cfg)
+    assert a.fall_event is None and b.fall_event is None
+    d = float(np.linalg.norm(a.states[-1] - b.states[-1]))
     assert d < 100.0 * cfg.rel_tol * (1.0 + float(np.linalg.norm(z.flat())))
 
 
