@@ -807,7 +807,7 @@ def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
     e_plus = gauge(fwd.states[-1])
 
     def fun_rev(s, y):
-        return -fun(t0 - s, y)
+        return [-v for v in fun(t0 - s, y)]
 
     bwd = integrate_field(fun_rev, 0.0, dt, y0, cfg)
     e_minus = gauge(bwd.states[-1])

@@ -98,7 +98,10 @@ def make_field(params: ModelParams, F: PeriodicSignal, variational: bool = False
     """Compile the flat-vector field ``f(t, y) -> dy/dt`` for the integrator.
 
     The returned closure works on plain float math (no PhaseState
-    construction per call) since the stepper evaluates it millions of times.
+    construction, no numpy) since the stepper evaluates it millions of
+    times: ``y`` is a sequence of floats (the integrator passes a list) and
+    the result is a list of floats; wrap it in ``np.asarray`` for array
+    arithmetic.
 
     With ``variational=True`` the field acts on ``[y, vec M]`` (``M`` an
     ``n x n`` matrix stored row by row, ``n = 2 * dim``) and adds the
@@ -119,9 +122,8 @@ def make_field(params: ModelParams, F: PeriodicSignal, variational: bool = False
 
     if params.dim == 1:
 
-        def field1(t: float, y: np.ndarray) -> np.ndarray:
-            x = y[0]
-            p = y[1]
+        def field1(t: float, y: list) -> list:
+            x, p = y
             r2 = x * x
             if r2 >= guard2:
                 raise SingularityError(f"|x| = {abs(x):.17g} at the singular radius",
@@ -130,15 +132,12 @@ def make_field(params: ModelParams, F: PeriodicSignal, variational: bool = False
             f = eval_scalar(t)[0]
             acc = (G * math.sqrt(one_minus) - p * p / one_minus) * x \
                 - lam * one_minus * f
-            return np.asarray([p, acc])
+            return [p, acc]
 
         return field1
 
-    def field2(t: float, y: np.ndarray) -> np.ndarray:
-        x0 = y[0]
-        x1 = y[1]
-        p0 = y[2]
-        p1 = y[3]
+    def field2(t: float, y: list) -> list:
+        x0, x1, p0, p1 = y
         r2 = x0 * x0 + x1 * x1
         if r2 >= guard2:
             raise SingularityError(f"|x| = {math.sqrt(r2):.17g} at the singular radius",
@@ -148,12 +147,12 @@ def make_field(params: ModelParams, F: PeriodicSignal, variational: bool = False
         xp = x0 * p0 + x1 * p1
         R = G * math.sqrt(one_minus) - xp * xp / one_minus - (p0 * p0 + p1 * p1)
         xf = x0 * f0 + x1 * f1
-        return np.asarray([
+        return [
             p0,
             p1,
             R * x0 + lam * (xf * x0 - f0),
             R * x1 + lam * (xf * x1 - f1),
-        ])
+        ]
 
     return field2
 
@@ -167,8 +166,8 @@ def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scala
     """
     if dim == 1:
 
-        def field1_var(t: float, y: np.ndarray) -> np.ndarray:
-            x, p, m00, m01, m10, m11 = y.tolist()
+        def field1_var(t: float, y: list) -> list:
+            x, p, m00, m01, m10, m11 = y
             r2 = x * x
             if r2 >= guard2:
                 raise SingularityError(f"|x| = {abs(x):.17g} at the singular radius",
@@ -181,13 +180,13 @@ def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scala
                 - p * p * (1.0 + x * x) / (one_minus * one_minus) \
                 + 2.0 * lam * x * f
             B = -2.0 * p * x / one_minus
-            return np.asarray([p, acc, m10, m11,
-                               A * m00 + B * m10, A * m01 + B * m11])
+            return [p, acc, m10, m11,
+                    A * m00 + B * m10, A * m01 + B * m11]
 
         return field1_var
 
-    def field2_var(t: float, y: np.ndarray) -> np.ndarray:
-        x0, x1, p0, p1, *m = y.tolist()
+    def field2_var(t: float, y: list) -> list:
+        x0, x1, p0, p1, *m = y
         r2 = x0 * x0 + x1 * x1
         if r2 >= guard2:
             raise SingularityError(f"|x| = {math.sqrt(r2):.17g} at the singular radius",
@@ -216,7 +215,7 @@ def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scala
         b10 = x1 * dRp0
         b11 = x1 * dRp1
         m0, m1, m2, m3 = m[0:4], m[4:8], m[8:12], m[12:16]
-        return np.asarray([
+        return [
             p0,
             p1,
             R * x0 + lam * (xf * x0 - f0),
@@ -227,7 +226,7 @@ def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scala
               for u, v, w, s in zip(m0, m1, m2, m3)],
             *[a10 * u + a11 * v + b10 * w + b11 * s
               for u, v, w, s in zip(m0, m1, m2, m3)],
-        ])
+        ]
 
     return field2_var
 
@@ -240,5 +239,5 @@ def jacobian(t: float, state: PhaseState, params: ModelParams,
     then ``J I = J``.
     """
     n = 2 * state.dim
-    y = np.concatenate([state.flat(), np.eye(n).ravel()])
-    return make_field(params, F, variational=True)(t, y)[n:].reshape(n, n)
+    y = np.concatenate([state.flat(), np.eye(n).ravel()]).tolist()
+    return np.asarray(make_field(params, F, variational=True)(t, y)[n:]).reshape(n, n)

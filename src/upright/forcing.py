@@ -15,6 +15,7 @@ a periodic cubic spline through the samples.
 """
 from __future__ import annotations
 
+import bisect as _bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -259,8 +260,19 @@ def ingest_path(samples: PathSamples, gravity: float):
     def derivative(u):
         return np.asarray(d3(u), dtype=float) / ell
 
+    # F on one piece is linear: s''(u) = 6 c0 (u - x_k) + 2 c1.  The scalar
+    # path evaluates it in plain floats with the coefficients and the
+    # periodic wrap of d2 itself, so it equals the array path bit for bit.
+    knot_list = knots.tolist()
+    last = len(knot_list) - 2
+    slope = d2.c[0].tolist()
+    offset = d2.c[1].tolist()
+
     def value_scalar(u):
-        return tuple(np.asarray(d2(u), dtype=float) / ell)
+        u = u % period
+        k = min(_bisect.bisect_right(knot_list, u) - 1, last)
+        s = u - knot_list[k]
+        return tuple([(b + a * s) / ell for a, b in zip(slope[k], offset[k])])
 
     sup_f = float(np.max(np.linalg.norm(np.atleast_2d(d2(knots)), axis=1))) / ell
     # third derivative per piece: 6 * leading coefficient

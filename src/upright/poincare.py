@@ -27,6 +27,12 @@ from .integrator import (IntegratorConfig, Trajectory, _check_start,
 
 log = logging.getLogger(__name__)
 
+# Newton runs that ``continue_in_lambda`` may spend before it gives up.  The
+# reference continuations (cosine amplitude 2 on the line at T = 1 and 1.5,
+# the circular stirring of amplitude 1.5 in the plane) take 5 to 11.  On the
+# line at T = 3, where single shooting crawls, 400 runs end at lam = 0.104.
+_MAX_ATTEMPTS = 400
+
 __all__ = [
     "ContinuationConfig",
     "PeriodicOrbitResult",
@@ -238,7 +244,8 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
     ``lam`` seeds Newton at the next one; failures (falls, stalled Newton,
     near-singular corrections) halve the increment, successes grow it by
     half.  Raises ``ContinuationStuckError`` once the increment falls below
-    ``ccfg.lambda_step_min``.
+    ``ccfg.lambda_step_min`` or ``_MAX_ATTEMPTS`` Newton runs have not
+    reached ``lam = 1``.
     """
     cfg = cfg or IntegratorConfig()
     ccfg = ccfg or ContinuationConfig()
@@ -258,8 +265,14 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
     path = [(0.0, z.flat().copy(), 0.0)]
     step = 1.0 if F.sup_norm == 0.0 else ccfg.lambda_step_init
     last_result = None
+    attempts = 0
 
     while lam < 1.0:
+        if attempts >= _MAX_ATTEMPTS:
+            raise ContinuationStuckError(
+                f"continuation reached only lam={lam:.6g} in {attempts} attempts "
+                f"(last step {step:.3g})", last_lambda=lam, last_result=last_result)
+        attempts += 1
         lam_try = min(lam + step, 1.0)
         params_try = params_at_zero.with_lam(lam_try)
         try:

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import upright
+from upright import poincare
 from upright.cli import DEFAULT_CONFIG, load_config, main
 
 
@@ -170,6 +171,17 @@ def test_solve_periodic_continuation_failure(tmp_path):
                   continuation={"newton_tol": 1e-16, "newton_max_iters": 1})
     assert rc == 3
     assert (out / "certificate.json").exists()
+
+
+def test_solve_periodic_attempt_budget_exits_3(tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr(poincare, "_MAX_ATTEMPTS", 5)
+    rc, out = run(tmp_path, "solve-periodic", problem="linear", period=3.0,
+                  forcing={"cosine": [2.0]},
+                  bounds={"samples_per_face": 8})
+    assert rc == 3
+    assert "in 5 attempts" in caplog.text
+    assert (out / "certificate.json").exists()
+    assert not (out / "result.json").exists()
 
 
 def test_solve_periodic_planar(tmp_path):

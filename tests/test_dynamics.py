@@ -36,7 +36,7 @@ def _rand_state(rng, dim, r_max=0.9, p_max=2.0):
 
 def rhs(t, s, params, F):
     """(dx/dt, dp/dt) of the compiled field at ``s``."""
-    out = make_field(params, F)(t, s.flat())
+    out = np.asarray(make_field(params, F)(t, s.flat()))
     return out[:s.dim], out[s.dim:]
 
 
@@ -221,7 +221,7 @@ def _fd_jacobian(t, s, params, F, h=1e-6):
         yp, ym = y0.copy(), y0.copy()
         yp[j] += h
         ym[j] -= h
-        J[:, j] = (fun(t, yp) - fun(t, ym)) / (2.0 * h)
+        J[:, j] = (np.asarray(fun(t, yp)) - np.asarray(fun(t, ym))) / (2.0 * h)
     return J
 
 
@@ -251,7 +251,7 @@ def test_variational_field_is_the_field_and_its_jacobian(dim):
         s = _rand_state(rng, dim, r_max=0.85)
         t = rng.uniform(0.0, 1.0)
         M = rng.normal(size=(n, n))
-        out = fused(t, np.concatenate([s.flat(), M.ravel()]))
+        out = np.asarray(fused(t, np.concatenate([s.flat(), M.ravel()])))
         # the same expressions as the plain field, so equal to the bit
         assert np.array_equal(out[:n], plain(t, s.flat()))
         J = oracle_jacobian(t, s.flat(), 9.81, 0.8, f)

@@ -168,6 +168,34 @@ def test_ingested_signal_is_periodic():
             < 1e-10 * (1.0 + F.sup_norm)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ingested_scalar_value_equals_the_spline_exactly(dim):
+    # eval_scalar evaluates the spline's second derivative in plain floats;
+    # eval on an array goes through scipy's PPoly.  They must agree to the bit.
+    rng = np.random.default_rng(20 + dim)
+    n = 41
+    ts = 0.3 + np.sort(np.concatenate([[0.0, 1.7], rng.uniform(0.0, 1.7, n - 2)]))
+    pos = rng.normal(scale=0.05, size=(n, dim))
+    pos[-1] = pos[0]
+    F, _ = ingest_path(PathSamples(times=ts, positions=pos, rod_length=0.8),
+                       gravity=9.81)
+    P = F.period
+    knots = ts - ts[0]
+    probes = np.concatenate([
+        rng.uniform(0.0, P, 2000),
+        knots,
+        [math.nextafter(P, 0.0), P, 0.0, -0.0, -1e-300, -1e-17],
+        rng.uniform(-5.0 * P, 0.0, 200),
+        rng.uniform(P, 5.0 * P, 200),
+        knots - 3.0 * P,
+        knots + 2.0 * P,
+    ])
+    block = F.eval(probes)
+    scalar = np.asarray([F.eval_scalar(float(t)) for t in probes])
+    assert block.shape == scalar.shape == (probes.size, dim)
+    assert np.array_equal(block, scalar)
+
+
 def test_read_path_csv_roundtrip(tmp_path):
     ts = np.linspace(0.0, 1.0, 33)
     xs = 0.02 * np.sin(TWO_PI * ts)

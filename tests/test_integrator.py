@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import linear_scalar_rhs, rhs_linear, rk4_integrate, rk4_until_fall
+from upright import integrator
 from upright.dynamics import ModelParams, PhaseState, make_field
 from upright.errors import StepBudgetError
 from upright.forcing import make_fourier_forcing
@@ -111,6 +112,23 @@ def test_planar_fall_kind():
     assert traj.fall_event.kind is EventKind.FALL_PLANAR
 
 
+def test_boundary_event_gets_a_list_and_stops_the_run():
+    seen = set()
+
+    def boundary(t, y):
+        seen.add(type(y))
+        return y[0] * y[0] + y[1] * y[1] - 0.25
+
+    params = ModelParams(G=1.0, lam=0.0, dim=1)
+    traj = evolve(0.0, 20.0, PhaseState(0.1, 0.0), params, Z1, boundary=boundary)
+    assert seen == {list}
+    assert traj.fall_event is None
+    (ev,) = traj.events
+    assert ev.kind is EventKind.BOUNDARY_EXIT
+    assert ev.time == traj.t_end < 20.0
+    assert ev.state[0] ** 2 + ev.state[1] ** 2 == pytest.approx(0.25, abs=1e-9)
+
+
 def test_reversibility():
     params = ModelParams(G=9.81, lam=1.0, dim=1)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -120,7 +138,7 @@ def test_reversibility():
     y1 = fwd.states[-1]
 
     def fun_rev(s, y):
-        return -fun(1.0 - s, y)
+        return [-v for v in fun(1.0 - s, y)]
 
     back = integrate_field(fun_rev, 0.0, 1.0, y1, cfg)
     assert np.allclose(back.states[-1], y0, atol=1e-8)
@@ -205,3 +223,77 @@ def test_integrate_field_tight_tolerance_error_decay():
         traj = integrate_field(fun, 0.0, TWO_PI, y0, cfg)
         errs.append(float(np.linalg.norm(traj.states[-1] - y0)))
     assert errs[1] < errs[0] / 16.0
+
+
+# -- the field contract: lists in, any float sequence out -----------------
+
+def _rise(thr):
+    return [(EventKind.FALL_POSITIVE, lambda t, y: y[0] * y[0] + y[1] * y[1] - thr)]
+
+
+@pytest.mark.parametrize("dim, variational", [(1, False), (2, False), (2, True)])
+def test_field_returning_array_or_list_gives_identical_runs(dim, variational):
+    # widths 2 and 4 take the plain-float step, 20 (the planar variational
+    # system) the array step
+    F = F1 if dim == 1 else make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
+    params = ModelParams(G=9.81, lam=1.0, dim=dim)
+    listed = make_field(params, F, variational=variational)
+
+    def arrayed(t, y):
+        assert type(y) is list
+        return np.asarray(listed(t, y))
+
+    n = 2 * dim
+    y0 = np.zeros(n)
+    y0[0] = 0.2
+    if variational:
+        y0 = np.concatenate([y0, np.eye(n).ravel()])
+    m = y0.size
+    cfg = IntegratorConfig()
+    runs = [integrate_field(fun, 0.0, 3.0, y0, cfg, _rise(0.81), n_err=n)
+            for fun in (listed, arrayed)]
+    a, b = runs
+    assert a.fall_event is not None and a.n_accepted > 10
+    assert np.array_equal(a.t_nodes, b.t_nodes)
+    assert np.array_equal(a.states, b.states)
+    assert [ev.time for ev in a.events] == [ev.time for ev in b.events]
+    assert np.array_equal(a.fall_event.state, b.fall_event.state)
+    ts = np.linspace(0.0, a.t_end, 11)
+    assert np.array_equal(a.dense_array(ts), b.dense_array(ts))
+    for traj in runs:
+        assert traj.states.dtype == float and traj.states.shape == (len(traj.t_nodes), m)
+        assert traj.t_nodes.dtype == float and traj.t_nodes.ndim == 1
+        ev = traj.fall_event
+        assert isinstance(ev.state, np.ndarray)
+        assert ev.state.dtype == float and ev.state.shape == (m,)
+        assert ev.state[0] ** 2 + ev.state[1] ** 2 == pytest.approx(0.81, abs=1e-9)
+        block = traj.dense_array(ts)
+        assert block.dtype == float and block.shape == (ts.size, m)
+        assert np.array_equal(block[0], y0)
+
+
+@pytest.mark.parametrize("dim, variational", [(1, False), (2, False), (2, True)])
+def test_float_step_and_array_step_agree(dim, variational, monkeypatch):
+    # the same tableau summed in another order.  The error estimate is a
+    # difference of O(1) terms, so rounding moves the step sizes (by up to
+    # 1e-6 relative here) and the nodes; the end state and the interpolant
+    # at fixed times stay equal to rounding (measured <= 7e-15)
+    F = F1 if dim == 1 else make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
+    params = ModelParams(G=9.81, lam=1.0, dim=dim)
+    fun = make_field(params, F, variational=variational)
+    n = 2 * dim
+    y0 = np.zeros(n)
+    y0[0] = 0.05
+    if variational:
+        y0 = np.concatenate([y0, np.eye(n).ravel()])
+    runs = []
+    for width in (y0.size, 0):  # plain floats, then numpy
+        monkeypatch.setattr(integrator, "_FLOAT_WIDTH", width)
+        runs.append(integrate_field(fun, 0.0, 1.0, y0, IntegratorConfig()))
+    a, b = runs
+    assert a.fall_event is None and b.fall_event is None
+    assert (a.n_accepted, a.n_rejected) == (b.n_accepted, b.n_rejected)
+    scale = np.max(np.abs(a.states), axis=0) + 1.0
+    assert np.max(np.abs(a.states[-1] - b.states[-1]) / scale) < 1e-13
+    ts = np.linspace(0.0, 1.0, 101)
+    assert np.max(np.abs(a.dense_array(ts) - b.dense_array(ts)) / scale) < 1e-13

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.linalg import expm
 from oracles import linear_scalar_rhs, rk4_scalar
 from upright import integrator, poincare
 from upright.dynamics import ModelParams, PhaseState
-from upright.errors import FallError
+from upright.errors import ContinuationStuckError, FallError
 from upright.forcing import make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve
 from upright.poincare import (ContinuationConfig, PeriodicOrbitResult,
@@ -156,6 +157,26 @@ def test_continuation_logs_every_lambda_attempt(caplog):
     for line in lines:
         assert line.startswith("lam=")
         assert "Newton iterations, residual " in line and "cond(DP - I) " in line
+
+
+def test_continuation_gives_up_after_its_attempt_budget(monkeypatch):
+    # linear T=3, cosine amplitude 2: single shooting crawls here (most
+    # trial rods fall, and lam advances by tiny steps), so the budget ends it
+    F = make_fourier_forcing(3.0, 1, [2.0], [])
+    calls = []
+
+    def counted(*args, _inner=poincare._newton, **kwargs):
+        calls.append(None)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(poincare, "_newton", counted)
+    monkeypatch.setattr(poincare, "_MAX_ATTEMPTS", 5)
+    start = time.perf_counter()
+    with pytest.raises(ContinuationStuckError, match="in 5 attempts") as info:
+        continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F)
+    assert len(calls) == 5
+    assert info.value.last_lambda < 1.0
+    assert time.perf_counter() - start < 30.0
 
 
 def test_newton_converges_to_origin():
