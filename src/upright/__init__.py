@@ -8,14 +8,12 @@ bisection.
 """
 from .bounds import (BoundSetCertificate, BoundSetSpec, compute_a_linear,
                      compute_a_planar, compute_b_linear, compute_b_planar,
-                     curvature_check_m, curvature_check_n,
                      degree_of_autonomous_field, exit_cone_check,
                      orbit_containment, verify_bound_set)
 from .dynamics import GUARD, ModelParams, PhaseState, jacobian, make_field
 from .errors import (BoundVerificationError, BracketError,
                      ContinuationStuckError, FallError, IllConditionedError,
-                     InsufficientDataError, InvalidSampleError,
-                     NewtonConvergenceError, SingularityError,
+                     InsufficientDataError, NewtonConvergenceError, SingularityError,
                      StepBudgetError, UprightError)
 from .forcing import (PathSamples, PeriodicSignal, ingest_path,
                       make_fourier_forcing, read_path_csv)
@@ -46,8 +44,8 @@ __all__ = [
     # bound sets
     "BoundSetSpec", "BoundSetCertificate", "compute_a_linear",
     "compute_b_linear", "compute_a_planar", "compute_b_planar",
-    "curvature_check_m", "curvature_check_n", "exit_cone_check",
-    "verify_bound_set", "degree_of_autonomous_field", "orbit_containment",
+    "exit_cone_check", "verify_bound_set", "degree_of_autonomous_field",
+    "orbit_containment",
     # finite journeys
     "FallClass", "JourneySpec", "BisectionStep", "SurvivorSearchResult",
     "classify", "bisect_survivor", "transcript_to_csv",
@@ -56,5 +54,4 @@ __all__ = [
     "UprightError", "InsufficientDataError", "SingularityError", "FallError",
     "StepBudgetError", "NewtonConvergenceError", "IllConditionedError",
     "ContinuationStuckError", "BoundVerificationError", "BracketError",
-    "InvalidSampleError",
 ]

@@ -85,7 +85,3 @@ class BracketError(UprightError):
         super().__init__(message)
         self.left_class = left_class
         self.right_class = right_class
-
-
-class InvalidSampleError(UprightError, ValueError):
-    """A boundary sample violates the preconditions of a curvature check."""

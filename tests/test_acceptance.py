@@ -220,6 +220,39 @@ def test_velocity_alignment_on_gates(planar_certificate):
     assert np.all(cert.xtp_abs <= cert.xtp_bound + 1e-9)
 
 
+# b, min_margin_gamma and min_margin_delta of three planar certificates as
+# the 32-angle scan plus bisection located the cone gates: circular and
+# four-harmonic forcing (the benchmark's ``certify`` inputs) at 6 samples
+# per face and seed 1, and the ``planar_certificate`` fixture.
+SCANNED_GATE_CERTIFICATES = {
+    "circle": (4.895909838375161, 2.081233702588486, 42.93686908500601),
+    "four_harmonics": (5.57902769511731, 2.0772064817152973, 43.76104044081853),
+    "fixture": (4.894929803842235, 2.0802741324161507, 42.9205487003476),
+}
+
+
+@criterion("planar certificates keep the verdicts and margins found when "
+           "cone gates were scanned")
+def test_planar_certificates_match_scanned_gates(planar_certificate):
+    four = make_fourier_forcing(
+        1.0, 2, [(1.0, 0.2), (0.3, 0.1), (0.1, 0.2), (0.05, 0.05)],
+        [(0.1, 1.0), (0.2, 0.3), (0.1, 0.1), (0.05, 0.02)])
+    certs = {"fixture": (planar_certificate.spec.b, planar_certificate)}
+    for name, F in (("circle", F_PLA), ("four_harmonics", four)):
+        a = compute_a_planar(G_EARTH, F.sup_norm, 0.5)
+        certs[name] = compute_b_planar(a, F, G_EARTH, np.linspace(0.0, 1.0, 21),
+                                       samples_per_face=6, seed=1,
+                                       return_certificate=True)
+    for name, (b, cert) in certs.items():
+        b_ref, gamma_ref, delta_ref = SCANNED_GATE_CERTIFICATES[name]
+        assert b == b_ref, name
+        assert cert.verified, name
+        assert cert.min_margin_gamma == gamma_ref, name
+        assert abs(cert.min_margin_delta - delta_ref) <= 1e-9 * delta_ref, name
+        assert cert.spot_checks == {"attempted": 50, "passed": 50,
+                                    "failures": []}, name
+
+
 @criterion("period-map Jacobians: finite differences vs variational to "
            "1e-4, both vs matrix exponential to 1e-6")
 def test_jacobian_cross_validation(linear_orbit, planar_orbit):

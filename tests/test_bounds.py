@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from upright.bounds import (BoundSetSpec, certificate_to_dict,
-                            compute_a_linear, compute_a_planar,
-                            compute_b_linear, compute_b_planar,
-                            curvature_check_m, curvature_check_n,
-                            degree_of_autonomous_field, exit_cone_check,
-                            orbit_containment, save_certificate_json,
-                            verify_bound_set)
+from upright.bounds import (BoundSetSpec, _cone_gate_roots, _cone_gate_terms,
+                            _cone_quantities, _cylinder_quantities,
+                            certificate_to_dict, compute_a_linear,
+                            compute_a_planar, compute_b_linear,
+                            compute_b_planar, degree_of_autonomous_field,
+                            exit_cone_check, orbit_containment,
+                            save_certificate_json, verify_bound_set)
 from upright.dynamics import ModelParams, PhaseState, make_field
-from upright.errors import BoundVerificationError, InvalidSampleError
+from upright.errors import BoundVerificationError
 from upright.forcing import make_fourier_forcing
 from upright.integrator import evolve
 
@@ -110,18 +110,17 @@ def test_b_planar_unforced_floor():
 
 def test_curvature_cylinder_hand_value():
     # d=1, p=0, x=a, unforced: curvature is G a^2 sqrt(1-a^2)
-    params = ModelParams(G=1.0, lam=0.0, dim=1)
-    v = curvature_check_m(0.0, PhaseState(0.9, 0.0), params, Z1, 0.9)
+    _, curv = _cylinder_quantities([0.0], [[0.9]], [[0.0]], 0.0, Z1, 1.0)
+    v = float(curv[0])
     assert v == pytest.approx(0.81 * math.sqrt(0.19), rel=1e-13)
     assert v == pytest.approx(0.3530708144267946, rel=1e-13)
 
 
 def test_curvature_cylinder_positive_unforced():
-    params = ModelParams(G=9.81, lam=0.0, dim=2)
     for th in np.linspace(0.0, 2 * math.pi, 7):
         x = 0.6 * np.array([math.cos(th), math.sin(th)])
-        v = curvature_check_m(0.0, PhaseState(x, np.zeros(2)), params, Z2, 0.6)
-        assert v > 0.0
+        _, curv = _cylinder_quantities([0.0], [x], [np.zeros(2)], 0.0, Z2, 9.81)
+        assert curv[0] > 0.0
 
 
 def test_curvature_cylinder_lambda_monotone_in_forcing_sign():
@@ -129,31 +128,15 @@ def test_curvature_cylinder_lambda_monotone_in_forcing_sign():
     # lowers the margin exactly when x.F > 0
     a = 0.6
     x = np.array([a, 0.0])
-    s = PhaseState(x, np.zeros(2))
+    p = np.zeros(2)
     Fc = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [])  # x.F(0) > 0
-    v0 = curvature_check_m(0.0, s, ModelParams(G=9.81, lam=0.0, dim=2), Fc, a)
-    v1 = curvature_check_m(0.0, s, ModelParams(G=9.81, lam=1.0, dim=2), Fc, a)
+    (v0,), (v1,) = (_cylinder_quantities([0.0], [x], [p], lam, Fc, 9.81)[1]
+                    for lam in (0.0, 1.0))
     assert v1 < v0
-    s_neg = PhaseState(-x, np.zeros(2))  # x.F(0) < 0, worst case is lam=0
-    w0 = curvature_check_m(0.0, s_neg, ModelParams(G=9.81, lam=0.0, dim=2), Fc, a)
-    w1 = curvature_check_m(0.0, s_neg, ModelParams(G=9.81, lam=1.0, dim=2), Fc, a)
+    # x.F(0) < 0, worst case is lam=0
+    (w0,), (w1,) = (_cylinder_quantities([0.0], [-x], [p], lam, Fc, 9.81)[1]
+                    for lam in (0.0, 1.0))
     assert w1 > w0
-
-
-def test_curvature_cylinder_rejects_bad_samples():
-    params = ModelParams(G=9.81, lam=0.0, dim=1)
-    with pytest.raises(InvalidSampleError):
-        curvature_check_m(0.0, PhaseState(0.5, 0.0), params, Z1, 0.6)
-    with pytest.raises(InvalidSampleError):
-        # gate is x.p = 0.6*1.0, far from zero
-        curvature_check_m(0.0, PhaseState(0.6, 1.0), params, Z1, 0.6)
-
-
-def test_curvature_cone_vertex_rejected():
-    params = ModelParams(G=9.81, lam=0.0, dim=2)
-    with pytest.raises(InvalidSampleError):
-        curvature_check_n(0.0, PhaseState(np.zeros(2), np.array([0.0, 2.0])),
-                          params, Z2, 2.0)
 
 
 def test_curvature_cone_unforced_orthogonal_sample():
@@ -161,17 +144,9 @@ def test_curvature_cone_unforced_orthogonal_sample():
     b = 3.0
     x = np.array([0.2, 0.0])
     p_mag = b * (1.0 - 0.2)
-    s = PhaseState(x, np.array([0.0, p_mag]))
-    params = ModelParams(G=9.81, lam=0.0, dim=2)
-    v = curvature_check_n(0.0, s, params, Z2, b)
-    assert v > 0.0
-
-
-def test_curvature_cone_requires_face_membership():
-    params = ModelParams(G=9.81, lam=0.0, dim=2)
-    s = PhaseState(np.array([0.2, 0.0]), np.array([0.0, 1.0]))  # n_b != 0
-    with pytest.raises(InvalidSampleError):
-        curvature_check_n(0.0, s, params, Z2, 3.0)
+    gate, curv = _cone_quantities([0.0], [x], [[0.0, p_mag]], 0.0, Z2, 9.81, b)
+    assert gate[0] == 0.0
+    assert curv[0] > 0.0
 
 
 def test_exit_cone_check_analytic():
@@ -189,6 +164,121 @@ def test_exit_cone_check_with_integration():
     grid = np.linspace(0.0, 1.0, 21)
     p = np.array([0.0, math.sqrt(4.0 * Fn)])
     assert exit_cone_check(0.3, p, F2, grid, G=9.81)
+
+
+# -- closed-form planar cone gates ---------------------------------------
+
+F4 = make_fourier_forcing(
+    1.0, 2, [(1.0, 0.2), (0.3, 0.1), (0.1, 0.2), (0.05, 0.05)],
+    [(0.1, 1.0), (0.2, 0.3), (0.1, 0.1), (0.05, 0.02)])
+
+
+def _cone_gate(t, theta, r, psi, lam, F, b, G=9.81):
+    x = r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    p = (b * (1.0 - r))[:, None] * np.stack([np.cos(psi), np.sin(psi)], axis=1)
+    return _cone_quantities(t, x, p, lam, F, G, b, want_curvature=False)[0]
+
+
+def _scanned_gate_roots(t, theta, r, lam, F, b, n=4096):
+    """Gate roots per cell by an n-angle sign scan plus bisection."""
+    psi = 2.0 * math.pi * np.arange(n) / n
+    rows = np.repeat(np.arange(t.size), n)
+
+    def gate(rows, angles):
+        return _cone_gate(t[rows], theta[rows], r[rows], angles, lam, F, b)
+
+    g = gate(rows, np.tile(psi, t.size)).reshape(t.size, n)
+    cells, k = np.nonzero(g * np.roll(g, -1, axis=1) < 0.0)
+    lo, hi, g_lo = psi[k], psi[k] + 2.0 * math.pi / n, g[cells, k]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        g_mid = gate(cells, mid)
+        left = g_lo * g_mid > 0.0
+        lo, g_lo, hi = (np.where(left, mid, lo), np.where(left, g_mid, g_lo),
+                        np.where(left, hi, mid))
+    return cells, 0.5 * (lo + hi)
+
+
+def _check_gate_roots(t, theta, r, lam, F, b):
+    """Closed-form roots: every scanned root, true gate points, at most 6."""
+    K0, K1, B, f_perp = _cone_gate_terms(theta, r, F.eval(t), 9.81, b)
+    cells, psi = _cone_gate_roots(theta, K0 - lam * K1, B, lam * f_perp)
+    gate_tol = 1e-6 * b * (1.0 + F.sup_norm + 9.81)
+    assert np.all(np.abs(_cone_gate(t[cells], theta[cells], r[cells], psi,
+                                    lam, F, b)) <= gate_tol)
+    assert np.bincount(cells, minlength=t.size).max() <= 6
+    scan_cells, scan_psi = _scanned_gate_roots(t, theta, r, lam, F, b)
+    assert scan_cells.size > 0
+    for cell, angle in zip(scan_cells, scan_psi):
+        found = psi[cells == cell]
+        gap = np.abs(np.mod(found - angle + math.pi, 2.0 * math.pi) - math.pi)
+        assert gap.size and gap.min() <= 1e-12, (lam, cell, angle, found)
+    return cells, psi
+
+
+def _cell_B(theta, r, b):
+    return _cone_gate_terms(theta, r, np.zeros((1, 2)), 9.81, b)[2][0]
+
+
+def _constant_forcing(theta, r, b, K, L):
+    """A constant forcing that gives one cell the gate terms K and L at lam = 1."""
+    K0 = _cone_gate_terms(theta, r, np.zeros((1, 2)), 9.81, b)[0][0]
+    f_par = (K0 - K) / (1.0 - r[0] ** 2)
+    f = f_par * np.array([math.cos(theta[0]), math.sin(theta[0])]) \
+        + L * np.array([-math.sin(theta[0]), math.cos(theta[0])])
+    return make_fourier_forcing(1.0, 2, [], [], constant=f)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_cone_gate_roots_match_a_dense_scan(lam):
+    rng = np.random.default_rng(11)
+    a, b = 0.8, 5.0
+    n = 60
+    t = rng.uniform(0.0, 1.0, n)
+    r = rng.uniform(0.02 * a, a, n)
+    for F in (F2, F4):
+        _check_gate_roots(t, rng.uniform(0.0, 2.0 * math.pi, n), r, lam, F, b)
+    # forcing along x: f_perp = 0 at theta = 0, rounding-small at theta = pi
+    along = make_fourier_forcing(1.0, 2, [(3.0, 0.0)], [(2.0, 0.0)])
+    theta = np.where(np.arange(n) % 2 == 0, 0.0, math.pi)
+    _check_gate_roots(t, theta, r, lam, along, b)
+
+
+def test_cone_gate_roots_without_cross_forcing_take_both_signs():
+    # with L = 0 the gate c (K + B c^2) vanishes at c = 0 and c^2 = -K/B,
+    # each with either sign of sin s: six roots when K = -B/2
+    theta, r, t = np.array([0.0]), np.array([0.5]), np.array([0.0])
+    b = 5.0
+    F = _constant_forcing(theta, r, b, -0.5 * _cell_B(theta, r, b), 0.0)
+    cells, psi = _check_gate_roots(t, theta, r, 1.0, F, b)
+    expected = np.mod(np.pi / 4.0 * np.array([1, 2, 3, 5, 6, 7]), 2.0 * math.pi)
+    assert cells.size == 6
+    assert np.max(np.abs(psi - expected)) <= 1e-12
+
+
+def test_cone_gate_roots_resolve_a_pair_the_coarse_scan_misses():
+    # put a double root of g(s) = c (K + B c^2) - L sin s mid-way between
+    # two of 32 scan angles, then shift K to split it into a close pair
+    theta, r, t = np.array([0.3]), np.array([0.5]), np.array([0.0])
+    b = 5.0
+    B = _cell_B(theta, r, b)
+    psi0 = 2.0 * math.pi * 5.5 / 32
+    s0 = psi0 - theta[0]
+    c0, sn0 = math.cos(s0), math.sin(s0)
+    # g(s0) = 0 and g'(s0) = 0 are linear in K and L
+    K, L = np.linalg.solve([[c0, -sn0], [-sn0, -c0]],
+                           [-B * c0 ** 3, 3.0 * B * c0 * c0 * sn0])
+    g2 = -c0 * (K + 3.0 * B * c0 * c0) + 6.0 * B * c0 * sn0 * sn0 + L * sn0
+    half_gap = 0.02
+    F = _constant_forcing(theta, r, b, K - 0.5 * g2 * half_gap ** 2 / c0, L)
+    cells, psi = _check_gate_roots(t, theta, r, 1.0, F, b)
+    pair = psi[np.abs(psi - psi0) < 0.1]
+    assert pair.size == 2
+    assert 0.03 < pair[1] - pair[0] < 2.0 * math.pi / 64
+    scan = 2.0 * math.pi * np.arange(32) / 32
+    g = _cone_gate(np.zeros(32), np.full(32, theta[0]), np.full(32, r[0]), scan,
+                   1.0, F, b)
+    assert np.count_nonzero(g * np.roll(g, -1) < 0.0) < cells.size
 
 
 # -- the one-dimensional estimate chain ----------------------------------
