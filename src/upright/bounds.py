@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,38 +187,41 @@ def compute_a_planar(G: float, F_norm: float, margin: float = 0.5) -> float:
     return a_star + margin * (1.0 - a_star)
 
 
+# the planar slope search starts at or above _B_FLOOR, so that the unforced
+# case is well posed, and gives up above _B_CAP
+_B_FLOOR = 1.0
+_B_CAP = 1e6
+
+
 def compute_b_planar(a: float, F: PeriodicSignal, G: float,
                      lambda_grid=None, cfg: IntegratorConfig | None = None, *,
-                     samples_per_face: int = 16, seed: int = 0,
-                     floor: float = 1.0, b_cap: float = 1e6,
-                     return_certificate: bool = False):
-    """Cone slope for the planar problem, found by verified escalation.
+                     samples_per_face: int = 16, seed: int = 0):
+    """Cone slope for the planar problem and its certificate, ``(b, cert)``.
 
-    Starts from ``b0 = 1.05 * max((16 |F|^2/(1-a)^3)^(1/4), sqrt(|F|))``
-    (with a positive floor so the unforced case is well posed) and doubles
-    ``b`` until ``verify_bound_set`` passes.  Raises
-    ``BoundVerificationError`` if no passing value is found below
-    ``b_cap``.
+    Starts from ``b0 = 1.05 * max((16 |F|^2/(1-a)^3)^(1/4), sqrt(|F|))``,
+    raised to ``_B_FLOOR``, and doubles ``b`` until ``verify_bound_set``
+    passes.  Raises ``BoundVerificationError`` if no passing value is found
+    below ``_B_CAP``.
     """
     Fn = F.sup_norm
     b0 = 1.05 * max((16.0 * Fn * Fn / (1.0 - a) ** 3) ** 0.25, math.sqrt(Fn))
-    b = max(b0, floor)
+    b = max(b0, _B_FLOOR)
     last_cert = None
-    while b <= b_cap:
+    while b <= _B_CAP:
         spec = BoundSetSpec(a=a, b=b, dim=F.dim)
         cert = verify_bound_set(spec, G, F, cfg,
                                 samples_per_face=samples_per_face,
                                 lambda_grid=lambda_grid, seed=seed)
         if cert.verified:
-            return (b, cert) if return_certificate else b
+            return b, cert
         last_cert = cert
         b *= 2.0
     if last_cert is None:
         raise BoundVerificationError(
-            f"the cap {b_cap:g} is below the analytic starting slope {b:g}; "
+            f"the cap {_B_CAP:g} is below the analytic starting slope {b:g}; "
             "nothing was tried", certificate=None)
     raise BoundVerificationError(
-        f"no verifiable cone slope below the cap {b_cap:g} "
+        f"no verifiable cone slope below the cap {_B_CAP:g} "
         f"(last margins: gamma {last_cert.min_margin_gamma:.3e}, "
         f"delta {last_cert.min_margin_delta:.3e})",
         certificate=last_cert)
@@ -226,10 +230,24 @@ def compute_b_planar(a: float, F: PeriodicSignal, G: float,
 # -- pointwise boundary checks -----------------------------------------
 
 
-def _padded(arr):
-    """View 1d samples as rows so every kernel is dimension-generic."""
-    arr = np.asarray(arr, dtype=float)
-    return arr[None, :] if arr.ndim == 1 else arr
+# boundary terms shared by the face kernels, one array entry per sample
+_Terms = namedtuple("_Terms", "ts xs ps f r2 one_minus p2 xp xf R")
+
+
+def _terms(ts, xs, ps, F, G) -> _Terms:
+    """F, |x|^2, 1 - |x|^2, |p|^2, x.p, x.F and the field's R per sample."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    # a single sample may come as a 1d vector; rows keep the kernels generic
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ps = np.atleast_2d(np.asarray(ps, dtype=float))
+    f = np.atleast_2d(F.eval(ts))
+    r2 = np.sum(xs * xs, axis=1)
+    one_minus = 1.0 - r2
+    p2 = np.sum(ps * ps, axis=1)
+    xp = np.sum(xs * ps, axis=1)
+    xf = np.sum(xs * f, axis=1)
+    R = G * np.sqrt(one_minus) - xp * xp / one_minus - p2
+    return _Terms(ts, xs, ps, f, r2, one_minus, p2, xp, xf, R)
 
 
 def _cylinder_quantities(ts, xs, ps, lam, F, G):
@@ -240,18 +258,23 @@ def _cylinder_quantities(ts, xs, ps, lam, F, G):
 
 def _cylinder_terms(ts, xs, ps, F, G):
     """Cylinder gate and curvature, the latter as ``base + lam * slope``."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    xs = _padded(xs)
-    ps = _padded(ps)
-    f = np.atleast_2d(F.eval(ts))
-    r2 = np.sum(xs * xs, axis=1)
-    one_minus = 1.0 - r2
-    p2 = np.sum(ps * ps, axis=1)
-    xp = np.sum(xs * ps, axis=1)
-    xf = np.sum(xs * f, axis=1)
-    R = G * np.sqrt(one_minus) - xp * xp / one_minus - p2
+    s = _terms(ts, xs, ps, F, G)
     # x.Phi = -lam (1 - |x|^2) (x.F)
-    return xp, p2 + R * r2, xf * r2 - xf
+    return s.xp, s.p2 + s.R * s.r2, s.xf * s.r2 - s.xf
+
+
+def _cone_gate(s: _Terms, b):
+    """Cone gate (b/|x|) x.p + p.(R x + Phi)/|p| as ``g0 + lam * g1``."""
+    pn = np.sqrt(s.p2)
+    g0 = ((b / np.sqrt(s.r2)) * s.xp
+          + np.sum(s.ps * (s.R[:, None] * s.xs), axis=1) / pn)
+    g1 = np.sum(s.ps * (s.xf[:, None] * s.xs - s.f), axis=1) / pn
+    return g0, g1
+
+
+def _cone_branch_terms(ts, xs, ps, F, G, b):
+    """Cone gate ``g0, g1`` (gate ``g0 + lam * g1``) at the samples."""
+    return _cone_gate(_terms(ts, xs, ps, F, G), b)
 
 
 def _cone_quantities(ts, xs, ps, lam, F, G, b, want_curvature=True):
@@ -262,27 +285,19 @@ def _cone_quantities(ts, xs, ps, lam, F, G, b, want_curvature=True):
     terms, the bR|x| + R|p| core, the R-derivative coupling through x.p,
     and the forcing terms through Phi and its t- and x-derivatives.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    xs = _padded(xs)
-    ps = _padded(ps)
-    f = np.atleast_2d(F.eval(ts))
-    r2 = np.sum(xs * xs, axis=1)
-    nx = np.sqrt(r2)
-    one_minus = 1.0 - r2
-    p2 = np.sum(ps * ps, axis=1)
-    pn = np.sqrt(p2)
-    xp = np.sum(xs * ps, axis=1)
-    xf = np.sum(xs * f, axis=1)
-    pf = np.sum(ps * f, axis=1)
-    R = G * np.sqrt(one_minus) - xp * xp / one_minus - p2
-    phi = lam * (xf[:, None] * xs - f)
-    rxphi = R[:, None] * xs + phi
-    p_rxphi = np.sum(ps * rxphi, axis=1)
-    gate = (b / nx) * xp + p_rxphi / pn
+    s = _terms(ts, xs, ps, F, G)
+    g0, g1 = _cone_gate(s, b)
+    gate = g0 + lam * g1
     if not want_curvature:
         return gate, None
 
-    fd = np.atleast_2d(F.eval_derivative(ts))
+    xs, ps, f, r2, one_minus, p2, xp, xf, R = s[1:]
+    nx, pn = np.sqrt(r2), np.sqrt(p2)
+    pf = np.sum(ps * f, axis=1)
+    phi = lam * (xf[:, None] * xs - f)
+    rxphi = R[:, None] * xs + phi
+    p_rxphi = np.sum(ps * rxphi, axis=1)
+    fd = np.atleast_2d(F.eval_derivative(s.ts))
     xfd = np.sum(xs * fd, axis=1)
     x_phi = np.sum(xs * phi, axis=1)
     p_phi = np.sum(ps * phi, axis=1)
@@ -409,26 +424,21 @@ def degree_of_autonomous_field(G: float, dim: int) -> int:
     """Sign of the Jacobian determinant of the unforced field at the origin.
 
     This is the topological degree of the unforced field on any small
-    neighborhood of the upright rest point: -1 on a line, +1 in the plane.
+    neighborhood of the upright rest point.  The Jacobian there is
+    ``[[0, I], [G I, 0]]``, whose determinant ``(-G)^dim`` gives -1 on a
+    line and +1 in the plane.
     """
     if G <= 0:
         raise ValueError(f"G must be positive, got {G}")
-    if dim == 1:
-        J0 = np.asarray([[0.0, 1.0], [G, 0.0]])
-    elif dim == 2:
-        J0 = np.asarray([
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [G, 0.0, 0.0, 0.0],
-            [0.0, G, 0.0, 0.0],
-        ])
-    else:
+    if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    det = float(np.linalg.det(J0))
-    return int(math.copysign(1.0, det))
+    return -1 if dim == 1 else 1
 
 
 # -- verification driver ------------------------------------------------
+
+# samples confirmed by two-sided integration in each verification
+_SPOT_CHECKS = 50
 
 
 class _MarginPool:
@@ -440,21 +450,17 @@ class _MarginPool:
         self.count = 0
         self.worst: list[dict] = []
 
-    def add(self, margins, ts, lams, xs, ps, kind: str):
+    def add(self, margins, ts, lam, xs, ps, kind: str):
         margins = np.atleast_1d(np.asarray(margins, dtype=float))
         if margins.size == 0:
             return
         self.count += margins.size
         self.min = min(self.min, float(np.min(margins)))
-        order = np.argsort(margins)[: self.keep]
-        ts = np.atleast_1d(ts)
-        xs = _padded(xs)
-        ps = _padded(ps)
-        for i in order:
+        for i in np.argsort(margins)[: self.keep]:
             self.worst.append({
                 "margin": float(margins[i]),
-                "t": float(ts[i] if ts.size > 1 else ts[0]),
-                "lam": float(lams),
+                "t": float(ts[i]),
+                "lam": float(lam),
                 "x": [float(v) for v in xs[i]],
                 "p": [float(v) for v in ps[i]],
                 "kind": kind,
@@ -462,12 +468,16 @@ class _MarginPool:
         self.worst.sort(key=lambda e: e["margin"])
         del self.worst[self.keep:]
 
-    def clamp(self, value: float, entry: dict | None = None):
+    def clamp(self, value: float, entry: dict):
         self.min = min(self.min, value)
-        if entry is not None:
-            self.worst.append(dict(entry, margin=float(value)))
-            self.worst.sort(key=lambda e: e["margin"])
-            del self.worst[self.keep:]
+        self.worst.append(dict(entry, margin=float(value)))
+        self.worst.sort(key=lambda e: e["margin"])
+        del self.worst[self.keep:]
+
+
+def _unit(angles) -> np.ndarray:
+    """Unit vectors ``(cos, sin)`` of the angles, one row each."""
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
 def _jittered(lo: float, hi: float, n: int, rng) -> np.ndarray:
@@ -492,248 +502,201 @@ def _thresholds(spec: BoundSetSpec, G: float, F: PeriodicSignal) -> dict:
             "vertex_required": Fn, "invariants_ok": ok}
 
 
-def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
-                     cfg: IntegratorConfig | None = None,
-                     samples_per_face: int = 16,
-                     lambda_grid=None, *, seed: int = 0,
-                     spot_checks: int = 50) -> BoundSetCertificate:
-    """Sample both boundary faces and certify the trap conditions.
+# what one verification checks, and how densely; read by every face
+_Sampling = namedtuple("_Sampling", "spec G F cfg lams t_grid spf gate_tol rng")
 
-    For every sampled boundary point and forcing scale: points where the
-    gauge derivative along the flow is within ``gate_tol`` of zero must
-    have positive tangency curvature; all other points cross transversally
-    and pass either way, except on the one-dimensional cone face where the
-    four branch lines have a prescribed crossing direction
-    (sign(x p) = crossing sign) that the verification enforces.  Gate
-    points are located exactly: on the cylinder they are constructed with
-    ``p`` orthogonal to ``x``, on the planar cone face they are the roots
-    of the module docstring's cubic, with its own ``L = 0`` case.  The
-    vertex circle ``x = 0, |p| = b`` is checked by ``exit_cone_check``, and
-    a random subset of samples is confirmed by short two-sided integrations.
-    """
-    if F.dim != spec.dim:
-        raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")
-    cfg = cfg or IntegratorConfig()
-    a, b, d = spec.a, spec.b, spec.dim
-    if lambda_grid is None:
-        # 21 equispaced scales; every lam-affine term then gets checked at
-        # both endpoints 0 and 1 as well as in between.
-        lambda_grid = np.linspace(0.0, 1.0, 21)
-    lambda_grid = np.sort(np.atleast_1d(np.asarray(lambda_grid, dtype=float)))
-    rng = np.random.default_rng(seed)
-    T = F.period
-    gate_tol = 1e-6 * b * (1.0 + F.sup_norm + G)
-    spf = int(samples_per_face)
-    n_t = 2 * spf
-    n_theta = spf
-    n_r = max(4, spf // 2)
-    n_rho = max(4, spf // 2)
-    n_psi = spf
 
-    t_grid = _jittered(0.0, T, n_t, rng)
-    gamma = _MarginPool()
-    delta = _MarginPool()
-    total = 0
-    failures: list[dict] = []
-    spot_pool: list[dict] = []
-    xtp_abs_parts: list[np.ndarray] = []
-    xtp_bound_parts: list[np.ndarray] = []
+@dataclass
+class _Margins:
+    """What the faces find: margins, sample count, spot-check candidates."""
 
-    def pool_candidate(face, t, lam, x, p, gate, curv, exact_gate):
-        spot_pool.append({"face": face, "t": float(t), "lam": float(lam),
-                          "x": np.atleast_1d(x).astype(float).copy(),
-                          "p": np.atleast_1d(p).astype(float).copy(),
-                          "gate": float(gate),
-                          "curv": None if curv is None else float(curv),
-                          "exact_gate": bool(exact_gate)})
+    gamma: _MarginPool = field(default_factory=_MarginPool)
+    delta: _MarginPool = field(default_factory=_MarginPool)
+    total: int = 0
+    spot_pool: list = field(default_factory=list)
+    failures: list = field(default_factory=list)
+    xtp_abs: list = field(default_factory=list)
+    xtp_bound: list = field(default_factory=list)
 
-    # ---------------- cylinder face |x| = a ----------------
-    if d == 1:
-        p_max = b * (1.0 - a)
+    def candidate(self, face, t, lam, x, p, gate, curv, exact_gate):
+        """Offer one sample to the two-sided integration spot checks."""
+        self.spot_pool.append({
+            "face": face, "t": float(t), "lam": float(lam),
+            "x": np.array(x, dtype=float), "p": np.array(p, dtype=float),
+            "gate": float(gate), "curv": float(curv), "exact_gate": exact_gate})
+
+
+def _cylinder_samples(ctx: _Sampling):
+    """Transversal samples ``(t, x, p)`` of ``|x| = a``, groups of exact gate
+    samples, and the map that moves a near-gate ``p`` onto the gate."""
+    a, b, spf, rng, t_grid = ctx.spec.a, ctx.spec.b, ctx.spf, ctx.rng, ctx.t_grid
+    n_t = t_grid.size
+    p_max = b * (1.0 - a)
+    if ctx.spec.dim == 1:
         p_grid = _jittered(-p_max, p_max, 2 * spf, rng)
-        xs_signs = np.asarray([a, -a])
-        tt = np.repeat(t_grid, 2 * 2 * spf)
-        xx = np.tile(np.repeat(xs_signs, 2 * spf), n_t)[:, None]
-        pp = np.tile(p_grid, 2 * n_t)[:, None]
-        for lam in lambda_grid:
-            gate_vals, curv_vals = _cylinder_quantities(tt, xx, pp, lam, F, G)
-            total += gate_vals.size
-            near = np.abs(gate_vals) <= gate_tol
-            if np.any(near):
-                # polish near-gate samples onto the gate manifold p = 0
-                tn = tt[near]
-                xn = xx[near]
-                _, curvn = _cylinder_quantities(tn, xn, np.zeros_like(xn), lam, F, G)
-                gamma.add(curvn, tn, lam, xn, np.zeros_like(xn), "cylinder-gate")
-            # exact gate samples at p = 0, both sides, all t
-            _, curv0 = _cylinder_quantities(t_grid, np.full((n_t, 1), a),
-                                            np.zeros((n_t, 1)), lam, F, G)
-            _, curv1 = _cylinder_quantities(t_grid, np.full((n_t, 1), -a),
-                                            np.zeros((n_t, 1)), lam, F, G)
-            gamma.add(curv0, t_grid, lam, np.full((n_t, 1), a),
-                      np.zeros((n_t, 1)), "cylinder-gate")
-            gamma.add(curv1, t_grid, lam, np.full((n_t, 1), -a),
-                      np.zeros((n_t, 1)), "cylinder-gate")
-            total += 2 * n_t
-            if lam == lambda_grid[-1]:
-                sel = rng.choice(gate_vals.size, size=min(40, gate_vals.size),
-                                 replace=False)
-                for i in sel:
-                    pool_candidate("gamma", tt[i], lam, xx[i], pp[i],
-                                   gate_vals[i], curv_vals[i], False)
-                for i in range(0, n_t, max(1, n_t // 8)):
-                    c = float(curv0[i])
-                    pool_candidate("gamma", t_grid[i], lam,
-                                   np.asarray([a]), np.asarray([0.0]),
-                                   0.0, c, True)
-    else:
-        theta_grid = _jittered(0.0, 2.0 * math.pi, n_theta, rng)
-        rho_max = b * (1.0 - a)
-        rho_grid = np.concatenate([_jittered(0.0, rho_max, n_rho, rng), [rho_max]])
-        psi_grid = _jittered(0.0, 2.0 * math.pi, n_psi, rng)
-        # transversal sweep: full product grid
-        TT, TH, RH, PS = np.meshgrid(t_grid, theta_grid, rho_grid, psi_grid,
-                                     indexing="ij")
-        tt = TT.ravel()
-        xs = a * np.stack([np.cos(TH.ravel()), np.sin(TH.ravel())], axis=1)
-        ps = RH.ravel()[:, None] * np.stack([np.cos(PS.ravel()),
-                                             np.sin(PS.ravel())], axis=1)
-        # exact gate construction: p orthogonal to x (both senses), plus p = 0
-        TTg, THg, RHg = np.meshgrid(t_grid, theta_grid,
-                                    np.concatenate([[0.0], rho_grid]),
-                                    indexing="ij")
-        ttg = np.concatenate([TTg.ravel(), TTg.ravel()])
-        cosg = np.cos(THg.ravel())
-        sing = np.sin(THg.ravel())
-        xg = a * np.stack([np.concatenate([cosg, cosg]),
-                           np.concatenate([sing, sing])], axis=1)
-        tang = np.stack([-sing, cosg], axis=1)
-        pg = np.concatenate([RHg.ravel()[:, None] * tang,
-                             -RHg.ravel()[:, None] * tang])
-        # the gate x.p does not depend on lam and the curvature is affine in
-        # it, so every sample's terms are computed once for the whole grid
-        gate_vals, curv_base, curv_slope = _cylinder_terms(tt, xs, ps, F, G)
-        near = np.abs(gate_vals) <= gate_tol
-        xn = xs[near]
-        # polish near-gate samples: drop the radial velocity component
-        pn = ps[near] - (np.sum(xn * ps[near], axis=1) / (a * a))[:, None] * xn
-        _, near_base, near_slope = _cylinder_terms(tt[near], xn, pn, F, G)
-        _, gate_base, gate_slope = _cylinder_terms(ttg, xg, pg, F, G)
-        for lam in lambda_grid:
-            gamma.add(near_base + lam * near_slope, tt[near], lam, xn, pn,
-                      "cylinder-gate")
-            curvg = gate_base + lam * gate_slope
-            gamma.add(curvg, ttg, lam, xg, pg, "cylinder-gate")
-            total += gate_vals.size + curvg.size
-            if lam == lambda_grid[-1]:
-                sel = rng.choice(gate_vals.size, size=min(40, gate_vals.size),
-                                 replace=False)
-                for i in sel:
-                    pool_candidate("gamma", tt[i], lam, xs[i], ps[i], gate_vals[i],
-                                   curv_base[i] + lam * curv_slope[i], False)
-                selg = rng.choice(curvg.size, size=min(10, curvg.size),
-                                  replace=False)
-                for i in selg:
-                    pool_candidate("gamma", ttg[i], lam, xg[i], pg[i],
-                                   0.0, curvg[i], True)
+        tt = np.repeat(t_grid, 4 * spf)
+        xs = np.tile(np.repeat(np.asarray([a, -a]), 2 * spf), n_t)[:, None]
+        ps = np.tile(p_grid, 2 * n_t)[:, None]
+        # on the line the gate is p = 0, on either side
+        gates = [(t_grid, np.full((n_t, 1), x), np.zeros((n_t, 1)))
+                 for x in (a, -a)]
+        return (tt, xs, ps), gates, lambda x, p: np.zeros_like(x)
 
-    # ---------------- cone face n = 0, 0 < |x| <= a ----------------
-    if d == 1:
-        xi = np.concatenate([_jittered(a * 1e-3, a, 2 * spf, rng), [a]])
-        for lam in lambda_grid:
-            for sx in (1.0, -1.0):
-                for sp in (1.0, -1.0):
-                    xq = (sx * xi)[:, None]
-                    pq = (sp * b * (1.0 - xi))[:, None]
-                    tq = np.repeat(t_grid, xi.size)
-                    xq_full = np.tile(xq, (n_t, 1))
-                    pq_full = np.tile(pq, (n_t, 1))
-                    gate_vals, _ = _cone_quantities(tq, xq_full, pq_full, lam,
-                                                    F, G, b, want_curvature=False)
-                    total += gate_vals.size
-                    # prescribed crossing direction on each branch line:
-                    # outward where x p > 0, inward where x p < 0
-                    margins = (sx * sp) * gate_vals
-                    delta.add(margins, tq, lam, xq_full, pq_full, "cone-sign")
-                    if lam == lambda_grid[-1] and sx == 1.0 and sp == 1.0:
-                        sel = rng.choice(gate_vals.size,
-                                         size=min(30, gate_vals.size),
-                                         replace=False)
-                        _, curv_sel = _cone_quantities(tq[sel], xq_full[sel],
-                                                       pq_full[sel], lam, F, G, b)
-                        for j, i in enumerate(sel):
-                            pool_candidate("delta", tq[i], lam, xq_full[i],
-                                           pq_full[i], gate_vals[i],
-                                           curv_sel[j], False)
-    else:
-        theta_grid = _jittered(0.0, 2.0 * math.pi, n_theta, rng)
-        r_grid = np.concatenate([_jittered(a * 0.02, a, n_r, rng), [a]])
-        TT, TH, RR = np.meshgrid(t_grid, theta_grid, r_grid, indexing="ij")
-        tc, thc, rc = TT.ravel(), TH.ravel(), RR.ravel()
-        xc = rc[:, None] * np.stack([np.cos(thc), np.sin(thc)], axis=1)
-        pnorm = b * (1.0 - rc)
-        # F is read once per cell; every lam only shifts K and scales L
-        K0, K1, B, f_perp = _cone_gate_terms(thc, rc, F.eval(tc), G, b)
-        for lam in lambda_grid:
-            cell_idx, psi_root = _cone_gate_roots(thc, K0 - lam * K1, B,
-                                                  lam * f_perp)
-            if cell_idx.size:
-                p_root = pnorm[cell_idx, None] * np.stack(
-                    [np.cos(psi_root), np.sin(psi_root)], axis=1)
-                _, curv_root = _cone_quantities(tc[cell_idx], xc[cell_idx],
-                                                p_root, lam, F, G, b)
-                delta.add(curv_root, tc[cell_idx], lam, xc[cell_idx], p_root,
-                          "cone-gate")
-                total += curv_root.size
-                xtp_abs_parts.append(np.abs(np.sum(xc[cell_idx] * p_root, axis=1)))
-                xtp_bound_parts.append(4.0 * F.sup_norm * rc[cell_idx] / b)
-                if lam == lambda_grid[-1]:
-                    sel = rng.choice(cell_idx.size, size=min(20, cell_idx.size),
-                                     replace=False)
-                    for i in sel:
-                        pool_candidate("delta", tc[cell_idx[i]], lam,
-                                       xc[cell_idx[i]], p_root[i], 0.0,
-                                       curv_root[i], True)
-            if lam == lambda_grid[-1]:
-                # transversal spot-check samples on 32 velocity angles per cell
-                sel = rng.choice(tc.size * 32, size=min(40, tc.size * 32),
-                                 replace=False)
-                rows = sel // 32
-                psis = (sel % 32) * (2.0 * math.pi / 32)
-                p_sel = pnorm[rows, None] * np.stack([np.cos(psis), np.sin(psis)],
-                                                     axis=1)
-                g_sel, curv_sel = _cone_quantities(tc[rows], xc[rows], p_sel,
-                                                   lam, F, G, b)
-                for j in range(sel.size):
-                    pool_candidate("delta", tc[rows[j]], lam, xc[rows[j]],
-                                   p_sel[j], g_sel[j], curv_sel[j], False)
+    theta_grid = _jittered(0.0, 2.0 * math.pi, spf, rng)
+    rho_grid = np.concatenate([_jittered(0.0, p_max, max(4, spf // 2), rng),
+                               [p_max]])
+    psi_grid = _jittered(0.0, 2.0 * math.pi, spf, rng)
+    # transversal sweep: full product grid
+    tt, th, rh, psi = (v.ravel() for v in np.meshgrid(
+        t_grid, theta_grid, rho_grid, psi_grid, indexing="ij"))
+    xs, ps = a * _unit(th), rh[:, None] * _unit(psi)
+    # exact gates: p orthogonal to x, in both senses, plus p = 0
+    tg, thg, rhg = (np.tile(v.ravel(), 2) for v in np.meshgrid(
+        t_grid, theta_grid, np.concatenate([[0.0], rho_grid]), indexing="ij"))
+    rhg[rhg.size // 2:] *= -1.0
+    radial = _unit(thg)
+    gates = [(tg, a * radial, rhg[:, None] * (radial[:, ::-1] * [-1.0, 1.0]))]
 
-    # ---------------- vertex circle x = 0, |p| = b ----------------
-    if d == 1:
+    def drop_radial(x, p):
+        return p - (np.sum(x * p, axis=1) / (a * a))[:, None] * x
+
+    return (tt, xs, ps), gates, drop_radial
+
+
+def _cylinder_face(ctx: _Sampling, rec: _Margins) -> None:
+    """Cylinder ``|x| = a``: the curvature at every gate sample and scale."""
+    F, G, lams, rng = ctx.F, ctx.G, ctx.lams, ctx.rng
+    (tt, xs, ps), gates, onto_gate = _cylinder_samples(ctx)
+    xp, base, slope = _cylinder_terms(tt, xs, ps, F, G)
+    near = np.abs(xp) <= ctx.gate_tol
+    groups = [(tt[near], xs[near], onto_gate(xs[near], ps[near]))] + gates
+    groups = [(t, x, p) + _cylinder_terms(t, x, p, F, G)[1:]
+              for t, x, p in groups]
+    for lam in lams:
+        for t, x, p, g_base, g_slope in groups:
+            rec.gamma.add(g_base + lam * g_slope, t, lam, x, p, "cylinder-gate")
+    rec.total += lams.size * (xp.size + sum(t.size for t, _, _ in gates))
+
+    lam = lams[-1]
+    for i in rng.choice(xp.size, size=min(40, xp.size), replace=False):
+        rec.candidate("gamma", tt[i], lam, xs[i], ps[i], xp[i],
+                      base[i] + lam * slope[i], False)
+    t, x, p, g_base, g_slope = groups[1]
+    if ctx.spec.dim == 1:
+        picks = range(0, t.size, max(1, t.size // 8))
+    else:
+        picks = rng.choice(t.size, size=min(10, t.size), replace=False)
+    for i in picks:
+        rec.candidate("gamma", t[i], lam, x[i], p[i], 0.0,
+                      g_base[i] + lam * g_slope[i], True)
+
+
+def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
+    """Cone on the line: the signed gate on the four branch lines.
+
+    A branch is crossed outward where ``x p > 0`` and inward where
+    ``x p < 0``, so the gate times ``sign(x p)`` is the margin.
+    """
+    a, b, F, G, lams = ctx.spec.a, ctx.spec.b, ctx.F, ctx.G, ctx.lams
+    xi = np.concatenate([_jittered(a * 1e-3, a, 2 * ctx.spf, ctx.rng), [a]])
+    n_t = ctx.t_grid.size
+    tq = np.repeat(ctx.t_grid, xi.size)
+    branches = []
+    for sx in (1.0, -1.0):
+        for sp in (1.0, -1.0):
+            xq = np.tile((sx * xi)[:, None], (n_t, 1))
+            pq = np.tile((sp * b * (1.0 - xi))[:, None], (n_t, 1))
+            branches.append((sx * sp, xq, pq)
+                            + _cone_branch_terms(tq, xq, pq, F, G, b))
+    for lam in lams:
+        for sign, xq, pq, g0, g1 in branches:
+            rec.delta.add(sign * (g0 + lam * g1), tq, lam, xq, pq, "cone-sign")
+    rec.total += lams.size * len(branches) * tq.size
+
+    lam = lams[-1]
+    _, xq, pq, g0, g1 = branches[0]
+    sel = ctx.rng.choice(tq.size, size=min(30, tq.size), replace=False)
+    _, curv = _cone_quantities(tq[sel], xq[sel], pq[sel], lam, F, G, b)
+    for i, c in zip(sel, curv):
+        rec.candidate("delta", tq[i], lam, xq[i], pq[i], g0[i] + lam * g1[i],
+                      c, False)
+
+
+def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
+    """Planar cone: the curvature at the gate roots of every cell and scale.
+
+    ``F`` is read once per cell ``(t, theta, r)``; each ``lam`` shifts the
+    cubic's ``K`` and scales its ``L``.
+    """
+    a, b, F, G, rng = ctx.spec.a, ctx.spec.b, ctx.F, ctx.G, ctx.rng
+    theta_grid = _jittered(0.0, 2.0 * math.pi, ctx.spf, rng)
+    r_grid = np.concatenate([_jittered(a * 0.02, a, max(4, ctx.spf // 2), rng),
+                             [a]])
+    tc, thc, rc = (v.ravel() for v in np.meshgrid(ctx.t_grid, theta_grid, r_grid,
+                                                  indexing="ij"))
+    xc = rc[:, None] * _unit(thc)
+    pnorm = b * (1.0 - rc)
+    K0, K1, B, f_perp = _cone_gate_terms(thc, rc, F.eval(tc), G, b)
+    for lam in ctx.lams:
+        cells, psi = _cone_gate_roots(thc, K0 - lam * K1, B, lam * f_perp)
+        p_root = pnorm[cells, None] * _unit(psi)
+        _, curv = _cone_quantities(tc[cells], xc[cells], p_root, lam, F, G, b)
+        rec.delta.add(curv, tc[cells], lam, xc[cells], p_root, "cone-gate")
+        rec.total += curv.size
+        rec.xtp_abs.append(np.abs(np.sum(xc[cells] * p_root, axis=1)))
+        rec.xtp_bound.append(4.0 * F.sup_norm * rc[cells] / b)
+
+    # spot-check candidates at the largest scale, whose roots the loop leaves
+    for i in rng.choice(cells.size, size=min(20, cells.size), replace=False):
+        rec.candidate("delta", tc[cells[i]], lam, xc[cells[i]], p_root[i],
+                      0.0, curv[i], True)
+    # transversal candidates on 32 velocity angles per cell
+    sel = rng.choice(tc.size * 32, size=min(40, tc.size * 32), replace=False)
+    rows = sel // 32
+    psis = (sel % 32) * (2.0 * math.pi / 32)
+    p_sel = pnorm[rows, None] * _unit(psis)
+    g_sel, curv_sel = _cone_quantities(tc[rows], xc[rows], p_sel, lam, F, G, b)
+    for j, i in enumerate(rows):
+        rec.candidate("delta", tc[i], lam, xc[i], p_sel[j], g_sel[j],
+                      curv_sel[j], False)
+
+
+def _vertex_face(ctx: _Sampling, rec: _Margins) -> bool:
+    """Vertex circle ``x = 0, |p| = b``: the exit condition at every sample."""
+    b = ctx.spec.b
+    if ctx.spec.dim == 1:
         vertex_ps = [np.asarray([b]), np.asarray([-b])]
     else:
-        psis = _jittered(0.0, 2.0 * math.pi, n_psi, rng)
+        psis = _jittered(0.0, 2.0 * math.pi, ctx.spf, ctx.rng)
         vertex_ps = [b * np.asarray([math.cos(s), math.sin(s)]) for s in psis]
-    vertex_samples = [(float(t), p) for t in t_grid for p in vertex_ps]
-    total += len(vertex_samples)
+    samples = [(float(t), p) for t in ctx.t_grid for p in vertex_ps]
+    rec.total += len(samples)
+
+    def failure(t, p, reason):
+        return {"face": "vertex", "t": t, "p": [float(v) for v in p],
+                "reason": reason}
+
     # the analytic exit condition b^2 > sup|F| is one verdict for every sample
-    corner_ok = exit_cone_check(vertex_samples[0][0], vertex_ps[0], F, lambda_grid)
-    if not corner_ok:
-        failures.extend({"face": "vertex", "t": t, "p": [float(v) for v in p],
-                         "reason": "analytic vertex exit condition fails"}
-                        for t, p in vertex_samples)
-
+    ok = exit_cone_check(samples[0][0], vertex_ps[0], ctx.F, ctx.lams)
+    if not ok:
+        rec.failures.extend(failure(t, p, "analytic vertex exit condition fails")
+                            for t, p in samples)
     # confirm a few vertex samples by integration
-    n_vertex_confirm = min(5, len(vertex_samples))
-    for i in rng.choice(len(vertex_samples), size=n_vertex_confirm, replace=False):
-        t, p = vertex_samples[int(i)]
-        if corner_ok and not exit_cone_check(t, p, F, lambda_grid, G=G, cfg=cfg):
-            corner_ok = False
-            failures.append({"face": "vertex", "t": t,
-                             "p": [float(v) for v in p],
-                             "reason": "vertex integration failed to exit"})
+    for i in ctx.rng.choice(len(samples), size=min(5, len(samples)),
+                            replace=False):
+        t, p = samples[int(i)]
+        if ok and not exit_cone_check(t, p, ctx.F, ctx.lams, G=ctx.G,
+                                      cfg=ctx.cfg):
+            ok = False
+            rec.failures.append(failure(t, p, "vertex integration failed to exit"))
+    return ok
 
-    # ---------------- two-sided integration spot checks ----------------
+
+def _spot_checks(ctx: _Sampling, rec: _Margins) -> dict:
+    """Confirm up to ``_SPOT_CHECKS`` candidates by two-sided integration."""
+    result = {"attempted": 0, "passed": 0, "failures": []}
+    gate_tol = ctx.gate_tol
+    dt = 1e-3 * ctx.F.period
     # A transversal sample predicts a monotone crossing only while the
     # linear term of the gauge dominates over the window: |g| dt must beat
     # the quadratic term |c| dt^2 / 2 with room to spare, else the sample
@@ -741,56 +704,90 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     # The same argument needs a smooth gauge along the arc, and the cone
     # gauge b|x| + |p| - b has a kink at x = 0: a cone-face arc, which moves
     # x by about |p| dt each way, must keep |x| > 2 |p| dt to stay clear of it.
-    spot_result = {"attempted": 0, "passed": 0, "failures": []}
-    dt = 1e-3 * T
-    usable = [s for s in spot_pool
+    usable = [s for s in rec.spot_pool
               if (s["face"] == "gamma"
                   or np.linalg.norm(s["x"]) > 2.0 * np.linalg.norm(s["p"]) * dt)
               and (s["exact_gate"]
                    or (abs(s["gate"]) >= 10.0 * gate_tol
                        and abs(s["gate"]) >= 8.0 * abs(s["curv"] or 0.0) * dt))]
-    rng.shuffle(usable)
-    for sample in usable[:spot_checks]:
-        spot_result["attempted"] += 1
-        ok = _spot_check(sample, spec, G, F, cfg, dt, gate_tol)
-        if ok:
-            spot_result["passed"] += 1
-        else:
-            entry = {"face": sample["face"], "t": sample["t"],
-                     "lam": sample["lam"],
-                     "x": [float(v) for v in sample["x"]],
-                     "p": [float(v) for v in sample["p"]],
-                     "reason": "two-sided integration contradicts prediction"}
-            spot_result["failures"].append(entry)
-            failures.append(entry)
-            # an observed wrong-side crossing is a genuine margin defect
-            defect = dict(entry, kind="spot-check")
-            defect.pop("reason", None)
-            defect.pop("face", None)
-            if sample["face"] == "gamma":
-                gamma.clamp(-abs(sample["gate"]) - 1e-15, defect)
-            else:
-                delta.clamp(-abs(sample["gate"]) - 1e-15, defect)
+    ctx.rng.shuffle(usable)
+    for sample in usable[:_SPOT_CHECKS]:
+        result["attempted"] += 1
+        if _spot_check(sample, ctx.spec, ctx.G, ctx.F, ctx.cfg, dt, gate_tol):
+            result["passed"] += 1
+            continue
+        entry = {"face": sample["face"], "t": sample["t"], "lam": sample["lam"],
+                 "x": [float(v) for v in sample["x"]],
+                 "p": [float(v) for v in sample["p"]],
+                 "reason": "two-sided integration contradicts prediction"}
+        result["failures"].append(entry)
+        rec.failures.append(entry)
+        # an observed wrong-side crossing is a genuine margin defect
+        defect = {k: entry[k] for k in ("t", "lam", "x", "p")}
+        pool = rec.gamma if sample["face"] == "gamma" else rec.delta
+        pool.clamp(-abs(sample["gate"]) - 1e-15, dict(defect, kind="spot-check"))
+    return result
 
+
+def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
+                     cfg: IntegratorConfig | None = None,
+                     samples_per_face: int = 16,
+                     lambda_grid=None, *, seed: int = 0) -> BoundSetCertificate:
+    """Sample the boundary faces and certify the trap conditions.
+
+    One function per face writes to a shared margin record, in a fixed
+    order so that the seed fixes every sample:
+
+    * cylinder ``|x| = a``: gate points (``p`` orthogonal to ``x``, and
+      near-gate samples moved onto the gate) need positive curvature; the
+      other samples cross transversally and pass either way;
+    * cone ``b|x| + |p| = b``: on the line, every sample of the four branch
+      lines must cross in its prescribed direction (sign(x p)); in the
+      plane, the gate points are the roots of the module docstring's cubic
+      and need positive curvature;
+    * vertex ``x = 0, |p| = b``: ``exit_cone_check``;
+    * spot checks: a random subset confirmed by two-sided integrations.
+
+    Gates and curvatures are affine in the forcing scale ``lam``: each
+    sample's terms free of ``lam`` (``F``, ``R``, ``x.p``, ``x.F``) are
+    computed once, and each scale of ``lambda_grid`` (21 in [0, 1] by
+    default) costs a multiply-add.  Only the planar cone gate points move
+    with ``lam``.
+    """
+    if F.dim != spec.dim:
+        raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")
+    if lambda_grid is None:
+        lambda_grid = np.linspace(0.0, 1.0, 21)
+    rng = np.random.default_rng(seed)
+    spf = int(samples_per_face)
+    ctx = _Sampling(
+        spec=spec, G=G, F=F, cfg=cfg or IntegratorConfig(),
+        lams=np.sort(np.atleast_1d(np.asarray(lambda_grid, dtype=float))),
+        t_grid=_jittered(0.0, F.period, 2 * spf, rng), spf=spf,
+        gate_tol=1e-6 * spec.b * (1.0 + F.sup_norm + G), rng=rng)
+    rec = _Margins()
+    _cylinder_face(ctx, rec)
+    (_cone_face_line if spec.dim == 1 else _cone_face_plane)(ctx, rec)
+    corner_ok = _vertex_face(ctx, rec)
+    spot_result = _spot_checks(ctx, rec)
+
+    gamma, delta = rec.gamma, rec.delta
     min_gamma = gamma.min if gamma.count else math.inf
     min_delta = delta.min if delta.count else math.inf
-    for entry in gamma.worst + delta.worst:
-        if entry["margin"] <= 0.0:
-            failures.append(entry)
-    verified = (min_gamma > 0.0) and (min_delta > 0.0) and corner_ok
-    xtp_abs = (np.concatenate(xtp_abs_parts) if xtp_abs_parts
-               else np.zeros(0))
-    xtp_bound = (np.concatenate(xtp_bound_parts) if xtp_bound_parts
-                 else np.zeros(0))
+    failures = rec.failures + [e for e in gamma.worst + delta.worst
+                               if e["margin"] <= 0.0]
     return BoundSetCertificate(
-        spec=spec, lambda_grid=lambda_grid, boundary_samples=total,
+        spec=spec, lambda_grid=ctx.lams, boundary_samples=rec.total,
         min_margin_gamma=min_gamma, min_margin_delta=min_delta,
-        corner_ok=corner_ok, verified=verified, gate_tol=gate_tol,
-        thresholds=_thresholds(spec, G, F), failures=failures[:40],
-        worst_gamma=gamma.worst, worst_delta=delta.worst,
-        gamma_gate_count=gamma.count, delta_gate_count=delta.count,
-        xtp_abs=xtp_abs, xtp_bound=xtp_bound, spot_checks=spot_result,
-        samples_per_face=samples_per_face, seed=seed)
+        corner_ok=corner_ok,
+        verified=(min_gamma > 0.0) and (min_delta > 0.0) and corner_ok,
+        gate_tol=ctx.gate_tol, thresholds=_thresholds(spec, G, F),
+        failures=failures[:40], worst_gamma=gamma.worst,
+        worst_delta=delta.worst, gamma_gate_count=gamma.count,
+        delta_gate_count=delta.count,
+        xtp_abs=np.concatenate([np.zeros(0), *rec.xtp_abs]),
+        xtp_bound=np.concatenate([np.zeros(0), *rec.xtp_bound]),
+        spot_checks=spot_result, samples_per_face=samples_per_face, seed=seed)
 
 
 def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
@@ -819,7 +816,7 @@ def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
     bwd = integrate_field(fun_rev, 0.0, dt, y0, cfg)
     e_minus = gauge(bwd.states[-1])
 
-    if sample["exact_gate"] and sample["curv"] is not None and sample["curv"] > 0:
+    if sample["exact_gate"] and sample["curv"] > 0:
         return e_plus > 0.0 and e_minus > 0.0
     if sample["gate"] > 0:
         return e_plus > 0.0 and e_minus < 0.0

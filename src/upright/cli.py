@@ -214,8 +214,7 @@ def _certify(cfg: dict, G: float, F, dim: int, icfg: IntegratorConfig,
     else:
         try:
             b, cert = compute_b_planar(a, F, G, lam_grid, icfg,
-                                       samples_per_face=spf, seed=seed,
-                                       return_certificate=True)
+                                       samples_per_face=spf, seed=seed)
         except BoundVerificationError as exc:
             log.error("bound escalation failed: %s", exc)
             if exc.certificate is not None:

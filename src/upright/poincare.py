@@ -252,13 +252,6 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
     if params_at_zero.lam != 0.0:
         params_at_zero = params_at_zero.with_lam(0.0)
 
-    from .bounds import degree_of_autonomous_field
-
-    if degree_of_autonomous_field(params_at_zero.G, params_at_zero.dim) == 0:
-        raise ContinuationStuckError(
-            "the upright rest point is degenerate; no continuation anchor",
-            last_lambda=0.0)
-
     d = params_at_zero.dim
     z = PhaseState(np.zeros(d), np.zeros(d))
     lam = 0.0

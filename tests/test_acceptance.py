@@ -23,7 +23,8 @@ from scipy.linalg import expm
 
 from upright.bounds import (BoundSetSpec, compute_a_linear, compute_a_planar,
                             compute_b_linear, compute_b_planar,
-                            orbit_containment, verify_bound_set)
+                            orbit_containment, save_certificate_json,
+                            verify_bound_set)
 from upright.cli import main
 from upright.dynamics import ModelParams, PhaseState
 from upright.forcing import make_fourier_forcing
@@ -87,7 +88,7 @@ def linear_constants():
 @pytest.fixture(scope="session")
 def planar_constants():
     a = compute_a_planar(G_EARTH, 1.5, 0.5)
-    b = compute_b_planar(a, F_PLA, G_EARTH, samples_per_face=8)
+    b, _ = compute_b_planar(a, F_PLA, G_EARTH, samples_per_face=8)
     return a, b
 
 
@@ -186,6 +187,20 @@ def test_orbit_demos_reproduce_committed_csv(tmp_path):
         assert np.max(np.abs(new - ref)) < 1e-10, name
 
 
+@criterion("the certificate demo reproduces "
+           "demos/output/certificate_{pass,fail}.json byte for byte")
+def test_certificate_demo_reproduces_committed_json(tmp_path):
+    # the config of demos/bound_set_certificate.py
+    a = compute_a_linear(G_EARTH, 2.0, margin=0.5)
+    b = compute_b_linear(a, 2.0, margin=0.5)
+    for name, slope in (("certificate_pass.json", b),
+                        ("certificate_fail.json", 1.0)):
+        cert = verify_bound_set(BoundSetSpec(a, slope, 1), G_EARTH, F_LIN,
+                                samples_per_face=16)
+        save_certificate_json(cert, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (DEMO_OUTPUT / name).read_bytes(), name
+
+
 @criterion("bound certificates verified at default and doubled density "
            "with margins within 10%")
 def test_certificates_density_stable(linear_constants, planar_constants,
@@ -241,8 +256,7 @@ def test_planar_certificates_match_scanned_gates(planar_certificate):
     for name, F in (("circle", F_PLA), ("four_harmonics", four)):
         a = compute_a_planar(G_EARTH, F.sup_norm, 0.5)
         certs[name] = compute_b_planar(a, F, G_EARTH, np.linspace(0.0, 1.0, 21),
-                                       samples_per_face=6, seed=1,
-                                       return_certificate=True)
+                                       samples_per_face=6, seed=1)
     for name, (b, cert) in certs.items():
         b_ref, gamma_ref, delta_ref = SCANNED_GATE_CERTIFICATES[name]
         assert b == b_ref, name

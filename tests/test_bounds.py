@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from upright import bounds
 from upright.bounds import (BoundSetSpec, _cone_gate_roots, _cone_gate_terms,
                             _cone_quantities, _cylinder_quantities,
                             certificate_to_dict, compute_a_linear,
@@ -86,23 +87,23 @@ def test_a_planar_unforced_and_monotone():
 def test_b_planar_start_respects_quartic_bound():
     # with a=0.5 and |F| about 1 the quartic constraint needs b >= 128^(1/4)
     F_unit = make_fourier_forcing(1.0, 2, [(1.0, 0.0)], [(0.0, 1.0)])
-    b = compute_b_planar(0.5, F_unit, 9.81, samples_per_face=6)
+    b, _ = compute_b_planar(0.5, F_unit, 9.81, samples_per_face=6)
     assert b >= (16.0 / 0.125) ** 0.25
     assert b * b > F_unit.sup_norm
 
 
-def test_b_planar_certificate_and_cap():
+def test_b_planar_certificate_and_cap(monkeypatch):
     a = compute_a_planar(9.81, 1.5, 0.5)
-    b, cert = compute_b_planar(a, F2, 9.81, samples_per_face=6,
-                               return_certificate=True)
+    b, cert = compute_b_planar(a, F2, 9.81, samples_per_face=6)
     assert cert.verified
     assert cert.spec.b == b
+    monkeypatch.setattr(bounds, "_B_CAP", 2.0)
     with pytest.raises(BoundVerificationError):
-        compute_b_planar(a, F2, 9.81, b_cap=2.0, samples_per_face=6)
+        compute_b_planar(a, F2, 9.81, samples_per_face=6)
 
 
 def test_b_planar_unforced_floor():
-    b = compute_b_planar(0.5, Z2, 9.81, samples_per_face=6)
+    b, _ = compute_b_planar(0.5, Z2, 9.81, samples_per_face=6)
     assert b == pytest.approx(1.0)
 
 
@@ -354,7 +355,7 @@ def test_verify_detects_undersized_cone():
 
 def test_verify_planar_config():
     a = compute_a_planar(9.81, 1.5, 0.5)
-    b = compute_b_planar(a, F2, 9.81, samples_per_face=6)
+    b, _ = compute_b_planar(a, F2, 9.81, samples_per_face=6)
     cert = verify_bound_set(BoundSetSpec(a, b, 2), 9.81, F2, samples_per_face=6)
     assert cert.verified
     assert cert.gamma_gate_count > 0 and cert.delta_gate_count > 0
@@ -387,6 +388,72 @@ def test_verify_lambda_grid_contains_endpoints():
     cert = verify_bound_set(spec, 9.81, F1, samples_per_face=6)
     grid = np.asarray(cert.lambda_grid)
     assert grid[0] == 0.0 and grid[-1] == 1.0 and len(grid) == 21
+
+
+# 1-D certificates as the per-scale verifier computed them, before the cone
+# gate became g0 + lam g1: verified, corner_ok, boundary samples, gamma and
+# delta gate counts, min_margin_gamma, min_margin_delta.  Inputs: the
+# benchmark's ``certify`` linear config (a, b from the sampled sup |F|,
+# 32 samples per face, seed 1), its twin refuted with b = 1, and the config
+# of demos/bound_set_certificate.py (a, b from |F| = 2, 16 per face, seed 0).
+LINEAR_CERTIFICATES = {
+    "certify": (True, True, 524288, 2688, 349440,
+                2.0574163000705328, 7.932731780020939),
+    "refute": (False, False, 524288, 2688, 349440,
+               2.0574163000705328, -0.9728440159359384),
+    "demo": (True, True, 133120, 1344, 88704,
+             2.061400024358217, 7.936341612622172),
+    "demo_refuted": (False, False, 133120, 1344, 88704,
+                     2.061400024358217, -0.9330854656279305),
+}
+
+
+def test_linear_certificates_match_reference_values():
+    a_c = compute_a_linear(9.81, F1.sup_norm, 0.5)
+    a_d = compute_a_linear(9.81, 2.0, 0.5)
+    runs = {"certify": (a_c, compute_b_linear(a_c, F1.sup_norm, 0.5), 32, 1),
+            "refute": (a_c, 1.0, 32, 1),
+            "demo": (a_d, compute_b_linear(a_d, 2.0, 0.5), 16, 0),
+            "demo_refuted": (a_d, 1.0, 16, 0)}
+    for name, (a, b, spf, seed) in runs.items():
+        cert = verify_bound_set(BoundSetSpec(a, b, 1), 9.81, F1,
+                                samples_per_face=spf,
+                                lambda_grid=np.linspace(0.0, 1.0, 21), seed=seed)
+        *exact, delta = LINEAR_CERTIFICATES[name]
+        assert (cert.verified, cert.corner_ok, cert.boundary_samples,
+                cert.gamma_gate_count, cert.delta_gate_count,
+                cert.min_margin_gamma) == tuple(exact), name
+        assert cert.spot_checks == {"attempted": 50, "passed": 50,
+                                    "failures": []}, name
+        assert abs(cert.min_margin_delta - delta) <= 1e-9 * abs(delta), name
+
+
+def test_lambda_free_kernels_run_once_per_verification(monkeypatch):
+    # each face computes its samples' lam-free terms once; a grid of 21
+    # scales must call these kernels exactly as often as a grid of 3
+    calls = {}
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in ("_cylinder_terms", "_cone_branch_terms", "_cone_gate_terms"):
+        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+    a1 = compute_a_linear(9.81, 2.0, 0.5)
+    a2 = compute_a_planar(9.81, 1.5, 0.5)
+    for spec, F, cone in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0, 0.5), 1),
+                           F1, "_cone_branch_terms"),
+                          (BoundSetSpec(a2, 5.0, 2), F2, "_cone_gate_terms")):
+        seen = []
+        for n_lam in (3, 21):
+            calls.clear()
+            verify_bound_set(spec, 9.81, F, samples_per_face=6,
+                             lambda_grid=np.linspace(0.0, 1.0, n_lam))
+            seen.append(dict(calls))
+        assert seen[0] == seen[1], (spec.dim, seen)
+        assert seen[0]["_cylinder_terms"] > 0 and seen[0][cone] > 0, seen
 
 
 def test_certificate_json_roundtrip(tmp_path):
