@@ -13,7 +13,7 @@ random subset of predictions by short two-sided integrations.
 import json
 from pathlib import Path
 
-from upright.bounds import (BoundSetSpec, compute_a_linear, compute_b_linear,
+from upright.bounds import (BoundSetSpec, compute_a, compute_b_linear,
                             save_certificate_json, verify_bound_set)
 from upright.forcing import make_fourier_forcing
 
@@ -22,7 +22,7 @@ OUT.mkdir(exist_ok=True)
 
 G = 9.81
 F = make_fourier_forcing(1.0, 1, [2.0], [])
-a = compute_a_linear(G, 2.0, margin=0.5)
+a = compute_a(G, 2.0, margin=0.5)
 b = compute_b_linear(a, 2.0, margin=0.5)
 
 cert = verify_bound_set(BoundSetSpec(a, b, 1), G, F, samples_per_face=16)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from upright.bounds import (BoundSetSpec, compute_a_linear, compute_b_linear,
+from upright.bounds import (BoundSetSpec, compute_a, compute_b_linear,
                             orbit_containment, verify_bound_set)
 from upright.dynamics import ModelParams
 from upright.forcing import make_fourier_forcing
@@ -25,7 +25,7 @@ OUT.mkdir(exist_ok=True)
 G = 9.81
 F = make_fourier_forcing(1.0, 1, [2.0], [])
 
-a = compute_a_linear(G, 2.0, margin=0.5)
+a = compute_a(G, 2.0, margin=0.5)
 b = compute_b_linear(a, 2.0, margin=0.5)
 print(f"trap constants: a = {a:.6f}, b = {b:.6f}")
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from upright.bounds import (BoundSetSpec, compute_a_planar, compute_b_planar,
+from upright.bounds import (BoundSetSpec, compute_a, compute_b_planar,
                             orbit_containment)
 from upright.dynamics import ModelParams
 from upright.forcing import make_fourier_forcing
@@ -24,7 +24,7 @@ OUT.mkdir(exist_ok=True)
 G = 9.81
 F = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
 
-a = compute_a_planar(G, 1.5, margin=0.5)
+a = compute_a(G, 1.5, margin=0.5)
 b, cert = compute_b_planar(a, F, G, samples_per_face=8)
 print(f"trap constants: a = {a:.6f}, b = {b:.6f} "
       f"(verified = {cert.verified})")

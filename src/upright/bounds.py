@@ -29,7 +29,7 @@ forcing along ``x`` and across it, the gate is
 roots in ``[0, 1]`` give ``c = +-sqrt(w)``, and ``L sin s = c (K + B c^2)``
 the sign of ``sin s``.  Where ``L = 0`` (``lam = 0``, or F along ``x``) the
 cubic is ``w (K + B w)^2``: ``c = 0`` and ``c^2 = -K/B``, each with either
-sign of ``sin s``.  The closed-form constants (``compute_a_linear`` and
+sign of ``sin s``.  The closed-form constants (``compute_a`` and
 friends) supply starting values of ``a`` and ``b`` that make the
 conditions hold.
 """
@@ -50,9 +50,8 @@ from .integrator import IntegratorConfig, integrate_field
 __all__ = [
     "BoundSetSpec",
     "BoundSetCertificate",
-    "compute_a_linear",
+    "compute_a",
     "compute_b_linear",
-    "compute_a_planar",
     "compute_b_planar",
     "exit_cone_check",
     "verify_bound_set",
@@ -112,12 +111,14 @@ class BoundSetCertificate:
 # -- closed-form constants ---------------------------------------------
 
 
-def compute_a_linear(G: float, F_norm: float, margin: float = 0.5) -> float:
-    """Cylinder radius for the one-dimensional problem.
+def compute_a(G: float, F_norm: float, margin: float = 0.5) -> float:
+    """Cylinder radius, the same on the line and in the plane.
 
     The threshold radius is ``a* = F_norm / sqrt(G^2 + F_norm^2)``; any
-    ``a`` above it keeps the cylinder face repelling.  Returns
-    ``a* + margin*(1 - a*)``.
+    ``a`` above it keeps the cylinder face repelling.  In the plane the
+    condition ``G a sqrt(1+a) = (1+a) F_norm sqrt(1-a)`` factors as
+    ``sqrt(1+a) (G a - F_norm sqrt(1-a^2))``, so its root is the same
+    ``a*``.  Returns ``a* + margin*(1 - a*)``.
     """
     if G <= 0:
         raise ValueError(f"G must be positive, got {G}")
@@ -143,48 +144,6 @@ def compute_b_linear(a: float, F_norm: float, margin: float = 0.5) -> float:
     if F_norm == 0.0:
         return margin
     return math.sqrt((1.0 + a) * F_norm / (1.0 - a)) * (1.0 + margin)
-
-
-def compute_a_planar(G: float, F_norm: float, margin: float = 0.5) -> float:
-    """Cylinder radius for the planar problem.
-
-    The threshold ``a*`` is the smallest root in (0,1) of
-    ``G a sqrt(1+a) = (1+a) F_norm sqrt(1-a)``, located by scan plus
-    bisection to 1e-12.  Returns ``a* + margin*(1 - a*)``.
-    """
-    if G <= 0:
-        raise ValueError(f"G must be positive, got {G}")
-    if not (0.0 < margin < 1.0):
-        raise ValueError(f"margin must lie in (0,1), got {margin}")
-    if F_norm < 0:
-        raise ValueError(f"F_norm must be nonnegative, got {F_norm}")
-    if F_norm == 0.0:
-        return margin
-
-    def h(a):
-        return G * a * math.sqrt(1.0 + a) - (1.0 + a) * F_norm * math.sqrt(1.0 - a)
-
-    # h(0) < 0 and h(1) > 0; find the first sign change on a fine scan.
-    n = 4096
-    prev_a, prev_h = 0.0, h(0.0)
-    lo = hi = None
-    for k in range(1, n + 1):
-        ak = k / n
-        hk = h(min(ak, 1.0 - 1e-15))
-        if prev_h < 0.0 <= hk:
-            lo, hi = prev_a, ak
-            break
-        prev_a, prev_h = ak, hk
-    if lo is None:
-        raise ValueError("no threshold radius found in (0,1)")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if h(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    a_star = 0.5 * (lo + hi)
-    return a_star + margin * (1.0 - a_star)
 
 
 # the planar slope search starts at or above _B_FLOOR, so that the unforced
@@ -277,20 +236,16 @@ def _cone_branch_terms(ts, xs, ps, F, G, b):
     return _cone_gate(_terms(ts, xs, ps, F, G), b)
 
 
-def _cone_quantities(ts, xs, ps, lam, F, G, b, want_curvature=True):
-    """Gate (Dn)v and, optionally, the full tangency curvature on n = 0.
+def _cone_quantities(ts, xs, ps, lam, F, G, b):
+    """Tangency curvature of the cone gauge n = 0 at the samples.
 
     The curvature is the second derivative of the cone gauge along a
     trajectory, written out term by term: the two nonnegative determinant
     terms, the bR|x| + R|p| core, the R-derivative coupling through x.p,
-    and the forcing terms through Phi and its t- and x-derivatives.
+    and the forcing terms through Phi and its t- and x-derivatives.  The
+    gate itself is ``_cone_branch_terms``.
     """
     s = _terms(ts, xs, ps, F, G)
-    g0, g1 = _cone_gate(s, b)
-    gate = g0 + lam * g1
-    if not want_curvature:
-        return gate, None
-
     xs, ps, f, r2, one_minus, p2, xp, xf, R = s[1:]
     nx, pn = np.sqrt(r2), np.sqrt(p2)
     pf = np.sum(ps * f, axis=1)
@@ -319,7 +274,7 @@ def _cone_quantities(ts, xs, ps, lam, F, G, b, want_curvature=True):
             + (b / nx) * x_phi
             + p_dphi / pn
             + (xp / pn) * dRdp_phi)
-    return gate, curv
+    return curv
 
 
 def _cone_gate_terms(theta, r, f, G, b):
@@ -439,13 +394,16 @@ def degree_of_autonomous_field(G: float, dim: int) -> int:
 
 # samples confirmed by two-sided integration in each verification
 _SPOT_CHECKS = 50
+# worst samples a margin pool reports
+_WORST_KEPT = 10
+# dense-output times at which orbit_containment reads a trajectory
+_CONTAINMENT_SAMPLES = 2048
 
 
 class _MarginPool:
-    """Running minimum and worst-k samples of a margin quantity."""
+    """Running minimum and the ``_WORST_KEPT`` worst samples of a margin."""
 
-    def __init__(self, keep: int = 10):
-        self.keep = keep
+    def __init__(self):
         self.min = math.inf
         self.count = 0
         self.worst: list[dict] = []
@@ -456,7 +414,7 @@ class _MarginPool:
             return
         self.count += margins.size
         self.min = min(self.min, float(np.min(margins)))
-        for i in np.argsort(margins)[: self.keep]:
+        for i in np.argsort(margins)[:_WORST_KEPT]:
             self.worst.append({
                 "margin": float(margins[i]),
                 "t": float(ts[i]),
@@ -466,13 +424,13 @@ class _MarginPool:
                 "kind": kind,
             })
         self.worst.sort(key=lambda e: e["margin"])
-        del self.worst[self.keep:]
+        del self.worst[_WORST_KEPT:]
 
     def clamp(self, value: float, entry: dict):
         self.min = min(self.min, value)
         self.worst.append(dict(entry, margin=float(value)))
         self.worst.sort(key=lambda e: e["margin"])
-        del self.worst[self.keep:]
+        del self.worst[_WORST_KEPT:]
 
 
 def _unit(angles) -> np.ndarray:
@@ -616,7 +574,7 @@ def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
     lam = lams[-1]
     _, xq, pq, g0, g1 = branches[0]
     sel = ctx.rng.choice(tq.size, size=min(30, tq.size), replace=False)
-    _, curv = _cone_quantities(tq[sel], xq[sel], pq[sel], lam, F, G, b)
+    curv = _cone_quantities(tq[sel], xq[sel], pq[sel], lam, F, G, b)
     for i, c in zip(sel, curv):
         rec.candidate("delta", tq[i], lam, xq[i], pq[i], g0[i] + lam * g1[i],
                       c, False)
@@ -640,7 +598,7 @@ def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
     for lam in ctx.lams:
         cells, psi = _cone_gate_roots(thc, K0 - lam * K1, B, lam * f_perp)
         p_root = pnorm[cells, None] * _unit(psi)
-        _, curv = _cone_quantities(tc[cells], xc[cells], p_root, lam, F, G, b)
+        curv = _cone_quantities(tc[cells], xc[cells], p_root, lam, F, G, b)
         rec.delta.add(curv, tc[cells], lam, xc[cells], p_root, "cone-gate")
         rec.total += curv.size
         rec.xtp_abs.append(np.abs(np.sum(xc[cells] * p_root, axis=1)))
@@ -655,9 +613,10 @@ def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
     rows = sel // 32
     psis = (sel % 32) * (2.0 * math.pi / 32)
     p_sel = pnorm[rows, None] * _unit(psis)
-    g_sel, curv_sel = _cone_quantities(tc[rows], xc[rows], p_sel, lam, F, G, b)
+    g0, g1 = _cone_branch_terms(tc[rows], xc[rows], p_sel, F, G, b)
+    curv_sel = _cone_quantities(tc[rows], xc[rows], p_sel, lam, F, G, b)
     for j, i in enumerate(rows):
-        rec.candidate("delta", tc[i], lam, xc[i], p_sel[j], g_sel[j],
+        rec.candidate("delta", tc[i], lam, xc[i], p_sel[j], g0[j] + lam * g1[j],
                       curv_sel[j], False)
 
 
@@ -695,7 +654,6 @@ def _vertex_face(ctx: _Sampling, rec: _Margins) -> bool:
 def _spot_checks(ctx: _Sampling, rec: _Margins) -> dict:
     """Confirm up to ``_SPOT_CHECKS`` candidates by two-sided integration."""
     result = {"attempted": 0, "passed": 0, "failures": []}
-    gate_tol = ctx.gate_tol
     dt = 1e-3 * ctx.F.period
     # A transversal sample predicts a monotone crossing only while the
     # linear term of the gauge dominates over the window: |g| dt must beat
@@ -708,12 +666,12 @@ def _spot_checks(ctx: _Sampling, rec: _Margins) -> dict:
               if (s["face"] == "gamma"
                   or np.linalg.norm(s["x"]) > 2.0 * np.linalg.norm(s["p"]) * dt)
               and (s["exact_gate"]
-                   or (abs(s["gate"]) >= 10.0 * gate_tol
-                       and abs(s["gate"]) >= 8.0 * abs(s["curv"] or 0.0) * dt))]
+                   or (abs(s["gate"]) >= 10.0 * ctx.gate_tol
+                       and abs(s["gate"]) >= 8.0 * abs(s["curv"]) * dt))]
     ctx.rng.shuffle(usable)
     for sample in usable[:_SPOT_CHECKS]:
         result["attempted"] += 1
-        if _spot_check(sample, ctx.spec, ctx.G, ctx.F, ctx.cfg, dt, gate_tol):
+        if _spot_check(sample, ctx.spec, ctx.G, ctx.F, ctx.cfg, dt):
             result["passed"] += 1
             continue
         entry = {"face": sample["face"], "t": sample["t"], "lam": sample["lam"],
@@ -791,7 +749,7 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
 
 
 def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
-                cfg: IntegratorConfig, dt: float, gate_tol: float) -> bool:
+                cfg: IntegratorConfig, dt: float) -> bool:
     """Confirm one boundary sample by integrating a short arc both ways."""
     a, b = spec.a, spec.b
     params = ModelParams(G=G, lam=sample["lam"], dim=spec.dim)
@@ -823,9 +781,13 @@ def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
     return e_plus < 0.0 and e_minus > 0.0
 
 
-def orbit_containment(traj, spec: BoundSetSpec, n_samples: int = 2048) -> dict:
-    """Check that a trajectory stays inside the cylinder-cone trap."""
-    ts = np.linspace(traj.t0, traj.t_end, int(n_samples))
+def orbit_containment(traj, spec: BoundSetSpec) -> dict:
+    """Check that a trajectory stays inside the cylinder-cone trap.
+
+    The trajectory is read at ``_CONTAINMENT_SAMPLES`` evenly spaced times
+    of its dense output.
+    """
+    ts = np.linspace(traj.t0, traj.t_end, _CONTAINMENT_SAMPLES)
     ys = traj.dense_array(ts)
     d = spec.dim
     xn = np.linalg.norm(ys[:, :d], axis=1)

@@ -14,7 +14,8 @@ numeric output uses 17 significant digits and no timestamps, making reruns
 byte-stable.
 
 Exit codes: 0 success, 1 config error, 2 bound verification failure,
-3 continuation failure, 4 no bisection bracket.
+3 continuation failure, 4 no bisection bracket, 5 integrator step budget
+(``integrator.max_steps``) exhausted.
 """
 from __future__ import annotations
 
@@ -28,17 +29,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (BoundSetSpec, compute_a_linear, compute_a_planar,
-                     compute_b_linear, compute_b_planar,
-                     degree_of_autonomous_field, orbit_containment,
-                     save_certificate_json, verify_bound_set)
+from .bounds import (BoundSetSpec, compute_a, compute_b_linear,
+                     compute_b_planar, degree_of_autonomous_field,
+                     orbit_containment, save_certificate_json,
+                     verify_bound_set)
 from .dynamics import ModelParams, PhaseState
 from .errors import (BoundVerificationError, BracketError,
-                     ContinuationStuckError, FallError, UprightError)
+                     ContinuationStuckError, FallError, StepBudgetError,
+                     UprightError)
 from .forcing import ingest_path, make_fourier_forcing, read_path_csv
 from .integrator import IntegratorConfig, evolve
-from .poincare import (ContinuationConfig, continue_in_lambda, result_to_dict,
-                       save_result_json)
+from .poincare import ContinuationConfig, continue_in_lambda, save_result_json
 from .whitney import JourneySpec, bisect_survivor, transcript_to_csv
 
 __all__ = ["main", "entry", "DEFAULT_CONFIG", "load_config"]
@@ -131,26 +132,21 @@ def _build_model(cfg: dict):
     dim = 1 if cfg["problem"] == "linear" else 2
     ell = float(cfg["rod_length"])
     fspec = cfg["forcing"]
-    kind = fspec.get("type", "fourier")
+    kind = fspec["type"]
     if kind == "fourier":
         # coefficients describe the carriage acceleration; the equations
         # use it divided by rod length
-        def scale(coeffs):
-            if not coeffs:
-                return []
-            return [np.asarray(c, dtype=float) / ell for c in np.atleast_1d(coeffs)] \
-                if dim == 1 else [np.asarray(c, dtype=float) / ell for c in coeffs]
+        def scale(c):
+            return np.atleast_1d(np.asarray(c, dtype=float)) / ell
 
-        constant = fspec.get("constant")
-        if constant is not None:
-            constant = np.asarray(constant, dtype=float) / ell
-        F = make_fourier_forcing(float(cfg["period"]), dim,
-                                 scale(fspec.get("cosine") or []),
-                                 scale(fspec.get("sine") or []),
-                                 constant=constant)
+        constant = fspec["constant"]
+        F = make_fourier_forcing(
+            float(cfg["period"]), dim, scale(fspec["cosine"] or []),
+            scale(fspec["sine"] or []),
+            constant=None if constant is None else scale(constant))
         G = float(cfg["gravity"]) / ell
     elif kind == "path_csv":
-        if not fspec.get("path"):
+        if not fspec["path"]:
             raise ConfigError("forcing.path is required for type 'path_csv'")
         samples = read_path_csv(fspec["path"], rod_length=ell)
         if samples.dim != dim:
@@ -190,6 +186,13 @@ def _out_dir(cfg: dict, args) -> Path:
     return out
 
 
+def _write_result_json(summary: dict, out: Path) -> None:
+    """The subcommand's summary as ``result.json``, two-space indented."""
+    with open(out / "result.json", "w") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
+
+
 def _certify(cfg: dict, G: float, F, dim: int, icfg: IntegratorConfig,
              seed: int, out: Path):
     """Bound constants and their certificate, saved as ``certificate.json``.
@@ -202,10 +205,8 @@ def _certify(cfg: dict, G: float, F, dim: int, icfg: IntegratorConfig,
     lam_grid = np.linspace(0.0, 1.0, int(bcfg["lambda_grid_size"]))
     if bcfg["a_override"] is not None:
         a = float(bcfg["a_override"])
-    elif dim == 1:
-        a = compute_a_linear(G, F.sup_norm, float(bcfg["a_margin"]))
     else:
-        a = compute_a_planar(G, F.sup_norm, float(bcfg["a_margin"]))
+        a = compute_a(G, F.sup_norm, float(bcfg["a_margin"]))
     cert = None
     if bcfg["b_override"] is not None:
         b = float(bcfg["b_override"])
@@ -293,9 +294,7 @@ def cmd_whitney(cfg: dict, args) -> int:
         "steps": len(result.transcript),
         "endpoint_classes": [c.value for c in result.endpoint_classes],
     }
-    with open(out / "result.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_result_json(summary, out)
     print(f"bracket: [{result.lower:.17g}, {result.upper:.17g}]")
     print(f"survivor: {result.survivor}")
     return 0
@@ -324,9 +323,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         "steps_accepted": traj.n_accepted,
         "steps_rejected": traj.n_rejected,
     }
-    with open(out / "result.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_result_json(summary, out)
     if ev is None:
         print(f"no fall in [0, {traj.t_end:.17g}]")
     else:
@@ -337,10 +334,8 @@ def cmd_simulate(cfg: dict, args) -> int:
 def cmd_degree(cfg: dict, args) -> int:
     G, _, dim = _build_model(cfg)
     deg = degree_of_autonomous_field(G, dim)
-    out = _out_dir(cfg, args)
-    with open(out / "result.json", "w") as fh:
-        json.dump({"problem": cfg["problem"], "degree": deg}, fh, indent=2)
-        fh.write("\n")
+    _write_result_json({"problem": cfg["problem"], "degree": deg},
+                       _out_dir(cfg, args))
     print(f"degree = {deg:+d}")
     return 0
 
@@ -379,6 +374,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         log.error("invalid configuration: %s", exc)
         return 1
+    except StepBudgetError as exc:
+        log.error("integrator step budget exhausted: %s", exc)
+        return 5
 
 
 def entry() -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect as _bisect
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,10 @@ __all__ = [
     "read_path_csv",
 ]
 
+# grid points over one period for the Fourier sup norms
 _DENSE_GRID = 4096
+# largest gap between the first and last sample of a path
+_CLOSURE_TOL = 1e-8
 
 
 class PeriodicSignal:
@@ -66,10 +69,6 @@ class PeriodicSignal:
             u += self.period
         return u
 
-    def _reduce(self, t):
-        u = np.mod(t, self.period)
-        return u
-
     # -- evaluation ------------------------------------------------------
 
     def eval(self, t):
@@ -77,16 +76,15 @@ class PeriodicSignal:
         if np.ndim(t) == 0:
             u = self._reduce_scalar(float(t))
             return np.asarray(self._scalar_value_fn(u), dtype=float)
-        u = self._reduce(np.asarray(t, dtype=float))
-        return self._value_fn(u)
+        return self._value_fn(np.mod(np.asarray(t, dtype=float), self.period))
 
     def eval_derivative(self, t):
         """dF/dt at t, same shape conventions as :meth:`eval`."""
         if np.ndim(t) == 0:
             u = self._reduce_scalar(float(t))
             return np.asarray(self._derivative_fn(np.asarray([u]))[0], dtype=float)
-        u = self._reduce(np.asarray(t, dtype=float))
-        return self._derivative_fn(u)
+        return self._derivative_fn(np.mod(np.asarray(t, dtype=float),
+                                          self.period))
 
     def eval_scalar(self, t: float):
         """Fast path used by the integrator: returns a plain tuple of floats."""
@@ -115,14 +113,14 @@ def _coeff_array(coeffs, dim: int, name: str) -> np.ndarray:
 
 
 def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
-                         constant=None, grid_points=_DENSE_GRID) -> PeriodicSignal:
+                         constant=None) -> PeriodicSignal:
     """Build a trigonometric-polynomial signal.
 
     ``F(t) = constant + sum_k c_k cos(2 pi k t / period) + s_k sin(2 pi k t / period)``
     with mode index ``k`` starting at 1 for both coefficient lists, so
     ``cosine_coeffs=[2]`` gives ``2 cos(2 pi t / period)``.
 
-    Sup norms are grid maxima over one period (at least 4096 points) plus a
+    Sup norms are grid maxima over one period (``_DENSE_GRID`` points) plus a
     Lipschitz safety margin ``L * h / 2`` with an ``L`` from the coefficient
     sums, so they are genuine upper bounds for the continuum maxima.
     """
@@ -166,9 +164,8 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
                 out[i] += ck[i] * cw + sk[i] * sw
         return tuple(out)
 
-    n_grid = max(int(grid_points), _DENSE_GRID)
-    u = np.linspace(0.0, period, n_grid, endpoint=False)
-    h = period / n_grid
+    u = np.linspace(0.0, period, _DENSE_GRID, endpoint=False)
+    h = period / _DENSE_GRID
     amp = np.linalg.norm(c, axis=1) + np.linalg.norm(s, axis=1)
     # Lipschitz constants from coefficient sums: |dF/dt| <= sum w*amp, etc.
     lip_f = float(np.sum(omega * amp)) if n_modes else 0.0
@@ -186,13 +183,12 @@ class PathSamples:
 
     ``times`` must be strictly increasing; ``positions`` holds the path
     samples (shape ``(n,)`` or ``(n, d)``); the first and last positions must
-    agree within ``closure_tol`` since the path is periodically extended.
+    agree within ``_CLOSURE_TOL`` since the path is periodically extended.
     """
 
     times: np.ndarray
     positions: np.ndarray
     rod_length: float = 1.0
-    closure_tol: float = 1e-8
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -211,9 +207,9 @@ class PathSamples:
         if self.rod_length <= 0:
             raise ValueError(f"rod_length must be positive, got {self.rod_length}")
         gap = float(np.linalg.norm(positions[-1] - positions[0]))
-        if gap > self.closure_tol:
+        if gap > _CLOSURE_TOL:
             raise ValueError(
-                f"path endpoints differ by {gap:.3e} > closure_tol={self.closure_tol:.3e}; "
+                f"path endpoints differ by {gap:.3e} > {_CLOSURE_TOL:.3e}; "
                 "the samples must cover exactly one period")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "positions", positions)
@@ -286,7 +282,7 @@ def ingest_path(samples: PathSamples, gravity: float):
     return signal, gravity / ell
 
 
-def read_path_csv(path, rod_length: float = 1.0, closure_tol: float = 1e-8) -> PathSamples:
+def read_path_csv(path, rod_length: float = 1.0) -> PathSamples:
     """Read carriage path samples from a CSV file with header ``t,f1[,f2]``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -300,4 +296,4 @@ def read_path_csv(path, rod_length: float = 1.0, closure_tol: float = 1e-8) -> P
     if data.shape[1] != len(header):
         raise ValueError("row width does not match header")
     return PathSamples(times=data[:, 0], positions=data[:, 1:],
-                       rod_length=rod_length, closure_tol=closure_tol)
+                       rod_length=rod_length)

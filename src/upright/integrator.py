@@ -2,9 +2,9 @@
 
 The stepper is a Dormand-Prince 5(4) pair with the first-same-as-last
 property and a quartic interpolant on every accepted step.  Events (the rod
-reaching the fall threshold, or a user-supplied boundary crossing) are
-located on the interpolant by bisection, so event times are resolved far
-below the step size without extra field evaluations.
+reaching the fall threshold) are located on the interpolant by bisection, so
+event times are resolved far below the step size without extra field
+evaluations.
 
 The driver never integrates through the singular radius ``|x| = 1``: the
 field raises ``SingularityError`` there, and trial steps that overshoot it
@@ -12,9 +12,8 @@ are retried with half the step until the fall event can be localized.
 """
 from __future__ import annotations
 
-import bisect as _bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -97,12 +96,6 @@ class EventKind(str, Enum):
     FALL_POSITIVE = "fall_positive"
     FALL_NEGATIVE = "fall_negative"
     FALL_PLANAR = "fall_planar"
-    BOUNDARY_EXIT = "boundary_exit"
-
-    @property
-    def is_fall(self) -> bool:
-        return self in (EventKind.FALL_POSITIVE, EventKind.FALL_NEGATIVE,
-                        EventKind.FALL_PLANAR)
 
 
 @dataclass(frozen=True)
@@ -149,10 +142,8 @@ class Trajectory:
 
     @property
     def fall_event(self) -> Event | None:
-        for ev in self.events:
-            if ev.kind.is_fall:
-                return ev
-        return None
+        """The terminal event that ended the run early, if any."""
+        return self.events[0] if self.events else None
 
     def end_state(self) -> PhaseState:
         return PhaseState.from_flat(self._y[-1])
@@ -163,22 +154,6 @@ class Trajectory:
             self._K_array = np.asarray(self._seg_K, dtype=float).reshape(
                 len(self._h), 7, self._y.shape[1])
         return self._K_array
-
-    def _segment(self, t: float) -> int:
-        if not (self._t[0] <= t <= self._t[-1]):
-            raise ValueError(f"t={t!r} outside [{self._t[0]!r}, {self._t[-1]!r}]")
-        i = _bisect.bisect_right(self._t, t) - 1
-        return min(max(i, 0), len(self._h) - 1)
-
-    def dense_eval(self, t: float) -> PhaseState:
-        """State at any time inside the integration interval."""
-        if len(self._h) == 0:
-            return PhaseState.from_flat(self._y[0])
-        i = self._segment(float(t))
-        h = float(self._h[i])
-        theta = (float(t) - float(self._t[i])) / h
-        return PhaseState.from_flat(_dense_state(self._y[i].tolist(), h,
-                                                 self._seg_K[i], theta))
 
     def dense_array(self, ts) -> np.ndarray:
         """Vectorized dense evaluation, shape (len(ts), 2*dim)."""
@@ -446,20 +421,16 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None,
     return Trajectory(t_nodes, y_nodes, seg_h, seg_K, ev_out, n_acc, n_rej)
 
 
-def _fall_events(dim: int, thr: float, boundary=None):
+def _fall_events(dim: int, thr: float):
     if dim == 1:
-        evs = [
+        return [
             (EventKind.FALL_POSITIVE, lambda t, y: y[0] - thr),
             (EventKind.FALL_NEGATIVE, lambda t, y: -y[0] - thr),
         ]
-    else:
-        thr2 = thr * thr
-        evs = [
-            (EventKind.FALL_PLANAR, lambda t, y: y[0] * y[0] + y[1] * y[1] - thr2),
-        ]
-    if boundary is not None:
-        evs.append((EventKind.BOUNDARY_EXIT, boundary))
-    return evs
+    thr2 = thr * thr
+    return [
+        (EventKind.FALL_PLANAR, lambda t, y: y[0] * y[0] + y[1] * y[1] - thr2),
+    ]
 
 
 def _check_start(s0: PhaseState, params: ModelParams, cfg: IntegratorConfig) -> None:
@@ -473,19 +444,15 @@ def _check_start(s0: PhaseState, params: ModelParams, cfg: IntegratorConfig) -> 
 
 
 def evolve(t0: float, t1: float, s0: PhaseState, params: ModelParams,
-           F: PeriodicSignal, cfg: IntegratorConfig | None = None,
-           boundary=None) -> Trajectory:
+           F: PeriodicSignal, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Integrate the rod equations from ``s0`` over ``[t0, t1]``.
 
     Fall detection is always on: the trajectory ends early with a fall
-    event if ``|x|`` reaches ``cfg.fall_threshold``.  An optional
-    ``boundary(t, y)`` scalar adds a ``BOUNDARY_EXIT`` event at its first
-    zero crossing from below; like the field, it receives the flat state
-    ``y`` as a list of floats.
+    event if ``|x|`` reaches ``cfg.fall_threshold``.
     """
     cfg = cfg or IntegratorConfig()
     _check_start(s0, params, cfg)
     fun = make_field(params, F)
-    evs = _fall_events(params.dim, cfg.fall_threshold, boundary)
+    evs = _fall_events(params.dim, cfg.fall_threshold)
     return integrate_field(fun, t0, t1, s0.flat(), cfg, evs)
 

@@ -32,13 +32,14 @@ log = logging.getLogger(__name__)
 # the circular stirring of amplitude 1.5 in the plane) take 5 to 11.  On the
 # line at T = 3, where single shooting crawls, 400 runs end at lam = 0.104.
 _MAX_ATTEMPTS = 400
+# relative step of the central differences in poincare_jacobian
+_FD_STEP = 1e-7
 
 __all__ = [
     "ContinuationConfig",
     "PeriodicOrbitResult",
     "poincare_map",
     "poincare_jacobian",
-    "newton_correct",
     "continue_in_lambda",
     "result_to_dict",
     "save_result_json",
@@ -120,14 +121,14 @@ def _period_pass(z: PhaseState, params: ModelParams, F: PeriodicSignal,
 
 def poincare_jacobian(z: PhaseState, params: ModelParams, F: PeriodicSignal,
                       cfg: IntegratorConfig | None = None,
-                      mode: str = "finite_difference",
-                      fd_step: float = 1e-7) -> np.ndarray:
+                      mode: str = "finite_difference") -> np.ndarray:
     """Derivative of the period map at ``z``.
 
-    ``finite_difference`` uses central differences of the map itself;
-    ``variational`` integrates the linearized equations alongside the
-    orbit.  The two agree to the step/tolerance error and the variational
-    matrix at a fixed point is the monodromy matrix of the orbit.
+    ``finite_difference`` uses central differences of the map itself, with
+    steps ``_FD_STEP * (1 + |z_j|)``; ``variational`` integrates the
+    linearized equations alongside the orbit.  The two agree to the
+    step/tolerance error and the variational matrix at a fixed point is the
+    monodromy matrix of the orbit.
     """
     cfg = cfg or IntegratorConfig()
     if mode == "variational":
@@ -138,7 +139,7 @@ def poincare_jacobian(z: PhaseState, params: ModelParams, F: PeriodicSignal,
     z0 = z.flat()
     J = np.empty((n, n))
     for j in range(n):
-        h = fd_step * (1.0 + abs(float(z0[j])))
+        h = _FD_STEP * (1.0 + abs(float(z0[j])))
         zp = z0.copy()
         zm = z0.copy()
         zp[j] += h
@@ -216,23 +217,6 @@ def _finish(z: PhaseState, residual: float, path: list, params: ModelParams,
     return PeriodicOrbitResult(fixed_point=z, residual=res,
                                lambda_path=path, orbit=orbit,
                                monodromy=monodromy)
-
-
-def newton_correct(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
-                   cfg: IntegratorConfig | None = None,
-                   ccfg: ContinuationConfig | None = None) -> PeriodicOrbitResult:
-    """Refine ``z0`` to a fixed point of the period map by Newton iteration.
-
-    The converged point is re-integrated over one period to report an
-    honest residual, and the variational monodromy is attached.  Raises
-    ``NewtonConvergenceError`` / ``IllConditionedError`` / ``FallError``
-    as in the bare iteration.
-    """
-    cfg = cfg or IntegratorConfig()
-    ccfg = ccfg or ContinuationConfig()
-    z, residual = _newton(z0, params, F, cfg, ccfg)
-    path = [(params.lam, z.flat().copy(), residual)]
-    return _finish(z, residual, path, params, F, cfg)
 
 
 def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,

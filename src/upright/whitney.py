@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,7 +27,6 @@ __all__ = [
     "JourneySpec",
     "BisectionStep",
     "SurvivorSearchResult",
-    "classify",
     "bisect_survivor",
     "transcript_to_csv",
     "planar_survivor_grid",
@@ -90,6 +89,8 @@ class SurvivorSearchResult:
 
 def _classify_with_time(x0: float, journey: JourneySpec,
                         cfg: IntegratorConfig) -> tuple[FallClass, float]:
+    """Fate and fall time (nan if it survives) of the rod released at rest
+    from ``x0`` over the journey window."""
     if not abs(x0) < 1.0:
         raise ValueError(f"|x0| must be < 1, got {x0}")
     params = ModelParams(G=journey.G, lam=1.0, dim=1)
@@ -101,16 +102,6 @@ def _classify_with_time(x0: float, journey: JourneySpec,
     if ev.kind is EventKind.FALL_POSITIVE:
         return FallClass.FALLS_POSITIVE, ev.time
     return FallClass.FALLS_NEGATIVE, ev.time
-
-
-def classify(x0: float, journey: JourneySpec,
-             cfg: IntegratorConfig | None = None) -> FallClass:
-    """Fate of the rod released at rest from ``x0`` over the journey window."""
-    cfg = cfg or IntegratorConfig()
-    if journey.F.dim != 1:
-        raise ValueError("classification by release position needs a 1-d journey")
-    outcome, _ = _classify_with_time(float(x0), journey, cfg)
-    return outcome
 
 
 def bisect_survivor(journey: JourneySpec, cfg: IntegratorConfig | None = None,

@@ -21,10 +21,9 @@ from numpy import cosh, sinh, sqrt
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from upright.bounds import (BoundSetSpec, compute_a_linear, compute_a_planar,
-                            compute_b_linear, compute_b_planar,
-                            orbit_containment, save_certificate_json,
-                            verify_bound_set)
+from upright.bounds import (BoundSetSpec, compute_a, compute_b_linear,
+                            compute_b_planar, orbit_containment,
+                            save_certificate_json, verify_bound_set)
 from upright.cli import main
 from upright.dynamics import ModelParams, PhaseState
 from upright.forcing import make_fourier_forcing
@@ -80,14 +79,14 @@ def planar_orbit():
 
 @pytest.fixture(scope="session")
 def linear_constants():
-    a = compute_a_linear(G_EARTH, 2.0, 0.5)
+    a = compute_a(G_EARTH, 2.0, 0.5)
     b = compute_b_linear(a, 2.0, 0.5)
     return a, b
 
 
 @pytest.fixture(scope="session")
 def planar_constants():
-    a = compute_a_planar(G_EARTH, 1.5, 0.5)
+    a = compute_a(G_EARTH, 1.5, 0.5)
     b, _ = compute_b_planar(a, F_PLA, G_EARTH, samples_per_face=8)
     return a, b
 
@@ -136,7 +135,7 @@ def test_linear_periodic_orbit(linear_orbit, linear_constants):
     assert np.linalg.norm(Pz.flat() - z.flat()) < 1e-8
     traj = evolve(0.0, 3.0, z, params, F_LIN, TIGHT)
     for k in (1.0, 2.0, 3.0):
-        assert np.linalg.norm(traj.dense_eval(k).flat() - z.flat()) < 3e-8
+        assert np.linalg.norm(traj.dense_array([k])[0] - z.flat()) < 3e-8
     report = orbit_containment(traj, BoundSetSpec(a, b, 1))
     assert report["contained"], report
     assert elapsed < 60.0, f"continuation took {elapsed:.1f}s"
@@ -153,7 +152,7 @@ def test_planar_periodic_orbit(planar_orbit, planar_constants):
     assert np.linalg.norm(Pz.flat() - z.flat()) < 1e-8
     traj = evolve(0.0, 3.0, z, params, F_PLA, TIGHT)
     for k in (1.0, 2.0, 3.0):
-        assert np.linalg.norm(traj.dense_eval(k).flat() - z.flat()) < 3e-8
+        assert np.linalg.norm(traj.dense_array([k])[0] - z.flat()) < 3e-8
     report = orbit_containment(traj, BoundSetSpec(a, b, 2))
     assert report["contained"], report
 
@@ -191,7 +190,7 @@ def test_orbit_demos_reproduce_committed_csv(tmp_path):
            "demos/output/certificate_{pass,fail}.json byte for byte")
 def test_certificate_demo_reproduces_committed_json(tmp_path):
     # the config of demos/bound_set_certificate.py
-    a = compute_a_linear(G_EARTH, 2.0, margin=0.5)
+    a = compute_a(G_EARTH, 2.0, margin=0.5)
     b = compute_b_linear(a, 2.0, margin=0.5)
     for name, slope in (("certificate_pass.json", b),
                         ("certificate_fail.json", 1.0)):
@@ -235,14 +234,20 @@ def test_velocity_alignment_on_gates(planar_certificate):
     assert np.all(cert.xtp_abs <= cert.xtp_bound + 1e-9)
 
 
-# b, min_margin_gamma and min_margin_delta of three planar certificates as
-# the 32-angle scan plus bisection located the cone gates: circular and
+# a, b, min_margin_gamma and min_margin_delta of three planar certificates
+# as the 32-angle scan plus bisection located the cone gates: circular and
 # four-harmonic forcing (the benchmark's ``certify`` inputs) at 6 samples
-# per face and seed 1, and the ``planar_certificate`` fixture.
+# per face and seed 1, and the constants of the ``planar_certificate``
+# fixture (b at 8 samples per face, the certificate at 16).  ``a`` is the
+# cylinder radius of that time, a root found by scan and bisection; the
+# closed form of ``compute_a`` differs from it by rounding only.
 SCANNED_GATE_CERTIFICATES = {
-    "circle": (4.895909838375161, 2.081233702588486, 42.93686908500601),
-    "four_harmonics": (5.57902769511731, 2.0772064817152973, 43.76104044081853),
-    "fixture": (4.894929803842235, 2.0802741324161507, 42.9205487003476),
+    "circle": (0.5756875158306229, 4.895909838375161, 2.081233702588486,
+               42.93686908500601),
+    "four_harmonics": (0.5921084515564417, 5.57902769511731,
+                       2.0772064817152973, 43.76104044081853),
+    "fixture": (0.5755742408625792, 4.894929803842235, 2.0802741324161507,
+                42.9205487003476),
 }
 
 
@@ -252,19 +257,35 @@ def test_planar_certificates_match_scanned_gates(planar_certificate):
     four = make_fourier_forcing(
         1.0, 2, [(1.0, 0.2), (0.3, 0.1), (0.1, 0.2), (0.05, 0.05)],
         [(0.1, 1.0), (0.2, 0.3), (0.1, 0.1), (0.05, 0.02)])
-    certs = {"fixture": (planar_certificate.spec.b, planar_certificate)}
-    for name, F in (("circle", F_PLA), ("four_harmonics", four)):
-        a = compute_a_planar(G_EARTH, F.sup_norm, 0.5)
-        certs[name] = compute_b_planar(a, F, G_EARTH, np.linspace(0.0, 1.0, 21),
-                                       samples_per_face=6, seed=1)
+    inputs = {"circle": (F_PLA, F_PLA.sup_norm, 6, 1),
+              "four_harmonics": (four, four.sup_norm, 6, 1),
+              "fixture": (F_PLA, 1.5, 8, 0)}
+    certs = {}
+    for name, (F, F_norm, spf, seed) in inputs.items():
+        a_ref = SCANNED_GATE_CERTIFICATES[name][0]
+        assert abs(compute_a(G_EARTH, F_norm, 0.5) - a_ref) <= 1e-12, name
+        b, cert = compute_b_planar(a_ref, F, G_EARTH, np.linspace(0.0, 1.0, 21),
+                                   samples_per_face=spf, seed=seed)
+        if name == "fixture":
+            cert = verify_bound_set(BoundSetSpec(a_ref, b, 2), G_EARTH, F,
+                                    samples_per_face=16)
+        certs[name] = (b, cert)
     for name, (b, cert) in certs.items():
-        b_ref, gamma_ref, delta_ref = SCANNED_GATE_CERTIFICATES[name]
+        _, b_ref, gamma_ref, delta_ref = SCANNED_GATE_CERTIFICATES[name]
         assert b == b_ref, name
         assert cert.verified, name
         assert cert.min_margin_gamma == gamma_ref, name
         assert abs(cert.min_margin_delta - delta_ref) <= 1e-9 * delta_ref, name
         assert cert.spot_checks == {"attempted": 50, "passed": 50,
                                     "failures": []}, name
+    # at the closed-form radius the fixture keeps its verdict, its spot
+    # checks and both margins to 1e-9
+    _, _, gamma_ref, delta_ref = SCANNED_GATE_CERTIFICATES["fixture"]
+    cert = planar_certificate
+    assert cert.verified
+    assert abs(cert.min_margin_gamma - gamma_ref) <= 1e-9 * gamma_ref
+    assert abs(cert.min_margin_delta - delta_ref) <= 1e-9 * delta_ref
+    assert cert.spot_checks == {"attempted": 50, "passed": 50, "failures": []}
 
 
 @criterion("period-map Jacobians: finite differences vs variational to "

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from upright import bounds
-from upright.bounds import (BoundSetSpec, _cone_gate_roots, _cone_gate_terms,
-                            _cone_quantities, _cylinder_quantities,
-                            certificate_to_dict, compute_a_linear,
-                            compute_a_planar, compute_b_linear,
-                            compute_b_planar, degree_of_autonomous_field,
-                            exit_cone_check, orbit_containment,
-                            save_certificate_json, verify_bound_set)
+from upright.bounds import (BoundSetSpec, _cone_branch_terms, _cone_gate_roots,
+                            _cone_gate_terms, _cone_quantities,
+                            _cylinder_quantities, certificate_to_dict,
+                            compute_a, compute_b_linear, compute_b_planar,
+                            degree_of_autonomous_field, exit_cone_check,
+                            orbit_containment, save_certificate_json,
+                            verify_bound_set)
 from upright.dynamics import ModelParams, PhaseState, make_field
 from upright.errors import BoundVerificationError
 from upright.forcing import make_fourier_forcing
@@ -31,15 +31,15 @@ Z2 = make_fourier_forcing(1.0, 2, [(0.0, 0.0)], [])
 # -- closed-form constants ----------------------------------------------
 
 def test_a_linear_unforced():
-    assert compute_a_linear(9.81, 0.0, 0.5) == pytest.approx(0.5)
+    assert compute_a(9.81, 0.0, 0.5) == pytest.approx(0.5)
 
 
 def test_a_linear_threshold_values():
     # a* = F/sqrt(G^2+F^2); the returned radius interpolates toward 1
-    a = compute_a_linear(1.0, 1.0, 0.5)
+    a = compute_a(1.0, 1.0, 0.5)
     a_star = (a - 0.5) / 0.5
     assert a_star == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-    a = compute_a_linear(9.81, 2.0, 0.5)
+    a = compute_a(9.81, 2.0, 0.5)
     a_star = (a - 0.5) / 0.5
     assert a_star == pytest.approx(2.0 / math.sqrt(9.81 ** 2 + 4.0), abs=1e-15)
     assert a_star == pytest.approx(0.19978, abs=5e-5)
@@ -49,7 +49,7 @@ def test_a_linear_threshold_values():
 @given(G=st.floats(0.1, 50.0), Fn=st.floats(0.0, 20.0),
        m=st.floats(0.05, 0.95))
 def test_a_linear_properties(G, Fn, m):
-    a = compute_a_linear(G, Fn, m)
+    a = compute_a(G, Fn, m)
     assert 0.0 < a < 1.0
     a_star = (a - m) / (1.0 - m)
     # the threshold radius balances gravity against the forcing exactly
@@ -68,7 +68,7 @@ def test_b_linear_threshold_values():
 
 def test_a_planar_against_root_finder():
     for G, Fn in ((1.0, 1.0), (9.81, 1.5), (5.0, 3.0)):
-        a = compute_a_planar(G, Fn, 0.5)
+        a = compute_a(G, Fn, 0.5)
         a_star = (a - 0.5) / 0.5
         h = lambda s: G * s * math.sqrt(1 + s) - (1 + s) * Fn * math.sqrt(1 - s)
         ref = brentq(h, 1e-9, 1.0 - 1e-9, xtol=1e-13)
@@ -76,10 +76,10 @@ def test_a_planar_against_root_finder():
 
 
 def test_a_planar_unforced_and_monotone():
-    assert compute_a_planar(9.81, 0.0, 0.5) == pytest.approx(0.5)
+    assert compute_a(9.81, 0.0, 0.5) == pytest.approx(0.5)
     prev = 0.0
     for Fn in (0.5, 1.0, 2.0, 4.0):
-        a = compute_a_planar(9.81, Fn, 0.5)
+        a = compute_a(9.81, Fn, 0.5)
         assert a > prev
         prev = a
 
@@ -93,7 +93,7 @@ def test_b_planar_start_respects_quartic_bound():
 
 
 def test_b_planar_certificate_and_cap(monkeypatch):
-    a = compute_a_planar(9.81, 1.5, 0.5)
+    a = compute_a(9.81, 1.5, 0.5)
     b, cert = compute_b_planar(a, F2, 9.81, samples_per_face=6)
     assert cert.verified
     assert cert.spec.b == b
@@ -145,8 +145,9 @@ def test_curvature_cone_unforced_orthogonal_sample():
     b = 3.0
     x = np.array([0.2, 0.0])
     p_mag = b * (1.0 - 0.2)
-    gate, curv = _cone_quantities([0.0], [x], [[0.0, p_mag]], 0.0, Z2, 9.81, b)
-    assert gate[0] == 0.0
+    g0, _ = _cone_branch_terms([0.0], [x], [[0.0, p_mag]], Z2, 9.81, b)
+    curv = _cone_quantities([0.0], [x], [[0.0, p_mag]], 0.0, Z2, 9.81, b)
+    assert g0[0] == 0.0
     assert curv[0] > 0.0
 
 
@@ -177,7 +178,8 @@ F4 = make_fourier_forcing(
 def _cone_gate(t, theta, r, psi, lam, F, b, G=9.81):
     x = r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     p = (b * (1.0 - r))[:, None] * np.stack([np.cos(psi), np.sin(psi)], axis=1)
-    return _cone_quantities(t, x, p, lam, F, G, b, want_curvature=False)[0]
+    g0, g1 = _cone_branch_terms(t, x, p, F, G, b)
+    return g0 + lam * g1
 
 
 def _scanned_gate_roots(t, theta, r, lam, F, b, n=4096):
@@ -329,7 +331,7 @@ def test_verify_linear_unforced_closed_form_config():
 
 
 def test_verify_linear_forced_config():
-    a = compute_a_linear(9.81, 2.0, 0.5)
+    a = compute_a(9.81, 2.0, 0.5)
     b = compute_b_linear(a, 2.0, 0.5)
     cert = verify_bound_set(BoundSetSpec(a, b, 1), 9.81, F1, samples_per_face=8)
     assert cert.verified
@@ -341,7 +343,7 @@ def test_verify_linear_forced_config():
 def test_verify_detects_undersized_cone():
     # with b^2 below |F| even the cone vertex stops repelling; the
     # certificate must fail and name offending face samples
-    a = compute_a_linear(9.81, 2.0, 0.5)
+    a = compute_a(9.81, 2.0, 0.5)
     cert = verify_bound_set(BoundSetSpec(a, 1.0, 1), 9.81, F1,
                             samples_per_face=8)
     assert not cert.verified
@@ -354,7 +356,7 @@ def test_verify_detects_undersized_cone():
 
 
 def test_verify_planar_config():
-    a = compute_a_planar(9.81, 1.5, 0.5)
+    a = compute_a(9.81, 1.5, 0.5)
     b, _ = compute_b_planar(a, F2, 9.81, samples_per_face=6)
     cert = verify_bound_set(BoundSetSpec(a, b, 2), 9.81, F2, samples_per_face=6)
     assert cert.verified
@@ -375,7 +377,7 @@ def test_verify_deterministic_given_seed():
 
 
 def test_verify_density_stability_linear():
-    a = compute_a_linear(9.81, 2.0, 0.5)
+    a = compute_a(9.81, 2.0, 0.5)
     b = compute_b_linear(a, 2.0, 0.5)
     spec = BoundSetSpec(a, b, 1)
     c1 = verify_bound_set(spec, 9.81, F1, samples_per_face=8)
@@ -409,8 +411,8 @@ LINEAR_CERTIFICATES = {
 
 
 def test_linear_certificates_match_reference_values():
-    a_c = compute_a_linear(9.81, F1.sup_norm, 0.5)
-    a_d = compute_a_linear(9.81, 2.0, 0.5)
+    a_c = compute_a(9.81, F1.sup_norm, 0.5)
+    a_d = compute_a(9.81, 2.0, 0.5)
     runs = {"certify": (a_c, compute_b_linear(a_c, F1.sup_norm, 0.5), 32, 1),
             "refute": (a_c, 1.0, 32, 1),
             "demo": (a_d, compute_b_linear(a_d, 2.0, 0.5), 16, 0),
@@ -441,8 +443,8 @@ def test_lambda_free_kernels_run_once_per_verification(monkeypatch):
 
     for name in ("_cylinder_terms", "_cone_branch_terms", "_cone_gate_terms"):
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
-    a1 = compute_a_linear(9.81, 2.0, 0.5)
-    a2 = compute_a_planar(9.81, 1.5, 0.5)
+    a1 = compute_a(9.81, 2.0, 0.5)
+    a2 = compute_a(9.81, 1.5, 0.5)
     for spec, F, cone in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0, 0.5), 1),
                            F1, "_cone_branch_terms"),
                           (BoundSetSpec(a2, 5.0, 2), F2, "_cone_gate_terms")):

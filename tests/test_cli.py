@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import upright
 from upright import poincare
 from upright.cli import DEFAULT_CONFIG, load_config, main
@@ -257,6 +259,20 @@ def test_whitney_search_no_bracket(tmp_path):
                   journey={"t_end": 20.0, "depth": 10})
     assert rc == 4
     assert not (out / "transcript.csv").exists()
+
+
+# -- step budget --------------------------------------------------------------
+
+@pytest.mark.parametrize("command",
+                         ["simulate", "whitney-search", "solve-periodic"])
+def test_step_budget_exhaustion_exits_5(tmp_path, caplog, command):
+    # five step attempts cannot finish any integration these runs need
+    rc, out = run(tmp_path, command, problem="linear",
+                  forcing={"cosine": [2.0]}, integrator={"max_steps": 5},
+                  bounds={"samples_per_face": 8})
+    assert rc == 5
+    assert "step budget exhausted" in caplog.text
+    assert not (out / "result.json").exists()
 
 
 # -- config handling ----------------------------------------------------------

@@ -24,7 +24,7 @@ def test_equilibrium_stays_put():
     traj = evolve(0.0, 5.0, PhaseState(0.0, 0.0), params, Z1)
     assert traj.events == []
     assert np.allclose(traj.end_state().flat(), [0.0, 0.0], atol=1e-13)
-    assert np.allclose(traj.dense_eval(2.34).flat(), [0.0, 0.0], atol=1e-13)
+    assert np.allclose(traj.dense_array([2.34])[0], [0.0, 0.0], atol=1e-13)
 
 
 def test_unstable_equilibrium_fall_against_rk4():
@@ -54,7 +54,7 @@ def test_states_match_rk4_before_fall():
                                   lambda s: 2.0 * math.cos(TWO_PI * s))
     for t in (0.25, 0.5, 0.75, 1.0):
         ref = rk4_integrate(fun, 0.0, t, [0.1, 0.0], h=1e-4)
-        assert np.allclose(traj.dense_eval(t).flat(), ref, rtol=1e-7, atol=1e-8)
+        assert np.allclose(traj.dense_array([t])[0], ref, rtol=1e-7, atol=1e-8)
 
 
 def test_semigroup_property():
@@ -68,23 +68,24 @@ def test_semigroup_property():
     assert np.allclose(whole.flat(), two_leg.flat(), atol=1e-8)
 
 
-def test_dense_eval_interpolates_nodes():
+def test_dense_array_interpolates_nodes():
     params = ModelParams(G=9.81, lam=1.0, dim=1)
     traj = evolve(0.0, 1.0, PhaseState(0.05, 0.1), params, F1)
     for i in range(0, len(traj.t_nodes), 5):
         t = traj.t_nodes[i]
-        assert np.allclose(traj.dense_eval(float(t)).flat(), traj.states[i],
+        assert np.allclose(traj.dense_array([t])[0], traj.states[i],
                            rtol=1e-12, atol=1e-12)
 
 
-def test_dense_array_matches_dense_eval():
+def test_dense_array_matches_pointwise_evaluation():
+    # a block of times spans many steps; each row must be what the step's
+    # interpolant gives at that time alone
     params = ModelParams(G=9.81, lam=1.0, dim=1)
     traj = evolve(0.0, 1.0, PhaseState(0.05, 0.1), params, F1)
     ts = np.linspace(0.0, 1.0, 37)
     block = traj.dense_array(ts)
     for i, t in enumerate(ts):
-        assert np.allclose(block[i], traj.dense_eval(float(t)).flat(),
-                           atol=1e-14)
+        assert np.allclose(block[i], traj.dense_array([t])[0], atol=1e-14)
 
 
 def test_fall_event_is_localized_on_threshold():
@@ -92,7 +93,7 @@ def test_fall_event_is_localized_on_threshold():
     cfg = IntegratorConfig()
     traj = evolve(0.0, 20.0, PhaseState(0.1, 0.0), params, Z1, cfg)
     ev = traj.fall_event
-    x_at_event = abs(traj.dense_eval(ev.time).x.item())
+    x_at_event = abs(traj.dense_array([ev.time])[0, 0])
     # |x| sits on the threshold to localization accuracy
     assert x_at_event == pytest.approx(cfg.fall_threshold, abs=1e-9)
     assert ev.time == traj.t_nodes[-1]
@@ -113,18 +114,20 @@ def test_planar_fall_kind():
 
 
 def test_boundary_event_gets_a_list_and_stops_the_run():
+    # an event function, like the field, receives the flat state as a list,
+    # and the run ends at its first zero crossing; the kind is only a label
     seen = set()
 
     def boundary(t, y):
         seen.add(type(y))
         return y[0] * y[0] + y[1] * y[1] - 0.25
 
-    params = ModelParams(G=1.0, lam=0.0, dim=1)
-    traj = evolve(0.0, 20.0, PhaseState(0.1, 0.0), params, Z1, boundary=boundary)
+    fun = make_field(ModelParams(G=1.0, lam=0.0, dim=1), Z1)
+    traj = integrate_field(fun, 0.0, 20.0, [0.1, 0.0], IntegratorConfig(),
+                           [(EventKind.FALL_POSITIVE, boundary)])
     assert seen == {list}
-    assert traj.fall_event is None
     (ev,) = traj.events
-    assert ev.kind is EventKind.BOUNDARY_EXIT
+    assert ev is traj.fall_event
     assert ev.time == traj.t_end < 20.0
     assert ev.state[0] ** 2 + ev.state[1] ** 2 == pytest.approx(0.25, abs=1e-9)
 

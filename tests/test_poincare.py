@@ -15,8 +15,8 @@ from upright.dynamics import ModelParams, PhaseState
 from upright.errors import ContinuationStuckError, FallError
 from upright.forcing import make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve
-from upright.poincare import (ContinuationConfig, PeriodicOrbitResult,
-                              _period_pass, continue_in_lambda, newton_correct,
+from upright.poincare import (ContinuationConfig, PeriodicOrbitResult, _finish,
+                              _newton, _period_pass, continue_in_lambda,
                               poincare_jacobian, poincare_map, result_to_dict,
                               save_result_json)
 
@@ -30,6 +30,15 @@ F_SMALL = make_fourier_forcing(1.0, 1, [0.05], [])
 F_LIN = make_fourier_forcing(1.0, 1, [2.0], [])
 F_CIRCLE = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+def refine(z0, params, F, ccfg=ContinuationConfig()):
+    """Newton on the period map from ``z0``, then the converged point's
+    orbit, honest residual and monodromy, as continuation finishes."""
+    cfg = IntegratorConfig()
+    z, residual = _newton(z0, params, F, cfg, ccfg)
+    return _finish(z, residual, [(params.lam, z.flat().copy(), residual)],
+                   params, F, cfg)
 
 
 def test_poincare_map_fixes_origin():
@@ -181,7 +190,7 @@ def test_continuation_gives_up_after_its_attempt_budget(monkeypatch):
 
 def test_newton_converges_to_origin():
     params = ModelParams(G=1.0, lam=0.0, dim=1)
-    result = newton_correct(PhaseState(1e-3, 0.0), params, Z1)
+    result = refine(PhaseState(1e-3, 0.0), params, Z1)
     assert isinstance(result, PeriodicOrbitResult)
     assert result.residual < 1e-10
     assert np.linalg.norm(result.fixed_point.flat()) < 1e-10
@@ -194,7 +203,7 @@ def test_newton_is_idempotent_at_a_fixed_point():
     params = ModelParams(G=9.81, lam=1.0, dim=1)
     ccfg = ContinuationConfig()
     first = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_SMALL)
-    again = newton_correct(first.fixed_point, params, F_SMALL, ccfg=ccfg)
+    again = refine(first.fixed_point, params, F_SMALL, ccfg)
     shift = np.linalg.norm(again.fixed_point.flat() - first.fixed_point.flat())
     assert shift <= ccfg.newton_tol
 
@@ -234,8 +243,7 @@ def test_found_orbit_agrees_with_fixed_step_reintegration():
 def test_orbit_endpoints_match_fixed_point():
     result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_SMALL)
     z = result.fixed_point.flat()
-    start = result.orbit.dense_eval(0.0).flat()
-    end = result.orbit.dense_eval(1.0).flat()
+    start, end = result.orbit.dense_array([0.0, 1.0])
     assert np.allclose(start, z, atol=1e-12)
     assert np.linalg.norm(end - z) <= result.residual + 1e-10
 
@@ -253,7 +261,7 @@ def test_small_amplitude_response_scales_linearly():
 def test_monodromy_sign_consistency():
     # sign det(M - I) at lam=0 equals the degree of the autonomous field
     params = ModelParams(G=1.0, lam=0.0, dim=1)
-    result = newton_correct(PhaseState(0.0, 0.0), params, Z1)
+    result = refine(PhaseState(0.0, 0.0), params, Z1)
     d = np.linalg.det(result.monodromy - np.eye(2))
     oracle = np.linalg.det(expm(np.array([[0.0, 1.0], [1.0, 0.0]])) - np.eye(2))
     assert math.copysign(1.0, d) == math.copysign(1.0, oracle) == -1.0

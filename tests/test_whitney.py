@@ -11,8 +11,8 @@ from upright.errors import BracketError
 from upright.forcing import make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve
 from upright.dynamics import ModelParams, PhaseState
-from upright.whitney import (FallClass, JourneySpec, bisect_survivor,
-                             classify, planar_survivor_grid,
+from upright.whitney import (FallClass, JourneySpec, _classify_with_time,
+                             bisect_survivor, planar_survivor_grid,
                              transcript_to_csv)
 
 # the reference journey used throughout: half-strength sine push for ten
@@ -24,6 +24,11 @@ F_PLANAR = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
 
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+def classify(x0, journey):
+    """Fate of the rod released at rest from ``x0`` over the journey."""
+    return _classify_with_time(x0, journey, IntegratorConfig())[0]
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +62,8 @@ def test_classify_matches_fixed_step_oracle():
 def test_classify_validates_inputs():
     with pytest.raises(ValueError):
         classify(1.0, JOURNEY)
-    with pytest.raises(ValueError):
-        classify(0.0, JourneySpec(F=F_PLANAR, t_end=1.0, G=9.81))
+    with pytest.raises(ValueError, match="1-d journey"):
+        bisect_survivor(JourneySpec(F=F_PLANAR, t_end=1.0, G=9.81))
 
 
 def test_journey_validation():
