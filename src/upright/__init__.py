@@ -17,10 +17,10 @@ from .errors import (BoundVerificationError, BracketError,
                      StepBudgetError, UprightError)
 from .forcing import (PathSamples, PeriodicSignal, ingest_path,
                       make_fourier_forcing, read_path_csv)
-from .integrator import (Event, EventKind, IntegratorConfig, Trajectory,
-                         evolve, integrate_field)
-from .poincare import (ContinuationConfig, PeriodicOrbitResult,
-                       continue_in_lambda, poincare_jacobian, poincare_map)
+from .integrator import (FALL_THRESHOLD, Event, EventKind, IntegratorConfig,
+                         Trajectory, evolve, integrate_field)
+from .poincare import (PeriodicOrbitResult, continue_in_lambda,
+                       poincare_jacobian, poincare_map)
 from .whitney import (BisectionStep, FallClass, JourneySpec,
                       SurvivorSearchResult, bisect_survivor,
                       planar_survivor_grid, transcript_to_csv)
@@ -35,11 +35,11 @@ __all__ = [
     # dynamics
     "GUARD", "ModelParams", "PhaseState", "jacobian", "make_field",
     # integration
-    "IntegratorConfig", "EventKind", "Event", "Trajectory", "evolve",
-    "integrate_field",
+    "FALL_THRESHOLD", "IntegratorConfig", "EventKind", "Event", "Trajectory",
+    "evolve", "integrate_field",
     # periodic orbits
-    "ContinuationConfig", "PeriodicOrbitResult", "poincare_map",
-    "poincare_jacobian", "continue_in_lambda",
+    "PeriodicOrbitResult", "poincare_map", "poincare_jacobian",
+    "continue_in_lambda",
     # bound sets
     "BoundSetSpec", "BoundSetCertificate", "compute_a", "compute_b_linear",
     "compute_b_planar", "exit_cone_check", "verify_bound_set",

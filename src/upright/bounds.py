@@ -153,7 +153,7 @@ _B_CAP = 1e6
 
 
 def compute_b_planar(a: float, F: PeriodicSignal, G: float,
-                     lambda_grid=None, cfg: IntegratorConfig | None = None, *,
+                     cfg: IntegratorConfig | None = None, *,
                      samples_per_face: int = 16, seed: int = 0):
     """Cone slope for the planar problem and its certificate, ``(b, cert)``.
 
@@ -169,8 +169,7 @@ def compute_b_planar(a: float, F: PeriodicSignal, G: float,
     while b <= _B_CAP:
         spec = BoundSetSpec(a=a, b=b, dim=F.dim)
         cert = verify_bound_set(spec, G, F, cfg,
-                                samples_per_face=samples_per_face,
-                                lambda_grid=lambda_grid, seed=seed)
+                                samples_per_face=samples_per_face, seed=seed)
         if cert.verified:
             return b, cert
         last_cert = cert
@@ -347,28 +346,25 @@ def _cone_gate_roots(theta, K, B, L):
     return cells[~dup], psi[~dup]
 
 
-def exit_cone_check(t: float, p, F: PeriodicSignal, lambda_grid,
-                    G: float | None = None,
+def exit_cone_check(t: float, p, F: PeriodicSignal, G: float | None = None,
                     cfg: IntegratorConfig | None = None) -> bool:
     """Exit condition at the cone vertex ``(x, p) = (0, p)`` with ``|p| = b``.
 
     Analytically the vertex repels when ``b^2 > |F|_sup``.  When ``G`` is
     supplied the verdict is additionally confirmed by a short integration
-    from the vertex at the largest forcing scale in ``lambda_grid``,
-    requiring the cone gauge to become positive within ``1e-3`` periods.
+    from the vertex at the full forcing scale ``lam = 1``, requiring the
+    cone gauge to become positive within ``1e-3`` periods.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     b = float(np.linalg.norm(p))
     analytic = b * b > F.sup_norm
     if not analytic or G is None:
         return analytic
-    cfg = cfg or IntegratorConfig()
-    lam = float(np.max(np.asarray(lambda_grid, dtype=float)))
-    params = ModelParams(G=G, lam=lam, dim=p.shape[0])
+    params = ModelParams(G=G, lam=1.0, dim=p.shape[0])
     fun = make_field(params, F)
     y0 = np.concatenate([np.zeros_like(p), p])
     dt = 1e-3 * F.period
-    traj = integrate_field(fun, t, t + dt, y0, cfg)
+    traj = integrate_field(fun, t, t + dt, y0, cfg or IntegratorConfig())
     end = traj.states[-1]
     d = p.shape[0]
     n_end = b * float(np.linalg.norm(end[:d])) + float(np.linalg.norm(end[d:])) - b
@@ -392,6 +388,9 @@ def degree_of_autonomous_field(G: float, dim: int) -> int:
 
 # -- verification driver ------------------------------------------------
 
+# forcing scales at which every face is checked, ascending; the last is the
+# full forcing lam = 1
+_LAMBDA_GRID = np.linspace(0.0, 1.0, 21)
 # samples confirmed by two-sided integration in each verification
 _SPOT_CHECKS = 50
 # worst samples a margin pool reports
@@ -461,7 +460,7 @@ def _thresholds(spec: BoundSetSpec, G: float, F: PeriodicSignal) -> dict:
 
 
 # what one verification checks, and how densely; read by every face
-_Sampling = namedtuple("_Sampling", "spec G F cfg lams t_grid spf gate_tol rng")
+_Sampling = namedtuple("_Sampling", "spec G F cfg t_grid spf gate_tol rng")
 
 
 @dataclass
@@ -523,7 +522,7 @@ def _cylinder_samples(ctx: _Sampling):
 
 def _cylinder_face(ctx: _Sampling, rec: _Margins) -> None:
     """Cylinder ``|x| = a``: the curvature at every gate sample and scale."""
-    F, G, lams, rng = ctx.F, ctx.G, ctx.lams, ctx.rng
+    F, G, lams, rng = ctx.F, ctx.G, _LAMBDA_GRID, ctx.rng
     (tt, xs, ps), gates, onto_gate = _cylinder_samples(ctx)
     xp, base, slope = _cylinder_terms(tt, xs, ps, F, G)
     near = np.abs(xp) <= ctx.gate_tol
@@ -555,7 +554,7 @@ def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
     A branch is crossed outward where ``x p > 0`` and inward where
     ``x p < 0``, so the gate times ``sign(x p)`` is the margin.
     """
-    a, b, F, G, lams = ctx.spec.a, ctx.spec.b, ctx.F, ctx.G, ctx.lams
+    a, b, F, G, lams = ctx.spec.a, ctx.spec.b, ctx.F, ctx.G, _LAMBDA_GRID
     xi = np.concatenate([_jittered(a * 1e-3, a, 2 * ctx.spf, ctx.rng), [a]])
     n_t = ctx.t_grid.size
     tq = np.repeat(ctx.t_grid, xi.size)
@@ -595,7 +594,7 @@ def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
     xc = rc[:, None] * _unit(thc)
     pnorm = b * (1.0 - rc)
     K0, K1, B, f_perp = _cone_gate_terms(thc, rc, F.eval(tc), G, b)
-    for lam in ctx.lams:
+    for lam in _LAMBDA_GRID:
         cells, psi = _cone_gate_roots(thc, K0 - lam * K1, B, lam * f_perp)
         p_root = pnorm[cells, None] * _unit(psi)
         curv = _cone_quantities(tc[cells], xc[cells], p_root, lam, F, G, b)
@@ -636,7 +635,7 @@ def _vertex_face(ctx: _Sampling, rec: _Margins) -> bool:
                 "reason": reason}
 
     # the analytic exit condition b^2 > sup|F| is one verdict for every sample
-    ok = exit_cone_check(samples[0][0], vertex_ps[0], ctx.F, ctx.lams)
+    ok = exit_cone_check(samples[0][0], vertex_ps[0], ctx.F)
     if not ok:
         rec.failures.extend(failure(t, p, "analytic vertex exit condition fails")
                             for t, p in samples)
@@ -644,8 +643,7 @@ def _vertex_face(ctx: _Sampling, rec: _Margins) -> bool:
     for i in ctx.rng.choice(len(samples), size=min(5, len(samples)),
                             replace=False):
         t, p = samples[int(i)]
-        if ok and not exit_cone_check(t, p, ctx.F, ctx.lams, G=ctx.G,
-                                      cfg=ctx.cfg):
+        if ok and not exit_cone_check(t, p, ctx.F, G=ctx.G, cfg=ctx.cfg):
             ok = False
             rec.failures.append(failure(t, p, "vertex integration failed to exit"))
     return ok
@@ -689,8 +687,8 @@ def _spot_checks(ctx: _Sampling, rec: _Margins) -> dict:
 
 def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
                      cfg: IntegratorConfig | None = None,
-                     samples_per_face: int = 16,
-                     lambda_grid=None, *, seed: int = 0) -> BoundSetCertificate:
+                     samples_per_face: int = 16, *,
+                     seed: int = 0) -> BoundSetCertificate:
     """Sample the boundary faces and certify the trap conditions.
 
     One function per face writes to a shared margin record, in a fixed
@@ -708,19 +706,17 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
 
     Gates and curvatures are affine in the forcing scale ``lam``: each
     sample's terms free of ``lam`` (``F``, ``R``, ``x.p``, ``x.F``) are
-    computed once, and each scale of ``lambda_grid`` (21 in [0, 1] by
-    default) costs a multiply-add.  Only the planar cone gate points move
-    with ``lam``.
+    computed once, and each of the 21 scales of ``_LAMBDA_GRID`` costs a
+    multiply-add.  Only the planar cone gate points move with ``lam``.
     """
     if F.dim != spec.dim:
         raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")
-    if lambda_grid is None:
-        lambda_grid = np.linspace(0.0, 1.0, 21)
     rng = np.random.default_rng(seed)
     spf = int(samples_per_face)
+    if spf < 1:
+        raise ValueError(f"samples_per_face must be positive, got {samples_per_face}")
     ctx = _Sampling(
         spec=spec, G=G, F=F, cfg=cfg or IntegratorConfig(),
-        lams=np.sort(np.atleast_1d(np.asarray(lambda_grid, dtype=float))),
         t_grid=_jittered(0.0, F.period, 2 * spf, rng), spf=spf,
         gate_tol=1e-6 * spec.b * (1.0 + F.sup_norm + G), rng=rng)
     rec = _Margins()
@@ -735,7 +731,7 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     failures = rec.failures + [e for e in gamma.worst + delta.worst
                                if e["margin"] <= 0.0]
     return BoundSetCertificate(
-        spec=spec, lambda_grid=ctx.lams, boundary_samples=rec.total,
+        spec=spec, lambda_grid=_LAMBDA_GRID, boundary_samples=rec.total,
         min_margin_gamma=min_gamma, min_margin_delta=min_delta,
         corner_ok=corner_ok,
         verified=(min_gamma > 0.0) and (min_delta > 0.0) and corner_ok,

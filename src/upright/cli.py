@@ -9,9 +9,12 @@ simulate         one integration from a given initial state
 degree           sign of the autonomous Jacobian determinant at the origin
 
 Every run is driven by one JSON config file (see ``DEFAULT_CONFIG``);
-missing keys take defaults, so a minimal config can be a few lines.  All
-numeric output uses 17 significant digits and no timestamps, making reruns
-byte-stable.
+missing keys take defaults, so a minimal config can be a few lines.  An
+unknown key, a section that is not an object or a number that is not a
+JSON number is a config error.  Method settings that no run changes (fall
+threshold, continuation steps, Newton tolerance, trap margins, lam grid)
+are library constants.  All numeric output uses 17 significant digits and
+no timestamps, making reruns byte-stable.
 
 Exit codes: 0 success, 1 config error, 2 bound verification failure,
 3 continuation failure, 4 no bisection bracket, 5 integrator step budget
@@ -21,9 +24,9 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -39,7 +42,7 @@ from .errors import (BoundVerificationError, BracketError,
                      UprightError)
 from .forcing import ingest_path, make_fourier_forcing, read_path_csv
 from .integrator import IntegratorConfig, evolve
-from .poincare import ContinuationConfig, continue_in_lambda, save_result_json
+from .poincare import continue_in_lambda, save_result_json
 from .whitney import JourneySpec, bisect_survivor, transcript_to_csv
 
 __all__ = ["main", "entry", "DEFAULT_CONFIG", "load_config"]
@@ -59,23 +62,8 @@ DEFAULT_CONFIG = {
         # for type "path_csv":
         "path": None,
     },
-    "integrator": {
-        "rel_tol": 1e-9,
-        "abs_tol": 1e-11,
-        "max_step": math.inf,
-        "fall_threshold": 1.0 - 1e-6,
-        "max_steps": 1_000_000,
-    },
-    "continuation": {
-        "lambda_step_init": 0.1,
-        "lambda_step_min": 1e-4,
-        "newton_tol": 1e-10,
-        "newton_max_iters": 25,
-    },
+    "integrator": dataclasses.asdict(IntegratorConfig()),
     "bounds": {
-        "a_margin": 0.5,
-        "b_margin": 0.5,
-        "lambda_grid_size": 21,
         "samples_per_face": 16,
         "a_override": None,
         "b_override": None,
@@ -93,19 +81,38 @@ DEFAULT_CONFIG = {
 }
 
 
+# settings whose default is null but that take a number when set
+_OPTIONAL_NUMBERS = ("bounds.a_override", "bounds.b_override")
+
+
 class ConfigError(UprightError, ValueError):
     pass
 
 
 def _merge(defaults: dict, user: dict, path: str = "") -> dict:
+    """``defaults`` updated by ``user``: sections must be objects, strings
+    strings, numbers numbers (not bools), each taking its default's type."""
     out = copy.deepcopy(defaults)
     for key, value in user.items():
+        name = path + key
         if key not in defaults:
-            raise ConfigError(f"unknown config key: {path + key!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            out[key] = _merge(defaults[key], value, path + key + ".")
-        else:
-            out[key] = value
+            raise ConfigError(f"unknown config key: {name!r}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+            value = _merge(default, value, name + ".")
+        elif isinstance(default, str) and not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        elif isinstance(default, (int, float)) or (name in _OPTIONAL_NUMBERS
+                                                   and value is not None):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            try:
+                value = float(value) if default is None else type(default)(value)
+            except (OverflowError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+        out[key] = value
     return out
 
 
@@ -122,7 +129,7 @@ def load_config(path) -> dict:
     if cfg["problem"] not in ("linear", "planar"):
         raise ConfigError(f"problem must be 'linear' or 'planar', got {cfg['problem']!r}")
     for key in ("gravity", "rod_length", "period"):
-        if not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
+        if not cfg[key] > 0:
             raise ConfigError(f"{key} must be a positive number")
     return cfg
 
@@ -130,7 +137,7 @@ def load_config(path) -> dict:
 def _build_model(cfg: dict):
     """Turn a config into (G, F signal, dim)."""
     dim = 1 if cfg["problem"] == "linear" else 2
-    ell = float(cfg["rod_length"])
+    ell = cfg["rod_length"]
     fspec = cfg["forcing"]
     kind = fspec["type"]
     if kind == "fourier":
@@ -141,43 +148,27 @@ def _build_model(cfg: dict):
 
         constant = fspec["constant"]
         F = make_fourier_forcing(
-            float(cfg["period"]), dim, scale(fspec["cosine"] or []),
+            cfg["period"], dim, scale(fspec["cosine"] or []),
             scale(fspec["sine"] or []),
             constant=None if constant is None else scale(constant))
-        G = float(cfg["gravity"]) / ell
+        G = cfg["gravity"] / ell
     elif kind == "path_csv":
-        if not fspec["path"]:
+        path = fspec["path"]
+        if not (isinstance(path, str) and path):
             raise ConfigError("forcing.path is required for type 'path_csv'")
-        samples = read_path_csv(fspec["path"], rod_length=ell)
+        try:
+            samples = read_path_csv(path, rod_length=ell)
+        except OSError as exc:
+            raise ConfigError(f"cannot read forcing.path {path!r}: "
+                              f"{exc.strerror or exc}") from exc
         if samples.dim != dim:
             raise ConfigError(
                 f"path file has {samples.dim} position column(s) but problem "
                 f"is {cfg['problem']}")
-        F, G = ingest_path(samples, float(cfg["gravity"]))
+        F, G = ingest_path(samples, cfg["gravity"])
     else:
         raise ConfigError(f"unknown forcing type: {kind!r}")
     return G, F, dim
-
-
-def _integrator_config(cfg: dict) -> IntegratorConfig:
-    icfg = cfg["integrator"]
-    return IntegratorConfig(
-        rel_tol=float(icfg["rel_tol"]),
-        abs_tol=float(icfg["abs_tol"]),
-        max_step=float(icfg["max_step"]),
-        fall_threshold=float(icfg["fall_threshold"]),
-        max_steps=int(icfg["max_steps"]),
-    )
-
-
-def _continuation_config(cfg: dict) -> ContinuationConfig:
-    ccfg = cfg["continuation"]
-    return ContinuationConfig(
-        lambda_step_init=float(ccfg["lambda_step_init"]),
-        lambda_step_min=float(ccfg["lambda_step_min"]),
-        newton_tol=float(ccfg["newton_tol"]),
-        newton_max_iters=int(ccfg["newton_max_iters"]),
-    )
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -201,20 +192,17 @@ def _certify(cfg: dict, G: float, F, dim: int, icfg: IntegratorConfig,
     ``b`` passed verification.
     """
     bcfg = cfg["bounds"]
-    spf = int(bcfg["samples_per_face"])
-    lam_grid = np.linspace(0.0, 1.0, int(bcfg["lambda_grid_size"]))
-    if bcfg["a_override"] is not None:
-        a = float(bcfg["a_override"])
-    else:
-        a = compute_a(G, F.sup_norm, float(bcfg["a_margin"]))
+    spf = bcfg["samples_per_face"]
+    a = bcfg["a_override"]
+    if a is None:
+        a = compute_a(G, F.sup_norm)
     cert = None
-    if bcfg["b_override"] is not None:
-        b = float(bcfg["b_override"])
-    elif dim == 1:
-        b = compute_b_linear(a, F.sup_norm, float(bcfg["b_margin"]))
-    else:
+    b = bcfg["b_override"]
+    if b is None and dim == 1:
+        b = compute_b_linear(a, F.sup_norm)
+    elif b is None:
         try:
-            b, cert = compute_b_planar(a, F, G, lam_grid, icfg,
+            b, cert = compute_b_planar(a, F, G, icfg,
                                        samples_per_face=spf, seed=seed)
         except BoundVerificationError as exc:
             log.error("bound escalation failed: %s", exc)
@@ -224,15 +212,15 @@ def _certify(cfg: dict, G: float, F, dim: int, icfg: IntegratorConfig,
     spec = BoundSetSpec(a=a, b=b, dim=dim)
     if cert is None:
         cert = verify_bound_set(spec, G, F, icfg, samples_per_face=spf,
-                                lambda_grid=lam_grid, seed=seed)
+                                seed=seed)
     save_certificate_json(cert, out / "certificate.json")
     return spec, cert
 
 
 def cmd_verify_bounds(cfg: dict, args) -> int:
     G, F, dim = _build_model(cfg)
-    certified = _certify(cfg, G, F, dim, _integrator_config(cfg), args.seed,
-                         _out_dir(cfg, args))
+    certified = _certify(cfg, G, F, dim, IntegratorConfig(**cfg["integrator"]),
+                         args.seed, _out_dir(cfg, args))
     if certified is None:
         return 2
     spec, cert = certified
@@ -246,8 +234,7 @@ def cmd_verify_bounds(cfg: dict, args) -> int:
 
 def cmd_solve_periodic(cfg: dict, args) -> int:
     G, F, dim = _build_model(cfg)
-    icfg = _integrator_config(cfg)
-    ccfg = _continuation_config(cfg)
+    icfg = IntegratorConfig(**cfg["integrator"])
     out = _out_dir(cfg, args)
     certified = _certify(cfg, G, F, dim, icfg, args.seed, out)
     if certified is None:
@@ -258,7 +245,7 @@ def cmd_solve_periodic(cfg: dict, args) -> int:
         return 2
     params0 = ModelParams(G=G, lam=0.0, dim=dim)
     try:
-        result = continue_in_lambda(params0, F, icfg, ccfg)
+        result = continue_in_lambda(params0, F, icfg)
     except (ContinuationStuckError, FallError) as exc:
         log.error("continuation failed: %s", exc)
         return 3
@@ -276,11 +263,11 @@ def cmd_whitney(cfg: dict, args) -> int:
         log.error("whitney-search bisects a scalar start; set problem=linear")
         return 1
     G, F, _ = _build_model(cfg)
-    icfg = _integrator_config(cfg)
+    icfg = IntegratorConfig(**cfg["integrator"])
     out = _out_dir(cfg, args)
-    journey = JourneySpec(F=F, t_end=float(cfg["journey"]["t_end"]), G=G)
+    journey = JourneySpec(F=F, t_end=cfg["journey"]["t_end"], G=G)
     try:
-        result = bisect_survivor(journey, icfg, depth=int(cfg["journey"]["depth"]))
+        result = bisect_survivor(journey, icfg, depth=cfg["journey"]["depth"])
     except BracketError as exc:
         log.error("no bracket: %s", exc)
         return 4
@@ -302,7 +289,7 @@ def cmd_whitney(cfg: dict, args) -> int:
 
 def cmd_simulate(cfg: dict, args) -> int:
     G, F, dim = _build_model(cfg)
-    icfg = _integrator_config(cfg)
+    icfg = IntegratorConfig(**cfg["integrator"])
     out = _out_dir(cfg, args)
     x = np.asarray(cfg["initial_state"]["x"], dtype=float)
     p = np.asarray(cfg["initial_state"]["p"], dtype=float)
@@ -311,7 +298,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         return 1
     state = PhaseState(x, p)
     params = ModelParams(G=G, lam=1.0, dim=dim)
-    traj = evolve(0.0, float(cfg["duration"]), state, params, F, icfg)
+    traj = evolve(0.0, cfg["duration"], state, params, F, icfg)
     traj.to_csv(out / "trajectory.csv")
     ev = traj.fall_event
     summary = {

@@ -38,7 +38,7 @@ __all__ = [
 
 # Hard guard on |x|: the equation is singular at |x| = 1, and evaluating past
 # this radius is numerically meaningless.  The integrator's fall detection
-# triggers earlier (at its fall_threshold), so hitting the guard means a
+# triggers earlier (at its FALL_THRESHOLD), so hitting the guard means a
 # trial step overshot badly.
 GUARD = 1.0 - 1e-12
 

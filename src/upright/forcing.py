@@ -286,7 +286,7 @@ def read_path_csv(path, rod_length: float = 1.0) -> PathSamples:
     """Read carriage path samples from a CSV file with header ``t,f1[,f2]``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(reader, [])]
         if header not in (["t", "f1"], ["t", "f1", "f2"]):
             raise ValueError(f"expected header 't,f1' or 't,f1,f2', got {header}")
         rows = [[float(v) for v in row] for row in reader if row]

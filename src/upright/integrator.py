@@ -23,6 +23,7 @@ from .errors import SingularityError, StepBudgetError
 from .forcing import PeriodicSignal
 
 __all__ = [
+    "FALL_THRESHOLD",
     "IntegratorConfig",
     "EventKind",
     "Event",
@@ -72,15 +73,16 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _SAFETY = 0.9
 
+# |x| at which a fall event is declared, short of the field's GUARD
+FALL_THRESHOLD = 1.0 - 1e-6
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step-control and fall-detection settings."""
+    """Step-control tolerances and the step budget."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    max_step: float = math.inf
-    fall_threshold: float = 1.0 - 1e-6
     max_steps: int = 1_000_000
 
     def __post_init__(self):
@@ -88,8 +90,6 @@ class IntegratorConfig:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.abs_tol <= 0:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not (0 < self.fall_threshold < 1):
-            raise ValueError(f"fall_threshold must lie in (0, 1), got {self.fall_threshold}")
 
 
 class EventKind(str, Enum):
@@ -226,7 +226,7 @@ def _initial_step(fun, t0, y0, f0, t1, cfg, n_err):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, cfg.max_step, abs(t1 - t0))
+    return min(100 * h0, h1, abs(t1 - t0))
 
 
 def _dense_state(y_left, h, K, theta):
@@ -350,7 +350,6 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None,
     step = _step_floats if len(y0) <= _FLOAT_WIDTH else _step_arrays
     atol = cfg.abs_tol
     rtol = cfg.rel_tol
-    max_step = cfg.max_step
     t = t0
     y = y0
     k1 = f0
@@ -363,7 +362,7 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None,
                 f"exceeded {cfg.max_steps} step attempts at t={t:.6g} "
                 f"(accepted {n_acc}, rejected {n_rej})")
         attempts += 1
-        h = min(h, max_step, t1 - t)
+        h = min(h, t1 - t)
         h_floor = 1e-14 * (1.0 + abs(t))
         if h < h_floor:
             h = h_floor
@@ -421,26 +420,26 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None,
     return Trajectory(t_nodes, y_nodes, seg_h, seg_K, ev_out, n_acc, n_rej)
 
 
-def _fall_events(dim: int, thr: float):
+def _fall_events(dim: int):
     if dim == 1:
         return [
-            (EventKind.FALL_POSITIVE, lambda t, y: y[0] - thr),
-            (EventKind.FALL_NEGATIVE, lambda t, y: -y[0] - thr),
+            (EventKind.FALL_POSITIVE, lambda t, y: y[0] - FALL_THRESHOLD),
+            (EventKind.FALL_NEGATIVE, lambda t, y: -y[0] - FALL_THRESHOLD),
         ]
-    thr2 = thr * thr
+    thr2 = FALL_THRESHOLD * FALL_THRESHOLD
     return [
         (EventKind.FALL_PLANAR, lambda t, y: y[0] * y[0] + y[1] * y[1] - thr2),
     ]
 
 
-def _check_start(s0: PhaseState, params: ModelParams, cfg: IntegratorConfig) -> None:
+def _check_start(s0: PhaseState, params: ModelParams) -> None:
     """Reject a start of the wrong dimension or already at the fall threshold."""
     if s0.dim != params.dim:
         raise ValueError(f"state dim {s0.dim} does not match model dim {params.dim}")
     r = float(np.linalg.norm(s0.x))
-    if r >= cfg.fall_threshold:
+    if r >= FALL_THRESHOLD:
         raise ValueError(
-            f"initial |x| = {r:.17g} already at the fall threshold {cfg.fall_threshold}")
+            f"initial |x| = {r:.17g} already at the fall threshold {FALL_THRESHOLD}")
 
 
 def evolve(t0: float, t1: float, s0: PhaseState, params: ModelParams,
@@ -448,11 +447,10 @@ def evolve(t0: float, t1: float, s0: PhaseState, params: ModelParams,
     """Integrate the rod equations from ``s0`` over ``[t0, t1]``.
 
     Fall detection is always on: the trajectory ends early with a fall
-    event if ``|x|`` reaches ``cfg.fall_threshold``.
+    event if ``|x|`` reaches ``FALL_THRESHOLD``.
     """
-    cfg = cfg or IntegratorConfig()
-    _check_start(s0, params, cfg)
+    _check_start(s0, params)
     fun = make_field(params, F)
-    evs = _fall_events(params.dim, cfg.fall_threshold)
-    return integrate_field(fun, t0, t1, s0.flat(), cfg, evs)
+    evs = _fall_events(params.dim)
+    return integrate_field(fun, t0, t1, s0.flat(), cfg or IntegratorConfig(), evs)
 

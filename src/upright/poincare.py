@@ -22,8 +22,8 @@ from .dynamics import ModelParams, PhaseState, jacobian, make_field
 from .errors import (ContinuationStuckError, FallError, IllConditionedError,
                      NewtonConvergenceError)
 from .forcing import PeriodicSignal
-from .integrator import (IntegratorConfig, Trajectory, _check_start,
-                         _fall_events, evolve, integrate_field)
+from .integrator import (FALL_THRESHOLD, IntegratorConfig, Trajectory,
+                         _check_start, _fall_events, evolve, integrate_field)
 
 log = logging.getLogger(__name__)
 
@@ -32,11 +32,16 @@ log = logging.getLogger(__name__)
 # the circular stirring of amplitude 1.5 in the plane) take 5 to 11.  On the
 # line at T = 3, where single shooting crawls, 400 runs end at lam = 0.104.
 _MAX_ATTEMPTS = 400
+# the first lam increment, and the increment below which continuation stalls
+_LAMBDA_STEP_INIT = 0.1
+_LAMBDA_STEP_MIN = 1e-4
+# Newton's tolerance on |P(z) - z| and its iteration budget
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITERS = 25
 # relative step of the central differences in poincare_jacobian
 _FD_STEP = 1e-7
 
 __all__ = [
-    "ContinuationConfig",
     "PeriodicOrbitResult",
     "poincare_map",
     "poincare_jacobian",
@@ -44,22 +49,6 @@ __all__ = [
     "result_to_dict",
     "save_result_json",
 ]
-
-
-@dataclass(frozen=True)
-class ContinuationConfig:
-    """Settings for Newton refinement and the walk in ``lam``."""
-
-    lambda_step_init: float = 0.1
-    lambda_step_min: float = 1e-4
-    newton_tol: float = 1e-10
-    newton_max_iters: int = 25
-
-    def __post_init__(self):
-        if not (0 < self.lambda_step_min <= self.lambda_step_init <= 1):
-            raise ValueError("need 0 < lambda_step_min <= lambda_step_init <= 1")
-        if self.newton_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -88,7 +77,6 @@ def _raise_if_fell(traj: Trajectory) -> None:
 def poincare_map(z: PhaseState, params: ModelParams, F: PeriodicSignal,
                  cfg: IntegratorConfig | None = None) -> PhaseState:
     """One application of the period map.  Raises ``FallError`` on a fall."""
-    cfg = cfg or IntegratorConfig()
     traj = evolve(0.0, F.period, z, params, F, cfg)
     _raise_if_fell(traj)
     return traj.end_state()
@@ -107,13 +95,12 @@ def _period_pass(z: PhaseState, params: ModelParams, F: PeriodicSignal,
     barely moves, as at a rest point of the unforced rod.  Raises
     ``FallError`` on a fall.
     """
-    _check_start(z, params, cfg)
+    _check_start(z, params)
     n = 2 * params.dim
     fun = make_field(params, F, variational=True)
     Y0 = np.concatenate([z.flat(), np.eye(n).ravel()])
     traj = integrate_field(fun, 0.0, F.period, Y0, cfg,
-                           _fall_events(params.dim, cfg.fall_threshold),
-                           n_err=n_err)
+                           _fall_events(params.dim), n_err=n_err)
     _raise_if_fell(traj)
     end = traj.states[-1]
     return end[:n], end[n:].reshape(n, n)
@@ -151,7 +138,7 @@ def poincare_jacobian(z: PhaseState, params: ModelParams, F: PeriodicSignal,
 
 
 def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
-            cfg: IntegratorConfig, ccfg: ContinuationConfig):
+            cfg: IntegratorConfig):
     """Bare Newton iteration on ``P(z) - z``; returns ``(z, residual)``.
 
     Each iteration is one integration that yields both ``P(z)`` and
@@ -164,7 +151,7 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
     n = z.shape[0]
     eye = np.eye(n)
     residual = cond = math.nan
-    for it in range(ccfg.newton_max_iters):
+    for it in range(_NEWTON_MAX_ITERS):
         try:
             Pz, J = _period_pass(PhaseState.from_flat(z), params, F, cfg, n_err=n)
         except FallError:
@@ -174,7 +161,7 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
         residual = float(np.linalg.norm(res_vec))
         A = J - eye
         cond = float(np.linalg.cond(A))
-        if residual <= ccfg.newton_tol:
+        if residual <= _NEWTON_TOL:
             _log_attempt(params.lam, "converged", it, residual, cond)
             return PhaseState.from_flat(z), residual
         if not np.isfinite(cond) or cond > 1e12:
@@ -186,15 +173,15 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
         # keep the iterate strictly inside the fall threshold
         for _ in range(60):
             x_new = z[:n // 2] + dz[:n // 2]
-            if float(np.linalg.norm(x_new)) < cfg.fall_threshold:
+            if float(np.linalg.norm(x_new)) < FALL_THRESHOLD:
                 break
             dz *= 0.5
         z = z + dz
-    _log_attempt(params.lam, "Newton stalled", ccfg.newton_max_iters, residual, cond)
+    _log_attempt(params.lam, "Newton stalled", _NEWTON_MAX_ITERS, residual, cond)
     raise NewtonConvergenceError(
-        f"no fixed point after {ccfg.newton_max_iters} iterations "
+        f"no fixed point after {_NEWTON_MAX_ITERS} iterations "
         f"(residual {residual:.3e})", residual=residual,
-        iterations=ccfg.newton_max_iters)
+        iterations=_NEWTON_MAX_ITERS)
 
 
 def _log_attempt(lam: float, outcome: str, iterations: int, residual: float,
@@ -220,19 +207,17 @@ def _finish(z: PhaseState, residual: float, path: list, params: ModelParams,
 
 
 def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
-                       cfg: IntegratorConfig | None = None,
-                       ccfg: ContinuationConfig | None = None) -> PeriodicOrbitResult:
+                       cfg: IntegratorConfig | None = None) -> PeriodicOrbitResult:
     """Carry the upright fixed point from ``lam = 0`` to ``lam = 1``.
 
     Pure predictor-corrector walk: the converged fixed point at the current
     ``lam`` seeds Newton at the next one; failures (falls, stalled Newton,
     near-singular corrections) halve the increment, successes grow it by
     half.  Raises ``ContinuationStuckError`` once the increment falls below
-    ``ccfg.lambda_step_min`` or ``_MAX_ATTEMPTS`` Newton runs have not
+    ``_LAMBDA_STEP_MIN`` or ``_MAX_ATTEMPTS`` Newton runs have not
     reached ``lam = 1``.
     """
     cfg = cfg or IntegratorConfig()
-    ccfg = ccfg or ContinuationConfig()
     if params_at_zero.lam != 0.0:
         params_at_zero = params_at_zero.with_lam(0.0)
 
@@ -240,7 +225,7 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
     z = PhaseState(np.zeros(d), np.zeros(d))
     lam = 0.0
     path = [(0.0, z.flat().copy(), 0.0)]
-    step = 1.0 if F.sup_norm == 0.0 else ccfg.lambda_step_init
+    step = 1.0 if F.sup_norm == 0.0 else _LAMBDA_STEP_INIT
     last_result = None
     attempts = 0
 
@@ -253,13 +238,13 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
         lam_try = min(lam + step, 1.0)
         params_try = params_at_zero.with_lam(lam_try)
         try:
-            z_new, residual = _newton(z, params_try, F, cfg, ccfg)
+            z_new, residual = _newton(z, params_try, F, cfg)
         except (FallError, NewtonConvergenceError, IllConditionedError):
             step *= 0.5
-            if step < ccfg.lambda_step_min:
+            if step < _LAMBDA_STEP_MIN:
                 raise ContinuationStuckError(
                     f"continuation stalled at lam={lam:.6g} with step below "
-                    f"{ccfg.lambda_step_min}", last_lambda=lam, last_result=last_result)
+                    f"{_LAMBDA_STEP_MIN}", last_lambda=lam, last_result=last_result)
             continue
         lam = lam_try
         z = z_new

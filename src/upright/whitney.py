@@ -115,7 +115,6 @@ def bisect_survivor(journey: JourneySpec, cfg: IntegratorConfig | None = None,
     is the answer.  Raises ``BracketError`` when the initial bracket does
     not hold (then no sign change is available to bisect on).
     """
-    cfg = cfg or IntegratorConfig()
     if journey.F.dim != 1:
         raise ValueError("bisection on release position needs a 1-d journey")
     left, right = -0.999, 0.999
@@ -171,7 +170,6 @@ def planar_survivor_grid(journey: JourneySpec, grid_radius: float = 0.9,
     for survivors).  No convergence guarantee is attached; the longest
     survivor is a starting guess, not a certificate.
     """
-    cfg = cfg or IntegratorConfig()
     if journey.F.dim != 2:
         raise ValueError("the survivor grid sweep needs a planar journey")
     params = ModelParams(G=journey.G, lam=1.0, dim=2)

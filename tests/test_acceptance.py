@@ -21,6 +21,7 @@ from numpy import cosh, sinh, sqrt
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from upright import poincare
 from upright.bounds import (BoundSetSpec, compute_a, compute_b_linear,
                             compute_b_planar, orbit_containment,
                             save_certificate_json, verify_bound_set)
@@ -28,13 +29,11 @@ from upright.cli import main
 from upright.dynamics import ModelParams, PhaseState
 from upright.forcing import make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve
-from upright.poincare import (ContinuationConfig, continue_in_lambda,
-                              poincare_jacobian, poincare_map)
+from upright.poincare import continue_in_lambda, poincare_jacobian, poincare_map
 from upright.whitney import FallClass, JourneySpec, bisect_survivor
 
 G_EARTH = 9.81
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-CONT = ContinuationConfig(newton_tol=1e-12)
 
 F_LIN = make_fourier_forcing(1.0, 1, [2.0], [])
 F_PLA = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
@@ -57,6 +56,13 @@ def criterion(label):
     return deco
 
 
+def continue_tight(params, F):
+    """Continuation under TIGHT steps, Newton converged to 1e-12."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poincare, "_NEWTON_TOL", 1e-12)
+        return continue_in_lambda(params, F, TIGHT)
+
+
 def timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
@@ -66,14 +72,14 @@ def timed(fn, *args, **kwargs):
 @pytest.fixture(scope="session")
 def linear_orbit():
     params = ModelParams(G=G_EARTH, lam=0.0, dim=1)
-    result, elapsed = timed(continue_in_lambda, params, F_LIN, TIGHT, CONT)
+    result, elapsed = timed(continue_tight, params, F_LIN)
     return result, elapsed
 
 
 @pytest.fixture(scope="session")
 def planar_orbit():
     params = ModelParams(G=G_EARTH, lam=0.0, dim=2)
-    result, elapsed = timed(continue_in_lambda, params, F_PLA, TIGHT, CONT)
+    result, elapsed = timed(continue_tight, params, F_PLA)
     return result, elapsed
 
 
@@ -118,7 +124,7 @@ def test_unforced_fixed_points():
     t0 = time.perf_counter()
     for dim, Z in ((1, Z_LIN), (2, Z_PLA)):
         params = ModelParams(G=G_EARTH, lam=0.0, dim=dim)
-        result = continue_in_lambda(params, Z, TIGHT, CONT)
+        result = continue_tight(params, Z)
         assert np.linalg.norm(result.fixed_point.flat()) < 1e-12
         assert result.residual < 1e-12
     assert time.perf_counter() - t0 < 5.0
@@ -160,8 +166,7 @@ def test_planar_periodic_orbit(planar_orbit, planar_constants):
     FQ = make_fourier_forcing(1.0, 2, [Q @ np.array([1.5, 0.0])],
                               [Q @ np.array([0.0, 1.5])])
     result_q, elapsed_q = timed(
-        continue_in_lambda, ModelParams(G=G_EARTH, lam=0.0, dim=2), FQ,
-        TIGHT, CONT)
+        continue_tight, ModelParams(G=G_EARTH, lam=0.0, dim=2), FQ)
     R = np.zeros((4, 4))
     R[:2, :2] = Q
     R[2:, 2:] = Q
@@ -264,8 +269,8 @@ def test_planar_certificates_match_scanned_gates(planar_certificate):
     for name, (F, F_norm, spf, seed) in inputs.items():
         a_ref = SCANNED_GATE_CERTIFICATES[name][0]
         assert abs(compute_a(G_EARTH, F_norm, 0.5) - a_ref) <= 1e-12, name
-        b, cert = compute_b_planar(a_ref, F, G_EARTH, np.linspace(0.0, 1.0, 21),
-                                   samples_per_face=spf, seed=seed)
+        b, cert = compute_b_planar(a_ref, F, G_EARTH, samples_per_face=spf,
+                                   seed=seed)
         if name == "fixture":
             cert = verify_bound_set(BoundSetSpec(a_ref, b, 2), G_EARTH, F,
                                     samples_per_face=16)

@@ -153,19 +153,17 @@ def test_curvature_cone_unforced_orthogonal_sample():
 
 def test_exit_cone_check_analytic():
     Fn = F2.sup_norm
-    grid = np.linspace(0.0, 1.0, 21)
     b_hi = math.sqrt(2.0 * Fn)
     b_lo = math.sqrt(0.5 * Fn)
-    assert exit_cone_check(0.0, np.array([0.0, b_hi]), F2, grid)
-    assert not exit_cone_check(0.0, np.array([0.0, b_lo]), F2, grid)
-    assert exit_cone_check(0.0, np.array([0.5, 0.0]), Z2, grid)
+    assert exit_cone_check(0.0, np.array([0.0, b_hi]), F2)
+    assert not exit_cone_check(0.0, np.array([0.0, b_lo]), F2)
+    assert exit_cone_check(0.0, np.array([0.5, 0.0]), Z2)
 
 
 def test_exit_cone_check_with_integration():
     Fn = F2.sup_norm
-    grid = np.linspace(0.0, 1.0, 21)
     p = np.array([0.0, math.sqrt(4.0 * Fn)])
-    assert exit_cone_check(0.3, p, F2, grid, G=9.81)
+    assert exit_cone_check(0.3, p, F2, G=9.81)
 
 
 # -- closed-form planar cone gates ---------------------------------------
@@ -419,8 +417,7 @@ def test_linear_certificates_match_reference_values():
             "demo_refuted": (a_d, 1.0, 16, 0)}
     for name, (a, b, spf, seed) in runs.items():
         cert = verify_bound_set(BoundSetSpec(a, b, 1), 9.81, F1,
-                                samples_per_face=spf,
-                                lambda_grid=np.linspace(0.0, 1.0, 21), seed=seed)
+                                samples_per_face=spf, seed=seed)
         *exact, delta = LINEAR_CERTIFICATES[name]
         assert (cert.verified, cert.corner_ok, cert.boundary_samples,
                 cert.gamma_gate_count, cert.delta_gate_count,
@@ -451,8 +448,8 @@ def test_lambda_free_kernels_run_once_per_verification(monkeypatch):
         seen = []
         for n_lam in (3, 21):
             calls.clear()
-            verify_bound_set(spec, 9.81, F, samples_per_face=6,
-                             lambda_grid=np.linspace(0.0, 1.0, n_lam))
+            monkeypatch.setattr(bounds, "_LAMBDA_GRID", np.linspace(0.0, 1.0, n_lam))
+            verify_bound_set(spec, 9.81, F, samples_per_face=6)
             seen.append(dict(calls))
         assert seen[0] == seen[1], (spec.dim, seen)
         assert seen[0]["_cylinder_terms"] > 0 and seen[0][cone] > 0, seen
@@ -497,3 +494,6 @@ def test_spec_validation():
         BoundSetSpec(a=0.5, b=-1.0, dim=1)
     with pytest.raises(ValueError):
         BoundSetSpec(a=0.5, b=1.0, dim=3)
+    with pytest.raises(ValueError):
+        verify_bound_set(BoundSetSpec(a=0.5, b=2.0, dim=1), 9.81, F1,
+                         samples_per_face=0)

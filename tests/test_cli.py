@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -164,13 +165,14 @@ def test_solve_periodic_stops_on_unverified_bounds(tmp_path):
     assert not (out / "result.json").exists()
 
 
-def test_solve_periodic_continuation_failure(tmp_path):
+def test_solve_periodic_continuation_failure(tmp_path, monkeypatch):
     # an unreachable Newton tolerance stalls the lambda march below its
     # minimum step, which is a distinct failure from bad bounds
+    monkeypatch.setattr(poincare, "_NEWTON_TOL", 1e-16)
+    monkeypatch.setattr(poincare, "_NEWTON_MAX_ITERS", 1)
     rc, out = run(tmp_path, "solve-periodic", problem="linear",
                   forcing={"cosine": [2.0]},
-                  bounds={"samples_per_face": 8},
-                  continuation={"newton_tol": 1e-16, "newton_max_iters": 1})
+                  bounds={"samples_per_face": 8})
     assert rc == 3
     assert (out / "certificate.json").exists()
 
@@ -277,13 +279,25 @@ def test_step_budget_exhaustion_exits_5(tmp_path, caplog, command):
 
 # -- config handling ----------------------------------------------------------
 
-def test_config_unknown_key(tmp_path):
-    rc, _ = run(tmp_path, "degree", problem="linear", grvity=9.81)
-    assert rc == 1
-    # Newton no longer takes finite-difference Jacobians
-    rc, _ = run(tmp_path, "degree", problem="linear",
-                continuation={"fd_step": 1e-7})
-    assert rc == 1
+def test_config_unknown_key(tmp_path, caplog):
+    for overrides in (
+            {"grvity": 9.81},
+            # Newton no longer takes finite-difference Jacobians
+            {"continuation": {"fd_step": 1e-7}},
+            # method settings that are module constants now
+            {"integrator": {"max_step": 0.1}},
+            {"integrator": {"fall_threshold": 0.99}},
+            {"continuation": {"lambda_step_init": 0.1}},
+            {"continuation": {"lambda_step_min": 1e-4}},
+            {"continuation": {"newton_tol": 1e-10}},
+            {"continuation": {"newton_max_iters": 25}},
+            {"bounds": {"a_margin": 0.5}},
+            {"bounds": {"b_margin": 0.5}},
+            {"bounds": {"lambda_grid_size": 21}}):
+        caplog.clear()
+        rc, _ = run(tmp_path, "degree", problem="linear", **overrides)
+        assert rc == 1, overrides
+        assert "unknown config key" in caplog.text, overrides
 
 
 def test_config_invalid_json(tmp_path):
@@ -301,6 +315,44 @@ def test_config_bad_values(tmp_path):
     assert rc == 1
     rc, _ = run(tmp_path, "degree", problem="linear", gravity=-3.0)
     assert rc == 1
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("simulate", {"forcing": 3}),
+    ("simulate", {"integrator": None}),
+    ("whitney-search", {"journey": {"depth": None}}),
+    ("simulate", {"duration": None}),
+    ("verify-bounds", {"bounds": {"samples_per_face": None}}),
+    ("verify-bounds", {"bounds": {"b_override": "1.0"}}),
+    ("simulate", {"gravity": True}),
+    ("simulate", {"integrator": {"max_steps": math.inf}}),
+    ("degree", {"out_dir": 3}),
+], ids=["forcing-not-object", "integrator-null", "depth-null", "duration-null",
+        "samples-null", "override-string", "gravity-bool", "max-steps-infinite",
+        "out-dir-number"])
+def test_config_wrong_types_exit_1(tmp_path, caplog, command, overrides):
+    rc, _ = run(tmp_path, command, **overrides)
+    assert rc == 1
+    assert "config error" in caplog.text
+
+
+def test_config_numbers_take_the_type_of_their_default(tmp_path):
+    cfg = load_config(write_config(tmp_path, gravity=10, duration=2,
+                                   integrator={"max_steps": 1e3},
+                                   bounds={"a_override": 1}))
+    assert cfg["gravity"] == 10.0 and isinstance(cfg["gravity"], float)
+    assert isinstance(cfg["duration"], float)
+    assert cfg["integrator"]["max_steps"] == 1000
+    assert isinstance(cfg["integrator"]["max_steps"], int)
+    assert isinstance(cfg["bounds"]["a_override"], float)
+    assert cfg["bounds"]["b_override"] is None
+
+
+def test_readme_schema_matches_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Full schema with defaults:")[1]
+    block = block.split("```json")[1].split("```")[0]
+    assert json.loads(re.sub(r"//.*", "", block)) == DEFAULT_CONFIG
 
 
 def test_config_defaults_fill_in(tmp_path):
@@ -343,6 +395,24 @@ def test_forcing_path_dimension_mismatch(tmp_path):
                 forcing={"type": "path_csv", "path": str(path_file)},
                 initial_state={"x": [0.0, 0.0], "p": [0.0, 0.0]})
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+def test_forcing_path_missing_file(tmp_path, caplog, command):
+    missing = tmp_path / "absent.csv"
+    rc, _ = run(tmp_path, command, problem="linear",
+                forcing={"type": "path_csv", "path": str(missing)})
+    assert rc == 1
+    assert str(missing) in caplog.text
+
+
+def test_forcing_path_empty_file(tmp_path, caplog):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    rc, _ = run(tmp_path, "simulate", problem="linear",
+                forcing={"type": "path_csv", "path": str(empty)})
+    assert rc == 1
+    assert "expected header" in caplog.text
 
 
 def test_forcing_unknown_type(tmp_path):

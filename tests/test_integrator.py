@@ -10,8 +10,8 @@ from upright import integrator
 from upright.dynamics import ModelParams, PhaseState, make_field
 from upright.errors import StepBudgetError
 from upright.forcing import make_fourier_forcing
-from upright.integrator import (EventKind, IntegratorConfig, Trajectory,
-                                evolve, integrate_field)
+from upright.integrator import (FALL_THRESHOLD, EventKind, IntegratorConfig,
+                                Trajectory, evolve, integrate_field)
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,7 +36,7 @@ def test_unstable_equilibrium_fall_against_rk4():
 
     fun = lambda t, y: rhs_linear(t, y, 1.0, 0.0, lambda _: 0.0)
     fell, t_fall, _ = rk4_until_fall(fun, 0.0, 20.0, [0.1, 0.0], 1,
-                                     cfg.fall_threshold, h=1e-4)
+                                     FALL_THRESHOLD, h=1e-4)
     assert fell
     assert ev.time == pytest.approx(t_fall, abs=1e-5)
 
@@ -95,7 +95,7 @@ def test_fall_event_is_localized_on_threshold():
     ev = traj.fall_event
     x_at_event = abs(traj.dense_array([ev.time])[0, 0])
     # |x| sits on the threshold to localization accuracy
-    assert x_at_event == pytest.approx(cfg.fall_threshold, abs=1e-9)
+    assert x_at_event == pytest.approx(FALL_THRESHOLD, abs=1e-9)
     assert ev.time == traj.t_nodes[-1]
 
 
@@ -158,14 +158,12 @@ def test_initial_state_on_threshold_rejected():
     params = ModelParams(G=9.81, lam=1.0, dim=1)
     cfg = IntegratorConfig()
     with pytest.raises(ValueError):
-        evolve(0.0, 1.0, PhaseState(cfg.fall_threshold, 0.0), params, F1, cfg)
+        evolve(0.0, 1.0, PhaseState(FALL_THRESHOLD, 0.0), params, F1, cfg)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(fall_threshold=1.5)
 
 
 # flowing z over [0, T] and over [T, 2T] must land on the same state

@@ -15,7 +15,7 @@ from upright.dynamics import ModelParams, PhaseState
 from upright.errors import ContinuationStuckError, FallError
 from upright.forcing import make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve
-from upright.poincare import (ContinuationConfig, PeriodicOrbitResult, _finish,
+from upright.poincare import (_NEWTON_TOL, PeriodicOrbitResult, _finish,
                               _newton, _period_pass, continue_in_lambda,
                               poincare_jacobian, poincare_map, result_to_dict,
                               save_result_json)
@@ -32,11 +32,11 @@ F_CIRCLE = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
-def refine(z0, params, F, ccfg=ContinuationConfig()):
+def refine(z0, params, F):
     """Newton on the period map from ``z0``, then the converged point's
     orbit, honest residual and monodromy, as continuation finishes."""
     cfg = IntegratorConfig()
-    z, residual = _newton(z0, params, F, cfg, ccfg)
+    z, residual = _newton(z0, params, F, cfg)
     return _finish(z, residual, [(params.lam, z.flat().copy(), residual)],
                    params, F, cfg)
 
@@ -201,11 +201,10 @@ def test_newton_converges_to_origin():
 
 def test_newton_is_idempotent_at_a_fixed_point():
     params = ModelParams(G=9.81, lam=1.0, dim=1)
-    ccfg = ContinuationConfig()
     first = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_SMALL)
-    again = refine(first.fixed_point, params, F_SMALL, ccfg)
+    again = refine(first.fixed_point, params, F_SMALL)
     shift = np.linalg.norm(again.fixed_point.flat() - first.fixed_point.flat())
-    assert shift <= ccfg.newton_tol
+    assert shift <= _NEWTON_TOL
 
 
 def test_unforced_continuation_is_a_single_step():
@@ -278,10 +277,3 @@ def test_result_json_roundtrip(tmp_path):
     loaded = json.loads(out.read_text())
     assert loaded["fixed_point"] == d["fixed_point"]
     assert loaded["residual"] == result.residual
-
-
-def test_continuation_config_validation():
-    with pytest.raises(ValueError):
-        ContinuationConfig(lambda_step_init=0.0)
-    with pytest.raises(ValueError):
-        ContinuationConfig(lambda_step_min=0.5, lambda_step_init=0.1)
