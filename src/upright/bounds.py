@@ -230,21 +230,17 @@ def _cone_gate(s: _Terms, b):
     return g0, g1
 
 
-def _cone_branch_terms(ts, xs, ps, F, G, b):
-    """Cone gate ``g0, g1`` (gate ``g0 + lam * g1``) at the samples."""
-    return _cone_gate(_terms(ts, xs, ps, F, G), b)
-
-
 def _cone_quantities(ts, xs, ps, lam, F, G, b):
-    """Tangency curvature of the cone gauge n = 0 at the samples.
+    """Gate and tangency curvature of the cone gauge n = 0 at the samples.
 
-    The curvature is the second derivative of the cone gauge along a
-    trajectory, written out term by term: the two nonnegative determinant
-    terms, the bR|x| + R|p| core, the R-derivative coupling through x.p,
-    and the forcing terms through Phi and its t- and x-derivatives.  The
-    gate itself is ``_cone_branch_terms``.
+    The gate is ``_cone_gate`` at ``lam``.  The curvature is the second
+    derivative of the cone gauge along a trajectory, written out term by
+    term: the two nonnegative determinant terms, the bR|x| + R|p| core, the
+    R-derivative coupling through x.p, and the forcing terms through Phi and
+    its t- and x-derivatives.
     """
     s = _terms(ts, xs, ps, F, G)
+    g0, g1 = _cone_gate(s, b)
     xs, ps, f, r2, one_minus, p2, xp, xf, R = s[1:]
     nx, pn = np.sqrt(r2), np.sqrt(p2)
     pf = np.sum(ps * f, axis=1)
@@ -273,7 +269,7 @@ def _cone_quantities(ts, xs, ps, lam, F, G, b):
             + (b / nx) * x_phi
             + p_dphi / pn
             + (xp / pn) * dRdp_phi)
-    return curv
+    return g0 + lam * g1, curv
 
 
 def _cone_gate_terms(theta, r, f, G, b):
@@ -364,9 +360,9 @@ def exit_cone_check(t: float, p, F: PeriodicSignal, G: float | None = None,
     fun = make_field(params, F)
     y0 = np.concatenate([np.zeros_like(p), p])
     dt = 1e-3 * F.period
-    traj = integrate_field(fun, t, t + dt, y0, cfg or IntegratorConfig())
-    end = traj.states[-1]
     d = p.shape[0]
+    traj = integrate_field(fun, t, t + dt, y0, cfg or IntegratorConfig(), d)
+    end = traj.states[-1]
     n_end = b * float(np.linalg.norm(end[:d])) + float(np.linalg.norm(end[d:])) - b
     return n_end > 0.0
 
@@ -564,7 +560,7 @@ def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
             xq = np.tile((sx * xi)[:, None], (n_t, 1))
             pq = np.tile((sp * b * (1.0 - xi))[:, None], (n_t, 1))
             branches.append((sx * sp, xq, pq)
-                            + _cone_branch_terms(tq, xq, pq, F, G, b))
+                            + _cone_gate(_terms(tq, xq, pq, F, G), b))
     for lam in lams:
         for sign, xq, pq, g0, g1 in branches:
             rec.delta.add(sign * (g0 + lam * g1), tq, lam, xq, pq, "cone-sign")
@@ -573,7 +569,7 @@ def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
     lam = lams[-1]
     _, xq, pq, g0, g1 = branches[0]
     sel = ctx.rng.choice(tq.size, size=min(30, tq.size), replace=False)
-    curv = _cone_quantities(tq[sel], xq[sel], pq[sel], lam, F, G, b)
+    _, curv = _cone_quantities(tq[sel], xq[sel], pq[sel], lam, F, G, b)
     for i, c in zip(sel, curv):
         rec.candidate("delta", tq[i], lam, xq[i], pq[i], g0[i] + lam * g1[i],
                       c, False)
@@ -597,7 +593,7 @@ def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
     for lam in _LAMBDA_GRID:
         cells, psi = _cone_gate_roots(thc, K0 - lam * K1, B, lam * f_perp)
         p_root = pnorm[cells, None] * _unit(psi)
-        curv = _cone_quantities(tc[cells], xc[cells], p_root, lam, F, G, b)
+        _, curv = _cone_quantities(tc[cells], xc[cells], p_root, lam, F, G, b)
         rec.delta.add(curv, tc[cells], lam, xc[cells], p_root, "cone-gate")
         rec.total += curv.size
         rec.xtp_abs.append(np.abs(np.sum(xc[cells] * p_root, axis=1)))
@@ -612,10 +608,9 @@ def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
     rows = sel // 32
     psis = (sel % 32) * (2.0 * math.pi / 32)
     p_sel = pnorm[rows, None] * _unit(psis)
-    g0, g1 = _cone_branch_terms(tc[rows], xc[rows], p_sel, F, G, b)
-    curv_sel = _cone_quantities(tc[rows], xc[rows], p_sel, lam, F, G, b)
+    gate, curv_sel = _cone_quantities(tc[rows], xc[rows], p_sel, lam, F, G, b)
     for j, i in enumerate(rows):
-        rec.candidate("delta", tc[i], lam, xc[i], p_sel[j], g0[j] + lam * g1[j],
+        rec.candidate("delta", tc[i], lam, xc[i], p_sel[j], gate[j],
                       curv_sel[j], False)
 
 
@@ -761,13 +756,13 @@ def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
             return 0.5 * xn * xn - 0.5 * a * a
         return b * xn + pn - b
 
-    fwd = integrate_field(fun, t0, t0 + dt, y0, cfg)
+    fwd = integrate_field(fun, t0, t0 + dt, y0, cfg, d)
     e_plus = gauge(fwd.states[-1])
 
     def fun_rev(s, y):
         return [-v for v in fun(t0 - s, y)]
 
-    bwd = integrate_field(fun_rev, 0.0, dt, y0, cfg)
+    bwd = integrate_field(fun_rev, 0.0, dt, y0, cfg, d)
     e_minus = gauge(bwd.states[-1])
 
     if sample["exact_gate"] and sample["curv"] > 0:

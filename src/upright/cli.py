@@ -11,14 +11,16 @@ degree           sign of the autonomous Jacobian determinant at the origin
 Every run is driven by one JSON config file (see ``DEFAULT_CONFIG``);
 missing keys take defaults, so a minimal config can be a few lines.  An
 unknown key, a section that is not an object or a number that is not a
-JSON number is a config error.  Method settings that no run changes (fall
-threshold, continuation steps, Newton tolerance, trap margins, lam grid)
-are library constants.  All numeric output uses 17 significant digits and
+finite JSON number is a config error.  Method settings that no run changes
+(fall threshold, continuation steps, Newton tolerance, trap margins, lam
+grid) are library constants.  All numeric output uses 17 significant digits and
 no timestamps, making reruns byte-stable.
 
-Exit codes: 0 success, 1 config error, 2 bound verification failure,
+Exit codes (``_FAILURES``): 0 success, 1 config error or an output
+directory that cannot be created, 2 bound verification failure,
 3 continuation failure, 4 no bisection bracket, 5 integrator step budget
-(``integrator.max_steps``) exhausted.
+(``integrator.max_steps``) exhausted or a field singular within one minimal
+step.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import copy
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -38,8 +41,8 @@ from .bounds import (BoundSetSpec, compute_a, compute_b_linear,
                      verify_bound_set)
 from .dynamics import ModelParams, PhaseState
 from .errors import (BoundVerificationError, BracketError,
-                     ContinuationStuckError, FallError, StepBudgetError,
-                     UprightError)
+                     ContinuationStuckError, FallError, SingularityError,
+                     StepBudgetError, UprightError)
 from .forcing import ingest_path, make_fourier_forcing, read_path_csv
 from .integrator import IntegratorConfig, evolve
 from .poincare import continue_in_lambda, save_result_json
@@ -108,6 +111,8 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
                                                    and value is not None):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
             try:
                 value = float(value) if default is None else type(default)(value)
             except (OverflowError, ValueError) as exc:
@@ -118,11 +123,13 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
 
 def load_config(path) -> dict:
     """Read a JSON config file and fill defaults for all missing keys."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = _merge(DEFAULT_CONFIG, user)
@@ -188,8 +195,9 @@ def _certify(cfg: dict, G: float, F, dim: int, icfg: IntegratorConfig,
              seed: int, out: Path):
     """Bound constants and their certificate, saved as ``certificate.json``.
 
-    Returns the trap spec and its certificate, or ``None`` when no planar
-    ``b`` passed verification.
+    Returns the trap spec and its certificate.  When no planar ``b`` passes
+    verification, saves the last failed certificate and re-raises the
+    ``BoundVerificationError``.
     """
     bcfg = cfg["bounds"]
     spf = bcfg["samples_per_face"]
@@ -205,10 +213,9 @@ def _certify(cfg: dict, G: float, F, dim: int, icfg: IntegratorConfig,
             b, cert = compute_b_planar(a, F, G, icfg,
                                        samples_per_face=spf, seed=seed)
         except BoundVerificationError as exc:
-            log.error("bound escalation failed: %s", exc)
             if exc.certificate is not None:
                 save_certificate_json(exc.certificate, out / "certificate.json")
-            return None
+            raise
     spec = BoundSetSpec(a=a, b=b, dim=dim)
     if cert is None:
         cert = verify_bound_set(spec, G, F, icfg, samples_per_face=spf,
@@ -217,60 +224,49 @@ def _certify(cfg: dict, G: float, F, dim: int, icfg: IntegratorConfig,
     return spec, cert
 
 
-def cmd_verify_bounds(cfg: dict, args) -> int:
+def _require_verified(spec: BoundSetSpec, cert) -> None:
+    if not cert.verified:
+        raise BoundVerificationError(
+            f"bound set (a={spec.a:.6g}, b={spec.b:.6g}) failed verification",
+            certificate=cert)
+
+
+def cmd_verify_bounds(cfg: dict, args) -> None:
     G, F, dim = _build_model(cfg)
-    certified = _certify(cfg, G, F, dim, IntegratorConfig(**cfg["integrator"]),
-                         args.seed, _out_dir(cfg, args))
-    if certified is None:
-        return 2
-    spec, cert = certified
+    spec, cert = _certify(cfg, G, F, dim, IntegratorConfig(**cfg["integrator"]),
+                          args.seed, _out_dir(cfg, args))
     print(f"a = {spec.a:.17g}")
     print(f"b = {spec.b:.17g}")
     print(f"verified = {cert.verified}")
     print(f"min margins: cylinder {cert.min_margin_gamma:.6g}, "
           f"cone {cert.min_margin_delta:.6g}, vertex ok {cert.corner_ok}")
-    return 0 if cert.verified else 2
+    _require_verified(spec, cert)
 
 
-def cmd_solve_periodic(cfg: dict, args) -> int:
+def cmd_solve_periodic(cfg: dict, args) -> None:
     G, F, dim = _build_model(cfg)
     icfg = IntegratorConfig(**cfg["integrator"])
     out = _out_dir(cfg, args)
-    certified = _certify(cfg, G, F, dim, icfg, args.seed, out)
-    if certified is None:
-        return 2
-    spec, cert = certified
-    if not cert.verified:
-        log.error("bound set (a=%.6g, b=%.6g) failed verification", spec.a, spec.b)
-        return 2
+    spec, cert = _certify(cfg, G, F, dim, icfg, args.seed, out)
+    _require_verified(spec, cert)
     params0 = ModelParams(G=G, lam=0.0, dim=dim)
-    try:
-        result = continue_in_lambda(params0, F, icfg)
-    except (ContinuationStuckError, FallError) as exc:
-        log.error("continuation failed: %s", exc)
-        return 3
+    result = continue_in_lambda(params0, F, icfg)
     result.containment = orbit_containment(result.orbit, spec)
     result.orbit.to_csv(out / "orbit.csv", n_samples=1001)
     save_result_json(result, out / "result.json")
     print(f"fixed point: {result.fixed_point.flat().tolist()}")
     print(f"residual = {result.residual:.17g}")
     print(f"contained = {result.containment['contained']}")
-    return 0
 
 
-def cmd_whitney(cfg: dict, args) -> int:
+def cmd_whitney(cfg: dict, args) -> None:
     if cfg["problem"] != "linear":
-        log.error("whitney-search bisects a scalar start; set problem=linear")
-        return 1
+        raise ConfigError("whitney-search bisects a scalar start; set problem=linear")
     G, F, _ = _build_model(cfg)
     icfg = IntegratorConfig(**cfg["integrator"])
     out = _out_dir(cfg, args)
     journey = JourneySpec(F=F, t_end=cfg["journey"]["t_end"], G=G)
-    try:
-        result = bisect_survivor(journey, icfg, depth=cfg["journey"]["depth"])
-    except BracketError as exc:
-        log.error("no bracket: %s", exc)
-        return 4
+    result = bisect_survivor(journey, icfg, depth=cfg["journey"]["depth"])
     transcript_to_csv(result, out / "transcript.csv")
     summary = {
         "lower": result.lower,
@@ -284,18 +280,17 @@ def cmd_whitney(cfg: dict, args) -> int:
     _write_result_json(summary, out)
     print(f"bracket: [{result.lower:.17g}, {result.upper:.17g}]")
     print(f"survivor: {result.survivor}")
-    return 0
 
 
-def cmd_simulate(cfg: dict, args) -> int:
+def cmd_simulate(cfg: dict, args) -> None:
     G, F, dim = _build_model(cfg)
     icfg = IntegratorConfig(**cfg["integrator"])
     out = _out_dir(cfg, args)
     x = np.asarray(cfg["initial_state"]["x"], dtype=float)
     p = np.asarray(cfg["initial_state"]["p"], dtype=float)
-    if x.shape != (dim,) or p.shape != (dim,):
-        log.error("initial_state must have %d component(s) per field", dim)
-        return 1
+    if (x.shape != (dim,) or p.shape != (dim,)
+            or not np.all(np.isfinite([x, p]))):
+        raise ConfigError(f"initial_state needs {dim} finite number(s) per field")
     state = PhaseState(x, p)
     params = ModelParams(G=G, lam=1.0, dim=dim)
     traj = evolve(0.0, cfg["duration"], state, params, F, icfg)
@@ -315,16 +310,14 @@ def cmd_simulate(cfg: dict, args) -> int:
         print(f"no fall in [0, {traj.t_end:.17g}]")
     else:
         print(f"fell at t = {ev.time:.17g} ({ev.kind.value})")
-    return 0
 
 
-def cmd_degree(cfg: dict, args) -> int:
+def cmd_degree(cfg: dict, args) -> None:
     G, _, dim = _build_model(cfg)
     deg = degree_of_autonomous_field(G, dim)
     _write_result_json({"problem": cfg["problem"], "degree": deg},
                        _out_dir(cfg, args))
     print(f"degree = {deg:+d}")
-    return 0
 
 
 _COMMANDS = {
@@ -333,6 +326,21 @@ _COMMANDS = {
     "whitney-search": cmd_whitney,
     "simulate": cmd_simulate,
     "degree": cmd_degree,
+}
+
+# the exit code and log prefix of each failure a run may end in; the first
+# matching type wins, so a subclass comes before its base.  Any other
+# exception is a bug and surfaces as a traceback.
+_FAILURES = {
+    ConfigError: (1, "config error"),
+    ValueError: (1, "invalid configuration"),
+    OSError: (1, "cannot write output"),
+    BoundVerificationError: (2, "bound verification failed"),
+    ContinuationStuckError: (3, "continuation failed"),
+    FallError: (3, "continuation failed"),
+    BracketError: (4, "survivor search failed"),
+    StepBudgetError: (5, "integrator step budget exhausted"),
+    SingularityError: (5, "integration failed"),
 }
 
 
@@ -352,18 +360,13 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = load_config(args.config)
-    except (OSError, ConfigError) as exc:
-        log.error("config error: %s", exc)
-        return 1
-    try:
-        return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ValueError) as exc:
-        log.error("invalid configuration: %s", exc)
-        return 1
-    except StepBudgetError as exc:
-        log.error("integrator step budget exhausted: %s", exc)
-        return 5
+        _COMMANDS[args.command](load_config(args.config), args)
+    except tuple(_FAILURES) as exc:
+        code, prefix = next(failure for kind, failure in _FAILURES.items()
+                            if isinstance(exc, kind))
+        log.error("%s: %s", prefix, exc)
+        return code
+    return 0
 
 
 def entry() -> None:

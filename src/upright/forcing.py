@@ -124,8 +124,8 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
     Lipschitz safety margin ``L * h / 2`` with an ``L`` from the coefficient
     sums, so they are genuine upper bounds for the continuum maxima.
     """
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
+    if not 0 < period < math.inf:
+        raise ValueError(f"period must be positive and finite, got {period}")
     c = _coeff_array(cosine_coeffs, dim, "cosine_coeffs")
     s = _coeff_array(sine_coeffs, dim, "sine_coeffs")
     n_modes = max(c.shape[0], s.shape[0])
@@ -137,6 +137,8 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
         c0 = np.atleast_1d(np.asarray(constant, dtype=float))
         if c0.shape != (dim,):
             raise ValueError(f"constant must have length {dim}")
+    if not all(np.all(np.isfinite(v)) for v in (c, s, c0)):
+        raise ValueError("coefficients and constant must be finite")
     omega = 2.0 * math.pi * np.arange(1, n_modes + 1) / period
 
     def value(u):

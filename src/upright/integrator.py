@@ -1,10 +1,10 @@
 """Adaptive Runge-Kutta integration with dense output and fall detection.
 
 The stepper is a Dormand-Prince 5(4) pair with the first-same-as-last
-property and a quartic interpolant on every accepted step.  Events (the rod
-reaching the fall threshold) are located on the interpolant by bisection, so
-event times are resolved far below the step size without extra field
-evaluations.
+property and a quartic interpolant on every accepted step.  The one event is
+the fall, the rod reaching the fall threshold; it is located on the
+interpolant by bisection, so fall times are resolved far below the step size
+without extra field evaluations.
 
 The driver never integrates through the singular radius ``|x| = 1``: the
 field raises ``SingularityError`` there, and trial steps that overshoot it
@@ -108,14 +108,15 @@ class Event:
 class Trajectory:
     """Solution of one integration with dense evaluation between step nodes."""
 
-    def __init__(self, t_nodes, y_nodes, seg_h, seg_K, events, n_accepted,
+    def __init__(self, t_nodes, y_nodes, seg_h, seg_K, fall_event, n_accepted,
                  n_rejected):
         self._t = np.asarray(t_nodes, dtype=float)
         self._y = np.asarray(y_nodes, dtype=float)
         self._h = np.asarray(seg_h, dtype=float)
         self._seg_K = seg_K  # per segment, the 7 stage vectors
         self._K_array = None  # (n_seg, 7, m), built on first dense use
-        self.events: list[Event] = list(events)
+        # the fall that ended the run early, if any
+        self.fall_event: Event | None = fall_event
         self.n_accepted = int(n_accepted)
         self.n_rejected = int(n_rejected)
 
@@ -139,11 +140,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self._y.shape[1] // 2
-
-    @property
-    def fall_event(self) -> Event | None:
-        """The terminal event that ended the run early, if any."""
-        return self.events[0] if self.events else None
 
     def end_state(self) -> PhaseState:
         return PhaseState.from_flat(self._y[-1])
@@ -238,8 +234,29 @@ def _dense_state(y_left, h, K, theta):
             for y, a, _, c, d, e, f, g in zip(y_left, *K)]
 
 
-def _locate_event(g, t_left, h, y_left, K, t_right):
-    """Bisect g(t, y(t)) >= 0 to a root on the step's interpolant."""
+def _fall_gauge(fall_dim: int):
+    """``g(y)``, nonnegative once the rod has fallen; ``None`` for no watch."""
+    if fall_dim == 0:
+        return None
+    if fall_dim == 1:
+        return lambda y: abs(y[0]) - FALL_THRESHOLD
+    thr2 = FALL_THRESHOLD * FALL_THRESHOLD
+    return lambda y: y[0] * y[0] + y[1] * y[1] - thr2
+
+
+def _fall_event(t, y, fall_dim: int) -> Event:
+    """The fall at ``(t, y)``; on the line its side is the sign of ``x``."""
+    if fall_dim == 2:
+        kind = EventKind.FALL_PLANAR
+    elif y[0] > 0.0:
+        kind = EventKind.FALL_POSITIVE
+    else:
+        kind = EventKind.FALL_NEGATIVE
+    return Event(kind, t, np.asarray(y, dtype=float))
+
+
+def _locate_fall(gauge, t_left, h, y_left, K, t_right):
+    """Bisect gauge(y(t)) >= 0 to a root on the step's interpolant."""
     a = t_left
     b = t_right
     width_goal = 1e-13 * (1.0 + abs(t_right))
@@ -248,7 +265,7 @@ def _locate_event(g, t_left, h, y_left, K, t_right):
             break
         mid = 0.5 * (a + b)
         ymid = _dense_state(y_left, h, K, (mid - t_left) / h)
-        if g(mid, ymid) >= 0.0:
+        if gauge(ymid) >= 0.0:
             b = mid
         else:
             a = mid
@@ -302,47 +319,44 @@ def _step_arrays(fun, t, h, y, k1, n, atol, rtol):
     return y_new.tolist(), K, h * math.sqrt(float(err @ err) / n)
 
 
-def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None,
+def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
                     n_err=None) -> Trajectory:
     """Integrate ``dy/dt = fun(t, y)`` from t0 to t1 (t1 >= t0).
 
-    ``fun(t, y)`` and the event functions receive ``y`` as a list of
-    floats, and ``fun`` returns a sequence of floats of the same length (a
-    list is fastest; a tuple or an ndarray gives the same result).  The
-    stage sums run on plain floats for states of up to six components and
-    on numpy arrays for wider ones.  ``events`` is a list of
-    ``(EventKind, g)`` pairs with scalar ``g(t, y)``; integration stops at
-    the first time where some ``g`` becomes nonnegative, recorded as a
-    terminal event.  ``n_err`` limits step control to the first ``n_err``
-    components (partial error control, Hairer-Norsett-Wanner I, II.4): a
-    state integrated together with its variational equation then takes the
-    steps it takes alone.  Raises ``StepBudgetError`` if the step budget is
-    exhausted and propagates ``SingularityError`` if the field is singular
-    even at the minimum step.
+    ``fun(t, y)`` receives ``y`` as a list of floats and returns a sequence
+    of floats of the same length (a list is fastest; a tuple or an ndarray
+    gives the same result).  The stage sums run on plain floats for states
+    of up to six components and on numpy arrays for wider ones.
+    ``fall_dim`` (1 or 2) watches the first ``fall_dim`` components as the
+    rod's ``x``: integration stops at the first time where ``|x|`` reaches
+    ``FALL_THRESHOLD``, recorded as the trajectory's ``fall_event``;
+    ``fall_dim = 0`` watches nothing.  ``n_err`` limits step control to the
+    first ``n_err`` components (partial error control, Hairer-Norsett-Wanner
+    I, II.4): a state integrated together with its variational equation
+    then takes the steps it takes alone.  Raises ``StepBudgetError`` if the
+    step budget is exhausted and propagates ``SingularityError`` if the
+    field is singular even at the minimum step.
     """
     t0 = float(t0)
     t1 = float(t1)
     if t1 < t0:
         raise ValueError(f"t1={t1} must be >= t0={t0}")
     y0 = np.asarray(y0, dtype=float).tolist()
-    events = list(events or [])
+    gauge = _fall_gauge(fall_dim)
 
     t_nodes = [t0]
     y_nodes = [y0]
     seg_h: list[float] = []
     seg_K: list = []
-    ev_out: list[Event] = []
     n_acc = 0
     n_rej = 0
 
-    # Immediate event at the initial point.
-    for kind, g in events:
-        if g(t0, y0) >= 0.0:
-            ev_out.append(Event(kind, t0, np.asarray(y0)))
-            return Trajectory(t_nodes, y_nodes, seg_h, seg_K, ev_out, 0, 0)
+    if gauge is not None and gauge(y0) >= 0.0:
+        return Trajectory(t_nodes, y_nodes, seg_h, seg_K,
+                          _fall_event(t0, y0, fall_dim), 0, 0)
 
     if t1 == t0:
-        return Trajectory(t_nodes, y_nodes, seg_h, seg_K, ev_out, 0, 0)
+        return Trajectory(t_nodes, y_nodes, seg_h, seg_K, None, 0, 0)
 
     f0 = fun(t0, y0)
     h = _initial_step(fun, t0, y0, f0, t1, cfg, n_err)
@@ -353,7 +367,6 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None,
     t = t0
     y = y0
     k1 = f0
-    g_left = [g(t0, y0) for _, g in events]
     attempts = 0
 
     while t < t1:
@@ -383,27 +396,18 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None,
             h *= min(factor, 1.0)
             continue
 
-        # Accepted.  Scan for events before committing the full step.
+        # Accepted.  Every node so far lies inside the threshold, so the
+        # rod falls within this step exactly when it ends outside.
         n_acc += 1
         t_new = t + h
         seg_h.append(h)
         seg_K.append(K)
-        triggered = []
-        for j, (kind, g) in enumerate(events):
-            g_right = g(t_new, y_new)
-            if g_left[j] < 0.0 <= g_right:
-                triggered.append((kind, g))
-            g_left[j] = g_right
-        if triggered:
-            located = [
-                (*_locate_event(g, t, h, y, K, t_new), kind)
-                for kind, g in triggered
-            ]
-            t_ev, y_ev, kind = min(located, key=lambda r: r[0])
+        if gauge is not None and gauge(y_new) >= 0.0:
+            t_ev, y_ev = _locate_fall(gauge, t, h, y, K, t_new)
             t_nodes.append(t_ev)
             y_nodes.append(y_ev)
-            ev_out.append(Event(kind, t_ev, np.asarray(y_ev, dtype=float)))
-            return Trajectory(t_nodes, y_nodes, seg_h, seg_K, ev_out, n_acc, n_rej)
+            return Trajectory(t_nodes, y_nodes, seg_h, seg_K,
+                              _fall_event(t_ev, y_ev, fall_dim), n_acc, n_rej)
 
         t_nodes.append(t_new)
         y_nodes.append(y_new)
@@ -417,19 +421,7 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, events=None,
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
         h *= factor
 
-    return Trajectory(t_nodes, y_nodes, seg_h, seg_K, ev_out, n_acc, n_rej)
-
-
-def _fall_events(dim: int):
-    if dim == 1:
-        return [
-            (EventKind.FALL_POSITIVE, lambda t, y: y[0] - FALL_THRESHOLD),
-            (EventKind.FALL_NEGATIVE, lambda t, y: -y[0] - FALL_THRESHOLD),
-        ]
-    thr2 = FALL_THRESHOLD * FALL_THRESHOLD
-    return [
-        (EventKind.FALL_PLANAR, lambda t, y: y[0] * y[0] + y[1] * y[1] - thr2),
-    ]
+    return Trajectory(t_nodes, y_nodes, seg_h, seg_K, None, n_acc, n_rej)
 
 
 def _check_start(s0: PhaseState, params: ModelParams) -> None:
@@ -451,6 +443,6 @@ def evolve(t0: float, t1: float, s0: PhaseState, params: ModelParams,
     """
     _check_start(s0, params)
     fun = make_field(params, F)
-    evs = _fall_events(params.dim)
-    return integrate_field(fun, t0, t1, s0.flat(), cfg or IntegratorConfig(), evs)
+    return integrate_field(fun, t0, t1, s0.flat(), cfg or IntegratorConfig(),
+                           params.dim)
 

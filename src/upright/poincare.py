@@ -23,7 +23,7 @@ from .errors import (ContinuationStuckError, FallError, IllConditionedError,
                      NewtonConvergenceError)
 from .forcing import PeriodicSignal
 from .integrator import (FALL_THRESHOLD, IntegratorConfig, Trajectory,
-                         _check_start, _fall_events, evolve, integrate_field)
+                         _check_start, evolve, integrate_field)
 
 log = logging.getLogger(__name__)
 
@@ -99,8 +99,7 @@ def _period_pass(z: PhaseState, params: ModelParams, F: PeriodicSignal,
     n = 2 * params.dim
     fun = make_field(params, F, variational=True)
     Y0 = np.concatenate([z.flat(), np.eye(n).ravel()])
-    traj = integrate_field(fun, 0.0, F.period, Y0, cfg,
-                           _fall_events(params.dim), n_err=n_err)
+    traj = integrate_field(fun, 0.0, F.period, Y0, cfg, params.dim, n_err)
     _raise_if_fell(traj)
     end = traj.states[-1]
     return end[:n], end[n:].reshape(n, n)
@@ -195,9 +194,7 @@ def _finish(z: PhaseState, residual: float, path: list, params: ModelParams,
             F: PeriodicSignal, cfg: IntegratorConfig) -> PeriodicOrbitResult:
     """Attach the orbit and variational monodromy to a converged point."""
     orbit = evolve(0.0, F.period, z, params, F, cfg)
-    if orbit.fall_event is not None:
-        raise FallError("refined fixed point fell during its own period",
-                        time=orbit.fall_event.time, kind=orbit.fall_event.kind)
+    _raise_if_fell(orbit)
     Pz = orbit.end_state().flat()
     res = float(np.linalg.norm(Pz - z.flat()))
     monodromy = poincare_jacobian(z, params, F, cfg, mode="variational")

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from upright import bounds
-from upright.bounds import (BoundSetSpec, _cone_branch_terms, _cone_gate_roots,
-                            _cone_gate_terms, _cone_quantities,
+from upright.bounds import (BoundSetSpec, _cone_gate_roots, _cone_gate_terms,
+                            _cone_quantities, _terms,
                             _cylinder_quantities, certificate_to_dict,
                             compute_a, compute_b_linear, compute_b_planar,
                             degree_of_autonomous_field, exit_cone_check,
@@ -145,9 +145,8 @@ def test_curvature_cone_unforced_orthogonal_sample():
     b = 3.0
     x = np.array([0.2, 0.0])
     p_mag = b * (1.0 - 0.2)
-    g0, _ = _cone_branch_terms([0.0], [x], [[0.0, p_mag]], Z2, 9.81, b)
-    curv = _cone_quantities([0.0], [x], [[0.0, p_mag]], 0.0, Z2, 9.81, b)
-    assert g0[0] == 0.0
+    gate, curv = _cone_quantities([0.0], [x], [[0.0, p_mag]], 0.0, Z2, 9.81, b)
+    assert gate[0] == 0.0
     assert curv[0] > 0.0
 
 
@@ -166,6 +165,50 @@ def test_exit_cone_check_with_integration():
     assert exit_cone_check(0.3, p, F2, G=9.81)
 
 
+@pytest.mark.parametrize("p, F", [
+    ([1000.0], make_fourier_forcing(2.0, 1, [1.0], [])),
+    ([1000.0, 0.0], make_fourier_forcing(2.0, 2, [[1.0, 0.0]], [[0.0, 1.0]])),
+], ids=["line", "plane"])
+def test_exit_cone_check_steep_vertex_arc_ends_at_the_fall(p, F):
+    # from |p| = 1000 the vertex arc reaches |x| = 1 long before 1e-3
+    # periods; it ends at the fall threshold, outside the cone, instead of
+    # crawling into the field's singularity until the step budget runs out
+    assert exit_cone_check(0.0, p, F, G=1.0)
+
+
+def test_planar_verification_reads_forcing_once_per_cone_point(monkeypatch):
+    # the planar cone face reads F once per cell and once per point whose
+    # curvature it forms; its transversal candidates take gate and
+    # curvature from one read
+    face = {"inside": False, "points": [], "quantity_points": []}
+    eval_points = bounds.PeriodicSignal.eval
+    cone_face = bounds._cone_face_plane
+
+    def counted_eval(self, t):
+        if face["inside"]:
+            face["points"].append(np.size(t))
+        return eval_points(self, t)
+
+    def counted_quantities(ts, *args):
+        face["quantity_points"].append(np.size(ts))
+        return _cone_quantities(ts, *args)
+
+    def counted_face(ctx, rec):
+        face["inside"] = True
+        cone_face(ctx, rec)
+        face["inside"] = False
+
+    monkeypatch.setattr(bounds.PeriodicSignal, "eval", counted_eval)
+    monkeypatch.setattr(bounds, "_cone_quantities", counted_quantities)
+    monkeypatch.setattr(bounds, "_cone_face_plane", counted_face)
+    spec = BoundSetSpec(compute_a(9.81, 1.5, 0.5), 5.0, 2)
+    verify_bound_set(spec, 9.81, F2, samples_per_face=6)
+    cells, *rest = face["points"]
+    assert cells == (2 * 6) * 6 * (max(4, 6 // 2) + 1)
+    assert face["quantity_points"][-1] == 40
+    assert sum(rest) == sum(face["quantity_points"])
+
+
 # -- closed-form planar cone gates ---------------------------------------
 
 F4 = make_fourier_forcing(
@@ -176,7 +219,7 @@ F4 = make_fourier_forcing(
 def _cone_gate(t, theta, r, psi, lam, F, b, G=9.81):
     x = r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     p = (b * (1.0 - r))[:, None] * np.stack([np.cos(psi), np.sin(psi)], axis=1)
-    g0, g1 = _cone_branch_terms(t, x, p, F, G, b)
+    g0, g1 = bounds._cone_gate(_terms(t, x, p, F, G), b)
     return g0 + lam * g1
 
 
@@ -438,19 +481,22 @@ def test_lambda_free_kernels_run_once_per_verification(monkeypatch):
             return kernel(*args, **kwargs)
         return wrapper
 
-    for name in ("_cylinder_terms", "_cone_branch_terms", "_cone_gate_terms"):
+    for name in ("_cylinder_terms", "_cone_gate", "_cone_gate_terms"):
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     a1 = compute_a(9.81, 2.0, 0.5)
     a2 = compute_a(9.81, 1.5, 0.5)
+    # the planar face's curvature at the moving gate roots reads the cone
+    # gate once per scale, so there only the cell kernel is counted
     for spec, F, cone in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0, 0.5), 1),
-                           F1, "_cone_branch_terms"),
+                           F1, "_cone_gate"),
                           (BoundSetSpec(a2, 5.0, 2), F2, "_cone_gate_terms")):
         seen = []
         for n_lam in (3, 21):
             calls.clear()
             monkeypatch.setattr(bounds, "_LAMBDA_GRID", np.linspace(0.0, 1.0, n_lam))
             verify_bound_set(spec, 9.81, F, samples_per_face=6)
-            seen.append(dict(calls))
+            seen.append({name: calls.get(name, 0)
+                         for name in ("_cylinder_terms", cone)})
         assert seen[0] == seen[1], (spec.dim, seen)
         assert seen[0]["_cylinder_terms"] > 0 and seen[0][cone] > 0, seen
 

@@ -120,6 +120,17 @@ def test_verify_bounds_spot_checks_skip_arcs_through_the_cone_vertex(tmp_path):
     assert cert["spot_checks"]["passed"] == cert["spot_checks"]["attempted"] > 0
 
 
+def test_verify_bounds_steep_cone_vertex_arcs_end_at_the_fall(tmp_path, capsys):
+    # at b = 1000 each vertex arc reaches the fall threshold within its
+    # window; the fall ends the arc outside the cone, so the vertex exits
+    rc, out = run(tmp_path, "verify-bounds", problem="linear", period=2.0,
+                  gravity=1.0, forcing={"cosine": [1.0]},
+                  bounds={"b_override": 1000})
+    assert rc == 0
+    assert json.loads((out / "certificate.json").read_text())["corner_ok"] is True
+    assert "verified = True" in capsys.readouterr().out
+
+
 def test_verify_bounds_reruns_byte_stable(tmp_path):
     cfg = write_config(tmp_path, problem="linear",
                        forcing={"cosine": [2.0]},
@@ -334,6 +345,33 @@ def test_config_wrong_types_exit_1(tmp_path, caplog, command, overrides):
     rc, _ = run(tmp_path, command, **overrides)
     assert rc == 1
     assert "config error" in caplog.text
+
+
+@pytest.mark.parametrize("overrides", [
+    {"forcing": {"cosine": [math.inf]}},
+    {"forcing": {"sine": [math.nan]}},
+    {"forcing": {"constant": [-math.inf]}},
+    {"gravity": math.inf},
+    {"period": math.nan},
+    {"duration": math.inf},
+    {"initial_state": {"x": [math.nan], "p": [0.0]}},
+], ids=["cosine-inf", "sine-nan", "constant-inf", "gravity-inf", "period-nan",
+        "duration-inf", "initial-x-nan"])
+def test_non_finite_numbers_exit_1(tmp_path, caplog, overrides):
+    # JSON's 1e400 parses as inf, and Python's json reads Infinity and NaN
+    rc, out = run(tmp_path, "simulate", problem="linear", **overrides)
+    assert rc == 1
+    assert "finite" in caplog.text
+    assert not (out / "result.json").exists()
+
+
+def test_output_directory_that_cannot_be_created_exits_1(tmp_path, caplog):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    rc = main(["degree", "--config", str(write_config(tmp_path)),
+               "--out", str(blocker)])
+    assert rc == 1
+    assert "cannot write output" in caplog.text
 
 
 def test_config_numbers_take_the_type_of_their_default(tmp_path):

@@ -1,18 +1,25 @@
-"""The demo scripts still import only names the package has.
+"""The demo scripts run and reproduce their committed reference outputs.
 
-Tier-1 does not run ``demos/*.py``, so a renamed or deleted name would
-break a demo silently.  Each script is parsed, not run: every name it
-imports from ``upright`` must exist.
+Every name a demo imports from ``upright`` must exist, and each demo, run
+from a copy, must rewrite ``demos/output/*`` byte for byte.
 """
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+import upright
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+REFERENCE = ROOT / "demos" / "output"
 
 
 def test_demos_are_found():
@@ -31,3 +38,22 @@ def test_demo_imports_exist(demo):
                                                      alias.name)
                 imported += 1
     assert imported > 0, demo.name
+
+
+def test_demos_rewrite_the_reference_outputs_byte_for_byte(tmp_path):
+    # each demo writes next to itself, so copies write into tmp_path/output
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(upright.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    for demo in DEMOS:
+        shutil.copy(demo, tmp_path)
+        proc = subprocess.run([sys.executable, str(tmp_path / demo.name)],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, (demo.name, proc.stderr)
+    written = sorted(p.name for p in (tmp_path / "output").iterdir())
+    assert written == sorted(p.name for p in REFERENCE.iterdir())
+    for name in written:
+        assert (tmp_path / "output" / name).read_bytes() == \
+            (REFERENCE / name).read_bytes(), name

@@ -22,7 +22,7 @@ Z1 = make_fourier_forcing(1.0, 1, [0.0], [])
 def test_equilibrium_stays_put():
     params = ModelParams(G=9.81, lam=1.0, dim=1)
     traj = evolve(0.0, 5.0, PhaseState(0.0, 0.0), params, Z1)
-    assert traj.events == []
+    assert traj.fall_event is None
     assert np.allclose(traj.end_state().flat(), [0.0, 0.0], atol=1e-13)
     assert np.allclose(traj.dense_array([2.34])[0], [0.0, 0.0], atol=1e-13)
 
@@ -111,25 +111,6 @@ def test_planar_fall_kind():
     s = PhaseState(np.array([0.1, 0.05]), np.zeros(2))
     traj = evolve(0.0, 20.0, s, params, Z2)
     assert traj.fall_event.kind is EventKind.FALL_PLANAR
-
-
-def test_boundary_event_gets_a_list_and_stops_the_run():
-    # an event function, like the field, receives the flat state as a list,
-    # and the run ends at its first zero crossing; the kind is only a label
-    seen = set()
-
-    def boundary(t, y):
-        seen.add(type(y))
-        return y[0] * y[0] + y[1] * y[1] - 0.25
-
-    fun = make_field(ModelParams(G=1.0, lam=0.0, dim=1), Z1)
-    traj = integrate_field(fun, 0.0, 20.0, [0.1, 0.0], IntegratorConfig(),
-                           [(EventKind.FALL_POSITIVE, boundary)])
-    assert seen == {list}
-    (ev,) = traj.events
-    assert ev is traj.fall_event
-    assert ev.time == traj.t_end < 20.0
-    assert ev.state[0] ** 2 + ev.state[1] ** 2 == pytest.approx(0.25, abs=1e-9)
 
 
 def test_reversibility():
@@ -228,10 +209,6 @@ def test_integrate_field_tight_tolerance_error_decay():
 
 # -- the field contract: lists in, any float sequence out -----------------
 
-def _rise(thr):
-    return [(EventKind.FALL_POSITIVE, lambda t, y: y[0] * y[0] + y[1] * y[1] - thr)]
-
-
 @pytest.mark.parametrize("dim, variational", [(1, False), (2, False), (2, True)])
 def test_field_returning_array_or_list_gives_identical_runs(dim, variational):
     # widths 2 and 4 take the plain-float step, 20 (the planar variational
@@ -251,13 +228,13 @@ def test_field_returning_array_or_list_gives_identical_runs(dim, variational):
         y0 = np.concatenate([y0, np.eye(n).ravel()])
     m = y0.size
     cfg = IntegratorConfig()
-    runs = [integrate_field(fun, 0.0, 3.0, y0, cfg, _rise(0.81), n_err=n)
+    runs = [integrate_field(fun, 0.0, 3.0, y0, cfg, fall_dim=dim, n_err=n)
             for fun in (listed, arrayed)]
     a, b = runs
     assert a.fall_event is not None and a.n_accepted > 10
     assert np.array_equal(a.t_nodes, b.t_nodes)
     assert np.array_equal(a.states, b.states)
-    assert [ev.time for ev in a.events] == [ev.time for ev in b.events]
+    assert a.fall_event.time == b.fall_event.time
     assert np.array_equal(a.fall_event.state, b.fall_event.state)
     ts = np.linspace(0.0, a.t_end, 11)
     assert np.array_equal(a.dense_array(ts), b.dense_array(ts))
@@ -267,7 +244,8 @@ def test_field_returning_array_or_list_gives_identical_runs(dim, variational):
         ev = traj.fall_event
         assert isinstance(ev.state, np.ndarray)
         assert ev.state.dtype == float and ev.state.shape == (m,)
-        assert ev.state[0] ** 2 + ev.state[1] ** 2 == pytest.approx(0.81, abs=1e-9)
+        assert np.linalg.norm(ev.state[:dim]) == pytest.approx(FALL_THRESHOLD,
+                                                               abs=1e-9)
         block = traj.dense_array(ts)
         assert block.dtype == float and block.shape == (ts.size, m)
         assert np.array_equal(block[0], y0)
