@@ -33,6 +33,7 @@ __all__ = [
     "ModelParams",
     "PhaseState",
     "make_field",
+    "lane_field",
     "jacobian",
 ]
 
@@ -229,6 +230,44 @@ def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scala
         ]
 
     return field2_var
+
+
+def lane_field(params: ModelParams, F: PeriodicSignal):
+    """Compile the batched field ``f(t, Y) -> (dY, singular)`` for lanes.
+
+    ``t`` has shape ``(N,)`` and ``Y`` shape ``(N, 2 dim)``, one state per
+    row; ``dY`` is the field of every row and ``singular`` a bool mask of the
+    rows with ``|x|^2 >= GUARD^2``.  Those rows are clamped to the guard
+    radius before the square root and their ``dY`` is set to zero, so a
+    trial step through the singularity stays finite and raises no
+    floating-point warning.  The form ``R x + lam ((x.F) x - F)``
+    is written once for both dimensions: on the line it is the 1-D equation.
+    ``F`` is read through its array path ``F.eval``.
+    """
+    if F.dim != params.dim:
+        raise ValueError(f"forcing dim {F.dim} does not match model dim {params.dim}")
+    d = params.dim
+    G = params.G
+    lam = params.lam
+    guard2 = GUARD * GUARD
+
+    def field(t: np.ndarray, Y: np.ndarray):
+        X = Y[:, :d]
+        P = Y[:, d:]
+        r2 = np.einsum("ij,ij->i", X, X)
+        singular = r2 >= guard2
+        one_minus = 1.0 - np.minimum(r2, guard2)
+        xp = np.einsum("ij,ij->i", X, P)
+        R = G * np.sqrt(one_minus) - xp * xp / one_minus - np.einsum("ij,ij->i", P, P)
+        Fv = F.eval(t)
+        xf = np.einsum("ij,ij->i", X, Fv)
+        dY = np.empty_like(Y)
+        dY[:, :d] = P
+        dY[:, d:] = R[:, None] * X + lam * (xf[:, None] * X - Fv)
+        dY[singular] = 0.0
+        return dY, singular
+
+    return field
 
 
 def jacobian(t: float, state: PhaseState, params: ModelParams,

@@ -17,10 +17,10 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import ModelParams, PhaseState
+from .dynamics import ModelParams, PhaseState, lane_field
 from .errors import BracketError
 from .forcing import PeriodicSignal
-from .integrator import EventKind, IntegratorConfig, evolve
+from .integrator import EventKind, IntegratorConfig, evolve, integrate_lanes
 
 __all__ = [
     "FallClass",
@@ -53,10 +53,10 @@ class JourneySpec:
     G: float
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.G <= 0:
-            raise ValueError(f"G must be positive, got {self.G}")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if not 0 < self.G < math.inf:
+            raise ValueError(f"G must be positive and finite, got {self.G}")
 
 
 @dataclass(frozen=True)
@@ -168,24 +168,20 @@ def planar_survivor_grid(journey: JourneySpec, grid_radius: float = 0.9,
     There is no one-parameter bisection in the plane, so this simply
     classifies an n-by-n grid of rest starts and reports fall times (nan
     for survivors).  No convergence guarantee is attached; the longest
-    survivor is a starting guess, not a certificate.
+    survivor is a starting guess, not a certificate.  All starts are
+    stepped in lockstep by one ``integrate_lanes`` call; each takes the
+    steps ``evolve`` would take from it.  A start at or beyond the fall
+    threshold falls at t = 0.
     """
     if journey.F.dim != 2:
         raise ValueError("the survivor grid sweep needs a planar journey")
+    n = int(n)
     params = ModelParams(G=journey.G, lam=1.0, dim=2)
-    coords = np.linspace(-grid_radius, grid_radius, int(n))
-    fall_times = np.full((n, n), math.nan)
-    survived = np.zeros((n, n), dtype=bool)
-    for i, x1 in enumerate(coords):
-        for j, x2 in enumerate(coords):
-            if math.hypot(x1, x2) >= 1.0:
-                fall_times[i, j] = 0.0
-                continue
-            state = PhaseState(np.asarray([x1, x2]), np.zeros(2))
-            traj = evolve(0.0, journey.t_end, state, params, journey.F, cfg)
-            ev = traj.fall_event
-            if ev is None:
-                survived[i, j] = True
-            else:
-                fall_times[i, j] = ev.time
-    return {"coords": coords, "fall_times": fall_times, "survived": survived}
+    coords = np.linspace(-grid_radius, grid_radius, n)
+    x1, x2 = np.meshgrid(coords, coords, indexing="ij")
+    starts = np.column_stack([x1.ravel(), x2.ravel(), np.zeros((n * n, 2))])
+    run = integrate_lanes(lane_field(params, journey.F), 0.0, journey.t_end,
+                          starts, cfg or IntegratorConfig(), fall_dim=2)
+    fall_times = run.fall_times.reshape(n, n)
+    return {"coords": coords, "fall_times": fall_times,
+            "survived": np.isnan(fall_times)}

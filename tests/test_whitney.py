@@ -73,6 +73,15 @@ def test_journey_validation():
         JourneySpec(F=F_SIN, t_end=1.0, G=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_journey_rejects_non_finite_window_and_gravity(bad):
+    # a nan window takes no step, so every start would "survive" it
+    with pytest.raises(ValueError, match="t_end"):
+        JourneySpec(F=F_SIN, t_end=bad, G=9.81)
+    with pytest.raises(ValueError, match="G must"):
+        JourneySpec(F=F_SIN, t_end=1.0, G=bad)
+
+
 def test_unforced_journey_finds_equilibrium_immediately():
     Z = make_fourier_forcing(1.0, 1, [0.0], [])
     res = bisect_survivor(JourneySpec(F=Z, t_end=5.0, G=9.81))
@@ -187,3 +196,25 @@ def test_planar_survivor_grid_smoke():
 def test_planar_grid_rejects_scalar_journey():
     with pytest.raises(ValueError):
         planar_survivor_grid(JOURNEY, n=3)
+
+
+def test_planar_grid_starts_at_the_fall_threshold_fall_at_zero():
+    # (0.9999999, 0) lies between the fall threshold and |x| = 1, the
+    # corners beyond |x| = 1: all of them fall at t = 0
+    j = JourneySpec(F=F_PLANAR, t_end=0.5, G=9.81)
+    report = planar_survivor_grid(j, grid_radius=0.9999999, n=3)
+    ft = report["fall_times"]
+    edge = np.ones((3, 3), dtype=bool)
+    edge[1, 1] = False
+    assert np.all(ft[edge] == 0.0)
+    assert not report["survived"][edge].any()
+    assert report["survived"][1, 1] and math.isnan(ft[1, 1])
+
+
+def test_planar_grid_takes_a_float_count():
+    j = JourneySpec(F=F_PLANAR, t_end=0.5, G=9.81)
+    report = planar_survivor_grid(j, grid_radius=0.5, n=3.0)
+    ref = planar_survivor_grid(j, grid_radius=0.5, n=3)
+    assert report["fall_times"].shape == (3, 3)
+    assert report["survived"].dtype == bool
+    assert np.array_equal(report["fall_times"], ref["fall_times"], equal_nan=True)
