@@ -153,6 +153,7 @@ def test_solve_periodic_linear(tmp_path, capsys):
     result = json.loads((out / "result.json").read_text())
     assert result["residual"] < 1e-10
     assert result["containment"]["contained"] is True
+    assert result["liouville_defect"] <= 1e-7
     path = result["lambda_path"]
     assert path[0]["lam"] == 0.0 and path[-1]["lam"] == 1.0
     lams = [node["lam"] for node in path]
@@ -189,14 +190,31 @@ def test_solve_periodic_continuation_failure(tmp_path, monkeypatch):
 
 
 def test_solve_periodic_attempt_budget_exits_3(tmp_path, caplog, monkeypatch):
+    # line T=3, cosine amplitude 8: the trap verifies, but every trial rod
+    # falls at lam=0, so only the attempt budget ends the run
     monkeypatch.setattr(poincare, "_MAX_ATTEMPTS", 5)
     rc, out = run(tmp_path, "solve-periodic", problem="linear", period=3.0,
-                  forcing={"cosine": [2.0]},
+                  forcing={"cosine": [8.0]},
                   bounds={"samples_per_face": 8})
+    assert json.loads((out / "certificate.json").read_text())["verified"] is True
     assert rc == 3
     assert "in 5 attempts" in caplog.text
     assert (out / "certificate.json").exists()
     assert not (out / "result.json").exists()
+
+
+def test_solve_periodic_period_3(tmp_path):
+    # multipliers near 1.2e4: Newton converges only from starts close to
+    # the branch
+    rc, out = run(tmp_path, "solve-periodic", problem="linear", period=3.0,
+                  forcing={"cosine": [2.0]},
+                  bounds={"samples_per_face": 8})
+    assert rc == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["lambda_path"][-1]["lam"] == 1.0
+    assert result["residual"] <= poincare._NEWTON_TOL
+    assert result["containment"]["contained"] is True
+    assert result["liouville_defect"] <= 1e-7
 
 
 def test_solve_periodic_planar(tmp_path):

@@ -11,10 +11,10 @@ from scipy.linalg import expm
 
 from oracles import linear_scalar_rhs, rk4_scalar
 from upright import integrator, poincare
-from upright.dynamics import ModelParams, PhaseState
+from upright.dynamics import ModelParams, PhaseState, make_field
 from upright.errors import ContinuationStuckError, FallError
 from upright.forcing import make_fourier_forcing
-from upright.integrator import IntegratorConfig, evolve
+from upright.integrator import IntegratorConfig, evolve, integrate_field
 from upright.poincare import (_NEWTON_TOL, PeriodicOrbitResult, _finish,
                               _newton, _period_pass, continue_in_lambda,
                               poincare_jacobian, poincare_map, result_to_dict,
@@ -29,6 +29,7 @@ Z2 = make_fourier_forcing(1.0, 2, [(0.0, 0.0)], [])
 F_SMALL = make_fourier_forcing(1.0, 1, [0.05], [])
 F_LIN = make_fourier_forcing(1.0, 1, [2.0], [])
 F_CIRCLE = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
+F_FALLS = make_fourier_forcing(3.0, 1, [8.0], [])
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
@@ -158,6 +159,9 @@ def test_continuation_logs_every_lambda_attempt(caplog):
     caplog.set_level(logging.DEBUG, logger="upright.poincare")
     F = make_fourier_forcing(1.5, 1, [2.0], [])
     result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F)
+    # linear T=3, cosine amplitude 8: the rod falls from every start at lam=0
+    with pytest.raises(ContinuationStuckError):
+        continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_FALLS)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "upright.poincare"]
     converged = [line for line in lines if " converged: " in line]
@@ -166,12 +170,12 @@ def test_continuation_logs_every_lambda_attempt(caplog):
     for line in lines:
         assert line.startswith("lam=")
         assert "Newton iterations, residual " in line and "cond(DP - I) " in line
+        assert ", start residual " in line
 
 
 def test_continuation_gives_up_after_its_attempt_budget(monkeypatch):
-    # linear T=3, cosine amplitude 2: single shooting crawls here (most
-    # trial rods fall, and lam advances by tiny steps), so the budget ends it
-    F = make_fourier_forcing(3.0, 1, [2.0], [])
+    # linear T=3, cosine amplitude 8: every trial rod falls at lam=0, and
+    # the budget ends the halving before the step gets below its minimum
     calls = []
 
     def counted(*args, _inner=poincare._newton, **kwargs):
@@ -182,10 +186,57 @@ def test_continuation_gives_up_after_its_attempt_budget(monkeypatch):
     monkeypatch.setattr(poincare, "_MAX_ATTEMPTS", 5)
     start = time.perf_counter()
     with pytest.raises(ContinuationStuckError, match="in 5 attempts") as info:
-        continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F)
+        continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_FALLS)
     assert len(calls) == 5
     assert info.value.last_lambda < 1.0
     assert time.perf_counter() - start < 30.0
+
+
+def test_secant_predictor_cuts_the_stress_continuation(monkeypatch):
+    # line T=1.5, cosine amplitude 2: Newton started from the last converged
+    # point needs 53 period passes here, 3 of its attempts falling
+    calls = []
+
+    def counted(*args, _inner=poincare._period_pass, **kwargs):
+        calls.append(None)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(poincare, "_period_pass", counted)
+    F = make_fourier_forcing(1.5, 1, [2.0], [])
+    result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F)
+    assert result.lambda_path[-1][0] == 1.0
+    assert len(calls) <= 25
+
+
+def test_planar_continuation_reaches_full_forcing_at_period_3():
+    # multipliers near 1.2e4: Newton converges only from starts close to
+    # the branch (the line's T=3 cell runs through the CLI in test_cli.py)
+    F = make_fourier_forcing(3.0, 2, [(0.5, 0.0)], [(0.0, 0.5)])
+    result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=2), F)
+    assert result.lambda_path[-1][0] == 1.0
+    assert result.residual <= _NEWTON_TOL
+    assert result.liouville_defect <= 1e-7
+
+
+@pytest.mark.parametrize("dim, F", [(1, F_LIN), (2, F_CIRCLE)], ids=["line", "plane"])
+def test_fused_pass_keeps_the_liouville_identity_on_arcs(dim, F):
+    # the field's divergence is d/dt ln(1 - |x|^2), so along any arc
+    # det M(t) = (1 - |x(t)|^2) / (1 - |x(0)|^2)
+    params = ModelParams(G=9.81, lam=0.7, dim=dim)
+    n = 2 * dim
+    fun = make_field(params, F, variational=True)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        z = np.concatenate([rng.uniform(-0.1, 0.1, dim),
+                            rng.uniform(-0.3, 0.3, dim)])
+        Y0 = np.concatenate([z, np.eye(n).ravel()])
+        traj = integrate_field(fun, 0.0, 0.4, Y0, TIGHT, dim)
+        assert traj.fall_event is None
+        x0 = float(z[:dim] @ z[:dim])
+        for Y in traj.states[1:]:
+            x = Y[:dim]
+            det = np.linalg.det(Y[n:].reshape(n, n))
+            assert det == pytest.approx((1.0 - x @ x) / (1.0 - x0), rel=1e-11)
 
 
 def test_newton_converges_to_origin():
@@ -270,7 +321,8 @@ def test_result_json_roundtrip(tmp_path):
     result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_SMALL)
     d = result_to_dict(result)
     assert set(d) >= {"fixed_point", "residual", "lambda_path", "monodromy",
-                      "floquet_multipliers"}
+                      "floquet_multipliers", "liouville_defect"}
+    assert d["liouville_defect"] == abs(np.linalg.det(result.monodromy) - 1.0)
     assert all(set(n) == {"lam", "state", "residual"} for n in d["lambda_path"])
     out = tmp_path / "result.json"
     save_result_json(result, out)
