@@ -11,7 +11,16 @@ the inside tangentially: at boundary points where the gauge's derivative
 along the flow vanishes (gate points) the second derivative must be
 positive, at all other points the crossing is transversal and either
 direction is acceptable.  The cone vertex ``x = 0, |p| = b`` needs its own
-exit condition.
+exit condition.  Along the flow ``y' = (p, a)``, with the acceleration ``a``
+and its rate ``a'`` from ``dynamics``, a gauge ``g(y)`` has
+
+    g' = grad g . y',        g'' = y'^T (hess g) y' + grad g . (a, a'),
+
+so ``m' = x.p``, ``m'' = |p|^2 + x.a`` and
+
+    n'  = b (x.p)/|x| + (p.a)/|p|,
+    n'' = b (|x|^2 |p|^2 - (x.p)^2)/|x|^3 + (|p|^2 |a|^2 - (p.a)^2)/|p|^3
+          + b (x.a)/|x| + (p.a')/|p|.
 
 ``verify_bound_set`` checks these conditions by quasi-uniform sampling of
 both faces over time, face coordinates, and the forcing scale ``lam``, and
@@ -42,7 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ModelParams, make_field
+from .dynamics import (ModelParams, RodTerms, acceleration_rate, make_field,
+                       rod_acceleration, rod_terms)
 from .errors import BoundVerificationError
 from .forcing import PeriodicSignal
 from .integrator import IntegratorConfig, integrate_field
@@ -188,87 +198,42 @@ def compute_b_planar(a: float, F: PeriodicSignal, G: float,
 # -- pointwise boundary checks -----------------------------------------
 
 
-# boundary terms shared by the face kernels, one array entry per sample
-_Terms = namedtuple("_Terms", "ts xs ps f r2 one_minus p2 xp xf R")
-
-
-def _terms(ts, xs, ps, F, G) -> _Terms:
-    """F, |x|^2, 1 - |x|^2, |p|^2, x.p, x.F and the field's R per sample."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    # a single sample may come as a 1d vector; rows keep the kernels generic
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ps = np.atleast_2d(np.asarray(ps, dtype=float))
-    f = np.atleast_2d(F.eval(ts))
-    r2 = np.sum(xs * xs, axis=1)
-    one_minus = 1.0 - r2
-    p2 = np.sum(ps * ps, axis=1)
-    xp = np.sum(xs * ps, axis=1)
-    xf = np.sum(xs * f, axis=1)
-    R = G * np.sqrt(one_minus) - xp * xp / one_minus - p2
-    return _Terms(ts, xs, ps, f, r2, one_minus, p2, xp, xf, R)
-
-
 def _cylinder_quantities(ts, xs, ps, lam, F, G):
-    """Gate value x.p and curvature |p|^2 + R|x|^2 + x.Phi on |x| = a."""
+    """Gate ``m' = x.p`` and curvature ``m'' = |p|^2 + x.a`` on ``|x| = a``."""
     xp, base, slope = _cylinder_terms(ts, xs, ps, F, G)
     return xp, base + lam * slope
 
 
 def _cylinder_terms(ts, xs, ps, F, G):
     """Cylinder gate and curvature, the latter as ``base + lam * slope``."""
-    s = _terms(ts, xs, ps, F, G)
-    # x.Phi = -lam (1 - |x|^2) (x.F)
+    s = rod_terms(xs, ps, F.eval(ts), G)
+    # x.a = R |x|^2 + lam (|x|^2 - 1) x.F
     return s.xp, s.p2 + s.R * s.r2, s.xf * s.r2 - s.xf
 
 
-def _cone_gate(s: _Terms, b):
+def _cone_gate(s: RodTerms, b):
     """Cone gate (b/|x|) x.p + p.(R x + Phi)/|p| as ``g0 + lam * g1``."""
     pn = np.sqrt(s.p2)
     g0 = ((b / np.sqrt(s.r2)) * s.xp
-          + np.sum(s.ps * (s.R[:, None] * s.xs), axis=1) / pn)
-    g1 = np.sum(s.ps * (s.xf[:, None] * s.xs - s.f), axis=1) / pn
+          + np.sum(s.P * (s.R[:, None] * s.X), axis=1) / pn)
+    g1 = np.sum(s.P * (s.xf[:, None] * s.X - s.F), axis=1) / pn
     return g0, g1
 
 
 def _cone_quantities(ts, xs, ps, lam, F, G, b):
-    """Gate and tangency curvature of the cone gauge n = 0 at the samples.
-
-    The gate is ``_cone_gate`` at ``lam``.  The curvature is the second
-    derivative of the cone gauge along a trajectory, written out term by
-    term: the two nonnegative determinant terms, the bR|x| + R|p| core, the
-    R-derivative coupling through x.p, and the forcing terms through Phi and
-    its t- and x-derivatives.
-    """
-    s = _terms(ts, xs, ps, F, G)
+    """Gate ``n'`` (``_cone_gate`` at ``lam``) and curvature ``n''`` of the
+    cone gauge at the samples, as the module docstring writes them."""
+    s = rod_terms(xs, ps, F.eval(ts), G)
     g0, g1 = _cone_gate(s, b)
-    xs, ps, f, r2, one_minus, p2, xp, xf, R = s[1:]
-    nx, pn = np.sqrt(r2), np.sqrt(p2)
-    pf = np.sum(ps * f, axis=1)
-    phi = lam * (xf[:, None] * xs - f)
-    rxphi = R[:, None] * xs + phi
-    p_rxphi = np.sum(ps * rxphi, axis=1)
-    fd = np.atleast_2d(F.eval_derivative(s.ts))
-    xfd = np.sum(xs * fd, axis=1)
-    x_phi = np.sum(xs * phi, axis=1)
-    p_phi = np.sum(ps * phi, axis=1)
-    det1_sq = np.clip(r2 * p2 - xp * xp, 0.0, None)
-    det2_sq = np.clip(p2 * np.sum(rxphi * rxphi, axis=1) - p_rxphi * p_rxphi,
-                      0.0, None)
-    dRdx_p = (-(G / np.sqrt(one_minus)) * xp
-              - (2.0 * xp / one_minus) * p2
-              - (2.0 * xp * xp / one_minus ** 2) * xp)
-    dRdp_x = -2.0 * xp / one_minus
-    dRdp_phi = -(2.0 * xp / one_minus) * x_phi - 2.0 * p_phi
-    dphidt = lam * (xfd[:, None] * xs - fd)
-    dphidx_p = lam * (xf[:, None] * ps + pf[:, None] * xs)
-    p_dphi = np.sum(ps * (dphidt + dphidx_p), axis=1)
-    curv = (b * det1_sq / nx ** 3
-            + det2_sq / pn ** 3
-            + b * R * nx + R * pn
-            + (dRdx_p + R * dRdp_x) * xp / pn
-            + (b / nx) * x_phi
-            + p_dphi / pn
-            + (xp / pn) * dRdp_phi)
+    acc = rod_acceleration(s, lam)
+    rate = acceleration_rate(s, acc, F.eval_derivative(ts), lam, G)
+    nx, pn = np.sqrt(s.r2), np.sqrt(s.p2)
+    pa = np.sum(s.P * acc, axis=1)
+    # the two determinant terms are nonnegative; clipping drops rounding
+    curv = (b * np.clip(s.r2 * s.p2 - s.xp * s.xp, 0.0, None) / nx ** 3
+            + np.clip(s.p2 * np.sum(acc * acc, axis=1) - pa * pa, 0.0, None) / pn ** 3
+            + (b / nx) * np.sum(s.X * acc, axis=1)
+            + np.sum(s.P * rate, axis=1) / pn)
     return g0 + lam * g1, curv
 
 
@@ -560,7 +525,7 @@ def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
             xq = np.tile((sx * xi)[:, None], (n_t, 1))
             pq = np.tile((sp * b * (1.0 - xi))[:, None], (n_t, 1))
             branches.append((sx * sp, xq, pq)
-                            + _cone_gate(_terms(tq, xq, pq, F, G), b))
+                            + _cone_gate(rod_terms(xq, pq, F.eval(tq), G), b))
     for lam in lams:
         for sign, xq, pq, g0, g1 in branches:
             rec.delta.add(sign * (g0 + lam * g1), tq, lam, xq, pq, "cone-sign")
@@ -699,10 +664,10 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     * vertex ``x = 0, |p| = b``: ``exit_cone_check``;
     * spot checks: a random subset confirmed by two-sided integrations.
 
-    Gates and curvatures are affine in the forcing scale ``lam``: each
-    sample's terms free of ``lam`` (``F``, ``R``, ``x.p``, ``x.F``) are
-    computed once, and each of the 21 scales of ``_LAMBDA_GRID`` costs a
-    multiply-add.  Only the planar cone gate points move with ``lam``.
+    Each sample's ``lam``-free terms are computed once: the cylinder
+    curvature and the cone gate are affine in ``lam``, and each of the 21
+    scales of ``_LAMBDA_GRID`` costs a multiply-add.  Only the planar cone
+    gate points, and with them their curvatures, move with ``lam``.
     """
     if F.dim != spec.dim:
         raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")

@@ -21,6 +21,7 @@ rod and ``lam = 1`` the driven one.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
 # triggers earlier (at its FALL_THRESHOLD), so hitting the guard means a
 # trial step overshot badly.
 GUARD = 1.0 - 1e-12
+_GUARD2 = GUARD * GUARD
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ def make_field(params: ModelParams, F: PeriodicSignal, variational: bool = False
         raise ValueError(f"forcing dim {F.dim} does not match model dim {params.dim}")
     G = params.G
     lam = params.lam
-    guard2 = GUARD * GUARD
+    guard2 = _GUARD2
     eval_scalar = F.eval_scalar
 
     if variational:
@@ -232,6 +234,40 @@ def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scala
     return field2_var
 
 
+# the batched field's terms, one entry per row: the rows of x, p and F,
+# |x|^2, 1 - |x|^2 at |x| clamped to the guard radius, |p|^2, x.p, x.F and R
+RodTerms = namedtuple("RodTerms", "X P F r2 one_minus p2 xp xf R")
+
+
+def _rowdot(A, B) -> np.ndarray:
+    return np.einsum("ij,ij->i", A, B)
+
+
+def rod_terms(X, P, Fv, G: float) -> RodTerms:
+    """The batched field's terms for ``(N, dim)`` rows of x, p and F."""
+    r2, xp, p2 = _rowdot(X, X), _rowdot(X, P), _rowdot(P, P)
+    one_minus = 1.0 - np.minimum(r2, _GUARD2)
+    R = G * np.sqrt(one_minus) - xp * xp / one_minus - p2
+    return RodTerms(X, P, Fv, r2, one_minus, p2, xp, _rowdot(X, Fv), R)
+
+
+def rod_acceleration(s: RodTerms, lam: float) -> np.ndarray:
+    """The acceleration ``a = R x + lam ((x.F) x - F)`` of every row."""
+    return s.R[:, None] * s.X + lam * (s.xf[:, None] * s.X - s.F)
+
+
+def acceleration_rate(s: RodTerms, acc, dF, lam: float, G: float) -> np.ndarray:
+    """``a' = R' x + R p + lam ((p.F + x.F') x + (x.F) p - F')`` per row, for
+    ``acc = rod_acceleration(s, lam)``, the rows ``dF`` of ``F'`` and
+    ``R' = dR/dx.p + dR/dp.a`` (the gradients of ``_variational_field``)."""
+    c = 2.0 * s.xp / s.one_minus
+    dR = (-(G / np.sqrt(s.one_minus) + c * s.xp / s.one_minus) * s.xp - c * s.p2
+          - c * _rowdot(s.X, acc) - 2.0 * _rowdot(s.P, acc))
+    return (dR[:, None] * s.X + s.R[:, None] * s.P
+            + lam * ((_rowdot(s.P, s.F) + _rowdot(s.X, dF))[:, None] * s.X
+                     + s.xf[:, None] * s.P - dF))
+
+
 def lane_field(params: ModelParams, F: PeriodicSignal):
     """Compile the batched field ``f(t, Y) -> (dY, singular)`` for lanes.
 
@@ -249,21 +285,11 @@ def lane_field(params: ModelParams, F: PeriodicSignal):
     d = params.dim
     G = params.G
     lam = params.lam
-    guard2 = GUARD * GUARD
 
     def field(t: np.ndarray, Y: np.ndarray):
-        X = Y[:, :d]
-        P = Y[:, d:]
-        r2 = np.einsum("ij,ij->i", X, X)
-        singular = r2 >= guard2
-        one_minus = 1.0 - np.minimum(r2, guard2)
-        xp = np.einsum("ij,ij->i", X, P)
-        R = G * np.sqrt(one_minus) - xp * xp / one_minus - np.einsum("ij,ij->i", P, P)
-        Fv = F.eval(t)
-        xf = np.einsum("ij,ij->i", X, Fv)
-        dY = np.empty_like(Y)
-        dY[:, :d] = P
-        dY[:, d:] = R[:, None] * X + lam * (xf[:, None] * X - Fv)
+        s = rod_terms(Y[:, :d], Y[:, d:], F.eval(t), G)
+        singular = s.r2 >= _GUARD2
+        dY = np.concatenate([s.P, rod_acceleration(s, lam)], axis=1)
         dY[singular] = 0.0
         return dY, singular
 

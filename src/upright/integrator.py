@@ -98,6 +98,8 @@ class IntegratorConfig:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.abs_tol <= 0:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 class EventKind(str, Enum):

@@ -112,11 +112,15 @@ def bisect_survivor(journey: JourneySpec, cfg: IntegratorConfig | None = None,
     left end falls negative and the right end falls positive; a midpoint
     that survives is returned immediately, otherwise it replaces the end
     it agrees with.  If an initial endpoint itself survives, that endpoint
-    is the answer.  Raises ``BracketError`` when the initial bracket does
-    not hold (then no sign change is available to bisect on).
+    is the answer.  It stops after ``depth`` midpoints, or once a midpoint
+    is an end of the float bracket.  Raises ``BracketError`` when the
+    initial bracket does not hold (then no sign change is available to
+    bisect on).
     """
     if journey.F.dim != 1:
         raise ValueError("bisection on release position needs a 1-d journey")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     left, right = -0.999, 0.999
     c_left, t_left = _classify_with_time(left, journey, cfg)
     c_right, t_right = _classify_with_time(right, journey, cfg)
@@ -133,6 +137,8 @@ def bisect_survivor(journey: JourneySpec, cfg: IntegratorConfig | None = None,
     transcript: list[BisectionStep] = []
     for k in range(1, int(depth) + 1):
         mid = 0.5 * (left + right)
+        if not left < mid < right:
+            break
         outcome, fall_time = _classify_with_time(mid, journey, cfg)
         transcript.append(BisectionStep(k, left, right, mid, outcome, fall_time))
         if outcome is FallClass.SURVIVES:

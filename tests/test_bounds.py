@@ -11,16 +11,16 @@ from scipy.optimize import brentq
 
 from upright import bounds
 from upright.bounds import (BoundSetSpec, _cone_gate_roots, _cone_gate_terms,
-                            _cone_quantities, _terms,
-                            _cylinder_quantities, certificate_to_dict,
+                            _cone_quantities, _cylinder_quantities,
+                            certificate_to_dict,
                             compute_a, compute_b_linear, compute_b_planar,
                             degree_of_autonomous_field, exit_cone_check,
                             orbit_containment, save_certificate_json,
                             verify_bound_set)
-from upright.dynamics import ModelParams, PhaseState, make_field
+from upright.dynamics import ModelParams, PhaseState, make_field, rod_terms
 from upright.errors import BoundVerificationError
 from upright.forcing import make_fourier_forcing
-from upright.integrator import evolve
+from upright.integrator import IntegratorConfig, evolve
 
 F1 = make_fourier_forcing(1.0, 1, [2.0], [])
 F2 = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
@@ -219,7 +219,7 @@ F4 = make_fourier_forcing(
 def _cone_gate(t, theta, r, psi, lam, F, b, G=9.81):
     x = r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     p = (b * (1.0 - r))[:, None] * np.stack([np.cos(psi), np.sin(psi)], axis=1)
-    g0, g1 = bounds._cone_gate(_terms(t, x, p, F, G), b)
+    g0, g1 = bounds._cone_gate(rod_terms(x, p, F.eval(t), G), b)
     return g0 + lam * g1
 
 
@@ -323,6 +323,74 @@ def test_cone_gate_roots_resolve_a_pair_the_coarse_scan_misses():
     g = _cone_gate(np.zeros(32), np.full(32, theta[0]), np.full(32, r[0]), scan,
                    1.0, F, b)
     assert np.count_nonzero(g * np.roll(g, -1) < 0.0) < cells.size
+
+
+# -- gates and curvatures against the flow -------------------------------
+
+# cosine and sine coefficients of the forcings below; F(-t) flips the sines
+FD_FORCING = {1: ([2.0, 0.4], [0.7, 0.3]),
+              2: ([(1.0, 0.2), (0.3, 0.1)], [(0.1, 1.0), (0.2, 0.3)])}
+FD_STEP = 1e-3
+
+
+def _fd_signal(dim, reflected=False):
+    cosine, sine = FD_FORCING[dim]
+    if reflected:
+        sine = [-np.asarray(v) for v in sine]
+    return make_fourier_forcing(1.0, dim, cosine, sine)
+
+
+def _gauge_rates(gauge, t0, x, p, lam):
+    """First and second derivative of the gauge along the flow through
+    ``(x, p)`` at ``t0``: Richardson-extrapolated central differences at
+    steps ``h`` and ``2 h`` on the dense output of two-sided arcs.
+
+    The rod equations are reversible (R is even in p, Phi free of it), so
+    the arc before ``t0`` is the forward arc from ``(x, -p)`` at ``-t0``
+    under ``F(-t)``.  Both gauges read only ``|x|`` and ``|p|``.
+    """
+    dim, h = x.size, FD_STEP
+    params = ModelParams(G=9.81, lam=lam, dim=dim)
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+    fwd = evolve(t0, t0 + 2 * h, PhaseState(x, p), params, _fd_signal(dim), cfg)
+    bwd = evolve(-t0, -t0 + 2 * h, PhaseState(x, -p), params,
+                 _fd_signal(dim, reflected=True), cfg)
+    ys = np.concatenate([bwd.dense_array([-t0 + 2 * h, -t0 + h]),
+                         [np.concatenate([x, p])],
+                         fwd.dense_array([t0 + h, t0 + 2 * h])])
+    g = [gauge(np.linalg.norm(y[:dim]), np.linalg.norm(y[dim:])) for y in ys]
+
+    def d1(k):
+        return (g[2 + k] - g[2 - k]) / (2 * k * h)
+
+    def d2(k):
+        return (g[2 + k] - 2.0 * g[2] + g[2 - k]) / (k * h) ** 2
+
+    return (4.0 * d1(1) - d1(2)) / 3.0, (4.0 * d2(1) - d2(2)) / 3.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("dim", [1, 2], ids=["line", "plane"])
+def test_gates_and_curvatures_match_differences_along_the_flow(dim, lam):
+    # the gate is the gauge's first derivative along the flow, the
+    # curvature its second; both faces, at random face points
+    rng = np.random.default_rng(17)
+    a, b = 0.6, 4.0
+    F = _fd_signal(dim)
+    for _ in range(4):
+        t0 = rng.uniform(0.0, 1.0)
+        u, v = (w / np.linalg.norm(w) for w in rng.normal(size=(2, dim)))
+        r = rng.uniform(0.2, a)
+        x, p = r * u, b * (1.0 - r) * v
+        gate, curv = _cone_quantities([t0], [x], [p], lam, F, 9.81, b)
+        fd = _gauge_rates(lambda xn, pn: b * xn + pn - b, t0, x, p, lam)
+        x, p = a * u, rng.uniform(0.0, b * (1.0 - a)) * v
+        cyl_gate, cyl_curv = _cylinder_quantities([t0], [x], [p], lam, F, 9.81)
+        cyl_fd = _gauge_rates(lambda xn, pn: 0.5 * xn * xn - 0.5 * a * a,
+                              t0, x, p, lam)
+        for got, want in zip((gate[0], curv[0], cyl_gate[0], cyl_curv[0]),
+                             fd + cyl_fd):
+            assert abs(got - want) <= 1e-6 * (1.0 + abs(got)), (t0, got, want)
 
 
 # -- the one-dimensional estimate chain ----------------------------------

@@ -344,6 +344,10 @@ def test_config_bad_values(tmp_path):
     assert rc == 1
     rc, _ = run(tmp_path, "degree", problem="linear", gravity=-3.0)
     assert rc == 1
+    rc, _ = run(tmp_path, "simulate", problem="linear", integrator={"max_steps": 0})
+    assert rc == 1
+    rc, _ = run(tmp_path, "whitney-search", problem="linear", journey={"depth": 0})
+    assert rc == 1
 
 
 @pytest.mark.parametrize("command, overrides", [

@@ -280,12 +280,15 @@ def test_continuation_small_forcing_orbit():
 
 
 def test_found_orbit_agrees_with_fixed_step_reintegration():
-    # independent check of the periodic orbit: classic RK4 at step 1e-6
+    # independent check of the periodic orbit: classic RK4 at step 1e-4,
+    # whose own error is checked against the same run at half the step
     result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_SMALL)
     z = result.fixed_point.flat()
     fun = linear_scalar_rhs(9.81, 1.0,
                             lambda t: 0.05 * math.cos(TWO_PI * t))
-    x1, p1 = rk4_scalar(fun, 0.0, 1.0, z[0], z[1], h=1e-6)
+    x1, p1 = rk4_scalar(fun, 0.0, 1.0, z[0], z[1], h=1e-4)
+    x2, p2 = rk4_scalar(fun, 0.0, 1.0, z[0], z[1], h=5e-5)
+    assert abs(x2 - x1) <= 1e-11 and abs(p2 - p1) <= 1e-11
     assert abs(x1 - z[0]) < 1e-8
     assert abs(p1 - z[1]) < 1e-8
 

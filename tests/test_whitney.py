@@ -64,6 +64,8 @@ def test_classify_validates_inputs():
         classify(1.0, JOURNEY)
     with pytest.raises(ValueError, match="1-d journey"):
         bisect_survivor(JourneySpec(F=F_PLANAR, t_end=1.0, G=9.81))
+    with pytest.raises(ValueError, match="depth"):
+        bisect_survivor(JOURNEY, depth=0)
 
 
 def test_journey_validation():
@@ -163,6 +165,16 @@ def test_bracket_error_when_push_overwhelms_gravity():
     err = exc_info.value
     assert err.left_class is FallClass.FALLS_POSITIVE
     assert err.right_class is FallClass.FALLS_POSITIVE
+
+
+def test_bisection_stops_once_the_float_bracket_is_exhausted():
+    # no float start survives t_end = 16: after 60 halvings the bracket's
+    # midpoint is one of its ends, and a further step would repeat it
+    res = bisect_survivor(JourneySpec(F=F_SIN, t_end=16.0, G=9.81), depth=120)
+    mids = [s.mid for s in res.transcript]
+    assert res.survivor is None
+    assert len(mids) == len(set(mids)) == 60
+    assert 0.5 * (res.lower + res.upper) in (res.lower, res.upper)
 
 
 def test_transcript_csv_format(search, tmp_path):
