@@ -326,7 +326,8 @@ def exit_cone_check(t: float, p, F: PeriodicSignal, G: float | None = None,
     y0 = np.concatenate([np.zeros_like(p), p])
     dt = 1e-3 * F.period
     d = p.shape[0]
-    traj = integrate_field(fun, t, t + dt, y0, cfg or IntegratorConfig(), d)
+    traj = integrate_field(fun, t, t + dt, y0, cfg or IntegratorConfig(), d,
+                           breaks=F.breaks_between(t, t + dt))
     end = traj.states[-1]
     n_end = b * float(np.linalg.norm(end[:d])) + float(np.linalg.norm(end[d:])) - b
     return n_end > 0.0
@@ -721,13 +722,16 @@ def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
             return 0.5 * xn * xn - 0.5 * a * a
         return b * xn + pn - b
 
-    fwd = integrate_field(fun, t0, t0 + dt, y0, cfg, d)
+    fwd = integrate_field(fun, t0, t0 + dt, y0, cfg, d,
+                          breaks=F.breaks_between(t0, t0 + dt))
     e_plus = gauge(fwd.states[-1])
 
     def fun_rev(s, y):
         return [-v for v in fun(t0 - s, y)]
 
-    bwd = integrate_field(fun_rev, 0.0, dt, y0, cfg, d)
+    # the backward arc runs s = t0 - t: its breaks are the knots before t0
+    bwd = integrate_field(fun_rev, 0.0, dt, y0, cfg, d,
+                          breaks=[t0 - s for s in F.breaks_between(t0 - dt, t0)[::-1]])
     e_minus = gauge(bwd.states[-1])
 
     if sample["exact_gate"] and sample["curv"] > 0:

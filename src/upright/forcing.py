@@ -12,6 +12,11 @@ Two constructions are provided: trigonometric polynomials
 (:func:`make_fourier_forcing`) and ingestion of sampled carriage paths
 (:func:`ingest_path`), where ``F`` is obtained from the second derivative of
 a periodic cubic spline through the samples.
+
+A path's ``F`` is piecewise linear, so ``dF/dt`` jumps at every knot.  The
+knots are the signal's ``breakpoints``, and every rod integration makes
+them step nodes: a Runge-Kutta step that straddled one would lose its order
+(Hairer, Norsett & Wanner I, II.6).  Fourier signals have no breakpoints.
 """
 from __future__ import annotations
 
@@ -45,10 +50,12 @@ class PeriodicSignal:
     defined for every real ``t``; exact multiples of the period map to 0.
     ``value_fn`` and ``derivative_fn`` take an array of reduced times;
     ``scalar_value_fn`` takes one reduced time and returns a tuple of floats.
+    ``breakpoints`` are the times in ``[0, period)``, ascending, where
+    ``dF/dt`` may jump; ``F`` itself is continuous there.
     """
 
     def __init__(self, period, dim, value_fn, derivative_fn, sup_norm,
-                 sup_norm_derivative, scalar_value_fn):
+                 sup_norm_derivative, scalar_value_fn, breakpoints=()):
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         if dim not in (1, 2):
@@ -60,6 +67,10 @@ class PeriodicSignal:
         self._value_fn = value_fn
         self._derivative_fn = derivative_fn
         self._scalar_value_fn = scalar_value_fn
+        self.breakpoints = tuple(float(b) for b in breakpoints)
+        if not all(0.0 <= a < b for a, b in
+                   zip(self.breakpoints, self.breakpoints[1:] + (self.period,))):
+            raise ValueError("breakpoints must ascend strictly within [0, period)")
 
     # -- range reduction -------------------------------------------------
 
@@ -89,6 +100,17 @@ class PeriodicSignal:
     def eval_scalar(self, t: float):
         """Fast path used by the integrator: returns a plain tuple of floats."""
         return self._scalar_value_fn(self._reduce_scalar(t))
+
+    def breaks_between(self, t0: float, t1: float) -> list[float]:
+        """The times ``breakpoint + k * period`` strictly inside ``(t0, t1)``,
+        ascending: the step nodes an integration over ``[t0, t1]`` needs."""
+        out = []
+        if self.breakpoints and t1 > t0:
+            T = self.period
+            for k in range(math.floor(t0 / T), math.floor(t1 / T) + 1):
+                out.extend(s for s in (b + k * T for b in self.breakpoints)
+                           if t0 < s < t1)
+        return out
 
     def __repr__(self):
         return (f"PeriodicSignal(period={self.period!r}, dim={self.dim}, "
@@ -235,6 +257,7 @@ def ingest_path(samples: PathSamples, gravity: float):
 
     Sup norms are exact for the spline: ``|F|`` is convex between knots, so
     its maximum sits at a knot, and ``dF/dt`` is constant between knots.
+    The knots in ``[0, period)`` are the signal's ``breakpoints``.
     """
     # imported here: scipy.interpolate takes most of the package's import time
     from scipy.interpolate import CubicSpline
@@ -280,7 +303,8 @@ def ingest_path(samples: PathSamples, gravity: float):
     sup_df = float(np.max(np.linalg.norm(lead, axis=1))) / ell
 
     signal = PeriodicSignal(period, dim, value, derivative, sup_f, sup_df,
-                            scalar_value_fn=value_scalar)
+                            scalar_value_fn=value_scalar,
+                            breakpoints=knot_list[:-1])
     return signal, gravity / ell
 
 

@@ -6,6 +6,13 @@ the fall, the rod reaching the fall threshold; it is located on the
 interpolant by bisection, so fall times are resolved far below the step size
 without extra field evaluations.
 
+Steps never straddle a breakpoint of the forcing, where ``dF/dt`` jumps, as
+at the knots of a sampled path: a step that would cross one is clipped to
+end on it, its time is stored as the node, and the step after it resumes at
+the size the controller had proposed (Hairer-Norsett-Wanner I, II.6).
+``F`` is continuous there, so first-same-as-last still holds.  Without
+breakpoints the step sequence is that of the plain controller.
+
 The driver never integrates through the singular radius ``|x| = 1``: the
 field raises ``SingularityError`` there, and trial steps that overshoot it
 are retried with half the step until the fall event can be localized.
@@ -330,7 +337,7 @@ def _step_arrays(fun, t, h, y, k1, n, atol, rtol):
 
 
 def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
-                    n_err=None) -> Trajectory:
+                    n_err=None, breaks=()) -> Trajectory:
     """Integrate ``dy/dt = fun(t, y)`` from t0 to t1 (t1 >= t0).
 
     ``fun(t, y)`` receives ``y`` as a list of floats and returns a sequence
@@ -343,9 +350,11 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     ``fall_dim = 0`` watches nothing.  ``n_err`` limits step control to the
     first ``n_err`` components (partial error control, Hairer-Norsett-Wanner
     I, II.4): a state integrated together with its variational equation
-    then takes the steps it takes alone.  Raises ``StepBudgetError`` if the
-    step budget is exhausted and propagates ``SingularityError`` if the
-    field is singular even at the minimum step.
+    then takes the steps it takes alone.  ``breaks`` are times strictly
+    inside ``(t0, t1)``, ascending, where the field's time derivative may
+    jump (``PeriodicSignal.breaks_between``): each is a step node.  Raises
+    ``StepBudgetError`` if the step budget is exhausted and propagates
+    ``SingularityError`` if the field is singular even at the minimum step.
     """
     t0 = float(t0)
     t1 = float(t1)
@@ -378,6 +387,9 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     y = y0
     k1 = f0
     attempts = 0
+    knots = [*breaks, math.inf]
+    i_knot = 0
+    t_knot = knots[0]
 
     while t < t1:
         if attempts >= cfg.max_steps:
@@ -389,6 +401,10 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
         h_floor = 1e-14 * (1.0 + abs(t))
         if h < h_floor:
             h = h_floor
+        landing = t + h >= t_knot
+        if landing:
+            h_free = h
+            h = t_knot - t
 
         try:
             y_new, K, err_norm = step(fun, t, h, y, k1, n, atol, rtol)
@@ -409,7 +425,7 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
         # Accepted.  Every node so far lies inside the threshold, so the
         # rod falls within this step exactly when it ends outside.
         n_acc += 1
-        t_new = t + h
+        t_new = t_knot if landing else t + h
         seg_h.append(h)
         seg_K.append(K)
         if gauge is not None and gauge(y_new) >= 0.0:
@@ -425,11 +441,14 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
         y = y_new
         k1 = K[6]  # first-same-as-last
 
-        if err_norm == 0.0:
-            factor = _MAX_FACTOR
+        if landing:  # resume at the step the controller had proposed
+            i_knot += 1
+            t_knot = knots[i_knot]
+            h = h_free
+        elif err_norm == 0.0:
+            h *= _MAX_FACTOR
         else:
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
-        h *= factor
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
 
     return Trajectory(t_nodes, y_nodes, seg_h, seg_K, None, n_acc, n_rej)
 
@@ -469,7 +488,8 @@ def _initial_lane_steps(fun, t0, Y0, f0, t1, cfg):
     return np.minimum(np.minimum(100 * h0, h1), t1 - t0)
 
 
-def integrate_lanes(fun, t0, t1, Y0, cfg: IntegratorConfig, fall_dim: int) -> LaneRun:
+def integrate_lanes(fun, t0, t1, Y0, cfg: IntegratorConfig, fall_dim: int,
+                    breaks=()) -> LaneRun:
     """Integrate N independent lanes ``dY/dt = fun(t, Y)`` from t0 to t1 in lockstep.
 
     ``fun(t, Y)`` takes times of shape ``(N,)`` and states of shape
@@ -480,7 +500,8 @@ def integrate_lanes(fun, t0, t1, Y0, cfg: IntegratorConfig, fall_dim: int) -> La
     initial-step heuristic, whose sums are taken in the same order.  So a
     lane takes the steps its scalar run takes, up to rounding in the field.
     A lane with a singular stage halves its step.
-    ``fall_dim`` (0, 1 or 2) is the fall watch of ``integrate_field``.  A
+    ``fall_dim`` (0, 1 or 2) and ``breaks`` are those of
+    ``integrate_field``; each lane steps to its own next break.  A
     lane that starts at the fall threshold falls at t0; a lane whose step
     ends past it has the fall located on that step's interpolant, and
     retires.  No trajectory is kept.
@@ -515,6 +536,8 @@ def integrate_lanes(fun, t0, t1, Y0, cfg: IntegratorConfig, fall_dim: int) -> La
     atol = cfg.abs_tol
     rtol = cfg.rel_tol
     attempts = 0
+    knots = np.asarray([*breaks, math.inf])
+    i_knot = np.zeros(ids.size, dtype=int)  # each lane's next break
 
     while ids.size:
         if attempts >= cfg.max_steps:
@@ -523,7 +546,10 @@ def integrate_lanes(fun, t0, t1, Y0, cfg: IntegratorConfig, fall_dim: int) -> La
                 f"{ids[0]} (accepted {n_acc[0]}, rejected {n_rej[0]})")
         attempts += 1
         h_floor = 1e-14 * (1.0 + np.abs(t))
-        h = np.maximum(np.minimum(h, t1 - t), h_floor)
+        h_free = np.maximum(np.minimum(h, t1 - t), h_floor)
+        t_knot = knots[i_knot]
+        landing = t + h_free >= t_knot
+        h = np.where(landing, t_knot - t, h_free)
         H = h[:, None]
         k2, s2 = fun(t + _C2 * h, Y + H * (_A21 * k1))
         k3, s3 = fun(t + _C3 * h, Y + H * (_A31 * k1 + _A32 * k2))
@@ -556,7 +582,7 @@ def integrate_lanes(fun, t0, t1, Y0, cfg: IntegratorConfig, fall_dim: int) -> La
 
         # Every node so far lies inside the threshold, so an accepted lane
         # falls within its step exactly when it ends outside.
-        t_new = t + h
+        t_new = np.where(landing, t_knot, t + h)
         fell = (accepted & (gauge(y_new.T) >= 0.0) if gauge is not None
                 else np.zeros_like(accepted))
         K = (k1, k2, k3, k4, k5, k6, k7)
@@ -569,7 +595,9 @@ def integrate_lanes(fun, t0, t1, Y0, cfg: IntegratorConfig, fall_dim: int) -> La
         t = np.where(accepted, t_new, t)
         Y = np.where(accepted[:, None], y_new, Y)
         k1 = np.where(accepted[:, None], k7, k1)  # first-same-as-last
-        h = h * factor
+        landed = accepted & landing
+        h = np.where(landed, h_free, h * factor)
+        i_knot = i_knot + landed
 
         if done.any():
             gone = ids[done]
@@ -579,6 +607,7 @@ def integrate_lanes(fun, t0, t1, Y0, cfg: IntegratorConfig, fall_dim: int) -> La
             out.n_rejected[gone] = n_rej[done]
             keep = ~done
             ids, t, h, Y, k1 = ids[keep], t[keep], h[keep], Y[keep], k1[keep]
+            i_knot = i_knot[keep]
             n_acc, n_rej = n_acc[keep], n_rej[keep]
 
     return out
@@ -599,10 +628,11 @@ def evolve(t0: float, t1: float, s0: PhaseState, params: ModelParams,
     """Integrate the rod equations from ``s0`` over ``[t0, t1]``.
 
     Fall detection is always on: the trajectory ends early with a fall
-    event if ``|x|`` reaches ``FALL_THRESHOLD``.
+    event if ``|x|`` reaches ``FALL_THRESHOLD``.  The forcing's breakpoints
+    inside the window are step nodes.
     """
     _check_start(s0, params)
     fun = make_field(params, F)
     return integrate_field(fun, t0, t1, s0.flat(), cfg or IntegratorConfig(),
-                           params.dim)
+                           params.dim, breaks=F.breaks_between(t0, t1))
 

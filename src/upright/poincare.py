@@ -110,7 +110,8 @@ def _period_pass(z: PhaseState, params: ModelParams, F: PeriodicSignal,
     n = 2 * params.dim
     fun = make_field(params, F, variational=True)
     Y0 = np.concatenate([z.flat(), np.eye(n).ravel()])
-    traj = integrate_field(fun, 0.0, F.period, Y0, cfg, params.dim, n_err)
+    traj = integrate_field(fun, 0.0, F.period, Y0, cfg, params.dim, n_err,
+                           F.breaks_between(0.0, F.period))
     _raise_if_fell(traj)
     end = traj.states[-1]
     return end[:n], end[n:].reshape(n, n)

@@ -187,7 +187,8 @@ def planar_survivor_grid(journey: JourneySpec, grid_radius: float = 0.9,
     x1, x2 = np.meshgrid(coords, coords, indexing="ij")
     starts = np.column_stack([x1.ravel(), x2.ravel(), np.zeros((n * n, 2))])
     run = integrate_lanes(lane_field(params, journey.F), 0.0, journey.t_end,
-                          starts, cfg or IntegratorConfig(), fall_dim=2)
+                          starts, cfg or IntegratorConfig(), fall_dim=2,
+                          breaks=journey.F.breaks_between(0.0, journey.t_end))
     fall_times = run.fall_times.reshape(n, n)
     return {"coords": coords, "fall_times": fall_times,
             "survived": np.isnan(fall_times)}

@@ -19,8 +19,8 @@ from upright.bounds import (BoundSetSpec, _cone_gate_roots, _cone_gate_terms,
                             verify_bound_set)
 from upright.dynamics import ModelParams, PhaseState, make_field, rod_terms
 from upright.errors import BoundVerificationError
-from upright.forcing import make_fourier_forcing
-from upright.integrator import IntegratorConfig, evolve
+from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
+from upright.integrator import IntegratorConfig, evolve, integrate_field
 
 F1 = make_fourier_forcing(1.0, 1, [2.0], [])
 F2 = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
@@ -611,3 +611,33 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         verify_bound_set(BoundSetSpec(a=0.5, b=2.0, dim=1), 9.81, F1,
                          samples_per_face=0)
+
+
+def test_spot_check_arcs_step_on_the_path_knots(monkeypatch):
+    # 128 knots of the carriage path 0.02 sin(2 pi t): an arc of 1e-3 that
+    # starts 4e-4 past a knot crosses it backward, one that starts 4e-4
+    # before a knot crosses it forward; either arc ends a step on it
+    ts = np.linspace(0.0, 1.0, 129)
+    F, G = ingest_path(PathSamples(ts, 0.02 * np.sin(2 * math.pi * ts)), 9.81)
+    spec = BoundSetSpec(0.5, 2.0, 1)
+    arcs = []
+
+    def recorded(*args, **kwargs):
+        traj = integrate_field(*args, **kwargs)
+        arcs.append((kwargs["breaks"], traj.t_nodes.tolist()))
+        return traj
+
+    monkeypatch.setattr(bounds, "integrate_field", recorded)
+    knot = 5 / 128
+    for t0, crossing in ((knot + 4e-4, "backward"), (knot - 4e-4, "forward")):
+        sample = {"face": "gamma", "t": t0, "lam": 1.0, "x": np.asarray([0.5]),
+                  "p": np.asarray([0.3]), "exact_gate": False, "gate": 0.15,
+                  "curv": 0.0}
+        arcs.clear()
+        assert bounds._spot_check(sample, spec, G, F, IntegratorConfig(), 1e-3)
+        (fwd_breaks, fwd_nodes), (bwd_breaks, bwd_nodes) = arcs
+        if crossing == "backward":
+            assert fwd_breaks == [] and bwd_breaks == [t0 - knot]
+        else:
+            assert fwd_breaks == [knot] and bwd_breaks == []
+        assert set(fwd_breaks) <= set(fwd_nodes) and set(bwd_breaks) <= set(bwd_nodes)

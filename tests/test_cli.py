@@ -430,21 +430,55 @@ def test_config_nested_merge_keeps_siblings(tmp_path):
     assert cfg["integrator"]["abs_tol"] == DEFAULT_CONFIG["integrator"]["abs_tol"]
 
 
-def test_forcing_from_path_file(tmp_path):
-    # carriage path x(t) = 0.02 sin(2 pi t); its second derivative drives
-    # the rod, ingested from a plain CSV of (t, position) samples
-    rows = ["t,f1"]
+def _sine_path_forcing(tmp_path, dim=1):
+    """A 128-knot carriage path as a forcing config: x(t) = 0.02 sin(2 pi t)
+    on the line, and the circle of acceleration 1.5 in the plane."""
     n = 128
+    A = 1.5 / (2 * math.pi) ** 2
+    rows = ["t,f1" if dim == 1 else "t,f1,f2"]
     for k in range(n + 1):
         t = k / n
-        rows.append(f"{t:.17g},{0.02 * math.sin(2 * math.pi * t):.17g}")
+        w = 2 * math.pi * t
+        pos = [0.02 * math.sin(w)] if dim == 1 else [A * math.cos(w), A * math.sin(w)]
+        rows.append(",".join(f"{v:.17g}" for v in (t, *pos)))
     path_file = tmp_path / "path.csv"
     path_file.write_text("\n".join(rows) + "\n")
+    return {"type": "path_csv", "path": str(path_file)}
+
+
+def test_forcing_from_path_file(tmp_path):
+    # the path's second derivative drives the rod, ingested from a plain
+    # CSV of (t, position) samples
     rc, out = run(tmp_path, "simulate", problem="linear",
-                  forcing={"type": "path_csv", "path": str(path_file)},
+                  forcing=_sine_path_forcing(tmp_path),
                   initial_state={"x": [0.0], "p": [0.0]}, duration=1.0)
     assert rc == 0
     assert json.loads((out / "result.json").read_text())["fell"] is False
+
+
+@pytest.mark.parametrize("problem, dim", [("linear", 1), ("planar", 2)])
+def test_solve_periodic_on_a_path_converges(tmp_path, problem, dim):
+    # with the knots as step nodes the period map is smooth in z, so Newton
+    # reaches its tolerance; steps across the knots left noise above it
+    rc, out = run(tmp_path, "solve-periodic", problem=problem,
+                  forcing=_sine_path_forcing(tmp_path, dim),
+                  bounds={"samples_per_face": 4})
+    assert rc == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["residual"] <= 1e-10
+    assert result["liouville_defect"] <= 1e-7
+    assert result["containment"]["contained"] is True
+    assert result["lambda_path"][-1]["lam"] == 1.0
+
+
+def test_verify_bounds_on_a_path(tmp_path):
+    rc, out = run(tmp_path, "verify-bounds", problem="linear",
+                  forcing=_sine_path_forcing(tmp_path))
+    assert rc == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["verified"] is True
+    spots = cert["spot_checks"]
+    assert spots["attempted"] > 0 and spots["passed"] == spots["attempted"]
 
 
 def test_forcing_path_dimension_mismatch(tmp_path):

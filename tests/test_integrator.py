@@ -9,7 +9,7 @@ from oracles import linear_scalar_rhs, rhs_linear, rk4_integrate, rk4_until_fall
 from upright import integrator
 from upright.dynamics import GUARD, ModelParams, PhaseState, lane_field, make_field
 from upright.errors import SingularityError, StepBudgetError
-from upright.forcing import make_fourier_forcing
+from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import (FALL_THRESHOLD, EventKind, IntegratorConfig,
                                 Trajectory, evolve, integrate_field,
                                 integrate_lanes)
@@ -406,3 +406,22 @@ def test_lanes_step_budget_error():
     with pytest.raises(StepBudgetError):
         integrate_lanes(lane_field(params, F1), 0.0, 10.0, [[0.1, 0.0], [0.0, 0.0]],
                         IntegratorConfig(max_steps=5), fall_dim=1)
+
+
+# -- steps end on the forcing's breakpoints ---------------------------------
+
+def test_path_knots_are_step_nodes():
+    # carriage path 0.002 sin(2 pi t / T) sampled at 32 knots per period
+    # T = 0.25: over 3.6 periods every knot + kT is a node of the run
+    T, n = 0.25, 32
+    ts = np.linspace(0.0, T, n + 1)
+    F, G = ingest_path(PathSamples(ts, 0.002 * np.sin(2 * math.pi * ts / T)), 9.81)
+    assert make_fourier_forcing(1.0, 1, [2.0], []).breakpoints == ()
+    assert F.breakpoints == tuple(ts[:-1].tolist())
+    t_end = 0.9
+    knots = [b + k * T for k in range(4) for b in F.breakpoints if 0.0 < b + k * T < t_end]
+    assert len(knots) == 31 + 32 + 32 + 20
+    assert F.breaks_between(0.0, t_end) == knots
+    traj = evolve(0.0, t_end, PhaseState(0.0, 0.0), ModelParams(G=G, lam=1.0, dim=1), F)
+    assert traj.fall_event is None and traj.t_end == t_end
+    assert set(knots) <= set(traj.t_nodes.tolist())

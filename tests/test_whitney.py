@@ -8,7 +8,8 @@ import pytest
 
 from oracles import linear_scalar_rhs, rk4_until_fall
 from upright.errors import BracketError
-from upright.forcing import make_fourier_forcing
+from upright import whitney
+from upright.forcing import ingest_path, make_fourier_forcing, read_path_csv
 from upright.integrator import IntegratorConfig, evolve
 from upright.dynamics import ModelParams, PhaseState
 from upright.whitney import (FallClass, JourneySpec, _classify_with_time,
@@ -230,3 +231,57 @@ def test_planar_grid_takes_a_float_count():
     assert report["fall_times"].shape == (3, 3)
     assert report["survived"].dtype == bool
     assert np.array_equal(report["fall_times"], ref["fall_times"], equal_nan=True)
+
+
+# -- path-forced journeys: the knots are step nodes ---------------------------
+
+def _path_forcing(tmp_path, n, period, positions):
+    """Ingest ``positions(t) -> row`` sampled at ``n`` knots via a CSV."""
+    ts = np.linspace(0.0, period, n + 1)
+    rows = [np.atleast_1d(positions(t)) for t in ts]
+    header = "t," + ",".join(f"f{i + 1}" for i in range(rows[0].size))
+    lines = [header] + [",".join(f"{v:.17g}" for v in (t, *row))
+                        for t, row in zip(ts, rows)]
+    path = tmp_path / "path.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return ingest_path(read_path_csv(path), 9.81)
+
+
+def test_path_bisection_rejects_few_steps(tmp_path, monkeypatch):
+    # the 64-knot carriage path -0.5 sin t, whose acceleration is F_SIN:
+    # steps that straddled its knots were rejected 30 % of the time
+    F, G = _path_forcing(tmp_path, 64, 2 * math.pi, lambda t: -0.5 * math.sin(t))
+    counts = []
+
+    def counted(*args, **kwargs):
+        traj = evolve(*args, **kwargs)
+        counts.append((traj.n_accepted, traj.n_rejected))
+        return traj
+
+    monkeypatch.setattr(whitney, "evolve", counted)
+    result = bisect_survivor(JourneySpec(F=F, t_end=4.0, G=G))
+    assert result.width < 1e-3 and len(counts) >= 10
+    accepted, rejected = np.sum(counts, axis=0)
+    assert rejected < 0.05 * (accepted + rejected)
+
+
+def test_path_forced_grid_matches_evolve(tmp_path):
+    # a circular carriage path of acceleration 1.5 at 48 knots per period;
+    # over 1.25 periods the starts near the middle survive
+    A = 1.5 / (2 * math.pi) ** 2
+    F, G = _path_forcing(tmp_path, 48, 1.0, lambda t: (A * math.cos(2 * math.pi * t),
+                                                       A * math.sin(2 * math.pi * t)))
+    assert len(F.breakpoints) == 48 and F.dim == 2
+    journey = JourneySpec(F=F, t_end=1.25, G=G)
+    report = planar_survivor_grid(journey, grid_radius=0.1, n=5)
+    params = ModelParams(G=G, lam=1.0, dim=2)
+    survived = report["survived"]
+    assert survived.any() and not survived.all()
+    for i, a in enumerate(report["coords"]):
+        for j, b in enumerate(report["coords"]):
+            traj = evolve(0.0, journey.t_end, PhaseState([a, b], [0.0, 0.0]), params, F)
+            ev = traj.fall_event
+            if ev is None:
+                assert survived[i, j]
+            else:
+                assert abs(report["fall_times"][i, j] - ev.time) <= 1.5e-13
