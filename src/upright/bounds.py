@@ -51,11 +51,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (ModelParams, RodTerms, acceleration_rate, make_field,
-                       rod_acceleration, rod_terms)
+from .dynamics import (ModelParams, PhaseState, RodTerms, acceleration_rate,
+                       make_field, rod_acceleration, rod_terms)
 from .errors import BoundVerificationError
 from .forcing import PeriodicSignal
-from .integrator import IntegratorConfig, integrate_field
+from .integrator import IntegratorConfig, evolve, integrate_field
 
 __all__ = [
     "BoundSetSpec",
@@ -321,16 +321,11 @@ def exit_cone_check(t: float, p, F: PeriodicSignal, G: float | None = None,
     analytic = b * b > F.sup_norm
     if not analytic or G is None:
         return analytic
-    params = ModelParams(G=G, lam=1.0, dim=p.shape[0])
-    fun = make_field(params, F)
-    y0 = np.concatenate([np.zeros_like(p), p])
-    dt = 1e-3 * F.period
     d = p.shape[0]
-    traj = integrate_field(fun, t, t + dt, y0, cfg or IntegratorConfig(), d,
-                           breaks=F.breaks_between(t, t + dt))
-    end = traj.states[-1]
-    n_end = b * float(np.linalg.norm(end[:d])) + float(np.linalg.norm(end[d:])) - b
-    return n_end > 0.0
+    traj = evolve(t, t + 1e-3 * F.period, PhaseState(np.zeros(d), p),
+                  ModelParams(G, 1.0, d), F, cfg)
+    x, p_end = np.split(traj.states[-1], 2)
+    return b * float(np.linalg.norm(x)) + float(np.linalg.norm(p_end)) - b > 0.0
 
 
 def degree_of_autonomous_field(G: float, dim: int) -> int:
@@ -369,17 +364,22 @@ class _MarginPool:
         self.count = 0
         self.worst: list[dict] = []
 
-    def add(self, margins, ts, lam, xs, ps, kind: str):
-        margins = np.atleast_1d(np.asarray(margins, dtype=float))
-        if margins.size == 0:
+    def add(self, margins, lams, ts, xs, ps, kind: str):
+        """Pool margins with row ``l`` at scale ``lams[l]`` and column ``i`` at
+        sample ``i``; the block's worst tie by flat (scale, sample) index."""
+        flat = np.asarray(margins, dtype=float).ravel()
+        if flat.size == 0:
             return
-        self.count += margins.size
-        self.min = min(self.min, float(np.min(margins)))
-        for i in np.argsort(margins)[:_WORST_KEPT]:
+        self.count += flat.size
+        self.min = min(self.min, float(np.min(flat)))
+        k = min(_WORST_KEPT, flat.size)
+        kept = np.flatnonzero(flat <= flat[np.argpartition(flat, k - 1)[k - 1]])
+        for j in kept[np.argsort(flat[kept], kind="stable")[:k]]:
+            l, i = divmod(int(j), flat.size // len(lams))
             self.worst.append({
-                "margin": float(margins[i]),
+                "margin": float(flat[j]),
                 "t": float(ts[i]),
-                "lam": float(lam),
+                "lam": float(lams[l]),
                 "x": [float(v) for v in xs[i]],
                 "p": [float(v) for v in ps[i]],
                 "kind": kind,
@@ -469,10 +469,10 @@ def _cylinder_samples(ctx: _Sampling):
     tt, th, rh, psi = (v.ravel() for v in np.meshgrid(
         t_grid, theta_grid, rho_grid, psi_grid, indexing="ij"))
     xs, ps = a * _unit(th), rh[:, None] * _unit(psi)
-    # exact gates: p orthogonal to x, in both senses, plus p = 0
-    tg, thg, rhg = (np.tile(v.ravel(), 2) for v in np.meshgrid(
-        t_grid, theta_grid, np.concatenate([[0.0], rho_grid]), indexing="ij"))
-    rhg[rhg.size // 2:] *= -1.0
+    # exact gates: p = 0, and p orthogonal to x in both senses
+    tg, thg, rhg = (v.ravel() for v in np.meshgrid(
+        t_grid, theta_grid, np.concatenate([[0.0], rho_grid, -rho_grid]),
+        indexing="ij"))
     radial = _unit(thg)
     gates = [(tg, a * radial, rhg[:, None] * (radial[:, ::-1] * [-1.0, 1.0]))]
 
@@ -489,25 +489,24 @@ def _cylinder_face(ctx: _Sampling, rec: _Margins) -> None:
     xp, base, slope = _cylinder_terms(tt, xs, ps, F, G)
     near = np.abs(xp) <= ctx.gate_tol
     groups = [(tt[near], xs[near], onto_gate(xs[near], ps[near]))] + gates
-    groups = [(t, x, p) + _cylinder_terms(t, x, p, F, G)[1:]
-              for t, x, p in groups]
-    for lam in lams:
-        for t, x, p, g_base, g_slope in groups:
-            rec.gamma.add(g_base + lam * g_slope, t, lam, x, p, "cylinder-gate")
+    curvs = []
+    for t, x, p in groups:
+        _, g_base, g_slope = _cylinder_terms(t, x, p, F, G)
+        curvs.append(g_base + lams[:, None] * g_slope)
+        rec.gamma.add(curvs[-1], lams, t, x, p, "cylinder-gate")
     rec.total += lams.size * (xp.size + sum(t.size for t, _, _ in gates))
 
     lam = lams[-1]
     for i in rng.choice(xp.size, size=min(40, xp.size), replace=False):
         rec.candidate("gamma", tt[i], lam, xs[i], ps[i], xp[i],
                       base[i] + lam * slope[i], False)
-    t, x, p, g_base, g_slope = groups[1]
+    (t, x, p), curv = groups[1], curvs[1][-1]
     if ctx.spec.dim == 1:
         picks = range(0, t.size, max(1, t.size // 8))
     else:
         picks = rng.choice(t.size, size=min(10, t.size), replace=False)
     for i in picks:
-        rec.candidate("gamma", t[i], lam, x[i], p[i], 0.0,
-                      g_base[i] + lam * g_slope[i], True)
+        rec.candidate("gamma", t[i], lam, x[i], p[i], 0.0, curv[i], True)
 
 
 def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
@@ -527,9 +526,9 @@ def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
             pq = np.tile((sp * b * (1.0 - xi))[:, None], (n_t, 1))
             branches.append((sx * sp, xq, pq)
                             + _cone_gate(rod_terms(xq, pq, F.eval(tq), G), b))
-    for lam in lams:
-        for sign, xq, pq, g0, g1 in branches:
-            rec.delta.add(sign * (g0 + lam * g1), tq, lam, xq, pq, "cone-sign")
+    for sign, xq, pq, g0, g1 in branches:
+        rec.delta.add(sign * (g0 + lams[:, None] * g1), lams, tq, xq, pq,
+                      "cone-sign")
     rec.total += lams.size * len(branches) * tq.size
 
     lam = lams[-1]
@@ -560,7 +559,7 @@ def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
         cells, psi = _cone_gate_roots(thc, K0 - lam * K1, B, lam * f_perp)
         p_root = pnorm[cells, None] * _unit(psi)
         _, curv = _cone_quantities(tc[cells], xc[cells], p_root, lam, F, G, b)
-        rec.delta.add(curv, tc[cells], lam, xc[cells], p_root, "cone-gate")
+        rec.delta.add(curv, [lam], tc[cells], xc[cells], p_root, "cone-gate")
         rec.total += curv.size
         rec.xtp_abs.append(np.abs(np.sum(xc[cells] * p_root, axis=1)))
         rec.xtp_bound.append(4.0 * F.sup_norm * rc[cells] / b)
@@ -665,10 +664,10 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     * vertex ``x = 0, |p| = b``: ``exit_cone_check``;
     * spot checks: a random subset confirmed by two-sided integrations.
 
-    Each sample's ``lam``-free terms are computed once: the cylinder
-    curvature and the cone gate are affine in ``lam``, and each of the 21
-    scales of ``_LAMBDA_GRID`` costs a multiply-add.  Only the planar cone
-    gate points, and with them their curvatures, move with ``lam``.
+    The cylinder curvature and the cone gate are affine in ``lam``: each
+    sample group is formed once and pooled once, as a block over the 21
+    scales of ``_LAMBDA_GRID``.  Only the planar cone gate points move with
+    ``lam`` and are pooled per scale.  Each gate point is sampled once.
     """
     if F.dim != spec.dim:
         raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")

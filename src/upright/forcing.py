@@ -165,14 +165,10 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
 
     def value(u):
         # u: (m,) reduced times -> (m, dim)
-        if n_modes == 0:
-            return np.broadcast_to(c0, u.shape + (dim,)).copy()
         ph = np.outer(u, omega)
         return c0 + np.cos(ph) @ c + np.sin(ph) @ s
 
     def derivative(u):
-        if n_modes == 0:
-            return np.zeros(u.shape + (dim,))
         ph = np.outer(u, omega)
         return -(np.sin(ph) * omega) @ c + (np.cos(ph) * omega) @ s
 
@@ -192,8 +188,8 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
     h = period / _DENSE_GRID
     amp = np.linalg.norm(c, axis=1) + np.linalg.norm(s, axis=1)
     # Lipschitz constants from coefficient sums: |dF/dt| <= sum w*amp, etc.
-    lip_f = float(np.sum(omega * amp)) if n_modes else 0.0
-    lip_df = float(np.sum(omega**2 * amp)) if n_modes else 0.0
+    lip_f = float(np.sum(omega * amp))
+    lip_df = float(np.sum(omega**2 * amp))
     sup_f = float(np.max(np.linalg.norm(value(u), axis=1))) + 0.5 * lip_f * h
     sup_df = float(np.max(np.linalg.norm(derivative(u), axis=1))) + 0.5 * lip_df * h
 

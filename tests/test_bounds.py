@@ -475,6 +475,63 @@ def test_verify_planar_config():
     assert np.all(cert.xtp_abs <= cert.xtp_bound + 1e-9)
 
 
+def test_planar_cylinder_gate_points_are_sampled_once():
+    spf, n_t = 4, 8
+    ctx = bounds._Sampling(
+        spec=BoundSetSpec(0.6, 5.0, 2), G=9.81, F=F2, cfg=IntegratorConfig(),
+        t_grid=np.linspace(0.0, 1.0, n_t, endpoint=False), spf=spf,
+        gate_tol=1e-6, rng=np.random.default_rng(0))
+    _, ((tg, xg, pg),), _ = bounds._cylinder_samples(ctx)
+    # np.unique compares with ==, so the velocities +0 and -0 are one point
+    rows = np.column_stack([tg, xg, pg])
+    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+    assert np.count_nonzero(np.all(pg == 0.0, axis=1)) == n_t * spf
+    np.testing.assert_allclose(np.sum(xg * pg, axis=1), 0.0, atol=1e-15)
+
+    a = compute_a(9.81, 1.5, 0.5)
+    _, cert = compute_b_planar(a, F2, 9.81, samples_per_face=spf, seed=0)
+    for worst in (cert.worst_gamma, cert.worst_delta):
+        points = [(w["t"], w["lam"], *w["x"], *w["p"]) for w in worst]
+        assert len(set(points)) == len(points) == bounds._WORST_KEPT
+
+
+def _naive_pool(blocks, kind):
+    """Every (block, scale, sample) entry sorted by margin, then by order."""
+    entries = []
+    for margins, lams, ts, xs, ps in blocks:
+        for l, i in np.ndindex(*margins.shape):
+            entries.append({"margin": float(margins[l, i]), "t": float(ts[i]),
+                            "lam": float(lams[l]),
+                            "x": [float(v) for v in xs[i]],
+                            "p": [float(v) for v in ps[i]], "kind": kind})
+    return sorted(entries, key=lambda e: e["margin"])[:bounds._WORST_KEPT]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_margin_pool_block_matches_a_naive_reference(seed):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n_lam, n in ((21, 30), (3, 2), (1, 7), (21, 0), (5, 40)):
+        # a few distinct negatives, then ties at zero, of either sign so that
+        # the JSON text tells the entries apart
+        margins = rng.integers(0, 3, size=(n_lam, n)) * 0.5
+        margins[(margins == 0.0) & (rng.uniform(size=margins.shape) < 0.5)] = -0.0
+        margins[rng.uniform(size=margins.shape) < 0.005] = -rng.uniform()
+        if not blocks:
+            margins[0, :2] = (0.0, -0.0)
+        blocks.append((margins, np.linspace(0.0, 1.0, n_lam),
+                       rng.uniform(size=n), rng.normal(size=(n, 2)),
+                       rng.normal(size=(n, 2))))
+    pool = bounds._MarginPool()
+    for margins, lams, ts, xs, ps in blocks:
+        pool.add(margins, lams, ts, xs, ps, "test")
+    assert pool.count == sum(m.size for m, *_ in blocks)
+    assert pool.min == min(float(np.min(m)) for m, *_ in blocks if m.size)
+    text = json.dumps(pool.worst)
+    assert text == json.dumps(_naive_pool(blocks, "test"))
+    assert '"margin": -0.0' in text and '"margin": 0.0' in text
+
+
 def test_verify_deterministic_given_seed():
     spec = BoundSetSpec(a=0.5, b=2.0, dim=1)
     c1 = verify_bound_set(spec, 9.81, F1, samples_per_face=6, seed=3)
