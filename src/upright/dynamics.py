@@ -55,6 +55,9 @@ class ModelParams:
     dim: int
 
     def __post_init__(self):
+        # Python floats, so that no numpy scalar reaches the compiled field
+        object.__setattr__(self, "G", float(self.G))
+        object.__setattr__(self, "lam", float(self.lam))
         if self.G <= 0:
             raise ValueError(f"G must be positive, got {self.G}")
         if not 0.0 <= self.lam <= 1.0:
@@ -63,7 +66,7 @@ class ModelParams:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
 
     def with_lam(self, lam: float) -> "ModelParams":
-        return ModelParams(self.G, float(lam), self.dim)
+        return ModelParams(self.G, lam, self.dim)
 
 
 @dataclass(frozen=True)

@@ -172,8 +172,10 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
         ph = np.outer(u, omega)
         return -(np.sin(ph) * omega) @ c + (np.cos(ph) * omega) @ s
 
-    modes = [(float(w), tuple(ck), tuple(sk)) for w, ck, sk in zip(omega, c, s)]
-    c0t = tuple(c0)
+    # Python floats, not numpy scalars: the integrator's stage sums run on
+    # whatever the field returns, and numpy scalar arithmetic is slower
+    modes = list(zip(omega.tolist(), c.tolist(), s.tolist()))
+    c0t = c0.tolist()
 
     def value_scalar(u):
         out = list(c0t)
@@ -260,7 +262,7 @@ def ingest_path(samples: PathSamples, gravity: float):
 
     if gravity <= 0:
         raise ValueError(f"gravity must be positive, got {gravity}")
-    ell = samples.rod_length
+    ell = float(samples.rod_length)
     t0 = samples.times[0]
     knots = samples.times - t0
     pos = samples.positions.copy()

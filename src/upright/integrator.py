@@ -17,10 +17,10 @@ The driver never integrates through the singular radius ``|x| = 1``: the
 field raises ``SingularityError`` there, and trial steps that overshoot it
 are retried with half the step until the fall event can be localized.
 
-``integrate_field`` steps one state at a time.  ``integrate_lanes``
-steps many independent states in lockstep, one numpy row each, so that
-numpy's per-call cost is shared; each lane takes the steps that
-``integrate_field`` would take from its start.
+``integrate_field`` steps one state at a time, in plain Python floats at
+every width.  ``integrate_lanes`` steps many independent states in
+lockstep, one numpy row each, so that numpy's per-call cost is shared; each
+lane takes the steps that ``integrate_field`` would take from its start.
 """
 from __future__ import annotations
 
@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 # Dormand-Prince 5(4) tableau: nodes, stage weights, 5th-order weights and
-# error weights as named floats for the plain-float step (zero entries left
-# out), and as arrays for the array step.
+# error weights as named floats (zero entries left out).  Every state width
+# takes the plain-float step: its stage sums beat numpy's per-call overhead
+# even at width 20, the variational system in the plane.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -60,12 +61,6 @@ _A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
-_C = [0.0, _C2, _C3, _C4, _C5, 1.0]
-_A = [None] + [np.asarray(row) for row in (
-    [_A21], [_A31, _A32], [_A41, _A42, _A43], [_A51, _A52, _A53, _A54],
-    [_A61, _A62, _A63, _A64, _A65])]
-_B = np.asarray([_B1, 0.0, _B3, _B4, _B5, _B6])
-_E = np.asarray([_E1, 0.0, _E3, _E4, _E5, _E6, _E7])
 # Interpolant coefficients: y(t0 + theta h) = y0 + h * K^T (P @ [theta, .., theta^4]).
 _P = np.asarray([
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -78,12 +73,6 @@ _P = np.asarray([
 ])
 _P_ROWS = _P.tolist()
 
-# States up to this width take the plain-float step, wider ones the array
-# step.  Measured on a period pass: plain floats are faster at width 6 (the
-# variational system on the line) and below, numpy at width 20 (the
-# variational system in the plane), where seven-term list sums per stage
-# cost more than numpy's fixed per-call overhead.
-_FLOAT_WIDTH = 6
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _SAFETY = 0.9
@@ -320,30 +309,16 @@ def _step_floats(fun, t, h, y, k1, n, atol, rtol):
     return y_new, (k1, k2, k3, k4, k5, k6, k7), h * math.sqrt(total / n)
 
 
-def _step_arrays(fun, t, h, y, k1, n, atol, rtol):
-    """``_step_floats`` with numpy stage arithmetic, for wide states.
-
-    The field still receives lists; ``K`` is a ``(7, m)`` array.
-    """
-    y = np.asarray(y)
-    K = np.empty((7, y.shape[0]))
-    K[0] = k1
-    for i in range(1, 6):
-        K[i] = fun(t + _C[i] * h, (y + h * (_A[i] @ K[:i])).tolist())
-    y_new = y + h * (_B @ K[:6])
-    K[6] = fun(t + h, y_new.tolist())
-    err = (_E @ K[:, :n]) / (atol + rtol * np.maximum(np.abs(y[:n]), np.abs(y_new[:n])))
-    return y_new.tolist(), K, h * math.sqrt(float(err @ err) / n)
-
-
 def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
                     n_err=None, breaks=()) -> Trajectory:
     """Integrate ``dy/dt = fun(t, y)`` from t0 to t1 (t1 >= t0).
 
     ``fun(t, y)`` receives ``y`` as a list of floats and returns a sequence
     of floats of the same length (a list is fastest; a tuple or an ndarray
-    gives the same result).  The stage sums run on plain floats for states
-    of up to six components and on numpy arrays for wider ones.
+    gives the same result).  The stage sums run on plain floats at every
+    width, so they run at Python float speed only if the field returns
+    Python floats: numpy scalars in its output make a step about 1.6x
+    slower.
     ``fall_dim`` (1 or 2) watches the first ``fall_dim`` components as the
     rod's ``x``: integration stops at the first time where ``|x|`` reaches
     ``FALL_THRESHOLD``, recorded as the trajectory's ``fall_event``;
@@ -380,7 +355,6 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     f0 = fun(t0, y0)
     h = _initial_step(fun, t0, y0, f0, t1, cfg, n_err)
     n = len(y0) if n_err is None else n_err
-    step = _step_floats if len(y0) <= _FLOAT_WIDTH else _step_arrays
     atol = cfg.abs_tol
     rtol = cfg.rel_tol
     t = t0
@@ -407,7 +381,7 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
             h = t_knot - t
 
         try:
-            y_new, K, err_norm = step(fun, t, h, y, k1, n, atol, rtol)
+            y_new, K, err_norm = _step_floats(fun, t, h, y, k1, n, atol, rtol)
         except SingularityError as exc:
             if h <= 2 * h_floor:
                 raise SingularityError(

@@ -11,7 +11,7 @@ from oracles import rhs_planar as oracle_planar
 from oracles import unresolved_planar_residual
 from upright.dynamics import GUARD, ModelParams, PhaseState, jacobian, make_field
 from upright.errors import SingularityError
-from upright.forcing import make_fourier_forcing
+from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 
 TWO_PI = 2.0 * math.pi
 
@@ -267,3 +267,38 @@ def test_model_params_validation():
         ModelParams(G=9.81, lam=1.5, dim=1)
     with pytest.raises(ValueError):
         ModelParams(G=9.81, lam=0.0, dim=3)
+
+
+def _sine_path():
+    ts = np.linspace(0.0, 1.0, 33)
+    F, _ = ingest_path(PathSamples(times=ts, positions=0.02 * np.sin(TWO_PI * ts)),
+                       gravity=9.81)
+    return F
+
+
+@pytest.mark.parametrize("make_F", [
+    lambda: F1,
+    lambda: F2,
+    lambda: make_fourier_forcing(1.0, 1, [2.0], [0.5], constant=0.3),
+    lambda: make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)],
+                                 constant=[0.1, -0.2]),
+    _sine_path,
+], ids=["line", "plane", "line-constant", "plane-constant", "path"])
+def test_scalar_forcing_and_compiled_fields_give_python_floats(make_F):
+    # the integrator's stage sums run on what the field returns; numpy
+    # scalars there, from the forcing or from the parameters, make every
+    # step slower
+    F = make_F()
+    for t in (0.0, 0.37, -1.2, 5.5):
+        assert all(type(v) is float for v in F.eval_scalar(t))
+    d = F.dim
+    for G, lam in ((9.81, 0.5), (np.float64(9.81), np.float64(0.5))):
+        params = ModelParams(G=G, lam=lam, dim=d)
+        assert type(params.G) is float and type(params.lam) is float
+        for variational in (False, True):
+            y = [0.1] * d + [0.2] * d
+            if variational:
+                y += np.eye(2 * d).ravel().tolist()
+            out = make_field(params, F, variational=variational)(0.37, y)
+            assert len(out) == len(y)
+            assert all(type(v) is float for v in out), (G, variational)

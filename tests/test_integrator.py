@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from oracles import linear_scalar_rhs, rhs_linear, rk4_integrate, rk4_until_fall
-from upright import integrator
 from upright.dynamics import GUARD, ModelParams, PhaseState, lane_field, make_field
 from upright.errors import SingularityError, StepBudgetError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
@@ -213,8 +212,8 @@ def test_integrate_field_tight_tolerance_error_decay():
 
 @pytest.mark.parametrize("dim, variational", [(1, False), (2, False), (2, True)])
 def test_field_returning_array_or_list_gives_identical_runs(dim, variational):
-    # widths 2 and 4 take the plain-float step, 20 (the planar variational
-    # system) the array step
+    # widths 2, 4 and 20 (the planar variational system) all take the
+    # plain-float step, which reads any float sequence the field returns
     F = F1 if dim == 1 else make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
     params = ModelParams(G=9.81, lam=1.0, dim=dim)
     listed = make_field(params, F, variational=variational)
@@ -251,33 +250,6 @@ def test_field_returning_array_or_list_gives_identical_runs(dim, variational):
         block = traj.dense_array(ts)
         assert block.dtype == float and block.shape == (ts.size, m)
         assert np.array_equal(block[0], y0)
-
-
-@pytest.mark.parametrize("dim, variational", [(1, False), (2, False), (2, True)])
-def test_float_step_and_array_step_agree(dim, variational, monkeypatch):
-    # the same tableau summed in another order.  The error estimate is a
-    # difference of O(1) terms, so rounding moves the step sizes (by up to
-    # 1e-6 relative here) and the nodes; the end state and the interpolant
-    # at fixed times stay equal to rounding (measured <= 7e-15)
-    F = F1 if dim == 1 else make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
-    params = ModelParams(G=9.81, lam=1.0, dim=dim)
-    fun = make_field(params, F, variational=variational)
-    n = 2 * dim
-    y0 = np.zeros(n)
-    y0[0] = 0.05
-    if variational:
-        y0 = np.concatenate([y0, np.eye(n).ravel()])
-    runs = []
-    for width in (y0.size, 0):  # plain floats, then numpy
-        monkeypatch.setattr(integrator, "_FLOAT_WIDTH", width)
-        runs.append(integrate_field(fun, 0.0, 1.0, y0, IntegratorConfig()))
-    a, b = runs
-    assert a.fall_event is None and b.fall_event is None
-    assert (a.n_accepted, a.n_rejected) == (b.n_accepted, b.n_rejected)
-    scale = np.max(np.abs(a.states), axis=0) + 1.0
-    assert np.max(np.abs(a.states[-1] - b.states[-1]) / scale) < 1e-13
-    ts = np.linspace(0.0, 1.0, 101)
-    assert np.max(np.abs(a.dense_array(ts) - b.dense_array(ts)) / scale) < 1e-13
 
 
 # -- lanes in lockstep: each lane is one integrate_field run ---------------
