@@ -6,9 +6,12 @@ b|x| + |p| <= b.  A trajectory touching the boundary must not be able to
 linger: at every boundary point either the flow crosses transversally, or
 (at tangencies) the gauge function curves strictly upward along the flow,
 so the touching trajectory leaves immediately on both sides.  The
-verifier samples both faces over a grid of forcing scales, locates the
-tangency sets exactly, evaluates the curvature there, and confirms a
-random subset of predictions by short two-sided integrations.
+verifier samples both faces, locates the tangency sets exactly, evaluates
+the curvature there, and confirms a random subset of predictions by short
+two-sided integrations.  On the line both faces' margins are affine in the
+forcing scale, so each sample is checked at its worst end, scale 0 or 1,
+which covers every scale in between: the certificate's "lambda" entry says
+"interval" for both.
 """
 import json
 from pathlib import Path

@@ -23,12 +23,12 @@ so ``m' = x.p``, ``m'' = |p|^2 + x.a`` and
           + b (x.a)/|x| + (p.a')/|p|.
 
 ``verify_bound_set`` checks these conditions by quasi-uniform sampling of
-both faces over time, face coordinates, and the forcing scale ``lam``, and
-spot-confirms a random subset of predictions by short forward/backward
-integrations.  Gate points are located exactly.  On the planar cone face
-at ``x = r (cos theta, sin theta)``, ``|p| = rho = b (1 - r)``, ``c = cos s``
-for the velocity angle ``s`` from ``x``, and ``f_par``, ``f_perp`` the
-forcing along ``x`` and across it, the gate is
+both faces over time, face coordinates and every forcing scale ``lam`` in
+``[0, 1]`` (a grid of scales on the planar cone), and spot-confirms a random
+subset of predictions by short forward/backward integrations.  Gate points
+are located exactly.  On the planar cone face at ``x = r (cos theta, sin theta)``,
+``|p| = rho = b (1 - r)``, ``c = cos s`` for the velocity angle ``s`` from ``x``,
+and ``f_par``, ``f_perp`` the forcing along ``x`` and across it, the gate is
 
     g(s) = c (K + B c^2) - L sin s,      B = -r^3 rho^2 / (1 - r^2) < 0,
     K = b rho + r (G sqrt(1 - r^2) - rho^2) - lam f_par (1 - r^2),
@@ -98,7 +98,7 @@ class BoundSetCertificate:
     """Outcome of one verification run, including the worst offenders."""
 
     spec: BoundSetSpec
-    lambda_grid: np.ndarray
+    lambda_cover: dict
     boundary_samples: int
     min_margin_gamma: float
     min_margin_delta: float
@@ -345,8 +345,8 @@ def degree_of_autonomous_field(G: float, dim: int) -> int:
 
 # -- verification driver ------------------------------------------------
 
-# forcing scales at which every face is checked, ascending; the last is the
-# full forcing lam = 1
+# forcing scales at which the planar cone face is checked, ascending; the
+# last is the full forcing lam = 1
 _LAMBDA_GRID = np.linspace(0.0, 1.0, 21)
 # samples confirmed by two-sided integration in each verification
 _SPOT_CHECKS = 50
@@ -365,25 +365,21 @@ class _MarginPool:
         self.worst: list[dict] = []
 
     def add(self, margins, lams, ts, xs, ps, kind: str):
-        """Pool margins with row ``l`` at scale ``lams[l]`` and column ``i`` at
-        sample ``i``; the block's worst tie by flat (scale, sample) index."""
-        flat = np.asarray(margins, dtype=float).ravel()
-        if flat.size == 0:
+        """Pool the margin of sample ``i`` at scale ``lams[i]``, or at the one
+        scale ``lams``; the worst tie by sample index."""
+        m = np.asarray(margins, dtype=float)
+        if m.size == 0:
             return
-        self.count += flat.size
-        self.min = min(self.min, float(np.min(flat)))
-        k = min(_WORST_KEPT, flat.size)
-        kept = np.flatnonzero(flat <= flat[np.argpartition(flat, k - 1)[k - 1]])
-        for j in kept[np.argsort(flat[kept], kind="stable")[:k]]:
-            l, i = divmod(int(j), flat.size // len(lams))
+        lams = np.broadcast_to(lams, m.shape)
+        self.count += m.size
+        self.min = min(self.min, float(np.min(m)))
+        k = min(_WORST_KEPT, m.size)
+        kept = np.flatnonzero(m <= m[np.argpartition(m, k - 1)[k - 1]])
+        for i in kept[np.argsort(m[kept], kind="stable")[:k]]:
             self.worst.append({
-                "margin": float(flat[j]),
-                "t": float(ts[i]),
-                "lam": float(lams[l]),
-                "x": [float(v) for v in xs[i]],
-                "p": [float(v) for v in ps[i]],
-                "kind": kind,
-            })
+                "margin": float(m[i]), "t": float(ts[i]), "lam": float(lams[i]),
+                "x": [float(v) for v in xs[i]], "p": [float(v) for v in ps[i]],
+                "kind": kind})
         self.worst.sort(key=lambda e: e["margin"])
         del self.worst[_WORST_KEPT:]
 
@@ -392,6 +388,14 @@ class _MarginPool:
         self.worst.append(dict(entry, margin=float(value)))
         self.worst.sort(key=lambda e: e["margin"])
         del self.worst[_WORST_KEPT:]
+
+
+def _lowest_end(base, slope, sign=1.0):
+    """Per sample, the lower of ``sign (base + lam slope)`` at ``lam = 0, 1``
+    and that ``lam`` (0 on a tie; a NaN at 1 comes with one at 0, kept)."""
+    m0, m1 = sign * (base + 0.0 * slope), sign * (base + slope)
+    at_one = m1 < m0
+    return np.where(at_one, m1, m0), np.where(at_one, 1.0, 0.0)
 
 
 def _unit(angles) -> np.ndarray:
@@ -469,10 +473,9 @@ def _cylinder_samples(ctx: _Sampling):
     tt, th, rh, psi = (v.ravel() for v in np.meshgrid(
         t_grid, theta_grid, rho_grid, psi_grid, indexing="ij"))
     xs, ps = a * _unit(th), rh[:, None] * _unit(psi)
-    # exact gates: p = 0, and p orthogonal to x in both senses
+    # exact gates: p = 0, and p orthogonal to x (the curvature is even in p)
     tg, thg, rhg = (v.ravel() for v in np.meshgrid(
-        t_grid, theta_grid, np.concatenate([[0.0], rho_grid, -rho_grid]),
-        indexing="ij"))
+        t_grid, theta_grid, np.concatenate([[0.0], rho_grid]), indexing="ij"))
     radial = _unit(thg)
     gates = [(tg, a * radial, rhg[:, None] * (radial[:, ::-1] * [-1.0, 1.0]))]
 
@@ -484,23 +487,23 @@ def _cylinder_samples(ctx: _Sampling):
 
 def _cylinder_face(ctx: _Sampling, rec: _Margins) -> None:
     """Cylinder ``|x| = a``: the curvature at every gate sample and scale."""
-    F, G, lams, rng = ctx.F, ctx.G, _LAMBDA_GRID, ctx.rng
+    F, G, rng = ctx.F, ctx.G, ctx.rng
     (tt, xs, ps), gates, onto_gate = _cylinder_samples(ctx)
     xp, base, slope = _cylinder_terms(tt, xs, ps, F, G)
     near = np.abs(xp) <= ctx.gate_tol
     groups = [(tt[near], xs[near], onto_gate(xs[near], ps[near]))] + gates
-    curvs = []
+    full = []
     for t, x, p in groups:
         _, g_base, g_slope = _cylinder_terms(t, x, p, F, G)
-        curvs.append(g_base + lams[:, None] * g_slope)
-        rec.gamma.add(curvs[-1], lams, t, x, p, "cylinder-gate")
-    rec.total += lams.size * (xp.size + sum(t.size for t, _, _ in gates))
+        full.append(g_base + g_slope)
+        rec.gamma.add(*_lowest_end(g_base, g_slope), t, x, p, "cylinder-gate")
+    rec.total += xp.size + sum(t.size for t, _, _ in gates)
 
-    lam = lams[-1]
+    lam = 1.0
     for i in rng.choice(xp.size, size=min(40, xp.size), replace=False):
         rec.candidate("gamma", tt[i], lam, xs[i], ps[i], xp[i],
                       base[i] + lam * slope[i], False)
-    (t, x, p), curv = groups[1], curvs[1][-1]
+    (t, x, p), curv = groups[1], full[1]
     if ctx.spec.dim == 1:
         picks = range(0, t.size, max(1, t.size // 8))
     else:
@@ -515,24 +518,21 @@ def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
     A branch is crossed outward where ``x p > 0`` and inward where
     ``x p < 0``, so the gate times ``sign(x p)`` is the margin.
     """
-    a, b, F, G, lams = ctx.spec.a, ctx.spec.b, ctx.F, ctx.G, _LAMBDA_GRID
+    a, b, F, G = ctx.spec.a, ctx.spec.b, ctx.F, ctx.G
     xi = np.concatenate([_jittered(a * 1e-3, a, 2 * ctx.spf, ctx.rng), [a]])
     n_t = ctx.t_grid.size
     tq = np.repeat(ctx.t_grid, xi.size)
     branches = []
-    for sx in (1.0, -1.0):
-        for sp in (1.0, -1.0):
-            xq = np.tile((sx * xi)[:, None], (n_t, 1))
-            pq = np.tile((sp * b * (1.0 - xi))[:, None], (n_t, 1))
-            branches.append((sx * sp, xq, pq)
-                            + _cone_gate(rod_terms(xq, pq, F.eval(tq), G), b))
-    for sign, xq, pq, g0, g1 in branches:
-        rec.delta.add(sign * (g0 + lams[:, None] * g1), lams, tq, xq, pq,
-                      "cone-sign")
-    rec.total += lams.size * len(branches) * tq.size
+    for sx, sp in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        xq = np.tile((sx * xi)[:, None], (n_t, 1))
+        pq = np.tile((sp * b * (1.0 - xi))[:, None], (n_t, 1))
+        g0, g1 = _cone_gate(rod_terms(xq, pq, F.eval(tq), G), b)
+        rec.delta.add(*_lowest_end(g0, g1, sx * sp), tq, xq, pq, "cone-sign")
+        branches.append((xq, pq, g0, g1))
+    rec.total += len(branches) * tq.size
 
-    lam = lams[-1]
-    _, xq, pq, g0, g1 = branches[0]
+    lam = 1.0
+    xq, pq, g0, g1 = branches[0]
     sel = ctx.rng.choice(tq.size, size=min(30, tq.size), replace=False)
     _, curv = _cone_quantities(tq[sel], xq[sel], pq[sel], lam, F, G, b)
     for i, c in zip(sel, curv):
@@ -559,7 +559,7 @@ def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
         cells, psi = _cone_gate_roots(thc, K0 - lam * K1, B, lam * f_perp)
         p_root = pnorm[cells, None] * _unit(psi)
         _, curv = _cone_quantities(tc[cells], xc[cells], p_root, lam, F, G, b)
-        rec.delta.add(curv, [lam], tc[cells], xc[cells], p_root, "cone-gate")
+        rec.delta.add(curv, lam, tc[cells], xc[cells], p_root, "cone-gate")
         rec.total += curv.size
         rec.xtp_abs.append(np.abs(np.sum(xc[cells] * p_root, axis=1)))
         rec.xtp_bound.append(4.0 * F.sup_norm * rc[cells] / b)
@@ -664,10 +664,11 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     * vertex ``x = 0, |p| = b``: ``exit_cone_check``;
     * spot checks: a random subset confirmed by two-sided integrations.
 
-    The cylinder curvature and the cone gate are affine in ``lam``: each
-    sample group is formed once and pooled once, as a block over the 21
-    scales of ``_LAMBDA_GRID``.  Only the planar cone gate points move with
-    ``lam`` and are pooled per scale.  Each gate point is sampled once.
+    The cylinder curvature and the line's cone gate, ``base + lam * slope``,
+    are monotone in ``lam`` as computed, for rounding is: the lower of their
+    ends ``lam = 0, 1`` is their least value on all of ``[0, 1]``, bit for
+    bit, and each sample is pooled once with it.  The planar cone's gate
+    points move with ``lam`` and are pooled per scale of ``_LAMBDA_GRID``.
     """
     if F.dim != spec.dim:
         raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")
@@ -686,15 +687,14 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     spot_result = _spot_checks(ctx, rec)
 
     gamma, delta = rec.gamma, rec.delta
-    min_gamma = gamma.min if gamma.count else math.inf
-    min_delta = delta.min if delta.count else math.inf
     failures = rec.failures + [e for e in gamma.worst + delta.worst
                                if e["margin"] <= 0.0]
     return BoundSetCertificate(
-        spec=spec, lambda_grid=_LAMBDA_GRID, boundary_samples=rec.total,
-        min_margin_gamma=min_gamma, min_margin_delta=min_delta,
-        corner_ok=corner_ok,
-        verified=(min_gamma > 0.0) and (min_delta > 0.0) and corner_ok,
+        spec=spec, lambda_cover={"cylinder": "interval", "cone": "interval"
+                                 if spec.dim == 1 else _LAMBDA_GRID.tolist()},
+        boundary_samples=rec.total, min_margin_gamma=gamma.min,
+        min_margin_delta=delta.min, corner_ok=corner_ok,
+        verified=(gamma.min > 0.0) and (delta.min > 0.0) and corner_ok,
         gate_tol=ctx.gate_tol, thresholds=_thresholds(spec, G, F),
         failures=failures[:40], worst_gamma=gamma.worst,
         worst_delta=delta.worst, gamma_gate_count=gamma.count,
@@ -774,7 +774,7 @@ def certificate_to_dict(cert: BoundSetCertificate) -> dict:
                "min_slack": float(slack[i])}
     return {
         "spec": {"a": cert.spec.a, "b": cert.spec.b, "dim": cert.spec.dim},
-        "lambda_grid": [float(v) for v in cert.lambda_grid],
+        "lambda": cert.lambda_cover,
         "boundary_samples": cert.boundary_samples,
         "min_margin_gamma": cert.min_margin_gamma,
         "min_margin_delta": cert.min_margin_delta,

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -48,13 +48,16 @@ def test_a_linear_threshold_values():
 @settings(max_examples=50, deadline=None)
 @given(G=st.floats(0.1, 50.0), Fn=st.floats(0.0, 20.0),
        m=st.floats(0.05, 0.95))
+@example(G=0.125, Fn=13.0, m=0.94921875)
 def test_a_linear_properties(G, Fn, m):
     a = compute_a(G, Fn, m)
     assert 0.0 < a < 1.0
     a_star = (a - m) / (1.0 - m)
-    # the threshold radius balances gravity against the forcing exactly
-    assert G * a_star == pytest.approx(Fn * math.sqrt(1.0 - a_star ** 2),
-                                       rel=1e-12, abs=1e-12)
+    # the threshold radius balances gravity against the forcing exactly,
+    # G a* = Fn sqrt(1 - a*^2); squared, so that near a* = 1 the square
+    # root does not magnify the rounding of a*
+    assert a_star ** 2 * (G * G + Fn * Fn) == pytest.approx(Fn * Fn,
+                                                            rel=1e-12, abs=1e-12)
 
 
 def test_b_linear_threshold_values():
@@ -460,7 +463,7 @@ def test_verify_detects_undersized_cone():
     assert len(cert.failures) > 0
     assert cert.min_margin_delta < 0
     worst = cert.worst_delta[0]
-    assert worst["lam"] == 1.0  # forcing extremes live at the grid endpoint
+    assert worst["lam"] == 1.0  # forcing extremes live at the full scale
     assert not cert.thresholds["invariants_ok"]
 
 
@@ -475,6 +478,23 @@ def test_verify_planar_config():
     assert np.all(cert.xtp_abs <= cert.xtp_bound + 1e-9)
 
 
+def test_failed_spot_check_refutes_a_face_without_gate_points(monkeypatch):
+    # a planar cone face whose cells have no gate roots pools no margin; a
+    # spot check that contradicts its prediction there must still refute it
+    def no_roots(theta, K, B, L):
+        return np.zeros(0, dtype=int), np.zeros(0)
+
+    def refuted(sample, *args):
+        return sample["face"] != "delta"
+
+    monkeypatch.setattr(bounds, "_cone_gate_roots", no_roots)
+    monkeypatch.setattr(bounds, "_spot_check", refuted)
+    cert = verify_bound_set(BoundSetSpec(0.6, 5.0, 2), 9.81, F2,
+                            samples_per_face=4)
+    assert cert.delta_gate_count == 0 and cert.spot_checks["failures"]
+    assert cert.min_margin_delta < 0.0 and not cert.verified
+
+
 def test_planar_cylinder_gate_points_are_sampled_once():
     spf, n_t = 4, 8
     ctx = bounds._Sampling(
@@ -485,6 +505,10 @@ def test_planar_cylinder_gate_points_are_sampled_once():
     # np.unique compares with ==, so the velocities +0 and -0 are one point
     rows = np.column_stack([tg, xg, pg])
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+    # the curvature is even in p on the gate, so one sense of each velocity
+    # is sampled: no row is the mirror (t, x, -p) of another
+    mirrors = np.column_stack([tg, xg, -pg])[np.any(pg != 0.0, axis=1)]
+    assert not np.any(np.all(rows[:, None] == mirrors[None], axis=2))
     assert np.count_nonzero(np.all(pg == 0.0, axis=1)) == n_t * spf
     np.testing.assert_allclose(np.sum(xg * pg, axis=1), 0.0, atol=1e-15)
 
@@ -496,12 +520,13 @@ def test_planar_cylinder_gate_points_are_sampled_once():
 
 
 def _naive_pool(blocks, kind):
-    """Every (block, scale, sample) entry sorted by margin, then by order."""
+    """Every (block, sample) entry sorted by margin, then by order."""
     entries = []
     for margins, lams, ts, xs, ps in blocks:
-        for l, i in np.ndindex(*margins.shape):
-            entries.append({"margin": float(margins[l, i]), "t": float(ts[i]),
-                            "lam": float(lams[l]),
+        lams = np.broadcast_to(lams, margins.shape)
+        for i in range(margins.size):
+            entries.append({"margin": float(margins[i]), "t": float(ts[i]),
+                            "lam": float(lams[i]),
                             "x": [float(v) for v in xs[i]],
                             "p": [float(v) for v in ps[i]], "kind": kind})
     return sorted(entries, key=lambda e: e["margin"])[:bounds._WORST_KEPT]
@@ -511,17 +536,19 @@ def _naive_pool(blocks, kind):
 def test_margin_pool_block_matches_a_naive_reference(seed):
     rng = np.random.default_rng(seed)
     blocks = []
-    for n_lam, n in ((21, 30), (3, 2), (1, 7), (21, 0), (5, 40)):
+    for n, scalar in ((30, False), (2, True), (7, False), (0, False),
+                      (40, True)):
         # a few distinct negatives, then ties at zero, of either sign so that
-        # the JSON text tells the entries apart
-        margins = rng.integers(0, 3, size=(n_lam, n)) * 0.5
-        margins[(margins == 0.0) & (rng.uniform(size=margins.shape) < 0.5)] = -0.0
-        margins[rng.uniform(size=margins.shape) < 0.005] = -rng.uniform()
+        # the JSON text tells the entries apart; each sample has its own lam
+        # in {0, 1}, as an affine margin's lower end, or the block one scale
+        margins = rng.integers(0, 3, size=n) * 0.5
+        margins[(margins == 0.0) & (rng.uniform(size=n) < 0.5)] = -0.0
+        margins[rng.uniform(size=n) < 0.03] = -rng.uniform()
         if not blocks:
-            margins[0, :2] = (0.0, -0.0)
-        blocks.append((margins, np.linspace(0.0, 1.0, n_lam),
-                       rng.uniform(size=n), rng.normal(size=(n, 2)),
-                       rng.normal(size=(n, 2))))
+            margins[:2] = (0.0, -0.0)
+        lams = rng.uniform() if scalar else rng.choice([0.0, 1.0], size=n)
+        blocks.append((margins, lams, rng.uniform(size=n),
+                       rng.normal(size=(n, 2)), rng.normal(size=(n, 2))))
     pool = bounds._MarginPool()
     for margins, lams, ts, xs, ps in blocks:
         pool.add(margins, lams, ts, xs, ps, "test")
@@ -530,6 +557,52 @@ def test_margin_pool_block_matches_a_naive_reference(seed):
     text = json.dumps(pool.worst)
     assert text == json.dumps(_naive_pool(blocks, "test"))
     assert '"margin": -0.0' in text and '"margin": 0.0' in text
+
+
+def test_lowest_end_keeps_the_margin_printed_at_each_end():
+    # the lam = 0 end is base + 0.0 * slope, as the 21-point grid computed
+    # it: a -0.0 base prints as 0.0 there unless the slope is -0.0 too
+    margins, lams = bounds._lowest_end(np.array([-0.0, -0.0, 1.0, 1.0]),
+                                       np.array([0.0, -0.0, -2.0, np.nan]))
+    assert json.dumps(margins.tolist()) == "[0.0, -0.0, -1.0, NaN]"
+    assert lams.tolist() == [0.0, 0.0, 1.0, 0.0]
+    # the line cone's sign applies after the sum, so an exact zero of
+    # g0 + lam g1 flips to -0.0 on a branch of sign -1
+    margins, _ = bounds._lowest_end(np.array([1.0]), np.array([-1.0]), -1.0)
+    assert json.dumps(margins.tolist()) == "[-1.0]"
+
+
+def test_affine_faces_cover_every_lambda_in_the_unit_interval(monkeypatch):
+    # the cylinder curvature and the line cone's signed gate are affine in
+    # lam: at every sample a verification pools, no lam of a 1,001-point
+    # grid goes below the endpoint minimum, bit for bit, and that minimum
+    # is the certificate's
+    lowest_end, seen = bounds._lowest_end, []
+
+    def recorded(base, slope, sign=1.0):
+        seen.append((base, slope, sign))
+        return lowest_end(base, slope, sign)
+
+    monkeypatch.setattr(bounds, "_lowest_end", recorded)
+    lam_fine = np.linspace(0.0, 1.0, 1001)[:, None]
+    a1, a2 = compute_a(9.81, 2.0, 0.5), compute_a(9.81, 1.5, 0.5)
+    for spec, F in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0, 0.5), 1), F1),
+                    (BoundSetSpec(a1, 1.0, 1), F1),
+                    (BoundSetSpec(a2, 5.0, 2), F2)):
+        for seed in range(3):
+            seen.clear()
+            cert = verify_bound_set(spec, 9.81, F, samples_per_face=4,
+                                    seed=seed)
+            lows = []
+            for base, slope, sign in seen:
+                low, lam = lowest_end(base, slope, sign)
+                fine = sign * (base + lam_fine * slope)
+                np.testing.assert_array_equal(np.min(fine, axis=0), low)
+                np.testing.assert_array_equal(sign * (base + lam * slope), low)
+                lows.append(low)
+            pooled = (min(cert.min_margin_gamma, cert.min_margin_delta)
+                      if spec.dim == 1 else cert.min_margin_gamma)
+            assert min(float(np.min(v)) for v in lows if v.size) == pooled
 
 
 def test_verify_deterministic_given_seed():
@@ -552,26 +625,35 @@ def test_verify_density_stability_linear():
 
 
 def test_verify_lambda_grid_contains_endpoints():
+    # three faces cover lam in [0, 1] exactly; only the planar cone's gate
+    # roots move with lam, and it alone reads the grid
     spec = BoundSetSpec(a=0.5, b=2.0, dim=1)
     cert = verify_bound_set(spec, 9.81, F1, samples_per_face=6)
-    grid = np.asarray(cert.lambda_grid)
+    assert cert.lambda_cover == {"cylinder": "interval", "cone": "interval"}
+    cert = verify_bound_set(BoundSetSpec(0.6, 5.0, 2), 9.81, F2,
+                            samples_per_face=4)
+    assert cert.lambda_cover["cylinder"] == "interval"
+    grid = cert.lambda_cover["cone"]
     assert grid[0] == 0.0 and grid[-1] == 1.0 and len(grid) == 21
+    assert certificate_to_dict(cert)["lambda"] == cert.lambda_cover
 
 
-# 1-D certificates as the per-scale verifier computed them, before the cone
-# gate became g0 + lam g1: verified, corner_ok, boundary samples, gamma and
-# delta gate counts, min_margin_gamma, min_margin_delta.  Inputs: the
+# 1-D certificates: verified, corner_ok, boundary samples, gamma and delta
+# gate counts, min_margin_gamma, min_margin_delta.  The verdicts and margins
+# are those the per-scale verifier computed on the 21-point grid, before the
+# cone gate became g0 + lam g1; the counts are per sample, for the two faces
+# now cover lam in [0, 1] from its ends.  Inputs: the
 # benchmark's ``certify`` linear config (a, b from the sampled sup |F|,
 # 32 samples per face, seed 1), its twin refuted with b = 1, and the config
 # of demos/bound_set_certificate.py (a, b from |F| = 2, 16 per face, seed 0).
 LINEAR_CERTIFICATES = {
-    "certify": (True, True, 524288, 2688, 349440,
+    "certify": (True, True, 25088, 128, 16640,
                 2.0574163000705328, 7.932731780020939),
-    "refute": (False, False, 524288, 2688, 349440,
+    "refute": (False, False, 25088, 128, 16640,
                2.0574163000705328, -0.9728440159359384),
-    "demo": (True, True, 133120, 1344, 88704,
+    "demo": (True, True, 6400, 64, 4224,
              2.061400024358217, 7.936341612622172),
-    "demo_refuted": (False, False, 133120, 1344, 88704,
+    "demo_refuted": (False, False, 6400, 64, 4224,
                      2.061400024358217, -0.9330854656279305),
 }
 
