@@ -198,14 +198,9 @@ def compute_b_planar(a: float, F: PeriodicSignal, G: float,
 # -- pointwise boundary checks -----------------------------------------
 
 
-def _cylinder_quantities(ts, xs, ps, lam, F, G):
-    """Gate ``m' = x.p`` and curvature ``m'' = |p|^2 + x.a`` on ``|x| = a``."""
-    xp, base, slope = _cylinder_terms(ts, xs, ps, F, G)
-    return xp, base + lam * slope
-
-
-def _cylinder_terms(ts, xs, ps, F, G):
-    """Cylinder gate and curvature, the latter as ``base + lam * slope``."""
+def _cylinder_quantities(ts, xs, ps, F, G):
+    """Gate ``m' = x.p`` and curvature ``m'' = |p|^2 + x.a`` on ``|x| = a``,
+    the latter as ``base + lam * slope``: ``(xp, base, slope)``."""
     s = rod_terms(xs, ps, F.eval(ts), G)
     # x.a = R |x|^2 + lam (|x|^2 - 1) x.F
     return s.xp, s.p2 + s.R * s.r2, s.xf * s.r2 - s.xf
@@ -489,12 +484,12 @@ def _cylinder_face(ctx: _Sampling, rec: _Margins) -> None:
     """Cylinder ``|x| = a``: the curvature at every gate sample and scale."""
     F, G, rng = ctx.F, ctx.G, ctx.rng
     (tt, xs, ps), gates, onto_gate = _cylinder_samples(ctx)
-    xp, base, slope = _cylinder_terms(tt, xs, ps, F, G)
+    xp, base, slope = _cylinder_quantities(tt, xs, ps, F, G)
     near = np.abs(xp) <= ctx.gate_tol
     groups = [(tt[near], xs[near], onto_gate(xs[near], ps[near]))] + gates
     full = []
     for t, x, p in groups:
-        _, g_base, g_slope = _cylinder_terms(t, x, p, F, G)
+        _, g_base, g_slope = _cylinder_quantities(t, x, p, F, G)
         full.append(g_base + g_slope)
         rec.gamma.add(*_lowest_end(g_base, g_slope), t, x, p, "cylinder-gate")
     rec.total += xp.size + sum(t.size for t, _, _ in gates)

@@ -150,6 +150,15 @@ class Trajectory:
     def end_state(self) -> PhaseState:
         return PhaseState.from_flat(self._y[-1])
 
+    def leading(self, n: int) -> Trajectory:
+        """The first ``n`` components on this run's steps: the state part of
+        a state-and-variational run is the state's own run."""
+        ev = self.fall_event
+        ev = ev and Event(ev.kind, ev.time, ev.state[:n])
+        return Trajectory(self._t, self._y[:, :n].copy(), self._h,
+                          [[k[:n] for k in K] for K in self._seg_K], ev,
+                          self.n_accepted, self.n_rejected)
+
     @property
     def _K(self) -> np.ndarray:
         if self._K_array is None:

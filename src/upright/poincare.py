@@ -95,16 +95,15 @@ def poincare_map(z: PhaseState, params: ModelParams, F: PeriodicSignal,
 
 def _period_pass(z: PhaseState, params: ModelParams, F: PeriodicSignal,
                  cfg: IntegratorConfig, n_err: int | None):
-    """``(P(z), DP(z))`` from one integration over a period.
+    """``(P(z), DP(z), run)`` from one integration ``run`` over a period.
 
     The state is integrated together with its flow derivative ``M``
     (``dM/dt = J(t, y) M``, ``M(0) = I``).  With ``n_err = 2 * dim`` step
-    control measures the state rows only, so they take the steps of
-    ``poincare_map(z)`` and agree with it to rounding, and ``M`` is the
-    derivative of that discrete map.  With ``n_err = None`` ``M`` is under
-    step control too; only that resolves ``M`` where the state itself
-    barely moves, as at a rest point of the unforced rod.  Raises
-    ``FallError`` on a fall.
+    control measures the state rows only: ``run.leading(2 * dim)`` is
+    ``poincare_map(z)``'s run bit for bit, and ``M`` is the derivative of
+    that discrete map.  With ``n_err = None`` ``M`` is under step control
+    too; only that resolves ``M`` where the state itself barely moves, as
+    at a rest point of the unforced rod.  Raises ``FallError`` on a fall.
     """
     _check_start(z, params)
     n = 2 * params.dim
@@ -114,7 +113,7 @@ def _period_pass(z: PhaseState, params: ModelParams, F: PeriodicSignal,
                            F.breaks_between(0.0, F.period))
     _raise_if_fell(traj)
     end = traj.states[-1]
-    return end[:n], end[n:].reshape(n, n)
+    return end[:n], end[n:].reshape(n, n), traj
 
 
 def poincare_jacobian(z: PhaseState, params: ModelParams, F: PeriodicSignal,
@@ -150,7 +149,8 @@ def poincare_jacobian(z: PhaseState, params: ModelParams, F: PeriodicSignal,
 
 def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
             cfg: IntegratorConfig):
-    """Bare Newton iteration on ``P(z) - z``; returns ``(z, residual)``.
+    """Bare Newton iteration on ``P(z) - z``; returns ``(z, residual, run)``
+    with ``run`` the ``_period_pass`` from ``z`` that measured ``residual``.
 
     Each iteration is one integration that yields both ``P(z)`` and
     ``DP(z)``.  Raises ``NewtonConvergenceError`` when the iteration budget
@@ -164,7 +164,8 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
     residual = cond = start = math.nan
     for it in range(_NEWTON_MAX_ITERS):
         try:
-            Pz, J = _period_pass(PhaseState.from_flat(z), params, F, cfg, n_err=n)
+            Pz, J, run = _period_pass(PhaseState.from_flat(z), params, F, cfg,
+                                      n_err=n)
         except FallError:
             _log_attempt(params.lam, "fell", it, residual, cond, start)
             raise
@@ -176,7 +177,7 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
         cond = float(np.linalg.cond(A))
         if residual <= _NEWTON_TOL:
             _log_attempt(params.lam, "converged", it, residual, cond, start)
-            return PhaseState.from_flat(z), residual
+            return PhaseState.from_flat(z), residual, run
         if not np.isfinite(cond) or cond > 1e12:
             _log_attempt(params.lam, "ill-conditioned", it, residual, cond, start)
             raise IllConditionedError(
@@ -207,16 +208,15 @@ def _log_attempt(lam: float, outcome: str, iterations: int, residual: float,
               iterations, residual, cond, start)
 
 
-def _finish(z: PhaseState, residual: float, path: list, params: ModelParams,
-            F: PeriodicSignal, cfg: IntegratorConfig) -> PeriodicOrbitResult:
-    """Attach the orbit and variational monodromy to a converged point."""
-    orbit = evolve(0.0, F.period, z, params, F, cfg)
-    _raise_if_fell(orbit)
-    Pz = orbit.end_state().flat()
-    res = float(np.linalg.norm(Pz - z.flat()))
+def _finish(z: PhaseState, residual: float, run: Trajectory, path: list,
+            params: ModelParams, F: PeriodicSignal,
+            cfg: IntegratorConfig) -> PeriodicOrbitResult:
+    """Attach the orbit and monodromy to ``z``, where Newton's pass ``run``
+    met ``residual``.  The orbit is ``run``'s state part; ``M`` takes a pass
+    under full step control, which alone resolves it near a rest point."""
     monodromy = poincare_jacobian(z, params, F, cfg, mode="variational")
-    return PeriodicOrbitResult(fixed_point=z, residual=res,
-                               lambda_path=path, orbit=orbit,
+    return PeriodicOrbitResult(fixed_point=z, residual=residual,
+                               lambda_path=path, orbit=run.leading(2 * z.dim),
                                monodromy=monodromy)
 
 
@@ -249,13 +249,8 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
     Newton runs have not reached ``lam = 1``.
     """
     cfg = cfg or IntegratorConfig()
-    if params_at_zero.lam != 0.0:
-        params_at_zero = params_at_zero.with_lam(0.0)
-
-    d = params_at_zero.dim
-    z = PhaseState(np.zeros(d), np.zeros(d))
     lam = 0.0
-    path = [(0.0, z.flat().copy(), 0.0)]
+    path = [(0.0, np.zeros(2 * params_at_zero.dim), 0.0)]
     step = 1.0 if F.sup_norm == 0.0 else _LAMBDA_STEP_INIT
     last_result = None
     attempts = 0
@@ -269,7 +264,7 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
         lam_try = min(lam + step, 1.0)
         params_try = params_at_zero.with_lam(lam_try)
         try:
-            z_new, residual = _newton(_secant(path, lam_try), params_try, F, cfg)
+            z, residual, run = _newton(_secant(path, lam_try), params_try, F, cfg)
         except (FallError, NewtonConvergenceError, IllConditionedError):
             step *= 0.5
             if step < _LAMBDA_STEP_MIN:
@@ -278,12 +273,11 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
                     f"{_LAMBDA_STEP_MIN}", last_lambda=lam, last_result=last_result)
             continue
         lam = lam_try
-        z = z_new
         path.append((lam, z.flat().copy(), residual))
         last_result = (lam, z)
         step = min(step * 1.5, max(1.0 - lam, step))
 
-    return _finish(z, path[-1][2], path, params_at_zero.with_lam(1.0), F, cfg)
+    return _finish(z, residual, run, path, params_at_zero.with_lam(1.0), F, cfg)
 
 
 def result_to_dict(result: PeriodicOrbitResult) -> dict:

@@ -114,8 +114,8 @@ def test_b_planar_unforced_floor():
 
 def test_curvature_cylinder_hand_value():
     # d=1, p=0, x=a, unforced: curvature is G a^2 sqrt(1-a^2)
-    _, curv = _cylinder_quantities([0.0], [[0.9]], [[0.0]], 0.0, Z1, 1.0)
-    v = float(curv[0])
+    _, base, slope = _cylinder_quantities([0.0], [[0.9]], [[0.0]], Z1, 1.0)
+    v = float(base[0] + 0.0 * slope[0])
     assert v == pytest.approx(0.81 * math.sqrt(0.19), rel=1e-13)
     assert v == pytest.approx(0.3530708144267946, rel=1e-13)
 
@@ -123,8 +123,8 @@ def test_curvature_cylinder_hand_value():
 def test_curvature_cylinder_positive_unforced():
     for th in np.linspace(0.0, 2 * math.pi, 7):
         x = 0.6 * np.array([math.cos(th), math.sin(th)])
-        _, curv = _cylinder_quantities([0.0], [x], [np.zeros(2)], 0.0, Z2, 9.81)
-        assert curv[0] > 0.0
+        _, base, slope = _cylinder_quantities([0.0], [x], [np.zeros(2)], Z2, 9.81)
+        assert base[0] + 0.0 * slope[0] > 0.0
 
 
 def test_curvature_cylinder_lambda_monotone_in_forcing_sign():
@@ -134,12 +134,12 @@ def test_curvature_cylinder_lambda_monotone_in_forcing_sign():
     x = np.array([a, 0.0])
     p = np.zeros(2)
     Fc = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [])  # x.F(0) > 0
-    (v0,), (v1,) = (_cylinder_quantities([0.0], [x], [p], lam, Fc, 9.81)[1]
-                    for lam in (0.0, 1.0))
+    _, (base,), (slope,) = _cylinder_quantities([0.0], [x], [p], Fc, 9.81)
+    v0, v1 = (base + lam * slope for lam in (0.0, 1.0))
     assert v1 < v0
     # x.F(0) < 0, worst case is lam=0
-    (w0,), (w1,) = (_cylinder_quantities([0.0], [-x], [p], lam, Fc, 9.81)[1]
-                    for lam in (0.0, 1.0))
+    _, (base,), (slope,) = _cylinder_quantities([0.0], [-x], [p], Fc, 9.81)
+    w0, w1 = (base + lam * slope for lam in (0.0, 1.0))
     assert w1 > w0
 
 
@@ -388,7 +388,8 @@ def test_gates_and_curvatures_match_differences_along_the_flow(dim, lam):
         gate, curv = _cone_quantities([t0], [x], [p], lam, F, 9.81, b)
         fd = _gauge_rates(lambda xn, pn: b * xn + pn - b, t0, x, p, lam)
         x, p = a * u, rng.uniform(0.0, b * (1.0 - a)) * v
-        cyl_gate, cyl_curv = _cylinder_quantities([t0], [x], [p], lam, F, 9.81)
+        cyl_gate, base, slope = _cylinder_quantities([t0], [x], [p], F, 9.81)
+        cyl_curv = base + lam * slope
         cyl_fd = _gauge_rates(lambda xn, pn: 0.5 * xn * xn - 0.5 * a * a,
                               t0, x, p, lam)
         for got, want in zip((gate[0], curv[0], cyl_gate[0], cyl_curv[0]),
@@ -688,7 +689,7 @@ def test_lambda_free_kernels_run_once_per_verification(monkeypatch):
             return kernel(*args, **kwargs)
         return wrapper
 
-    for name in ("_cylinder_terms", "_cone_gate", "_cone_gate_terms"):
+    for name in ("_cylinder_quantities", "_cone_gate", "_cone_gate_terms"):
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     a1 = compute_a(9.81, 2.0, 0.5)
     a2 = compute_a(9.81, 1.5, 0.5)
@@ -703,9 +704,9 @@ def test_lambda_free_kernels_run_once_per_verification(monkeypatch):
             monkeypatch.setattr(bounds, "_LAMBDA_GRID", np.linspace(0.0, 1.0, n_lam))
             verify_bound_set(spec, 9.81, F, samples_per_face=6)
             seen.append({name: calls.get(name, 0)
-                         for name in ("_cylinder_terms", cone)})
+                         for name in ("_cylinder_quantities", cone)})
         assert seen[0] == seen[1], (spec.dim, seen)
-        assert seen[0]["_cylinder_terms"] > 0 and seen[0][cone] > 0, seen
+        assert seen[0]["_cylinder_quantities"] > 0 and seen[0][cone] > 0, seen
 
 
 def test_certificate_json_roundtrip(tmp_path):

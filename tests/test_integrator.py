@@ -208,6 +208,30 @@ def test_integrate_field_tight_tolerance_error_decay():
     assert errs[1] < errs[0] / 16.0
 
 
+@pytest.mark.parametrize("dim", [1, 2], ids=["line", "plane"])
+def test_leading_components_of_a_fused_run_are_the_state_run(dim):
+    # under step control on the state rows, the state part of a state and
+    # variational run is evolve's run, up to and including the fall
+    F = F1 if dim == 1 else F2
+    params = ModelParams(G=9.81, lam=1.0, dim=dim)
+    n = 2 * dim
+    s0 = PhaseState(np.full(dim, 0.2), np.zeros(dim))
+    Y0 = np.concatenate([s0.flat(), np.eye(n).ravel()])
+    fused = integrate_field(make_field(params, F, variational=True), 0.0, 3.0, Y0,
+                            IntegratorConfig(), dim, n)
+    run = fused.leading(n)
+    ref = evolve(0.0, 3.0, s0, params, F)
+    assert ref.fall_event is not None
+    assert np.array_equal(run.t_nodes, ref.t_nodes)
+    assert np.array_equal(run.states, ref.states)
+    assert (run.n_accepted, run.n_rejected) == (ref.n_accepted, ref.n_rejected)
+    assert run.fall_event.kind is ref.fall_event.kind
+    assert run.fall_event.time == ref.fall_event.time
+    assert np.array_equal(run.fall_event.state, ref.fall_event.state)
+    ts = np.linspace(0.0, ref.t_end, 257)
+    assert np.array_equal(run.dense_array(ts), ref.dense_array(ts))
+
+
 # -- the field contract: lists in, any float sequence out -----------------
 
 @pytest.mark.parametrize("dim, variational", [(1, False), (2, False), (2, True)])

@@ -13,7 +13,7 @@ from oracles import linear_scalar_rhs, rk4_scalar
 from upright import integrator, poincare
 from upright.dynamics import ModelParams, PhaseState, make_field
 from upright.errors import ContinuationStuckError, FallError
-from upright.forcing import make_fourier_forcing
+from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve, integrate_field
 from upright.poincare import (_NEWTON_TOL, PeriodicOrbitResult, _finish,
                               _newton, _period_pass, continue_in_lambda,
@@ -34,11 +34,11 @@ TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
 def refine(z0, params, F):
-    """Newton on the period map from ``z0``, then the converged point's
-    orbit, honest residual and monodromy, as continuation finishes."""
+    """Newton on the period map from ``z0``, then the converged pass's orbit
+    and residual and the monodromy, as continuation finishes."""
     cfg = IntegratorConfig()
-    z, residual = _newton(z0, params, F, cfg)
-    return _finish(z, residual, [(params.lam, z.flat().copy(), residual)],
+    z, residual, run = _newton(z0, params, F, cfg)
+    return _finish(z, residual, run, [(params.lam, z.flat().copy(), residual)],
                    params, F, cfg)
 
 
@@ -126,7 +126,7 @@ def test_newton_pass_state_rows_are_the_period_map(dim, F, lam, cfg):
                 _period_pass(z, params, F, cfg, n_err=2 * dim)
             verdicts.add("fell")
             continue
-        Pz, _ = _period_pass(z, params, F, cfg, n_err=2 * dim)
+        Pz, _, _ = _period_pass(z, params, F, cfg, n_err=2 * dim)
         assert np.array_equal(Pz, expect)
         verdicts.add("stayed")
     assert verdicts == {"fell", "stayed"}
@@ -138,7 +138,7 @@ def test_newton_pass_jacobian_matches_finite_differences(dim, F):
     rng = np.random.default_rng(21)
     for _ in range(3):
         z = PhaseState(rng.uniform(-0.02, 0.02, dim), rng.uniform(-0.05, 0.05, dim))
-        _, DP = _period_pass(z, params, F, TIGHT, n_err=2 * dim)
+        _, DP, _ = _period_pass(z, params, F, TIGHT, n_err=2 * dim)
         J_fd = poincare_jacobian(z, params, F, TIGHT, mode="finite_difference")
         assert np.max(np.abs(J_fd - DP) / (np.abs(DP) + 1.0)) < 1e-4
 
@@ -154,6 +154,62 @@ def test_continuation_runs_one_integration_per_newton_step(monkeypatch):
         monkeypatch.setattr(mod, "integrate_field", counted)
     continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_LIN)
     assert 0 < len(calls) <= 30
+
+
+@pytest.mark.parametrize("dim, F", [(1, F_LIN), (2, F_CIRCLE)], ids=["line", "plane"])
+def test_continuation_integrates_once_after_its_last_newton_run(monkeypatch, dim, F):
+    # the orbit is the state part of the pass that converged at lam = 1;
+    # only the monodromy's full-control pass follows it
+    calls = {"evolve": 0, "integrate_field": 0}
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(poincare, "evolve", counted("evolve", poincare.evolve))
+    for mod in (integrator, poincare):
+        monkeypatch.setattr(mod, "integrate_field",
+                            counted("integrate_field", mod.integrate_field))
+    at_last = {}
+
+    def newton(*args, _inner=poincare._newton, **kwargs):
+        out = _inner(*args, **kwargs)
+        at_last.update(calls)
+        return out
+
+    monkeypatch.setattr(poincare, "_newton", newton)
+    continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=dim), F)
+    after = {name: calls[name] - at_last[name] for name in calls}
+    assert after == {"evolve": 0, "integrate_field": 1}
+
+
+def _path_64():
+    ts = np.linspace(0.0, 1.0, 65)
+    xs = 0.02 * np.sin(TWO_PI * ts)
+    xs[-1] = xs[0]
+    return ingest_path(PathSamples(times=ts, positions=xs), gravity=9.81)[0]
+
+
+@pytest.mark.parametrize("dim, make_F", [(1, lambda: F_LIN), (2, lambda: F_CIRCLE),
+                                         (1, _path_64)],
+                         ids=["line", "plane", "path"])
+def test_orbit_is_the_run_of_evolve_from_the_fixed_point(dim, make_F):
+    # the orbit comes from the Newton pass, not from a second integration,
+    # yet it is evolve's run: nodes, states, steps and dense output
+    F = make_F()
+    result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=dim), F)
+    z = result.fixed_point
+    ref = evolve(0.0, F.period, z, ModelParams(G=9.81, lam=1.0, dim=dim), F)
+    orbit = result.orbit
+    assert np.array_equal(orbit.t_nodes, ref.t_nodes)
+    assert np.array_equal(orbit.states, ref.states)
+    assert (orbit.n_accepted, orbit.n_rejected) == (ref.n_accepted, ref.n_rejected)
+    assert orbit.fall_event is None and ref.fall_event is None
+    ts = np.linspace(0.0, F.period, 2048)
+    assert np.array_equal(orbit.dense_array(ts), ref.dense_array(ts))
+    assert result.residual == float(np.linalg.norm(ref.end_state().flat() - z.flat()))
 
 
 def test_continuation_logs_every_lambda_attempt(caplog):
