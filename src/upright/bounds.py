@@ -216,10 +216,9 @@ def _cone_gate(s: RodTerms, b):
 
 
 def _cone_quantities(ts, xs, ps, lam, F, G, b):
-    """Gate ``n'`` (``_cone_gate`` at ``lam``) and curvature ``n''`` of the
-    cone gauge at the samples, as the module docstring writes them."""
+    """Gate ``n'`` and curvature ``n''`` of the cone gauge at the samples,
+    as the module docstring writes them."""
     s = rod_terms(xs, ps, F.eval(ts), G)
-    g0, g1 = _cone_gate(s, b)
     acc = rod_acceleration(s, lam)
     rate = acceleration_rate(s, acc, F.eval_derivative(ts), lam, G)
     nx, pn = np.sqrt(s.r2), np.sqrt(s.p2)
@@ -229,7 +228,7 @@ def _cone_quantities(ts, xs, ps, lam, F, G, b):
             + np.clip(s.p2 * np.sum(acc * acc, axis=1) - pa * pa, 0.0, None) / pn ** 3
             + (b / nx) * np.sum(s.X * acc, axis=1)
             + np.sum(s.P * rate, axis=1) / pn)
-    return g0 + lam * g1, curv
+    return (b / nx) * s.xp + pa / pn, curv
 
 
 def _cone_gate_terms(theta, r, f, G, b):
@@ -309,7 +308,7 @@ def exit_cone_check(t: float, p, F: PeriodicSignal, G: float | None = None,
     Analytically the vertex repels when ``b^2 > |F|_sup``.  When ``G`` is
     supplied the verdict is additionally confirmed by a short integration
     from the vertex at the full forcing scale ``lam = 1``, requiring the
-    cone gauge to become positive within ``1e-3`` periods.
+    cone gauge to be positive at the arc's end, ``1e-3`` periods later.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     b = float(np.linalg.norm(p))
@@ -426,11 +425,11 @@ _Sampling = namedtuple("_Sampling", "spec G F cfg t_grid spf gate_tol rng")
 
 @dataclass
 class _Margins:
-    """What the faces find: margins, sample count, spot-check candidates."""
+    """What the faces find: margins, vertex samples, spot-check candidates."""
 
     gamma: _MarginPool = field(default_factory=_MarginPool)
     delta: _MarginPool = field(default_factory=_MarginPool)
-    total: int = 0
+    vertex_samples: int = 0
     spot_pool: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     xtp_abs: list = field(default_factory=list)
@@ -445,8 +444,8 @@ class _Margins:
 
 
 def _cylinder_samples(ctx: _Sampling):
-    """Transversal samples ``(t, x, p)`` of ``|x| = a``, groups of exact gate
-    samples, and the map that moves a near-gate ``p`` onto the gate."""
+    """Transversal samples ``(t, x, p)`` of ``|x| = a`` and groups of exact
+    gate samples."""
     a, b, spf, rng, t_grid = ctx.spec.a, ctx.spec.b, ctx.spf, ctx.rng, ctx.t_grid
     n_t = t_grid.size
     p_max = b * (1.0 - a)
@@ -458,7 +457,7 @@ def _cylinder_samples(ctx: _Sampling):
         # on the line the gate is p = 0, on either side
         gates = [(t_grid, np.full((n_t, 1), x), np.zeros((n_t, 1)))
                  for x in (a, -a)]
-        return (tt, xs, ps), gates, lambda x, p: np.zeros_like(x)
+        return (tt, xs, ps), gates
 
     theta_grid = _jittered(0.0, 2.0 * math.pi, spf, rng)
     rho_grid = np.concatenate([_jittered(0.0, p_max, max(4, spf // 2), rng),
@@ -473,32 +472,27 @@ def _cylinder_samples(ctx: _Sampling):
         t_grid, theta_grid, np.concatenate([[0.0], rho_grid]), indexing="ij"))
     radial = _unit(thg)
     gates = [(tg, a * radial, rhg[:, None] * (radial[:, ::-1] * [-1.0, 1.0]))]
-
-    def drop_radial(x, p):
-        return p - (np.sum(x * p, axis=1) / (a * a))[:, None] * x
-
-    return (tt, xs, ps), gates, drop_radial
+    return (tt, xs, ps), gates
 
 
 def _cylinder_face(ctx: _Sampling, rec: _Margins) -> None:
-    """Cylinder ``|x| = a``: the curvature at every gate sample and scale."""
+    """Cylinder ``|x| = a``: the curvature at every gate sample and scale;
+    transversal samples pass either way and only offer spot checks."""
     F, G, rng = ctx.F, ctx.G, ctx.rng
-    (tt, xs, ps), gates, onto_gate = _cylinder_samples(ctx)
-    xp, base, slope = _cylinder_quantities(tt, xs, ps, F, G)
-    near = np.abs(xp) <= ctx.gate_tol
-    groups = [(tt[near], xs[near], onto_gate(xs[near], ps[near]))] + gates
+    (tt, xs, ps), gates = _cylinder_samples(ctx)
     full = []
-    for t, x, p in groups:
+    for t, x, p in gates:
         _, g_base, g_slope = _cylinder_quantities(t, x, p, F, G)
         full.append(g_base + g_slope)
         rec.gamma.add(*_lowest_end(g_base, g_slope), t, x, p, "cylinder-gate")
-    rec.total += xp.size + sum(t.size for t, _, _ in gates)
 
     lam = 1.0
-    for i in rng.choice(xp.size, size=min(40, xp.size), replace=False):
-        rec.candidate("gamma", tt[i], lam, xs[i], ps[i], xp[i],
-                      base[i] + lam * slope[i], False)
-    (t, x, p), curv = groups[1], full[1]
+    sel = rng.choice(tt.size, size=min(40, tt.size), replace=False)
+    xp, base, slope = _cylinder_quantities(tt[sel], xs[sel], ps[sel], F, G)
+    for j, i in enumerate(sel):
+        rec.candidate("gamma", tt[i], lam, xs[i], ps[i], xp[j],
+                      base[j] + lam * slope[j], False)
+    (t, x, p), curv = gates[0], full[0]
     if ctx.spec.dim == 1:
         picks = range(0, t.size, max(1, t.size // 8))
     else:
@@ -517,14 +511,14 @@ def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
     xi = np.concatenate([_jittered(a * 1e-3, a, 2 * ctx.spf, ctx.rng), [a]])
     n_t = ctx.t_grid.size
     tq = np.repeat(ctx.t_grid, xi.size)
+    fq = F.eval(tq)
     branches = []
     for sx, sp in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
         xq = np.tile((sx * xi)[:, None], (n_t, 1))
         pq = np.tile((sp * b * (1.0 - xi))[:, None], (n_t, 1))
-        g0, g1 = _cone_gate(rod_terms(xq, pq, F.eval(tq), G), b)
+        g0, g1 = _cone_gate(rod_terms(xq, pq, fq, G), b)
         rec.delta.add(*_lowest_end(g0, g1, sx * sp), tq, xq, pq, "cone-sign")
         branches.append((xq, pq, g0, g1))
-    rec.total += len(branches) * tq.size
 
     lam = 1.0
     xq, pq, g0, g1 = branches[0]
@@ -555,7 +549,6 @@ def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
         p_root = pnorm[cells, None] * _unit(psi)
         _, curv = _cone_quantities(tc[cells], xc[cells], p_root, lam, F, G, b)
         rec.delta.add(curv, lam, tc[cells], xc[cells], p_root, "cone-gate")
-        rec.total += curv.size
         rec.xtp_abs.append(np.abs(np.sum(xc[cells] * p_root, axis=1)))
         rec.xtp_bound.append(4.0 * F.sup_norm * rc[cells] / b)
 
@@ -583,7 +576,7 @@ def _vertex_face(ctx: _Sampling, rec: _Margins) -> bool:
         psis = _jittered(0.0, 2.0 * math.pi, ctx.spf, ctx.rng)
         vertex_ps = [b * np.asarray([math.cos(s), math.sin(s)]) for s in psis]
     samples = [(float(t), p) for t in ctx.t_grid for p in vertex_ps]
-    rec.total += len(samples)
+    rec.vertex_samples = len(samples)
 
     def failure(t, p, reason):
         return {"face": "vertex", "t": t, "p": [float(v) for v in p],
@@ -649,9 +642,9 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     One function per face writes to a shared margin record, in a fixed
     order so that the seed fixes every sample:
 
-    * cylinder ``|x| = a``: gate points (``p`` orthogonal to ``x``, and
-      near-gate samples moved onto the gate) need positive curvature; the
-      other samples cross transversally and pass either way;
+    * cylinder ``|x| = a``: gate points (``p`` orthogonal to ``x``) need
+      positive curvature; the other points cross transversally and pass
+      either way, so they are drawn only as spot-check candidates;
     * cone ``b|x| + |p| = b``: on the line, every sample of the four branch
       lines must cross in its prescribed direction (sign(x p)); in the
       plane, the gate points are the roots of the module docstring's cubic
@@ -687,8 +680,9 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     return BoundSetCertificate(
         spec=spec, lambda_cover={"cylinder": "interval", "cone": "interval"
                                  if spec.dim == 1 else _LAMBDA_GRID.tolist()},
-        boundary_samples=rec.total, min_margin_gamma=gamma.min,
-        min_margin_delta=delta.min, corner_ok=corner_ok,
+        boundary_samples=gamma.count + delta.count + rec.vertex_samples,
+        min_margin_gamma=gamma.min, min_margin_delta=delta.min,
+        corner_ok=corner_ok,
         verified=(gamma.min > 0.0) and (delta.min > 0.0) and corner_ok,
         gate_tol=ctx.gate_tol, thresholds=_thresholds(spec, G, F),
         failures=failures[:40], worst_gamma=gamma.worst,

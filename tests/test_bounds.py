@@ -502,7 +502,7 @@ def test_planar_cylinder_gate_points_are_sampled_once():
         spec=BoundSetSpec(0.6, 5.0, 2), G=9.81, F=F2, cfg=IntegratorConfig(),
         t_grid=np.linspace(0.0, 1.0, n_t, endpoint=False), spf=spf,
         gate_tol=1e-6, rng=np.random.default_rng(0))
-    _, ((tg, xg, pg),), _ = bounds._cylinder_samples(ctx)
+    _, ((tg, xg, pg),) = bounds._cylinder_samples(ctx)
     # np.unique compares with ==, so the velocities +0 and -0 are one point
     rows = np.column_stack([tg, xg, pg])
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
@@ -518,6 +518,99 @@ def test_planar_cylinder_gate_points_are_sampled_once():
     for worst in (cert.worst_gamma, cert.worst_delta):
         points = [(w["t"], w["lam"], *w["x"], *w["p"]) for w in worst]
         assert len(set(points)) == len(points) == bounds._WORST_KEPT
+
+
+def _line_certify_spec():
+    """The benchmark's ``certify`` linear trap (|F| = 2 sampled)."""
+    a = compute_a(9.81, F1.sup_norm, 0.5)
+    return BoundSetSpec(a, compute_b_linear(a, F1.sup_norm, 0.5), 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["line", "plane"])
+def test_boundary_samples_count_the_samples_given_a_margin(dim):
+    # every counted sample has a margin pooled, or is a vertex sample
+    if dim == 1:
+        spf, spec, F = 32, _line_certify_spec(), F1
+    else:
+        spf, spec, F = 6, BoundSetSpec(compute_a(9.81, 1.5, 0.5), 5.0, 2), F2
+    cert = verify_bound_set(spec, 9.81, F, samples_per_face=spf, seed=1)
+    vertices = 2 * spf * (2 if dim == 1 else spf)
+    assert cert.boundary_samples == (cert.gamma_gate_count
+                                     + cert.delta_gate_count + vertices)
+    if dim == 1:
+        assert (cert.boundary_samples, cert.gamma_gate_count,
+                cert.delta_gate_count) == (16896, 128, 16640)
+
+
+def test_planar_cylinder_pools_exactly_its_gate_grid():
+    # the circle forcing at 16 samples per face: 32 times, 16 angles and
+    # 10 speeds (0, 8 jittered, the largest) on the gate, nothing more
+    a = compute_a(9.81, F2.sup_norm, 0.5)
+    _, cert = compute_b_planar(a, F2, 9.81, samples_per_face=16, seed=0)
+    assert cert.gamma_gate_count == 32 * 16 * 10
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["line", "plane"])
+def test_cylinder_quantities_run_on_gates_and_spot_candidates_only(
+        monkeypatch, dim):
+    rows = []
+
+    def counted(ts, *args):
+        rows.append(np.size(ts))
+        return _cylinder_quantities(ts, *args)
+
+    monkeypatch.setattr(bounds, "_cylinder_quantities", counted)
+    if dim == 1:
+        spec, F = _line_certify_spec(), F1
+    else:
+        spec, F = BoundSetSpec(compute_a(9.81, 1.5, 0.5), 5.0, 2), F2
+    cert = verify_bound_set(spec, 9.81, F, samples_per_face=8, seed=2)
+    assert 0 < sum(rows) <= cert.gamma_gate_count + 40
+
+
+def test_line_cone_face_reads_forcing_once_on_its_branch_times(monkeypatch):
+    sizes, inside = [], [False]
+    eval_points, cone_face = bounds.PeriodicSignal.eval, bounds._cone_face_line
+
+    def counted_eval(self, t):
+        if inside[0]:
+            sizes.append(np.size(t))
+        return eval_points(self, t)
+
+    def counted_face(ctx, rec):
+        inside[0] = True
+        cone_face(ctx, rec)
+        inside[0] = False
+
+    monkeypatch.setattr(bounds.PeriodicSignal, "eval", counted_eval)
+    monkeypatch.setattr(bounds, "_cone_face_line", counted_face)
+    spf = 8
+    verify_bound_set(_line_certify_spec(), 9.81, F1, samples_per_face=spf)
+    # the four branches share one read; the 30 spot candidates read again
+    assert sizes == [(2 * spf) * (2 * spf + 1), 30]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("dim", [1, 2], ids=["line", "plane"])
+def test_cone_quantities_gate_is_the_split_cone_gate(dim, lam):
+    # n' from the curvature's terms equals _cone_gate's g0 + lam g1 to
+    # rounding of its terms, at random cone face points
+    rng = np.random.default_rng(5)
+    b, n, F = 4.0, 2000, (F1 if dim == 1 else F4)
+    t = rng.uniform(0.0, 1.0, n)
+    r = rng.uniform(1e-3, 0.95, n)
+    u, v = rng.normal(size=(2, n, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    x, p = r[:, None] * u, (b * (1.0 - r))[:, None] * v
+    gate, _ = _cone_quantities(t, x, p, lam, F, 9.81, b)
+    s = rod_terms(x, p, F.eval(t), 9.81)
+    g0, g1 = bounds._cone_gate(s, b)
+    pn = np.sqrt(s.p2)
+    size = (np.abs(b * s.xp / np.sqrt(s.r2))
+            + np.abs(np.sum(s.P * (s.R[:, None] * s.X), axis=1)) / pn
+            + lam * np.abs(np.sum(s.P * (s.xf[:, None] * s.X - s.F), axis=1)) / pn)
+    assert np.all(np.abs(gate - (g0 + lam * g1)) <= 1e-13 * size)
 
 
 def _naive_pool(blocks, kind):
@@ -643,18 +736,19 @@ def test_verify_lambda_grid_contains_endpoints():
 # gate counts, min_margin_gamma, min_margin_delta.  The verdicts and margins
 # are those the per-scale verifier computed on the 21-point grid, before the
 # cone gate became g0 + lam g1; the counts are per sample, for the two faces
-# now cover lam in [0, 1] from its ends.  Inputs: the
+# now cover lam in [0, 1] from its ends, and the boundary samples are those a
+# margin is formed for: the gate and vertex samples.  Inputs: the
 # benchmark's ``certify`` linear config (a, b from the sampled sup |F|,
 # 32 samples per face, seed 1), its twin refuted with b = 1, and the config
 # of demos/bound_set_certificate.py (a, b from |F| = 2, 16 per face, seed 0).
 LINEAR_CERTIFICATES = {
-    "certify": (True, True, 25088, 128, 16640,
+    "certify": (True, True, 16896, 128, 16640,
                 2.0574163000705328, 7.932731780020939),
-    "refute": (False, False, 25088, 128, 16640,
+    "refute": (False, False, 16896, 128, 16640,
                2.0574163000705328, -0.9728440159359384),
-    "demo": (True, True, 6400, 64, 4224,
+    "demo": (True, True, 4352, 64, 4224,
              2.061400024358217, 7.936341612622172),
-    "demo_refuted": (False, False, 6400, 64, 4224,
+    "demo_refuted": (False, False, 4352, 64, 4224,
                      2.061400024358217, -0.9330854656279305),
 }
 
@@ -693,8 +787,8 @@ def test_lambda_free_kernels_run_once_per_verification(monkeypatch):
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     a1 = compute_a(9.81, 2.0, 0.5)
     a2 = compute_a(9.81, 1.5, 0.5)
-    # the planar face's curvature at the moving gate roots reads the cone
-    # gate once per scale, so there only the cell kernel is counted
+    # the planar face takes its gates from the cubic's cell terms and never
+    # splits the cone gate in lam, so there only the cell kernel is counted
     for spec, F, cone in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0, 0.5), 1),
                            F1, "_cone_gate"),
                           (BoundSetSpec(a2, 5.0, 2), F2, "_cone_gate_terms")):
