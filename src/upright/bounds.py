@@ -444,42 +444,43 @@ class _Margins:
 
 
 def _cylinder_samples(ctx: _Sampling):
-    """Transversal samples ``(t, x, p)`` of ``|x| = a`` and groups of exact
-    gate samples."""
+    """Up to 40 transversal spot candidates ``(t, x, p)`` of ``|x| = a``,
+    rows of the full product grid, and groups of exact gate samples."""
     a, b, spf, rng, t_grid = ctx.spec.a, ctx.spec.b, ctx.spf, ctx.rng, ctx.t_grid
     n_t = t_grid.size
     p_max = b * (1.0 - a)
     if ctx.spec.dim == 1:
-        p_grid = _jittered(-p_max, p_max, 2 * spf, rng)
-        tt = np.repeat(t_grid, 4 * spf)
-        xs = np.tile(np.repeat(np.asarray([a, -a]), 2 * spf), n_t)[:, None]
-        ps = np.tile(p_grid, 2 * n_t)[:, None]
+        # product grid over (t, side of x, p)
+        grids = (t_grid, np.asarray([a, -a]), _jittered(-p_max, p_max, 2 * spf, rng))
         # on the line the gate is p = 0, on either side
         gates = [(t_grid, np.full((n_t, 1), x), np.zeros((n_t, 1)))
                  for x in (a, -a)]
-        return (tt, xs, ps), gates
-
-    theta_grid = _jittered(0.0, 2.0 * math.pi, spf, rng)
-    rho_grid = np.concatenate([_jittered(0.0, p_max, max(4, spf // 2), rng),
-                               [p_max]])
-    psi_grid = _jittered(0.0, 2.0 * math.pi, spf, rng)
-    # transversal sweep: full product grid
-    tt, th, rh, psi = (v.ravel() for v in np.meshgrid(
-        t_grid, theta_grid, rho_grid, psi_grid, indexing="ij"))
-    xs, ps = a * _unit(th), rh[:, None] * _unit(psi)
-    # exact gates: p = 0, and p orthogonal to x (the curvature is even in p)
-    tg, thg, rhg = (v.ravel() for v in np.meshgrid(
-        t_grid, theta_grid, np.concatenate([[0.0], rho_grid]), indexing="ij"))
-    radial = _unit(thg)
-    gates = [(tg, a * radial, rhg[:, None] * (radial[:, ::-1] * [-1.0, 1.0]))]
-    return (tt, xs, ps), gates
+    else:
+        theta_grid = _jittered(0.0, 2.0 * math.pi, spf, rng)
+        rho_grid = np.concatenate([_jittered(0.0, p_max, max(4, spf // 2), rng),
+                                   [p_max]])
+        grids = (t_grid, theta_grid, rho_grid, _jittered(0.0, 2.0 * math.pi, spf, rng))
+        # exact gates: p = 0, and p orthogonal to x (the curvature is even in p)
+        tg, thg, rhg = (v.ravel() for v in np.meshgrid(
+            t_grid, theta_grid, np.concatenate([[0.0], rho_grid]), indexing="ij"))
+        radial = _unit(thg)
+        gates = [(tg, a * radial, rhg[:, None] * (radial[:, ::-1] * [-1.0, 1.0]))]
+    # the candidates, drawn by flat index into the C-ordered product grid
+    shape = [g.size for g in grids]
+    n = math.prod(shape)
+    rows = np.unravel_index(rng.choice(n, size=min(40, n), replace=False), shape)
+    t, *rest = (g[i] for g, i in zip(grids, rows))
+    if ctx.spec.dim == 1:
+        return (t, rest[0][:, None], rest[1][:, None]), gates
+    th, rh, psi = rest
+    return (t, a * _unit(th), rh[:, None] * _unit(psi)), gates
 
 
 def _cylinder_face(ctx: _Sampling, rec: _Margins) -> None:
     """Cylinder ``|x| = a``: the curvature at every gate sample and scale;
     transversal samples pass either way and only offer spot checks."""
     F, G, rng = ctx.F, ctx.G, ctx.rng
-    (tt, xs, ps), gates = _cylinder_samples(ctx)
+    (ts, xs, ps), gates = _cylinder_samples(ctx)
     full = []
     for t, x, p in gates:
         _, g_base, g_slope = _cylinder_quantities(t, x, p, F, G)
@@ -487,10 +488,9 @@ def _cylinder_face(ctx: _Sampling, rec: _Margins) -> None:
         rec.gamma.add(*_lowest_end(g_base, g_slope), t, x, p, "cylinder-gate")
 
     lam = 1.0
-    sel = rng.choice(tt.size, size=min(40, tt.size), replace=False)
-    xp, base, slope = _cylinder_quantities(tt[sel], xs[sel], ps[sel], F, G)
-    for j, i in enumerate(sel):
-        rec.candidate("gamma", tt[i], lam, xs[i], ps[i], xp[j],
+    xp, base, slope = _cylinder_quantities(ts, xs, ps, F, G)
+    for j in range(ts.size):
+        rec.candidate("gamma", ts[j], lam, xs[j], ps[j], xp[j],
                       base[j] + lam * slope[j], False)
     (t, x, p), curv = gates[0], full[0]
     if ctx.spec.dim == 1:

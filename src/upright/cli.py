@@ -113,6 +113,8 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
                 raise ConfigError(f"{name} must be a number, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+            if isinstance(default, int) and value != int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
             try:
                 value = float(value) if default is None else type(default)(value)
             except (OverflowError, ValueError) as exc:

@@ -61,8 +61,9 @@ _A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
-# Interpolant coefficients: y(t0 + theta h) = y0 + h * K^T (P @ [theta, .., theta^4]).
-_P = np.asarray([
+# Interpolant y(t0 + theta h) = y0 + h sum_j w_j K_j: row j holds the
+# coefficients of theta, .., theta^4 in w_j (the second stage's are 0).
+_P_ROWS = [
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
     [0.0, 0.0, 0.0, 0.0],
     [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
@@ -70,8 +71,7 @@ _P = np.asarray([
     [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
     [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
-_P_ROWS = _P.tolist()
+]
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -120,7 +120,6 @@ class Trajectory:
         self._y = np.asarray(y_nodes, dtype=float)
         self._h = np.asarray(seg_h, dtype=float)
         self._seg_K = seg_K  # per segment, the 7 stage vectors
-        self._K_array = None  # (n_seg, 7, m), built on first dense use
         # the fall that ended the run early, if any
         self.fall_event: Event | None = fall_event
         self.n_accepted = int(n_accepted)
@@ -159,15 +158,9 @@ class Trajectory:
                           [[k[:n] for k in K] for K in self._seg_K], ev,
                           self.n_accepted, self.n_rejected)
 
-    @property
-    def _K(self) -> np.ndarray:
-        if self._K_array is None:
-            self._K_array = np.asarray(self._seg_K, dtype=float).reshape(
-                len(self._h), 7, self._y.shape[1])
-        return self._K_array
-
     def dense_array(self, ts) -> np.ndarray:
-        """Vectorized dense evaluation, shape (len(ts), 2*dim)."""
+        """Vectorized dense evaluation, shape (len(ts), 2*dim): each sample
+        is ``_dense_state`` on its step, the interpolant the fall is located on."""
         ts = np.asarray(ts, dtype=float)
         if len(self._h) == 0:
             return np.broadcast_to(self._y[0], (ts.shape[0], self._y.shape[1])).copy()
@@ -175,14 +168,10 @@ class Trajectory:
         if np.any(ts < lo) or np.any(ts > hi):
             raise ValueError("sample times outside the integration interval")
         idx = np.clip(np.searchsorted(self._t, ts, side="right") - 1, 0, len(self._h) - 1)
-        theta = (ts - self._t[idx]) / self._h[idx]
-        powers = theta[:, None] ** np.arange(1, 5)[None, :]
-        w = powers @ _P.T  # (n, 7)
-        out = np.empty((ts.shape[0], self._y.shape[1]))
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = self._y[i] + self._h[i] * (w[sel] @ self._K[i])
-        return out
+        h = self._h[idx]
+        K = np.asarray(self._seg_K, dtype=float)[idx]
+        return np.stack(_dense_state(self._y[idx].T, h, K.transpose(1, 2, 0),
+                                     (ts - self._t[idx]) / h), axis=1)
 
     def to_csv(self, path, n_samples: int | None = None) -> None:
         """Write ``t,x1[,x2],p1[,p2],y`` rows; dense-resampled if requested."""
@@ -241,7 +230,8 @@ def _initial_step(fun, t0, y0, f0, t1, cfg, n_err):
 
 
 def _dense_state(y_left, h, K, theta):
-    """The step's interpolant at ``theta``, in plain floats."""
+    """The step's interpolant at ``theta``, in plain floats or elementwise on
+    arrays: ``y_left`` and each stage of ``K`` (m, n), ``h`` and ``theta`` (n,)."""
     w1, _, w3, w4, w5, w6, w7 = [
         ((c4 * theta + c3) * theta + c2) * theta * theta + c1 * theta
         for c1, c2, c3, c4 in _P_ROWS]

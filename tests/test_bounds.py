@@ -496,6 +496,39 @@ def test_failed_spot_check_refutes_a_face_without_gate_points(monkeypatch):
     assert cert.min_margin_delta < 0.0 and not cert.verified
 
 
+@pytest.mark.parametrize("dim, spf", [(1, 4), (1, 16), (2, 4), (2, 16)])
+def test_cylinder_candidates_are_rows_of_the_full_transversal_grid(dim, spf):
+    # the 40 candidates are the rows of the whole product grid that a draw of
+    # 40 flat indices picks, the draw coming after the grids' own
+    spec = BoundSetSpec(0.6, 5.0, dim)
+    t_grid = np.linspace(0.0, 1.0, 2 * spf, endpoint=False)
+    ctx = bounds._Sampling(spec=spec, G=9.81, F=F1 if dim == 1 else F2,
+                           cfg=IntegratorConfig(), t_grid=t_grid, spf=spf,
+                           gate_tol=1e-6, rng=np.random.default_rng(7))
+    (t, x, p), _ = bounds._cylinder_samples(ctx)
+
+    rng, jittered = np.random.default_rng(7), bounds._jittered
+    a, p_max = spec.a, spec.b * (1.0 - spec.a)
+    if dim == 1:
+        p_grid = jittered(-p_max, p_max, 2 * spf, rng)
+        tt, xx, pp = (v.ravel() for v in np.meshgrid(t_grid, [a, -a], p_grid,
+                                                     indexing="ij"))
+        xs, ps = xx[:, None], pp[:, None]
+    else:
+        theta = jittered(0.0, 2.0 * math.pi, spf, rng)
+        rho = np.concatenate([jittered(0.0, p_max, max(4, spf // 2), rng), [p_max]])
+        psi = jittered(0.0, 2.0 * math.pi, spf, rng)
+        tt, th, rh, ph = (v.ravel() for v in np.meshgrid(t_grid, theta, rho, psi,
+                                                         indexing="ij"))
+        xs = a * np.stack([np.cos(th), np.sin(th)], axis=1)
+        ps = rh[:, None] * np.stack([np.cos(ph), np.sin(ph)], axis=1)
+    sel = rng.choice(tt.size, size=40, replace=False)
+    assert np.array_equal(t, tt[sel])
+    assert np.array_equal(x, xs[sel]) and np.array_equal(p, ps[sel])
+    # the next draw of the stream is where the parent's face took it
+    assert ctx.rng.random() == rng.random()
+
+
 def test_planar_cylinder_gate_points_are_sampled_once():
     spf, n_t = 4, 8
     ctx = bounds._Sampling(

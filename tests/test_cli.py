@@ -369,6 +369,21 @@ def test_config_wrong_types_exit_1(tmp_path, caplog, command, overrides):
     assert "config error" in caplog.text
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("verify-bounds", "bounds", "samples_per_face", 4.9),
+    ("whitney-search", "journey", "depth", 2.7),
+    ("simulate", "integrator", "max_steps", 1.5),
+], ids=["samples-per-face", "depth", "max-steps"])
+def test_integer_settings_reject_fractions(tmp_path, caplog, command, section,
+                                           key, value):
+    # a fraction is an error, not truncated; an integral float such as 1e3
+    # takes its default's type
+    rc, out = run(tmp_path, command, problem="linear", **{section: {key: value}})
+    assert rc == 1
+    assert f"{section}.{key} must be an integer, got {value}" in caplog.text
+    assert not (out / "result.json").exists()
+
+
 @pytest.mark.parametrize("overrides", [
     {"forcing": {"cosine": [math.inf]}},
     {"forcing": {"sine": [math.nan]}},

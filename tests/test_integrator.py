@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from upright.dynamics import GUARD, ModelParams, PhaseState, lane_field, make_fi
 from upright.errors import SingularityError, StepBudgetError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import (FALL_THRESHOLD, EventKind, IntegratorConfig,
-                                Trajectory, evolve, integrate_field,
-                                integrate_lanes)
+                                Trajectory, _dense_state, evolve,
+                                integrate_field, integrate_lanes)
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,7 +87,60 @@ def test_dense_array_matches_pointwise_evaluation():
     ts = np.linspace(0.0, 1.0, 37)
     block = traj.dense_array(ts)
     for i, t in enumerate(ts):
-        assert np.allclose(block[i], traj.dense_array([t])[0], atol=1e-14)
+        assert np.array_equal(block[i], traj.dense_array([t])[0])
+
+
+def _pointwise(traj, t):
+    """The fall locator's interpolant, in plain floats, on the step holding ``t``."""
+    i = min(max(bisect_right(traj.t_nodes.tolist(), t) - 1, 0), len(traj._seg_K) - 1)
+    t_left, h = float(traj.t_nodes[i]), float(traj._h[i])
+    return _dense_state(traj.states[i].tolist(), h, traj._seg_K[i], (t - t_left) / h)
+
+
+def _path_run():
+    T, n = 0.25, 32
+    ts = np.linspace(0.0, T, n + 1)
+    F, G = ingest_path(PathSamples(ts, 0.002 * np.sin(2 * math.pi * ts / T)), 9.81)
+    return evolve(0.0, 0.9, PhaseState(0.1, 0.0), ModelParams(G=G, lam=1.0, dim=1), F)
+
+
+def _leading_run():
+    params = ModelParams(G=9.81, lam=1.0, dim=2)
+    Y0 = np.concatenate([[0.2, 0.1, 0.0, 0.0], np.eye(4).ravel()])
+    fused = integrate_field(make_field(params, F2, variational=True), 0.0, 3.0, Y0,
+                            IntegratorConfig(), 2, 4)
+    return fused.leading(4)
+
+
+@pytest.mark.parametrize("make_run", [
+    lambda: evolve(0.0, 1.0, PhaseState(0.05, 0.1), ModelParams(G=9.81, lam=1.0, dim=1), F1),
+    lambda: evolve(0.0, 3.0, PhaseState(np.array([0.1, 0.05]), np.zeros(2)),
+                   ModelParams(G=9.81, lam=1.0, dim=2), F2),
+    _path_run,
+    _leading_run,
+], ids=["line", "plane", "path", "leading"])
+def test_dense_array_is_the_fall_locators_interpolant(make_run):
+    # one interpolant: every sample, at nodes and knots too, is what
+    # _dense_state gives in plain floats on its step, bit for bit
+    traj = make_run()
+    ts = np.concatenate([np.linspace(traj.t0, traj.t_end, 301), traj.t_nodes[::7]])
+    block = traj.dense_array(ts)
+    for t, row in zip(ts.tolist(), block):
+        assert row.tolist() == _pointwise(traj, t)
+
+
+def test_every_fall_state_lies_on_the_dense_output():
+    # rest releases at lambda = 1 on the line (2 cos 2 pi t) and in the
+    # plane (circle of acceleration 1.5): the located fall is a point of
+    # dense_array, exactly (24 falls)
+    for dim, F in ((1, F1), (2, F2)):
+        params = ModelParams(G=9.81, lam=1.0, dim=dim)
+        for x0 in np.linspace(0.05, 0.6, 12):
+            x = np.full(dim, x0 / dim)
+            traj = evolve(0.0, 5.0, PhaseState(x, np.zeros(dim)), params, F)
+            ev = traj.fall_event
+            assert ev is not None
+            assert np.array_equal(ev.state, traj.dense_array([ev.time])[0])
 
 
 def test_fall_event_is_localized_on_threshold():
