@@ -10,8 +10,8 @@ safety margin rather than as bare grid maxima.
 
 Two constructions are provided: trigonometric polynomials
 (:func:`make_fourier_forcing`) and ingestion of sampled carriage paths
-(:func:`ingest_path`), where ``F`` is obtained from the second derivative of
-a periodic cubic spline through the samples.
+(:func:`ingest_path`), where ``F`` is the second derivative of a periodic
+cubic spline through the samples, computed with numpy alone.
 
 A path's ``F`` is piecewise linear, so ``dF/dt`` jumps at every knot.  The
 knots are the signal's ``breakpoints``, and every rod integration makes
@@ -219,6 +219,8 @@ class PathSamples:
             positions = positions[:, None]
         if times.ndim != 1 or positions.shape[0] != times.shape[0]:
             raise ValueError("times and positions must have matching length")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(positions))):
+            raise ValueError("times and positions must be finite")
         if times.shape[0] < 8:
             raise InsufficientDataError(
                 f"need at least 8 samples per period, got {times.shape[0]}")
@@ -245,65 +247,73 @@ class PathSamples:
         return float(self.times[-1] - self.times[0])
 
 
+def _periodic_spline_curvature(h, rhs):
+    """Solve ``h[k-1] M[k-1] + 2 (h[k-1] + h[k]) M[k] + h[k] M[k+1] = rhs[k]``, k mod n,
+    per column in O(n): Thomas' algorithm with a Sherman-Morrison corner correction."""
+    diag = 2.0 * (h + np.roll(h, 1))
+    gamma = -diag[0]
+    diag[0] -= gamma
+    diag[-1] -= h[-1] * h[-1] / gamma
+    b = np.column_stack([rhs, np.zeros(len(h))])
+    b[0, -1], b[-1, -1] = gamma, h[-1]  # u, with A = A' + u v^T
+    for k in range(1, len(h)):
+        w = h[k - 1] / diag[k - 1]
+        diag[k] -= w * h[k - 1]
+        b[k] -= w * b[k - 1]
+    b[-1] /= diag[-1]
+    for k in range(len(h) - 2, -1, -1):
+        b[k] = (b[k] - h[k] * b[k + 1]) / diag[k]
+    vb = b[0] + h[-1] / gamma * b[-1]  # v = (1, 0, ..., 0, h[-1] / gamma)
+    return b[:, :-1] - np.outer(b[:, -1], vb[:-1] / (1.0 + vb[-1]))
+
+
 def ingest_path(samples: PathSamples, gravity: float):
     """Turn sampled carriage positions into a forcing signal.
 
     Fits a periodic cubic spline ``s`` through the samples and returns
     ``(F, G)`` with ``F(t) = s''(t) / rod_length`` and
-    ``G = gravity / rod_length``.  ``F`` is piecewise linear in ``t`` and its
-    derivative (from the spline's third derivative) is piecewise constant.
+    ``G = gravity / rod_length``.  ``F`` is linear between the knot values
+    ``s''(t_k)``, which solve one cyclic tridiagonal system (de Boor, ch. IV).
 
     Sup norms are exact for the spline: ``|F|`` is convex between knots, so
     its maximum sits at a knot, and ``dF/dt`` is constant between knots.
     The knots in ``[0, period)`` are the signal's ``breakpoints``.
     """
-    # imported here: scipy.interpolate takes most of the package's import time
-    from scipy.interpolate import CubicSpline
-
     if gravity <= 0:
         raise ValueError(f"gravity must be positive, got {gravity}")
     ell = float(samples.rod_length)
-    t0 = samples.times[0]
-    knots = samples.times - t0
-    pos = samples.positions.copy()
-    pos[-1] = pos[0]  # periodic closure, already within tolerance
-    spline = CubicSpline(knots, pos, axis=0, bc_type="periodic")
-    d2 = spline.derivative(2)
-    d3 = spline.derivative(3)
+    knots = samples.times - samples.times[0]
+    # periodic closure: the end samples already agree within tolerance
+    pos = np.vstack([samples.positions[:-1], samples.positions[:1]])
+    h = np.diff(knots)
+    slope = np.diff(pos, axis=0) / h[:, None]
+    curv = _periodic_spline_curvature(h, 6.0 * (slope - np.roll(slope, 1, axis=0))) / ell
+    rate = (np.roll(curv, -1, axis=0) - curv) / h[:, None]
     period = samples.period
-    dim = samples.dim
+    inner = knots[1:-1]
 
+    # F = curv[k] + rate[k] (u - t_k) on piece k, alike in both paths to the bit
     def value(u):
-        return np.asarray(d2(u), dtype=float) / ell
+        u = u % period
+        k = np.searchsorted(inner, u, side="right")
+        return curv[k] + rate[k] * (u - knots[k])[..., None]
 
     def derivative(u):
-        return np.asarray(d3(u), dtype=float) / ell
+        return rate[np.searchsorted(inner, u % period, side="right")]
 
-    # F on one piece is linear: s''(u) = 6 c0 (u - x_k) + 2 c1.  The scalar
-    # path evaluates it in plain floats with the coefficients and the
-    # periodic wrap of d2 itself, so it equals the array path bit for bit.
-    knot_list = knots.tolist()
-    last = len(knot_list) - 2
-    slope = d2.c[0].tolist()
-    offset = d2.c[1].tolist()
+    knot_list, curv_list, rate_list = knots.tolist(), curv.tolist(), rate.tolist()
+    inner_list = knot_list[1:-1]
 
     def value_scalar(u):
         u = u % period
-        k = min(_bisect.bisect_right(knot_list, u) - 1, last)
+        k = _bisect.bisect_right(inner_list, u)
         s = u - knot_list[k]
-        return tuple([(b + a * s) / ell for a, b in zip(slope[k], offset[k])])
+        return tuple([m + r * s for m, r in zip(curv_list[k], rate_list[k])])
 
-    sup_f = float(np.max(np.linalg.norm(np.atleast_2d(d2(knots)), axis=1))) / ell
-    # third derivative per piece: 6 * leading coefficient
-    lead = 6.0 * np.abs(spline.c[0])
-    if lead.ndim == 1:
-        lead = lead[:, None]
-    sup_df = float(np.max(np.linalg.norm(lead, axis=1))) / ell
-
-    signal = PeriodicSignal(period, dim, value, derivative, sup_f, sup_df,
-                            scalar_value_fn=value_scalar,
-                            breakpoints=knot_list[:-1])
-    return signal, gravity / ell
+    sup_f, sup_df = (np.linalg.norm(a, axis=1).max() for a in (curv, rate))
+    return PeriodicSignal(period, samples.dim, value, derivative, sup_f, sup_df,
+                          scalar_value_fn=value_scalar,
+                          breakpoints=knot_list[:-1]), gravity / ell
 
 
 def read_path_csv(path, rod_length: float = 1.0) -> PathSamples:

@@ -187,11 +187,11 @@ class Trajectory:
             header = "t,x1,p1,y"
         else:
             header = "t,x1,x2,p1,p2,y"
+        row = ",".join(["%.17g"] * (2 * d + 2)) + "\n"
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for t, y, hgt in zip(ts, ys, heights):
-                cols = [t, *y, hgt]
-                fh.write(",".join(f"{v:.17g}" for v in cols) + "\n")
+            fh.writelines(row % (t, *y, hgt) for t, y, hgt in
+                          zip(ts.tolist(), ys.tolist(), heights.tolist()))
 
 
 def _rms(values, scales, n) -> float:
@@ -443,6 +443,12 @@ def _row_sum_sq(Q: np.ndarray) -> np.ndarray:
     return total
 
 
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """``x ** e`` per entry with Python's float power, as the scalar stepper
+    takes it: numpy's vectorized power may differ in the last bit."""
+    return np.array([v ** e for v in x.tolist()])
+
+
 def _initial_lane_steps(fun, t0, Y0, f0, t1, cfg):
     """``_initial_step`` for every lane, measured over all components."""
     m = Y0.shape[1]
@@ -457,7 +463,7 @@ def _initial_lane_steps(fun, t0, Y0, f0, t1, cfg):
     d12 = np.maximum(d1, d2)
     flat = d12 <= 1e-15
     h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.where(flat, 1.0, d12)) ** 0.2)
+                  _pow(0.01 / np.where(flat, 1.0, d12), 0.2))
     return np.minimum(np.minimum(100 * h0, h1), t1 - t0)
 
 
@@ -470,8 +476,9 @@ def integrate_lanes(fun, t0, t1, Y0, cfg: IntegratorConfig, fall_dim: int,
     does; only the lanes still running are passed.  Each lane is one
     ``integrate_field`` run: it has its own ``t`` and ``h`` and accepts or
     rejects its step on its own, with the same tableau, step control and
-    initial-step heuristic, whose sums are taken in the same order.  So a
-    lane takes the steps its scalar run takes, up to rounding in the field.
+    initial-step heuristic, whose sums are taken in the same order and whose
+    powers are Python's (``_pow``).  So a lane takes the steps its scalar
+    run takes, up to rounding in the field.
     A lane with a singular stage halves its step.
     ``fall_dim`` (0, 1 or 2) and ``breaks`` are those of
     ``integrate_field``; each lane steps to its own next break.  A
@@ -548,7 +555,7 @@ def integrate_lanes(fun, t0, t1, Y0, cfg: IntegratorConfig, fall_dim: int,
         accepted = ~singular & ~rejected
         n_acc += accepted
         n_rej += rejected
-        grow = np.maximum(_MIN_FACTOR, _SAFETY * np.where(err > 0.0, err, 1.0) ** -0.2)
+        grow = np.maximum(_MIN_FACTOR, _SAFETY * _pow(np.where(err > 0.0, err, 1.0), -0.2))
         factor = np.where(singular, 0.5, np.where(
             rejected, np.minimum(grow, 1.0),
             np.where(err == 0.0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, grow))))

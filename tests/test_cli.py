@@ -524,6 +524,73 @@ def test_forcing_path_empty_file(tmp_path, caplog):
     assert "expected header" in caplog.text
 
 
+@pytest.mark.parametrize("row, column, text", [
+    (5, 1, "nan"), (5, 1, "inf"), (16, 0, "inf")])
+def test_forcing_path_non_finite_samples_exit_1(tmp_path, caplog, row, column,
+                                                text):
+    # a nan or inf in the samples is refused before any spline is fitted
+    rows = [[f"{k / 16:.17g}", f"{0.01 * math.sin(2 * math.pi * k / 16):.17g}"]
+            for k in range(17)]
+    rows[row][column] = text
+    path_file = tmp_path / "path.csv"
+    path_file.write_text("\n".join(["t,f1"] + [",".join(r) for r in rows]) + "\n")
+    rc, _ = run(tmp_path, "simulate", problem="linear",
+                forcing={"type": "path_csv", "path": str(path_file)})
+    assert rc == 1
+    assert "invalid configuration" in caplog.text and "finite" in caplog.text
+
+
+# refuses scipy and its submodules, as an interpreter without scipy would,
+# and notes each attempt, so a caught ImportError cannot hide one; then runs
+# every argv given as JSON through cli.main and prints the exit codes
+_WITHOUT_SCIPY = """
+import json, sys
+
+attempts = []
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            attempts.append(name)
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from upright.cli import main
+
+print(json.dumps([[main(argv) for argv in json.loads(sys.argv[1])], attempts]))
+"""
+
+
+def test_every_command_runs_with_scipy_import_blocked(tmp_path):
+    # the runtime needs numpy alone, the sampled path's spline included
+    path = _sine_path_forcing(tmp_path)
+    runs = [
+        ("solve-periodic", dict(forcing=path, bounds={"samples_per_face": 4})),
+        ("verify-bounds", dict(forcing=path, bounds={"samples_per_face": 4})),
+        ("whitney-search", dict(forcing=path, journey={"t_end": 3.0, "depth": 30})),
+        ("simulate", dict(forcing=path, duration=1.0)),
+        ("degree", {}),
+        ("solve-periodic", dict(forcing={"cosine": [2.0]},
+                                bounds={"samples_per_face": 4})),
+    ]
+    argvs = []
+    for i, (command, overrides) in enumerate(runs):
+        cfg = write_config(tmp_path, f"config{i}.json", problem="linear",
+                           **overrides)
+        argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / f"out{i}")])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(upright.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(runs), []]
+
+
 def test_forcing_unknown_type(tmp_path):
     rc, _ = run(tmp_path, "simulate", problem="linear",
                 forcing={"type": "telepathy"})
