@@ -17,6 +17,13 @@ where ``R = G sqrt(1 - |x|^2) - (x.p)^2 / (1 - |x|^2) - |p|^2`` and
 
 The homotopy parameter ``lam`` scales the forcing; ``lam = 0`` is the free
 rod and ``lam = 1`` the driven one.
+
+On the line the angle chart ``x = sin theta``, ``p = theta' cos theta``
+turns this into the regular pendulum
+
+    theta'' = G sin theta - lam F(t) cos theta,
+
+which has no singularity at the fall ``|x| = 1`` (``angle_field``).
 """
 from __future__ import annotations
 
@@ -31,9 +38,12 @@ from .forcing import PeriodicSignal
 
 __all__ = [
     "GUARD",
+    "FALL_THRESHOLD",
+    "ANGLE_CHART_SCALE",
     "ModelParams",
     "PhaseState",
     "make_field",
+    "angle_field",
     "lane_field",
     "jacobian",
 ]
@@ -44,6 +54,9 @@ __all__ = [
 # trial step overshot badly.
 GUARD = 1.0 - 1e-12
 _GUARD2 = GUARD * GUARD
+
+# |x| at which a fall event is declared, short of GUARD
+FALL_THRESHOLD = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -161,6 +174,36 @@ def make_field(params: ModelParams, F: PeriodicSignal, variational: bool = False
         ]
 
     return field2
+
+
+# The angle chart's stretch ``c``: its state ``c theta`` reaches
+# FALL_THRESHOLD exactly where ``|x| = |sin theta|`` does.
+ANGLE_CHART_SCALE = FALL_THRESHOLD / math.asin(FALL_THRESHOLD)
+
+
+def angle_field(params: ModelParams, F: PeriodicSignal):
+    """Compile the line's field in the angle chart, ``f(t, y) -> dy/dt``.
+
+    The state is ``y = [c theta, c theta']`` with ``c = ANGLE_CHART_SCALE``,
+    ``x = sin theta`` and ``p = theta' cos theta``, and the rod is the
+    pendulum ``theta'' = G sin theta - lam F(t) cos theta``: regular at every
+    angle, so nothing stiffens as the rod nears the fall, and a fall gauge on
+    ``|y[0]|`` fires where ``|x|`` reaches ``FALL_THRESHOLD``.  Plain floats
+    in and out, one ``eval_scalar`` per call, as ``make_field``.
+    """
+    if params.dim != 1 or F.dim != 1:
+        raise ValueError("the angle chart is the line's: dim must be 1")
+    scale = ANGLE_CHART_SCALE
+    G = scale * params.G
+    lam = scale * params.lam
+    eval_scalar = F.eval_scalar
+
+    def field(t: float, y: list) -> list:
+        phi, v = y
+        theta = phi / scale
+        return [v, G * math.sin(theta) - lam * eval_scalar(t)[0] * math.cos(theta)]
+
+    return field
 
 
 def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scalar):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ModelParams, PhaseState, make_field
+from .dynamics import FALL_THRESHOLD, ModelParams, PhaseState, make_field
 from .errors import SingularityError, StepBudgetError
 from .forcing import PeriodicSignal
 
@@ -76,10 +76,6 @@ _P_ROWS = [
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _SAFETY = 0.9
-
-# |x| at which a fall event is declared, short of the field's GUARD
-FALL_THRESHOLD = 1.0 - 1e-6
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:

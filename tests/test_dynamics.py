@@ -9,7 +9,8 @@ from oracles import jacobian as oracle_jacobian
 from oracles import rhs_linear as oracle_linear
 from oracles import rhs_planar as oracle_planar
 from oracles import unresolved_planar_residual
-from upright.dynamics import GUARD, ModelParams, PhaseState, jacobian, make_field
+from upright.dynamics import (ANGLE_CHART_SCALE, FALL_THRESHOLD, GUARD, ModelParams,
+                              PhaseState, angle_field, jacobian, make_field)
 from upright.errors import SingularityError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 
@@ -260,6 +261,45 @@ def test_variational_field_is_the_field_and_its_jacobian(dim):
         assert np.max(np.abs(out[n:].reshape(n, n) - expect) / scale) < 1e-13
 
 
+def _sine_path():
+    ts = np.linspace(0.0, 1.0, 33)
+    F, _ = ingest_path(PathSamples(times=ts, positions=0.02 * np.sin(TWO_PI * ts)),
+                       gravity=9.81)
+    return F
+
+
+@pytest.mark.parametrize("make_F", [
+    lambda: make_fourier_forcing(1.0, 1, [2.0], [0.5], constant=0.3),
+    _sine_path,
+], ids=["fourier", "path"])
+def test_angle_chart_is_the_line_rod(make_F):
+    # x = sin th, p = w cos th: x'' = cos th th'' - sin th w^2 is the line
+    # field's acceleration, up to rounding in the terms it sums; |x| <= 0.99
+    # keeps the x chart's own rounding in 1 - x^2 below that.  The state is
+    # the stretched [c th, c w], and c th reaches the fall with sin th.
+    c = ANGLE_CHART_SCALE
+    assert c * math.asin(FALL_THRESHOLD) == pytest.approx(FALL_THRESHOLD, rel=1e-15)
+    F = make_F()
+    rng = np.random.default_rng(11)
+    reach = math.asin(0.99)
+    for _ in range(200):
+        th, w = rng.uniform(-reach, reach), rng.uniform(-5.0, 5.0)
+        t, lam = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 1.0)
+        params = ModelParams(G=9.81, lam=lam, dim=1)
+        v, a = angle_field(params, F)(t, [c * th, c * w])
+        assert v == c * w
+        got = math.cos(th) * (a / c) - math.sin(th) * w * w
+        want = make_field(params, F)(t, [math.sin(th), w * math.cos(th)])[1]
+        size = (9.81 * abs(math.sin(th) * math.cos(th)) + w * w * abs(math.sin(th))
+                + lam * abs(F.eval_scalar(t)[0]) * math.cos(th) ** 2)
+        assert abs(got - want) <= 1e-13 * size
+
+
+def test_angle_chart_is_the_lines_only():
+    with pytest.raises(ValueError, match="dim must be 1"):
+        angle_field(ModelParams(G=9.81, lam=1.0, dim=2), F2)
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(G=-1.0, lam=0.0, dim=1)
@@ -267,13 +307,6 @@ def test_model_params_validation():
         ModelParams(G=9.81, lam=1.5, dim=1)
     with pytest.raises(ValueError):
         ModelParams(G=9.81, lam=0.0, dim=3)
-
-
-def _sine_path():
-    ts = np.linspace(0.0, 1.0, 33)
-    F, _ = ingest_path(PathSamples(times=ts, positions=0.02 * np.sin(TWO_PI * ts)),
-                       gravity=9.81)
-    return F
 
 
 @pytest.mark.parametrize("make_F", [
@@ -302,3 +335,6 @@ def test_scalar_forcing_and_compiled_fields_give_python_floats(make_F):
             out = make_field(params, F, variational=variational)(0.37, y)
             assert len(out) == len(y)
             assert all(type(v) is float for v in out), (G, variational)
+        if d == 1:
+            out = angle_field(params, F)(0.37, [0.1, 0.2])
+            assert all(type(v) is float for v in out), G

@@ -10,7 +10,7 @@ from oracles import linear_scalar_rhs, rk4_until_fall
 from upright.errors import BracketError
 from upright import whitney
 from upright.forcing import ingest_path, make_fourier_forcing, read_path_csv
-from upright.integrator import IntegratorConfig, evolve
+from upright.integrator import FALL_THRESHOLD, IntegratorConfig, evolve
 from upright.dynamics import ModelParams, PhaseState
 from upright.whitney import (FallClass, JourneySpec, _classify_with_time,
                              bisect_survivor, planar_survivor_grid,
@@ -247,22 +247,94 @@ def _path_forcing(tmp_path, n, period, positions):
     return ingest_path(read_path_csv(path), 9.81)
 
 
+def _count_steps(monkeypatch) -> list:
+    """Record ``(accepted, rejected)`` of every classification's run."""
+    counts = []
+    integrate = whitney.integrate_field
+
+    def counted(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        counts.append((traj.n_accepted, traj.n_rejected))
+        return traj
+
+    monkeypatch.setattr(whitney, "integrate_field", counted)
+    return counts
+
+
 def test_path_bisection_rejects_few_steps(tmp_path, monkeypatch):
     # the 64-knot carriage path -0.5 sin t, whose acceleration is F_SIN:
     # steps that straddled its knots were rejected 30 % of the time
     F, G = _path_forcing(tmp_path, 64, 2 * math.pi, lambda t: -0.5 * math.sin(t))
-    counts = []
-
-    def counted(*args, **kwargs):
-        traj = evolve(*args, **kwargs)
-        counts.append((traj.n_accepted, traj.n_rejected))
-        return traj
-
-    monkeypatch.setattr(whitney, "evolve", counted)
+    counts = _count_steps(monkeypatch)
     result = bisect_survivor(JourneySpec(F=F, t_end=4.0, G=G))
     assert result.width < 1e-3 and len(counts) >= 10
     accepted, rejected = np.sum(counts, axis=0)
     assert rejected < 0.05 * (accepted + rejected)
+
+
+# -- the angle chart: classifications agree with evolve's x chart -------------
+
+@pytest.fixture(scope="module")
+def agreement_forcings(tmp_path_factory):
+    path, G_path = _path_forcing(tmp_path_factory.mktemp("path"), 64, 2 * math.pi,
+                                 lambda t: -0.5 * math.sin(t))
+    return {"sine": (F_SIN, 9.81),
+            "cosine": (make_fourier_forcing(3.0, 1, [8.0], []), 9.81),
+            "path": (path, G_path)}
+
+
+@pytest.mark.parametrize("t_end", [1.0, 4.0])
+@pytest.mark.parametrize("forcing", ["sine", "cosine", "path"])
+def test_classification_agrees_with_evolve(agreement_forcings, forcing, t_end):
+    F, G = agreement_forcings[forcing]
+    journey = JourneySpec(F=F, t_end=t_end, G=G)
+    params = ModelParams(G=G, lam=1.0, dim=1)
+    rng = np.random.default_rng(23)
+    kinds = {"fall_negative": FallClass.FALLS_NEGATIVE,
+             "fall_positive": FallClass.FALLS_POSITIVE}
+    for x0 in (-0.999, 0.999, *rng.uniform(-0.999, 0.999, 12)):
+        outcome, fall_time = _classify_with_time(x0, journey, TIGHT)
+        ev = evolve(0.0, t_end, PhaseState(x0, 0.0), params, F, TIGHT).fall_event
+        if ev is None:
+            assert outcome is FallClass.SURVIVES and math.isnan(fall_time)
+        else:
+            assert outcome is kinds[ev.kind.value]
+            assert abs(fall_time - ev.time) <= 1e-10, (x0, fall_time, ev.time)
+
+
+def test_classification_keeps_evolves_start_checks():
+    params = ModelParams(G=9.81, lam=1.0, dim=1)
+    for x0 in (FALL_THRESHOLD, -FALL_THRESHOLD, 0.9999999):
+        with pytest.raises(ValueError) as refused:
+            evolve(0.0, 1.0, PhaseState(x0, 0.0), params, F_SIN)
+        with pytest.raises(ValueError, match="fall threshold") as err:
+            _classify_with_time(x0, JOURNEY, None)
+        assert str(err.value) == str(refused.value)
+    for x0 in (1.0, -1.5, math.nan):
+        with pytest.raises(ValueError, match="must be < 1"):
+            _classify_with_time(x0, JOURNEY, None)
+    # no config is the default config
+    for x0 in (-0.999, 0.3):
+        assert (_classify_with_time(x0, JOURNEY, None)
+                == _classify_with_time(x0, JOURNEY, IntegratorConfig()))
+
+
+def test_bisection_takes_half_the_steps_of_evolve(monkeypatch):
+    # the benchmark's journey: in x the field stiffens toward the fall and
+    # the steps shrink there; the angle chart is regular (12,918 accepted
+    # steps through evolve, 5,729 through the chart)
+    journey = JourneySpec(F=F_SIN, t_end=4.0, G=9.81)
+    counts = _count_steps(monkeypatch)
+    result = bisect_survivor(journey, TIGHT)
+    starts = [-0.999, 0.999, *(s.mid for s in result.transcript)]
+    assert len(counts) == len(starts) >= 10
+    params = ModelParams(G=9.81, lam=1.0, dim=1)
+    x_chart = sum(evolve(0.0, journey.t_end, PhaseState(x0, 0.0), params, F_SIN,
+                         TIGHT).n_accepted for x0 in starts)
+    assert sum(acc for acc, _ in counts) <= 0.5 * x_chart
+    # the chart's survivor survives in x too, as the journey demo replays it
+    assert evolve(0.0, journey.t_end, PhaseState(result.best, 0.0), params, F_SIN,
+                  TIGHT).fall_event is None
 
 
 def test_path_forced_grid_matches_evolve(tmp_path):
