@@ -10,8 +10,7 @@ from .bounds import (BoundSetCertificate, BoundSetSpec, compute_a,
                      compute_b_linear, compute_b_planar,
                      degree_of_autonomous_field, exit_cone_check,
                      orbit_containment, verify_bound_set)
-from .dynamics import (GUARD, ModelParams, PhaseState, jacobian, lane_field,
-                       make_field)
+from .dynamics import GUARD, ModelParams, PhaseState, jacobian, make_field
 from .errors import (BoundVerificationError, BracketError,
                      ContinuationStuckError, FallError, IllConditionedError,
                      InsufficientDataError, NewtonConvergenceError, SingularityError,
@@ -19,8 +18,7 @@ from .errors import (BoundVerificationError, BracketError,
 from .forcing import (PathSamples, PeriodicSignal, ingest_path,
                       make_fourier_forcing, read_path_csv)
 from .integrator import (FALL_THRESHOLD, Event, EventKind, IntegratorConfig,
-                         LaneRun, Trajectory, evolve, integrate_field,
-                         integrate_lanes)
+                         Trajectory, evolve, integrate_field)
 from .poincare import (PeriodicOrbitResult, continue_in_lambda,
                        poincare_jacobian, poincare_map)
 from .whitney import (BisectionStep, FallClass, JourneySpec,
@@ -35,10 +33,10 @@ __all__ = [
     "PeriodicSignal", "PathSamples", "make_fourier_forcing", "ingest_path",
     "read_path_csv",
     # dynamics
-    "GUARD", "ModelParams", "PhaseState", "jacobian", "make_field", "lane_field",
+    "GUARD", "ModelParams", "PhaseState", "jacobian", "make_field",
     # integration
     "FALL_THRESHOLD", "IntegratorConfig", "EventKind", "Event", "Trajectory",
-    "evolve", "integrate_field", "LaneRun", "integrate_lanes",
+    "evolve", "integrate_field",
     # periodic orbits
     "PeriodicOrbitResult", "poincare_map", "poincare_jacobian",
     "continue_in_lambda",

@@ -23,7 +23,13 @@ turns this into the regular pendulum
 
     theta'' = G sin theta - lam F(t) cos theta,
 
-which has no singularity at the fall ``|x| = 1`` (``angle_field``).
+which has no singularity at the fall ``|x| = 1`` (``angle_field``).  In the
+plane the rod's unit vector ``u = (x, y)`` obeys
+
+    u'' = (g.u - |u'|^2) u - g,    g = (lam F(t), G),
+
+whose horizontal part is the equation above and which is regular at every
+direction (``direction_field``).
 """
 from __future__ import annotations
 
@@ -44,7 +50,8 @@ __all__ = [
     "PhaseState",
     "make_field",
     "angle_field",
-    "lane_field",
+    "DIRECTION_CHART_SCALE",
+    "direction_field",
     "jacobian",
 ]
 
@@ -206,6 +213,41 @@ def angle_field(params: ModelParams, F: PeriodicSignal):
     return field
 
 
+# The direction chart's stretch ``c``: its state ``c (1 - y)`` reaches
+# FALL_THRESHOLD exactly where ``|x|`` does.
+DIRECTION_CHART_SCALE = FALL_THRESHOLD / (1.0 - math.sqrt(1.0 - FALL_THRESHOLD ** 2))
+
+
+def direction_field(params: ModelParams, F: PeriodicSignal):
+    """Compile the plane's field in the rod-direction chart, ``f(t, s) -> ds/dt``.
+
+    The state is ``s = [c (1 - y), x1, x2, y', p1, p2]`` with
+    ``c = DIRECTION_CHART_SCALE``, the rod height ``y = sqrt(1 - |x|^2)``
+    and ``p = x'``.  The rod's unit vector ``u = (x1, x2, y)`` obeys
+    ``u'' = (g.u - |u'|^2) u - g`` with ``g = (lam F1, lam F2, G)``: regular
+    at every direction, so nothing stiffens as the rod nears the fall, and a
+    fall gauge on ``|s[0]|`` fires where ``|x|`` reaches ``FALL_THRESHOLD``.
+    Plain floats in and out, one ``eval_scalar`` per call, as ``make_field``.
+    """
+    if params.dim != 2 or F.dim != 2:
+        raise ValueError("the direction chart is the plane's: dim must be 2")
+    scale = DIRECTION_CHART_SCALE
+    G = params.G
+    lam = params.lam
+    eval_scalar = F.eval_scalar
+
+    def field(t: float, s: list) -> list:
+        q, x0, x1, w, p0, p1 = s
+        y = 1.0 - q / scale
+        f0, f1 = eval_scalar(t)
+        g0 = lam * f0
+        g1 = lam * f1
+        k = g0 * x0 + g1 * x1 + G * y - (p0 * p0 + p1 * p1 + w * w)
+        return [-scale * w, p0, p1, k * y - G, k * x0 - g0, k * x1 - g1]
+
+    return field
+
+
 def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scalar):
     """The field of ``make_field(..., variational=True)``.
 
@@ -280,7 +322,7 @@ def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scala
     return field2_var
 
 
-# the batched field's terms, one entry per row: the rows of x, p and F,
+# the batched rod kernel's terms, one entry per row: the rows of x, p and F,
 # |x|^2, 1 - |x|^2 at |x| clamped to the guard radius, |p|^2, x.p, x.F and R
 RodTerms = namedtuple("RodTerms", "X P F r2 one_minus p2 xp xf R")
 
@@ -290,7 +332,7 @@ def _rowdot(A, B) -> np.ndarray:
 
 
 def rod_terms(X, P, Fv, G: float) -> RodTerms:
-    """The batched field's terms for ``(N, dim)`` rows of x, p and F."""
+    """The batched rod kernel's terms for ``(N, dim)`` rows of x, p and F."""
     r2, xp, p2 = _rowdot(X, X), _rowdot(X, P), _rowdot(P, P)
     one_minus = 1.0 - np.minimum(r2, _GUARD2)
     R = G * np.sqrt(one_minus) - xp * xp / one_minus - p2
@@ -312,34 +354,6 @@ def acceleration_rate(s: RodTerms, acc, dF, lam: float, G: float) -> np.ndarray:
     return (dR[:, None] * s.X + s.R[:, None] * s.P
             + lam * ((_rowdot(s.P, s.F) + _rowdot(s.X, dF))[:, None] * s.X
                      + s.xf[:, None] * s.P - dF))
-
-
-def lane_field(params: ModelParams, F: PeriodicSignal):
-    """Compile the batched field ``f(t, Y) -> (dY, singular)`` for lanes.
-
-    ``t`` has shape ``(N,)`` and ``Y`` shape ``(N, 2 dim)``, one state per
-    row; ``dY`` is the field of every row and ``singular`` a bool mask of the
-    rows with ``|x|^2 >= GUARD^2``.  Those rows are clamped to the guard
-    radius before the square root and their ``dY`` is set to zero, so a
-    trial step through the singularity stays finite and raises no
-    floating-point warning.  The form ``R x + lam ((x.F) x - F)``
-    is written once for both dimensions: on the line it is the 1-D equation.
-    ``F`` is read through its array path ``F.eval``.
-    """
-    if F.dim != params.dim:
-        raise ValueError(f"forcing dim {F.dim} does not match model dim {params.dim}")
-    d = params.dim
-    G = params.G
-    lam = params.lam
-
-    def field(t: np.ndarray, Y: np.ndarray):
-        s = rod_terms(Y[:, :d], Y[:, d:], F.eval(t), G)
-        singular = s.r2 >= _GUARD2
-        dY = np.concatenate([s.P, rod_acceleration(s, lam)], axis=1)
-        dY[singular] = 0.0
-        return dY, singular
-
-    return field
 
 
 def jacobian(t: float, state: PhaseState, params: ModelParams,

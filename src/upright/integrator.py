@@ -17,17 +17,17 @@ The driver never integrates through the singular radius ``|x| = 1``: the
 field raises ``SingularityError`` there, and trial steps that overshoot it
 are retried with half the step until the fall event can be localized.
 
-``integrate_field`` steps one state at a time, in plain Python floats at
-every width.  ``integrate_lanes`` steps many independent states in
-lockstep, one numpy row each, so that numpy's per-call cost is shared; each
-lane takes the steps that ``integrate_field`` would take from its start.
+``integrate_field`` is the one stepper: it steps one state at a time, in
+plain Python floats at every width.  The journey tools step the rod in
+charts where the fall is no singularity (``dynamics.angle_field`` on the
+line, ``dynamics.direction_field`` in the plane), with the gauge
+``fall_dim = 1`` on the chart's first component.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,6 @@ __all__ = [
     "Trajectory",
     "integrate_field",
     "evolve",
-    "LaneRun",
-    "integrate_lanes",
 ]
 
 # Dormand-Prince 5(4) tableau: nodes, stage weights, 5th-order weights and
@@ -158,11 +156,10 @@ class Trajectory:
         """Vectorized dense evaluation, shape (len(ts), 2*dim): each sample
         is ``_dense_state`` on its step, the interpolant the fall is located on."""
         ts = np.asarray(ts, dtype=float)
+        if np.any(ts < self._t[0]) or np.any(ts > self._t[-1]):
+            raise ValueError("sample times outside the integration interval")
         if len(self._h) == 0:
             return np.broadcast_to(self._y[0], (ts.shape[0], self._y.shape[1])).copy()
-        lo, hi = self._t[0], self._t[-1]
-        if np.any(ts < lo) or np.any(ts > hi):
-            raise ValueError("sample times outside the integration interval")
         idx = np.clip(np.searchsorted(self._t, ts, side="right") - 1, 0, len(self._h) - 1)
         h = self._h[idx]
         K = np.asarray(self._seg_K, dtype=float)[idx]
@@ -420,173 +417,6 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
 
     return Trajectory(t_nodes, y_nodes, seg_h, seg_K, None, n_acc, n_rej)
-
-
-class LaneRun(NamedTuple):
-    """Outcome of ``integrate_lanes``, one entry per lane."""
-
-    fall_times: np.ndarray  # (N,), nan for the lanes that reach t1
-    states: np.ndarray  # (N, m): the state at the fall, else at t1
-    n_accepted: np.ndarray  # (N,) ints
-    n_rejected: np.ndarray
-
-
-def _row_sum_sq(Q: np.ndarray) -> np.ndarray:
-    """Row sums of ``Q**2``, added column by column as ``_rms`` adds."""
-    total = Q[:, 0] * Q[:, 0]
-    for j in range(1, Q.shape[1]):
-        total = total + Q[:, j] * Q[:, j]
-    return total
-
-
-def _pow(x: np.ndarray, e: float) -> np.ndarray:
-    """``x ** e`` per entry with Python's float power, as the scalar stepper
-    takes it: numpy's vectorized power may differ in the last bit."""
-    return np.array([v ** e for v in x.tolist()])
-
-
-def _initial_lane_steps(fun, t0, Y0, f0, t1, cfg):
-    """``_initial_step`` for every lane, measured over all components."""
-    m = Y0.shape[1]
-    sc = cfg.abs_tol + cfg.rel_tol * np.abs(Y0)
-    d0 = np.sqrt(_row_sum_sq(Y0 / sc) / m)
-    d1 = np.sqrt(_row_sum_sq(f0 / sc) / m)
-    tiny = (d0 < 1e-5) | (d1 < 1e-5)
-    h0 = np.where(tiny, 1e-6, 0.01 * d0 / np.where(tiny, 1.0, d1))
-    h0 = np.minimum(h0, t1 - t0)
-    f1, singular = fun(t0 + h0, Y0 + h0[:, None] * f0)
-    d2 = np.where(singular, np.inf, np.sqrt(_row_sum_sq((f1 - f0) / sc) / m) / h0)
-    d12 = np.maximum(d1, d2)
-    flat = d12 <= 1e-15
-    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
-                  _pow(0.01 / np.where(flat, 1.0, d12), 0.2))
-    return np.minimum(np.minimum(100 * h0, h1), t1 - t0)
-
-
-def integrate_lanes(fun, t0, t1, Y0, cfg: IntegratorConfig, fall_dim: int,
-                    breaks=()) -> LaneRun:
-    """Integrate N independent lanes ``dY/dt = fun(t, Y)`` from t0 to t1 in lockstep.
-
-    ``fun(t, Y)`` takes times of shape ``(N,)`` and states of shape
-    ``(N, m)`` and returns ``(dY, singular)``, as ``dynamics.lane_field``
-    does; only the lanes still running are passed.  Each lane is one
-    ``integrate_field`` run: it has its own ``t`` and ``h`` and accepts or
-    rejects its step on its own, with the same tableau, step control and
-    initial-step heuristic, whose sums are taken in the same order and whose
-    powers are Python's (``_pow``).  So a lane takes the steps its scalar
-    run takes, up to rounding in the field.
-    A lane with a singular stage halves its step.
-    ``fall_dim`` (0, 1 or 2) and ``breaks`` are those of
-    ``integrate_field``; each lane steps to its own next break.  A
-    lane that starts at the fall threshold falls at t0; a lane whose step
-    ends past it has the fall located on that step's interpolant, and
-    retires.  No trajectory is kept.
-    Raises ``StepBudgetError`` once the lanes have made ``cfg.max_steps``
-    step attempts each (every running lane attempts a step per round), and
-    ``SingularityError`` if a lane is singular even at the minimum step.
-    """
-    t0 = float(t0)
-    t1 = float(t1)
-    if t1 < t0:
-        raise ValueError(f"t1={t1} must be >= t0={t0}")
-    Y = np.array(Y0, dtype=float)
-    n_lanes, m = Y.shape
-    gauge = _fall_gauge(fall_dim)
-    out = LaneRun(np.full(n_lanes, math.nan), Y.copy(),
-                  np.zeros(n_lanes, dtype=int), np.zeros(n_lanes, dtype=int))
-    ids = np.arange(n_lanes)
-    if gauge is not None:
-        down = gauge(Y.T) >= 0.0
-        out.fall_times[down] = t0
-        ids = ids[~down]
-    if t1 == t0 or ids.size == 0:
-        return out
-
-    # the running lanes, compacted whenever some retire
-    Y = Y[ids]
-    t = np.full(ids.size, t0)
-    k1, _ = fun(t, Y)
-    h = _initial_lane_steps(fun, t0, Y, k1, t1, cfg)
-    n_acc = np.zeros(ids.size, dtype=int)
-    n_rej = np.zeros(ids.size, dtype=int)
-    atol = cfg.abs_tol
-    rtol = cfg.rel_tol
-    attempts = 0
-    knots = np.asarray([*breaks, math.inf])
-    i_knot = np.zeros(ids.size, dtype=int)  # each lane's next break
-
-    while ids.size:
-        if attempts >= cfg.max_steps:
-            raise StepBudgetError(
-                f"exceeded {cfg.max_steps} step attempts at t={t[0]:.6g} in lane "
-                f"{ids[0]} (accepted {n_acc[0]}, rejected {n_rej[0]})")
-        attempts += 1
-        h_floor = 1e-14 * (1.0 + np.abs(t))
-        h_free = np.maximum(np.minimum(h, t1 - t), h_floor)
-        t_knot = knots[i_knot]
-        landing = t + h_free >= t_knot
-        h = np.where(landing, t_knot - t, h_free)
-        H = h[:, None]
-        k2, s2 = fun(t + _C2 * h, Y + H * (_A21 * k1))
-        k3, s3 = fun(t + _C3 * h, Y + H * (_A31 * k1 + _A32 * k2))
-        k4, s4 = fun(t + _C4 * h, Y + H * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5, s5 = fun(t + _C5 * h, Y + H * (_A51 * k1 + _A52 * k2 + _A53 * k3
-                                            + _A54 * k4))
-        k6, s6 = fun(t + h, Y + H * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                                     + _A65 * k5))
-        y_new = Y + H * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7, s7 = fun(t + h, y_new)
-        Q = ((_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-             / (atol + rtol * np.maximum(np.abs(Y), np.abs(y_new))))
-        err = h * np.sqrt(_row_sum_sq(Q) / m)
-
-        singular = s2 | s3 | s4 | s5 | s6 | s7
-        stuck = np.flatnonzero(singular & (h <= 2 * h_floor))
-        if stuck.size:
-            i = stuck[0]
-            raise SingularityError(
-                f"field singular within one minimal step of t={t[i]:.6g} "
-                f"in lane {ids[i]}", time=float(t[i]), state=Y[i].copy())
-        rejected = ~singular & (err > 1.0)
-        accepted = ~singular & ~rejected
-        n_acc += accepted
-        n_rej += rejected
-        grow = np.maximum(_MIN_FACTOR, _SAFETY * _pow(np.where(err > 0.0, err, 1.0), -0.2))
-        factor = np.where(singular, 0.5, np.where(
-            rejected, np.minimum(grow, 1.0),
-            np.where(err == 0.0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, grow))))
-
-        # Every node so far lies inside the threshold, so an accepted lane
-        # falls within its step exactly when it ends outside.
-        t_new = np.where(landing, t_knot, t + h)
-        fell = (accepted & (gauge(y_new.T) >= 0.0) if gauge is not None
-                else np.zeros_like(accepted))
-        K = (k1, k2, k3, k4, k5, k6, k7)
-        for i in np.flatnonzero(fell):
-            t_ev, y_ev = _locate_fall(gauge, float(t[i]), float(h[i]), Y[i].tolist(),
-                                      [k[i].tolist() for k in K], float(t_new[i]))
-            out.fall_times[ids[i]] = t_ev
-            out.states[ids[i]] = y_ev
-        done = fell | (accepted & ~(t_new < t1))
-        t = np.where(accepted, t_new, t)
-        Y = np.where(accepted[:, None], y_new, Y)
-        k1 = np.where(accepted[:, None], k7, k1)  # first-same-as-last
-        landed = accepted & landing
-        h = np.where(landed, h_free, h * factor)
-        i_knot = i_knot + landed
-
-        if done.any():
-            gone = ids[done]
-            reached = done & ~fell
-            out.states[ids[reached]] = Y[reached]
-            out.n_accepted[gone] = n_acc[done]
-            out.n_rejected[gone] = n_rej[done]
-            keep = ~done
-            ids, t, h, Y, k1 = ids[keep], t[keep], h[keep], Y[keep], k1[keep]
-            i_knot = i_knot[keep]
-            n_acc, n_rej = n_acc[keep], n_rej[keep]
-
-    return out
 
 
 def _check_start(s0: PhaseState, params: ModelParams) -> None:

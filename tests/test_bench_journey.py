@@ -3,7 +3,7 @@
 One round of the workload at half size: both survivor bisections through
 the CLI and the planar start grid, each answer checked against
 ``bench/oracle.py``'s fixed-step RK4, which shares no code with the package.
-So the lockstep grid's fall times meet the oracle's ``GRID_FALL_TOL`` on
+So the grid's fall times meet the oracle's ``GRID_FALL_TOL`` on
 every test run.  ``bench/`` is only read.
 """
 from __future__ import annotations

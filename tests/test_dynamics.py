@@ -9,8 +9,9 @@ from oracles import jacobian as oracle_jacobian
 from oracles import rhs_linear as oracle_linear
 from oracles import rhs_planar as oracle_planar
 from oracles import unresolved_planar_residual
-from upright.dynamics import (ANGLE_CHART_SCALE, FALL_THRESHOLD, GUARD, ModelParams,
-                              PhaseState, angle_field, jacobian, make_field)
+from upright.dynamics import (ANGLE_CHART_SCALE, DIRECTION_CHART_SCALE, FALL_THRESHOLD,
+                              GUARD, ModelParams, PhaseState, angle_field, direction_field,
+                              jacobian, make_field)
 from upright.errors import SingularityError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 
@@ -300,6 +301,62 @@ def test_angle_chart_is_the_lines_only():
         angle_field(ModelParams(G=9.81, lam=1.0, dim=2), F2)
 
 
+def _circle_path():
+    ts = np.linspace(0.0, 1.0, 49)
+    positions = 0.04 * np.column_stack([np.cos(TWO_PI * ts), np.sin(TWO_PI * ts)])
+    F, _ = ingest_path(PathSamples(times=ts, positions=positions), gravity=9.81)
+    return F
+
+
+@pytest.mark.parametrize("make_F", [
+    lambda: make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)], constant=[0.1, -0.2]),
+    _circle_path,
+], ids=["fourier", "path"])
+def test_direction_chart_is_the_planar_rod(make_F):
+    # u = (x, y) with y = sqrt(1 - |x|^2) and y' = -x.p / y: the chart's x''
+    # is the plane field's acceleration, up to rounding in the terms it
+    # sums; |x| <= 0.99 keeps the x chart's own rounding in 1 - |x|^2 below
+    # that.  The state is [c (1 - y), x, y', p], and c (1 - y) reaches the
+    # fall with |x|.
+    c = DIRECTION_CHART_SCALE
+    assert c * (1.0 - math.sqrt(1.0 - FALL_THRESHOLD ** 2)) == pytest.approx(
+        FALL_THRESHOLD, rel=1e-15)
+    F = make_F()
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        r, ang = rng.uniform(0.0, 0.99), rng.uniform(0.0, TWO_PI)
+        x = [r * math.cos(ang), r * math.sin(ang)]
+        p = rng.uniform(-5.0, 5.0, 2).tolist()
+        t, lam = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 1.0)
+        params = ModelParams(G=9.81, lam=lam, dim=2)
+        r2 = x[0] ** 2 + x[1] ** 2
+        y = math.sqrt(1.0 - r2)
+        xp = x[0] * p[0] + x[1] * p[1]
+        out = direction_field(params, F)(t, [c * (1.0 - y), *x, -xp / y, *p])
+        assert out[1:3] == p
+        assert out[0] == pytest.approx(c * xp / y, rel=1e-14)
+        want = make_field(params, F)(t, [*x, *p])[2:]
+        f = F.eval_scalar(t)
+        xf = x[0] * f[0] + x[1] * f[1]
+        sizes = []
+        for i in range(2):
+            size = ((9.81 * y + xp * xp / (1.0 - r2) + p[0] ** 2 + p[1] ** 2) * abs(x[i])
+                    + lam * (abs(xf * x[i]) + abs(f[i])))
+            assert abs(out[4 + i] - want[i]) <= 1e-13 * size
+            sizes.append(size)
+        # y'' = -(|p|^2 + x.x'') / y - (x.p)^2 / y^3, from y y' = -x.p
+        xa = x[0] * want[0] + x[1] * want[1]
+        vertical = -(p[0] ** 2 + p[1] ** 2 + xa) / y - xp * xp / y ** 3
+        size = ((p[0] ** 2 + p[1] ** 2 + abs(x[0]) * sizes[0] + abs(x[1]) * sizes[1]) / y
+                + xp * xp / y ** 3)
+        assert abs(out[3] - vertical) <= 1e-13 * size
+
+
+def test_direction_chart_is_the_planes_only():
+    with pytest.raises(ValueError, match="dim must be 2"):
+        direction_field(ModelParams(G=9.81, lam=1.0, dim=1), F1)
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(G=-1.0, lam=0.0, dim=1)
@@ -335,6 +392,8 @@ def test_scalar_forcing_and_compiled_fields_give_python_floats(make_F):
             out = make_field(params, F, variational=variational)(0.37, y)
             assert len(out) == len(y)
             assert all(type(v) is float for v in out), (G, variational)
-        if d == 1:
-            out = angle_field(params, F)(0.37, [0.1, 0.2])
-            assert all(type(v) is float for v in out), G
+        chart, y = ((angle_field, [0.1, 0.2]) if d == 1
+                    else (direction_field, [0.01, 0.1, 0.1, -0.05, 0.2, 0.2]))
+        out = chart(params, F)(0.37, y)
+        assert len(out) == len(y)
+        assert all(type(v) is float for v in out), (G, chart)

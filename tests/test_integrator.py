@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from oracles import linear_scalar_rhs, rhs_linear, rk4_integrate, rk4_until_fall
-from upright.dynamics import GUARD, ModelParams, PhaseState, lane_field, make_field
+from upright.dynamics import GUARD, ModelParams, PhaseState, make_field
 from upright.errors import SingularityError, StepBudgetError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import (FALL_THRESHOLD, EventKind, IntegratorConfig,
                                 Trajectory, _dense_state, evolve,
-                                integrate_field, integrate_lanes)
+                                integrate_field)
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,6 +88,20 @@ def test_dense_array_matches_pointwise_evaluation():
     block = traj.dense_array(ts)
     for i, t in enumerate(ts):
         assert np.array_equal(block[i], traj.dense_array([t])[0])
+
+
+def test_dense_array_checks_the_range_of_a_run_without_steps():
+    # a run that falls at t0, and one over an empty window, have no step;
+    # they are defined at t0 alone
+    fell = integrate_field(lambda t, y: [1.0], 2.0, 3.0, [FALL_THRESHOLD], IntegratorConfig(),
+                           fall_dim=1)
+    empty = integrate_field(lambda t, y: [1.0], 2.0, 2.0, [0.5], IntegratorConfig())
+    assert fell.fall_event.time == 2.0 and fell.n_accepted == empty.n_accepted == 0
+    for traj, y0 in ((fell, FALL_THRESHOLD), (empty, 0.5)):
+        assert np.array_equal(traj.dense_array([2.0, 2.0]), [[y0], [y0]])
+        for ts in ([7.0], [2.0, 1.0], [2.0 + 1e-12]):
+            with pytest.raises(ValueError, match="outside the integration interval"):
+                traj.dense_array(ts)
 
 
 def _pointwise(traj, t):
@@ -330,135 +344,47 @@ def test_field_returning_array_or_list_gives_identical_runs(dim, variational):
         assert np.array_equal(block[0], y0)
 
 
-# -- lanes in lockstep: each lane is one integrate_field run ---------------
+# -- trial steps past the guard are halved ---------------------------------
 
-def _assert_lanes_match_evolve(run, starts, params, F, t_end, tol):
-    """Lane by lane: the same step counts, and fall times and end states
-    within ``tol``.  In the plane the lane field equals the plain field to
-    the bit, and the lanes take Python's float power for their step sizes as
-    the scalar stepper does, so ``tol`` is 0 there; on the line the fields
-    round differently by a few ulp (see below)."""
-    d = params.dim
-    for i, y0 in enumerate(starts):
-        traj = evolve(0.0, t_end, PhaseState(y0[:d], y0[d:]), params, F)
-        assert (run.n_accepted[i], run.n_rejected[i]) == (traj.n_accepted,
-                                                          traj.n_rejected)
-        if traj.fall_event is None:
-            assert math.isnan(run.fall_times[i])
-            assert np.max(np.abs(run.states[i] - traj.end_state().flat())) <= tol
-        else:
-            assert abs(run.fall_times[i] - traj.fall_event.time) <= tol
-
-
-@pytest.mark.parametrize("t_end", [3.0, 0.5])
-def test_lanes_match_evolve_on_the_planar_grid(t_end):
-    # the 61 rest starts inside the disk of a 9x9 grid on [-0.9, 0.9]^2:
-    # every one falls by t = 3, some survive t = 0.5
-    params = ModelParams(G=9.81, lam=1.0, dim=2)
-    c = np.linspace(-0.9, 0.9, 9)
-    starts = np.asarray([[a, b, 0.0, 0.0] for a in c for b in c
-                         if math.hypot(a, b) < 1.0])
-    run = integrate_lanes(lane_field(params, F2), 0.0, t_end, starts,
-                          IntegratorConfig(), fall_dim=2)
-    assert len(starts) == 61
-    assert np.isnan(run.fall_times).any() == (t_end < 1.0)
-    _assert_lanes_match_evolve(run, starts, params, F2, t_end, 0.0)
-
-
-def test_lanes_match_evolve_on_the_line():
-    params = ModelParams(G=9.81, lam=1.0, dim=1)
-    starts = np.column_stack([np.linspace(-0.6, 0.6, 13), np.linspace(-1.0, 1.0, 13)])
-    run = integrate_lanes(lane_field(params, F1), 0.0, 1.0, starts,
-                          IntegratorConfig(), fall_dim=1)
-    fell = ~np.isnan(run.fall_times)
-    assert fell.any() and not fell.all()
-    _assert_lanes_match_evolve(run, starts, params, F1, 1.0, 1e-12)
-
-
-@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_lane_field_equals_the_plain_field(dim, lam):
-    # in the plane both write the same expressions; on the line the plain
-    # field folds R and the forcing into the 1-D form, so the two round
-    # differently: each difference stays within 4 ulp of the sum of the
-    # magnitudes of the acceleration's terms
-    F = F1 if dim == 1 else F2
-    params = ModelParams(G=9.81, lam=lam, dim=dim)
-    plain = make_field(params, F)
-    rng = np.random.default_rng(7)
-    n = 500
-    direction = rng.normal(size=(n, dim))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    x = direction * rng.uniform(0.0, 0.9999, (n, 1))
-    p = rng.uniform(-2.0, 2.0, (n, dim))
-    t = rng.uniform(0.0, 3.0, n)
-    Y = np.hstack([x, p])
-    dY, singular = lane_field(params, F)(t, Y)
-    assert not singular.any()
-    ref = np.asarray([plain(ti, yi.tolist()) for ti, yi in zip(t, Y)])
-    assert np.array_equal(dY[:, :dim], ref[:, :dim])
-    r2 = np.sum(x * x, axis=1, keepdims=True)
-    xp = np.sum(x * p, axis=1, keepdims=True)
-    Fv = F.eval(t)
-    terms = ((9.81 * np.sqrt(1.0 - r2) + xp * xp / (1.0 - r2)
-              + np.sum(p * p, axis=1, keepdims=True)) * np.abs(x)
-             + lam * (np.abs(np.sum(x * Fv, axis=1, keepdims=True) * x) + np.abs(Fv)))
-    assert np.all(np.abs(dY[:, dim:] - ref[:, dim:]) <= 4 * np.finfo(float).eps * terms)
-
-
-def test_lane_next_to_guard_halves_its_step_as_integrate_field_does():
+def test_step_next_to_guard_halves_down_to_the_step_floor():
     # |x| = 1 - 1e-9 lies between the fall threshold and GUARD.  Unwatched
     # and moving outwards, the rod's trial steps end past GUARD and are
-    # halved down to the step floor, where both drivers give up
+    # halved down to the step floor, where the driver gives up
     params = ModelParams(G=9.81, lam=1.0, dim=2)
     y0 = [1.0 - 1e-9, 0.0, 1.0, 0.0]
-    field = lane_field(params, F2)
+    field = make_field(params, F2)
     halved = []
 
-    def fun(t, Y):
-        dY, singular = field(t, Y)
-        halved.append(bool(singular.any()))
-        return dY, singular
+    def fun(t, y):
+        try:
+            return field(t, y)
+        except SingularityError:
+            halved.append(t)
+            raise
 
-    with pytest.raises(SingularityError) as lanes:
-        integrate_lanes(fun, 0.0, 0.1, [y0], IntegratorConfig(), fall_dim=0)
-    with pytest.raises(SingularityError) as scalar:
-        integrate_field(make_field(params, F2), 0.0, 0.1, y0, IntegratorConfig())
-    assert sum(halved) >= 2
-    assert lanes.value.time == pytest.approx(scalar.value.time, abs=1e-12)
+    with pytest.raises(SingularityError, match="within one minimal step") as err:
+        integrate_field(fun, 0.0, 0.1, y0, IntegratorConfig())
+    assert len(halved) >= 2
+    # the error carries the time of the singular stage
+    assert err.value.time in halved
 
 
-def test_lane_that_overshoots_guard_halves_then_locates_its_fall():
+def test_step_that_overshoots_guard_halves_then_locates_its_fall():
     # y' = 1 from 0.5, singular from GUARD on: growing steps overshoot the
-    # guard and are halved until one ends between the threshold and GUARD.
-    # The second lane is not held back by the first one's halving
-    seen = []
+    # guard and are halved until one ends between the threshold and GUARD
+    halved = []
 
-    def fun(t, Y):
-        singular = Y[:, 0] >= GUARD
-        seen.append(bool(singular.any()))
-        return np.ones_like(Y), singular
-
-    def scalar(t, y):
+    def fun(t, y):
         if y[0] >= GUARD:
+            halved.append(t)
             raise SingularityError("past the guard", time=t)
         return [1.0]
 
-    run = integrate_lanes(fun, 0.0, 2.0, [[0.5], [-0.2]], IntegratorConfig(), fall_dim=1)
-    assert any(seen)
-    for i, y0 in enumerate((0.5, -0.2)):
-        traj = integrate_field(scalar, 0.0, 2.0, [y0], IntegratorConfig(), fall_dim=1)
-        assert (run.n_accepted[i], run.n_rejected[i]) == (traj.n_accepted, traj.n_rejected)
-        assert run.fall_times[i] == pytest.approx(FALL_THRESHOLD - y0, abs=1e-12)
-        assert abs(run.fall_times[i] - traj.fall_event.time) <= 1e-12
-        assert run.states[i, 0] == pytest.approx(FALL_THRESHOLD, abs=1e-12)
-
-
-def test_lanes_step_budget_error():
-    params = ModelParams(G=9.81, lam=1.0, dim=1)
-    with pytest.raises(StepBudgetError):
-        integrate_lanes(lane_field(params, F1), 0.0, 10.0, [[0.1, 0.0], [0.0, 0.0]],
-                        IntegratorConfig(max_steps=5), fall_dim=1)
+    for y0 in (0.5, -0.2):
+        traj = integrate_field(fun, 0.0, 2.0, [y0], IntegratorConfig(), fall_dim=1)
+        assert traj.fall_event.time == pytest.approx(FALL_THRESHOLD - y0, abs=1e-12)
+        assert traj.fall_event.state[0] == pytest.approx(FALL_THRESHOLD, abs=1e-12)
+    assert halved
 
 
 # -- steps end on the forcing's breakpoints ---------------------------------

@@ -337,6 +337,54 @@ def test_bisection_takes_half_the_steps_of_evolve(monkeypatch):
                   TIGHT).fall_event is None
 
 
+def _assert_grid_matches_evolve(journey, grid_radius, n):
+    """The grid's verdicts are ``evolve``'s at the default tolerances, and
+    at rel tol 1e-12 its fall times are too, to 1e-10; returns the default
+    report.  Each start is stepped in the direction chart, ``evolve`` steps
+    it in ``x``, so the two agree to the integration error."""
+    params = ModelParams(G=journey.G, lam=1.0, dim=2)
+    reports = []
+    for cfg in (IntegratorConfig(), TIGHT):
+        report = planar_survivor_grid(journey, grid_radius=grid_radius, n=n, cfg=cfg)
+        for i, a in enumerate(report["coords"]):
+            for j, b in enumerate(report["coords"]):
+                if math.hypot(a, b) >= FALL_THRESHOLD:
+                    continue
+                ev = evolve(0.0, journey.t_end, PhaseState([a, b], [0.0, 0.0]), params,
+                            journey.F, cfg).fall_event
+                assert report["survived"][i, j] == (ev is None), (a, b)
+                if ev is not None and cfg is TIGHT:
+                    assert abs(report["fall_times"][i, j] - ev.time) <= 1e-10, (a, b)
+        reports.append(report)
+    return reports[0]
+
+
+@pytest.mark.parametrize("t_end", [3.0, 0.5])
+def test_planar_grid_matches_evolve(t_end):
+    # the benchmark's grid: the 61 rest starts inside the disk of a 9x9 grid
+    # on [-0.9, 0.9]^2 under the circle of acceleration 1.5; every one falls
+    # by t = 3, some survive t = 0.5
+    report = _assert_grid_matches_evolve(JourneySpec(F=F_PLANAR, t_end=t_end, G=9.81),
+                                         0.9, 9)
+    assert np.isnan(report["fall_times"]).any() == (t_end < 1.0)
+
+
+def test_planar_grid_takes_half_the_steps_of_evolve(monkeypatch):
+    # in x the field's 1 / (1 - |x|^2) terms stiffen toward the fall, and
+    # 64 % of evolve's steps end beyond |x| = 0.99; the direction chart is
+    # regular (8,263 accepted steps through evolve, 2,351 through the chart)
+    journey = JourneySpec(F=F_PLANAR, t_end=3.0, G=9.81)
+    counts = _count_steps(monkeypatch)
+    report = planar_survivor_grid(journey, grid_radius=0.9, n=9)
+    params = ModelParams(G=9.81, lam=1.0, dim=2)
+    starts = [(a, b) for a in report["coords"] for b in report["coords"]
+              if math.hypot(a, b) < FALL_THRESHOLD]
+    assert len(counts) == len(starts) == 61
+    x_chart = sum(evolve(0.0, journey.t_end, PhaseState([a, b], [0.0, 0.0]), params,
+                         F_PLANAR).n_accepted for a, b in starts)
+    assert sum(acc for acc, _ in counts) <= 0.5 * x_chart
+
+
 def test_path_forced_grid_matches_evolve(tmp_path):
     # a circular carriage path of acceleration 1.5 at 48 knots per period;
     # over 1.25 periods the starts near the middle survive
@@ -344,16 +392,6 @@ def test_path_forced_grid_matches_evolve(tmp_path):
     F, G = _path_forcing(tmp_path, 48, 1.0, lambda t: (A * math.cos(2 * math.pi * t),
                                                        A * math.sin(2 * math.pi * t)))
     assert len(F.breakpoints) == 48 and F.dim == 2
-    journey = JourneySpec(F=F, t_end=1.25, G=G)
-    report = planar_survivor_grid(journey, grid_radius=0.1, n=5)
-    params = ModelParams(G=G, lam=1.0, dim=2)
+    report = _assert_grid_matches_evolve(JourneySpec(F=F, t_end=1.25, G=G), 0.1, 5)
     survived = report["survived"]
     assert survived.any() and not survived.all()
-    for i, a in enumerate(report["coords"]):
-        for j, b in enumerate(report["coords"]):
-            traj = evolve(0.0, journey.t_end, PhaseState([a, b], [0.0, 0.0]), params, F)
-            ev = traj.fall_event
-            if ev is None:
-                assert survived[i, j]
-            else:
-                assert abs(report["fall_times"][i, j] - ev.time) <= 1.5e-13
