@@ -49,7 +49,9 @@ class PeriodicSignal:
     Evaluation reduces the argument to one period first, so the signal is
     defined for every real ``t``; exact multiples of the period map to 0.
     ``value_fn`` and ``derivative_fn`` take an array of reduced times;
-    ``scalar_value_fn`` takes one reduced time and returns a tuple of floats.
+    ``scalar_value_fn`` takes any one time, reduces it itself (``math.fmod``,
+    then ``+ period`` if negative, as ``_reduce_scalar``) and returns a tuple
+    of floats: it is the integrator's path, one call per field evaluation.
     ``breakpoints`` are the times in ``[0, period)``, ascending, where
     ``dF/dt`` may jump; ``F`` itself is continuous there.
     """
@@ -85,8 +87,7 @@ class PeriodicSignal:
     def eval(self, t):
         """F(t).  Scalar input gives shape (dim,), array input (..., dim)."""
         if np.ndim(t) == 0:
-            u = self._reduce_scalar(float(t))
-            return np.asarray(self._scalar_value_fn(u), dtype=float)
+            return np.asarray(self._scalar_value_fn(float(t)), dtype=float)
         return self._value_fn(np.mod(np.asarray(t, dtype=float), self.period))
 
     def eval_derivative(self, t):
@@ -99,7 +100,7 @@ class PeriodicSignal:
 
     def eval_scalar(self, t: float):
         """Fast path used by the integrator: returns a plain tuple of floats."""
-        return self._scalar_value_fn(self._reduce_scalar(t))
+        return self._scalar_value_fn(t)
 
     def breaks_between(self, t0: float, t1: float) -> list[float]:
         """The times ``breakpoint + k * period`` strictly inside ``(t0, t1)``,
@@ -173,18 +174,39 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
         return -(np.sin(ph) * omega) @ c + (np.cos(ph) * omega) @ s
 
     # Python floats, not numpy scalars: the integrator's stage sums run on
-    # whatever the field returns, and numpy scalar arithmetic is slower
-    modes = list(zip(omega.tolist(), c.tolist(), s.tolist()))
-    c0t = c0.tolist()
+    # whatever the field returns, and numpy scalar arithmetic is slower.
+    # The scalar path reduces its own argument, fmod then + period, as
+    # ``PeriodicSignal._reduce_scalar`` does, and adds each mode's terms to
+    # the constant in mode order.
+    T = float(period)
+    fmod, cos, sin = math.fmod, math.cos, math.sin
+    if dim == 1:
+        modes = list(zip(omega.tolist(), c[:, 0].tolist(), s[:, 0].tolist()))
+        (a0,) = c0.tolist()
 
-    def value_scalar(u):
-        out = list(c0t)
-        for w, ck, sk in modes:
-            cw = math.cos(w * u)
-            sw = math.sin(w * u)
-            for i in range(dim):
-                out[i] += ck[i] * cw + sk[i] * sw
-        return tuple(out)
+        def value_scalar(t):
+            u = fmod(t, T)
+            if u < 0.0:
+                u += T
+            a = a0
+            for w, ck, sk in modes:
+                a += ck * cos(w * u) + sk * sin(w * u)
+            return (a,)
+    else:
+        modes = list(zip(omega.tolist(), c.tolist(), s.tolist()))
+        a0, b0 = c0.tolist()
+
+        def value_scalar(t):
+            u = fmod(t, T)
+            if u < 0.0:
+                u += T
+            a, b = a0, b0
+            for w, (ck0, ck1), (sk0, sk1) in modes:
+                cw = cos(w * u)
+                sw = sin(w * u)
+                a += ck0 * cw + sk0 * sw
+                b += ck1 * cw + sk1 * sw
+            return (a, b)
 
     u = np.linspace(0.0, period, _DENSE_GRID, endpoint=False)
     h = period / _DENSE_GRID
@@ -304,8 +326,11 @@ def ingest_path(samples: PathSamples, gravity: float):
     knot_list, curv_list, rate_list = knots.tolist(), curv.tolist(), rate.tolist()
     inner_list = knot_list[1:-1]
 
-    def value_scalar(u):
-        u = u % period
+    def value_scalar(t):
+        u = math.fmod(t, period)
+        if u < 0.0:
+            u += period
+        u = u % period  # a negative t a hair below a multiple rounds up to period
         k = _bisect.bisect_right(inner_list, u)
         s = u - knot_list[k]
         return tuple([m + r * s for m, r in zip(curv_list[k], rate_list[k])])

@@ -18,16 +18,18 @@ field raises ``SingularityError`` there, and trial steps that overshoot it
 are retried with half the step until the fall event can be localized.
 
 ``integrate_field`` is the one stepper: it steps one state at a time, in
-plain Python floats at every width.  The journey tools step the rod in
-charts where the fall is no singularity (``dynamics.angle_field`` on the
-line, ``dynamics.direction_field`` in the plane), with the gauge
-``fall_dim = 1`` on the chart's first component.
+plain Python floats at every width, with a step whose source is written out
+for that width.  The journey tools step the rod in charts where the fall is
+no singularity (``dynamics.angle_field`` on the line,
+``dynamics.direction_field`` in the plane), with the gauge ``fall_dim = 1``
+on the chart's first component.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,9 +48,10 @@ __all__ = [
 ]
 
 # Dormand-Prince 5(4) tableau: nodes, stage weights, 5th-order weights and
-# error weights as named floats (zero entries left out).  Every state width
-# takes the plain-float step: its stage sums beat numpy's per-call overhead
-# even at width 20, the variational system in the plane.
+# error weights as named floats (zero entries left out).  The step generated
+# for each state width (``_stepper``) reads them by these names.  Every width
+# takes a plain-float step: its stage sums beat numpy's per-call overhead even
+# at width 20, the variational system in the plane.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -234,6 +237,8 @@ def _dense_state(y_left, h, K, theta):
 
 def _fall_gauge(fall_dim: int):
     """``g(y)``, nonnegative once the rod has fallen; ``None`` for no watch."""
+    if fall_dim not in (0, 1, 2):
+        raise ValueError(f"fall_dim must be 0, 1 or 2, got {fall_dim}")
     if fall_dim == 0:
         return None
     if fall_dim == 1:
@@ -246,6 +251,8 @@ def _fall_event(t, y, fall_dim: int) -> Event:
     """The fall at ``(t, y)``; on the line its side is the sign of ``x``."""
     if fall_dim == 2:
         kind = EventKind.FALL_PLANAR
+    elif fall_dim != 1:
+        raise ValueError(f"a fall is watched with fall_dim 1 or 2, got {fall_dim}")
     elif y[0] > 0.0:
         kind = EventKind.FALL_POSITIVE
     else:
@@ -271,34 +278,59 @@ def _locate_fall(gauge, t_left, h, y_left, K, t_right):
     return b, yb
 
 
-def _step_floats(fun, t, h, y, k1, n, atol, rtol):
-    """One trial step on lists of floats: ``(y_new, K, err_norm)``.
+@lru_cache
+def _stepper(width: int, n: int):
+    """The trial step on ``width`` floats, compiled once per ``(width, n)``:
+    ``step(fun, t, h, y, k1, atol, rtol) -> (y_new, K, err_norm)``.
 
-    ``K`` holds the seven stage vectors; the last is the field at ``y_new``
-    (first-same-as-last).  ``err_norm`` is the RMS over the first ``n``
-    components of the error estimate ``h E.K`` scaled by
-    ``atol + rtol max(|y|, |y_new|)``.
+    ``K`` holds the seven stage vectors as ``fun`` returned them; the last is
+    the field at ``y_new`` (first-same-as-last).  ``err_norm`` is the RMS over
+    the first ``n`` components of the error estimate ``h E.K`` scaled by
+    ``atol + rtol max(|y|, |y_new|)``.  The source unpacks every stage into
+    locals (stage ``k_j`` into ``a_i, b_i, ..`` for ``j = 1, 2, ..``) and
+    writes each component's sums out in full, in the order of a loop over the
+    components: the same floats without the loop, and a stage of the wrong
+    length raises where it is unpacked.
     """
-    k2 = fun(t + _C2 * h, [v + h * (_A21 * a) for v, a in zip(y, k1)])
-    k3 = fun(t + _C3 * h, [v + h * (_A31 * a + _A32 * b)
-                           for v, a, b in zip(y, k1, k2)])
-    k4 = fun(t + _C4 * h, [v + h * (_A41 * a + _A42 * b + _A43 * c)
-                           for v, a, b, c in zip(y, k1, k2, k3)])
-    k5 = fun(t + _C5 * h, [v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                           for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = fun(t + h, [v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                     for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-             for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-    k7 = fun(t + h, y_new)
-    total = 0.0
-    for v, w, a, c, d, e, f, g in zip(y[:n], y_new, k1, k3, k4, k5, k6, k7):
-        v = abs(v)
-        w = abs(w)
-        q = ((_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-             / (atol + rtol * (v if v > w else w)))
-        total += q * q
-    return y_new, (k1, k2, k3, k4, k5, k6, k7), h * math.sqrt(total / n)
+    comps = range(width)
+
+    def unpack(k):
+        return "".join(f"{k}{i}, " for i in comps)
+
+    def combo(weight, stages, i):
+        # e.g. "_B1 * a0 + _B3 * c0 + ...": weight name + stage number, times
+        # that stage's component i
+        return " + ".join(f"{weight}{m} * {'abcdefg'[m - 1]}{i}" for m in stages)
+
+    src = ["def step(fun, t, h, y, k1, atol, rtol):",
+           f"    {unpack('y')}= y",
+           f"    {unpack('a')}= k1"]
+    for j in range(2, 7):
+        node = f"_C{j} * h" if j < 6 else "h"
+        stage = ", ".join(f"y{i} + h * ({combo(f'_A{j}', range(1, j), i)})"
+                          for i in comps)
+        src += [f"    k{j} = fun(t + {node}, [{stage}])",
+                f"    {unpack('abcdefg'[j - 1])}= k{j}"]
+    src += [f"    u{i} = y{i} + h * ({combo('_B', (1, 3, 4, 5, 6), i)})" for i in comps]
+    src += [f"    y_new = [{unpack('u')}]",
+            "    k7 = fun(t + h, y_new)",
+            f"    {unpack('g')}= k7"]
+    measured = range(min(n, width))
+    for i in measured:
+        src += [f"    v = abs(y{i})",
+                f"    w = abs(u{i})",
+                f"    q{i} = ({combo('_E', (1, 3, 4, 5, 6, 7), i)})"
+                " / (atol + rtol * (v if v > w else w))"]
+    total = "".join(f" + q{i} * q{i}" for i in measured)
+    src.append(f"    return y_new, (k1, k2, k3, k4, k5, k6, k7), h * sqrt((0.0{total}) / {n})")
+    namespace = dict(
+        _C2=_C2, _C3=_C3, _C4=_C4, _C5=_C5, _A21=_A21, _A31=_A31, _A32=_A32,
+        _A41=_A41, _A42=_A42, _A43=_A43, _A51=_A51, _A52=_A52, _A53=_A53,
+        _A54=_A54, _A61=_A61, _A62=_A62, _A63=_A63, _A64=_A64, _A65=_A65,
+        _B1=_B1, _B3=_B3, _B4=_B4, _B5=_B5, _B6=_B6, _E1=_E1, _E3=_E3,
+        _E4=_E4, _E5=_E5, _E6=_E6, _E7=_E7, sqrt=math.sqrt)
+    exec(compile("\n".join(src), f"<DOPRI5 step, width {width}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
@@ -307,17 +339,19 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
 
     ``fun(t, y)`` receives ``y`` as a list of floats and returns a sequence
     of floats of the same length (a list is fastest; a tuple or an ndarray
-    gives the same result).  The stage sums run on plain floats at every
-    width, so they run at Python float speed only if the field returns
-    Python floats: numpy scalars in its output make a step about 1.6x
-    slower.
+    gives the same result).  The stage sums run on whatever scalars the
+    field returns, so they run at Python float speed only if it returns
+    Python floats: with numpy scalars the step's own arithmetic takes
+    about 3x (width 2) to 4x (width 20) as long (CPython 3.11, 2-core
+    Xeon).
     ``fall_dim`` (1 or 2) watches the first ``fall_dim`` components as the
     rod's ``x``: integration stops at the first time where ``|x|`` reaches
     ``FALL_THRESHOLD``, recorded as the trajectory's ``fall_event``;
-    ``fall_dim = 0`` watches nothing.  ``n_err`` limits step control to the
-    first ``n_err`` components (partial error control, Hairer-Norsett-Wanner
-    I, II.4): a state integrated together with its variational equation
-    then takes the steps it takes alone.  ``breaks`` are times strictly
+    ``fall_dim = 0`` watches nothing, and any other value raises
+    ``ValueError``.  ``n_err`` limits step control to the first ``n_err``
+    components (partial error control, Hairer-Norsett-Wanner I, II.4): a
+    state integrated together with its variational equation then takes the
+    steps it takes alone.  ``breaks`` are times strictly
     inside ``(t0, t1)``, ascending, where the field's time derivative may
     jump (``PeriodicSignal.breaks_between``): each is a step node.  Raises
     ``StepBudgetError`` if the step budget is exhausted and propagates
@@ -346,7 +380,7 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
 
     f0 = fun(t0, y0)
     h = _initial_step(fun, t0, y0, f0, t1, cfg, n_err)
-    n = len(y0) if n_err is None else n_err
+    step = _stepper(len(y0), len(y0) if n_err is None else n_err)
     atol = cfg.abs_tol
     rtol = cfg.rel_tol
     t = t0
@@ -373,7 +407,7 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
             h = t_knot - t
 
         try:
-            y_new, K, err_norm = _step_floats(fun, t, h, y, k1, n, atol, rtol)
+            y_new, K, err_norm = step(fun, t, h, y, k1, atol, rtol)
         except SingularityError as exc:
             if h <= 2 * h_floor:
                 raise SingularityError(

@@ -89,6 +89,49 @@ def test_sup_norm_is_a_true_upper_bound(c1, s1, s2, t):
     assert abs(F.eval_derivative(t).item()) <= F.sup_norm_derivative + 1e-12
 
 
+def _loop_scalar(F, cosine, sine, constant):
+    """The reference scalar forcing: ``_reduce_scalar``, then a loop over the
+    modes adding ``c_k cos(w_k u) + s_k sin(w_k u)`` to the constant."""
+    dim = F.dim
+    c = np.asarray(cosine, dtype=float).reshape(len(cosine), dim)
+    s = np.asarray(sine, dtype=float).reshape(len(sine), dim)
+    omega = 2.0 * math.pi * np.arange(1, len(cosine) + 1) / F.period
+    modes = list(zip(omega.tolist(), c.tolist(), s.tolist()))
+
+    def value(t):
+        u = F._reduce_scalar(t)
+        out = list(np.asarray(constant, dtype=float).reshape(dim).tolist())
+        for w, ck, sk in modes:
+            cw = math.cos(w * u)
+            sw = math.sin(w * u)
+            for i in range(dim):
+                out[i] += ck[i] * cw + sk[i] * sw
+        return tuple(out)
+
+    return value
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("T", [1.0, 2.0 * math.pi, 0.37])
+def test_fourier_scalar_value_equals_the_mode_loop_bit_for_bit(dim, T):
+    # four harmonics and a constant; random times in [-5T, 5T], the
+    # signed zeros, a negative hair, the period's neighbours and multiples
+    rng = np.random.default_rng(dim)
+    cosine = rng.uniform(-2.0, 2.0, (4, dim)).tolist()
+    sine = rng.uniform(-2.0, 2.0, (4, dim)).tolist()
+    constant = rng.uniform(-1.0, 1.0, dim).tolist()
+    F = make_fourier_forcing(T, dim, cosine, sine, constant=constant)
+    ref = _loop_scalar(F, cosine, sine, constant)
+    times = (rng.uniform(-5.0 * T, 5.0 * T, 500).tolist()
+             + [0.0, -0.0, -1e-17, T, math.nextafter(T, 0.0), -T]
+             + [k * T for k in range(-5, 6)])
+    for t in times:
+        got = F.eval_scalar(t)
+        assert type(got) is tuple and len(got) == dim
+        assert [v.hex() for v in got] == [v.hex() for v in ref(t)]
+        assert np.array_equal(F.eval(t), got)
+
+
 # -- path ingestion ----------------------------------------------------
 
 def _sine_path(n: int, amplitude: float = 0.05, period: float = 1.0):

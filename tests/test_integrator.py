@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 
 from oracles import linear_scalar_rhs, rhs_linear, rk4_integrate, rk4_until_fall
-from upright.dynamics import GUARD, ModelParams, PhaseState, make_field
+from upright.dynamics import (GUARD, ModelParams, PhaseState, angle_field,
+                              direction_field, make_field)
 from upright.errors import SingularityError, StepBudgetError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
-from upright.integrator import (FALL_THRESHOLD, EventKind, IntegratorConfig,
-                                Trajectory, _dense_state, evolve,
+from upright.integrator import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
+                                _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1,
+                                _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1,
+                                _E3, _E4, _E5, _E6, _E7, FALL_THRESHOLD,
+                                EventKind, IntegratorConfig, Trajectory,
+                                _dense_state, _fall_event, _stepper, evolve,
                                 integrate_field)
 
 TWO_PI = 2.0 * math.pi
@@ -404,3 +409,86 @@ def test_path_knots_are_step_nodes():
     traj = evolve(0.0, t_end, PhaseState(0.0, 0.0), ModelParams(G=G, lam=1.0, dim=1), F)
     assert traj.fall_event is None and traj.t_end == t_end
     assert set(knots) <= set(traj.t_nodes.tolist())
+
+
+# -- the generated step is the loop step, bit for bit ----------------------
+
+def _step_floats(fun, t, h, y, k1, n, atol, rtol):
+    """The reference trial step: the stage sums as loops over the components."""
+    k2 = fun(t + _C2 * h, [v + h * (_A21 * a) for v, a in zip(y, k1)])
+    k3 = fun(t + _C3 * h, [v + h * (_A31 * a + _A32 * b)
+                           for v, a, b in zip(y, k1, k2)])
+    k4 = fun(t + _C4 * h, [v + h * (_A41 * a + _A42 * b + _A43 * c)
+                           for v, a, b, c in zip(y, k1, k2, k3)])
+    k5 = fun(t + _C5 * h, [v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                           for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = fun(t + h, [v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                     for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+             for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    k7 = fun(t + h, y_new)
+    total = 0.0
+    for v, w, a, c, d, e, f, g in zip(y[:n], y_new, k1, k3, k4, k5, k6, k7):
+        v = abs(v)
+        w = abs(w)
+        q = ((_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+             / (atol + rtol * (v if v > w else w)))
+        total += q * q
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), h * math.sqrt(total / n)
+
+
+_PLANE = make_fourier_forcing(1.0, 2, [(1.5, -0.4), (0.3, 0.2)], [(0.0, 1.5)],
+                              constant=(0.1, -0.2))
+_LINE = make_fourier_forcing(2 * math.pi, 1, [0.3], [0.5, -0.25], constant=0.05)
+_STEP_FIELDS = {
+    # name: (state width, the model's dim, field)
+    "line": (2, 1, make_field(ModelParams(9.81, 1.0, 1), _LINE)),
+    "angle": (2, 1, angle_field(ModelParams(9.81, 0.7, 1), _LINE)),
+    "plane": (4, 2, make_field(ModelParams(9.81, 1.0, 2), _PLANE)),
+    "line-variational": (6, 1, make_field(ModelParams(9.81, 1.0, 1), _LINE, True)),
+    "direction": (6, 2, direction_field(ModelParams(9.81, 0.8, 2), _PLANE)),
+    "plane-variational": (20, 2, make_field(ModelParams(9.81, 1.0, 2), _PLANE, True)),
+}
+
+
+@pytest.mark.parametrize("name", list(_STEP_FIELDS))
+def test_generated_step_equals_the_loop_step_bit_for_bit(name):
+    # the package's fields at widths 2, 4, 6 and 20, with step control on
+    # every component (n_err None) and on the state alone (n_err = 2 dim),
+    # from seeded states and step sizes that both accept and reject
+    width, dim, fun = _STEP_FIELDS[name]
+    rng = np.random.default_rng(width)
+    for n in sorted({width, 2 * dim}):
+        step = _stepper(width, n)
+        for _ in range(40):
+            y = rng.uniform(-0.5, 0.5, width).tolist()
+            t = float(rng.uniform(-3.0, 3.0))
+            h = float(10.0 ** rng.uniform(-4.0, -0.5))
+            k1 = fun(t, y)
+            got = step(fun, t, h, y, k1, 1e-11, 1e-9)
+            want = _step_floats(fun, t, h, y, k1, n, 1e-11, 1e-9)
+            assert got[0] == want[0]
+            assert all(a == b for a, b in zip(got[1], want[1], strict=True))
+            assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("width", [1, 2, 6])
+def test_generated_step_rejects_a_stage_of_the_wrong_length(width):
+    # a loop over zip would truncate a short or long stage silently
+    for wrong in (width - 1, width + 1):
+        def fun(t, y):
+            return [0.5] * (width if t == 0.0 else wrong)
+
+        with pytest.raises(ValueError):
+            _stepper(width, width)(fun, 0.0, 0.1, [0.1] * width, fun(0.0, None),
+                                   1e-11, 1e-9)
+
+
+def test_a_fall_dimension_beyond_the_plane_is_rejected():
+    fun = lambda t, y: [0.0, 0.0, 0.0]
+    for fall_dim in (-1, 3):
+        with pytest.raises(ValueError, match="fall_dim"):
+            integrate_field(fun, 0.0, 1.0, [0.0, 0.0, 0.0], IntegratorConfig(),
+                            fall_dim=fall_dim)
+        with pytest.raises(ValueError, match="fall_dim"):
+            _fall_event(0.5, [1.0, 0.0, 0.0], fall_dim)
