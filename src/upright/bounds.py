@@ -38,9 +38,11 @@ and ``f_par``, ``f_perp`` the forcing along ``x`` and across it, the gate is
 roots in ``[0, 1]`` give ``c = +-sqrt(w)``, and ``L sin s = c (K + B c^2)``
 the sign of ``sin s``.  Where ``L = 0`` (``lam = 0``, or F along ``x``) the
 cubic is ``w (K + B w)^2``: ``c = 0`` and ``c^2 = -K/B``, each with either
-sign of ``sin s``.  The closed-form constants (``compute_a`` and
-friends) supply starting values of ``a`` and ``b`` that make the
-conditions hold.
+sign of ``sin s``.  On the line, the plane's axis, ``s`` is 0 or ``pi``,
+``f_par = sign(x) F`` and ``L = 0``: the margin ``sign(x p) n'`` is ``g(0) =
+K + B`` at ``(x, p)`` and ``(x, -p)`` alike.  The closed-form constants
+(``compute_a`` and friends) supply starting values of ``a`` and ``b`` that
+make the conditions hold.
 """
 from __future__ import annotations
 
@@ -51,8 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (ModelParams, PhaseState, RodTerms, acceleration_rate,
-                       make_field, rod_acceleration, rod_terms)
+from .dynamics import (ModelParams, PhaseState, acceleration_rate, make_field,
+                       rod_acceleration, rod_terms)
 from .errors import BoundVerificationError
 from .forcing import PeriodicSignal
 from .integrator import IntegratorConfig, evolve, integrate_field
@@ -172,6 +174,8 @@ def compute_b_planar(a: float, F: PeriodicSignal, G: float,
     passes.  Raises ``BoundVerificationError`` if no passing value is found
     below ``_B_CAP``.
     """
+    if not (0.0 < a < 1.0):
+        raise ValueError(f"a must lie in (0,1), got {a}")
     Fn = F.sup_norm
     b0 = 1.05 * max((16.0 * Fn * Fn / (1.0 - a) ** 3) ** 0.25, math.sqrt(Fn))
     b = max(b0, _B_FLOOR)
@@ -206,15 +210,6 @@ def _cylinder_quantities(ts, xs, ps, F, G):
     return s.xp, s.p2 + s.R * s.r2, s.xf * s.r2 - s.xf
 
 
-def _cone_gate(s: RodTerms, b):
-    """Cone gate (b/|x|) x.p + p.(R x + Phi)/|p| as ``g0 + lam * g1``."""
-    pn = np.sqrt(s.p2)
-    g0 = ((b / np.sqrt(s.r2)) * s.xp
-          + np.sum(s.P * (s.R[:, None] * s.X), axis=1) / pn)
-    g1 = np.sum(s.P * (s.xf[:, None] * s.X - s.F), axis=1) / pn
-    return g0, g1
-
-
 def _cone_quantities(ts, xs, ps, lam, F, G, b):
     """Gate ``n'`` and curvature ``n''`` of the cone gauge at the samples,
     as the module docstring writes them."""
@@ -231,15 +226,20 @@ def _cone_quantities(ts, xs, ps, lam, F, G, b):
     return (b / nx) * s.xp + pa / pn, curv
 
 
+def _cone_radial(r, G, b):
+    """The cone gate's lam-free terms at ``|x| = r``: ``K0``, ``B``, ``1 - r^2``."""
+    rho = b * (1.0 - r)
+    one_minus = 1.0 - r * r
+    return (b * rho + r * (G * np.sqrt(one_minus) - rho * rho),
+            -r ** 3 * rho * rho / one_minus, one_minus)
+
+
 def _cone_gate_terms(theta, r, f, G, b):
     """Cone gate ``K0, K1, B, f_perp``: ``K = K0 - lam K1``, ``L = lam f_perp``."""
     f = np.atleast_2d(f)
     cos, sin = np.cos(theta), np.sin(theta)
-    rho = b * (1.0 - r)
-    one_minus = 1.0 - r * r
-    K0 = b * rho + r * (G * np.sqrt(one_minus) - rho * rho)
+    K0, B, one_minus = _cone_radial(r, G, b)
     K1 = (f[:, 0] * cos + f[:, 1] * sin) * one_minus
-    B = -r ** 3 * rho * rho / one_minus
     return K0, K1, B, f[:, 1] * cos - f[:, 0] * sin
 
 
@@ -384,10 +384,10 @@ class _MarginPool:
         del self.worst[_WORST_KEPT:]
 
 
-def _lowest_end(base, slope, sign=1.0):
-    """Per sample, the lower of ``sign (base + lam slope)`` at ``lam = 0, 1``
-    and that ``lam`` (0 on a tie; a NaN at 1 comes with one at 0, kept)."""
-    m0, m1 = sign * (base + 0.0 * slope), sign * (base + slope)
+def _lowest_end(base, slope):
+    """Per sample, the lower of ``base + lam slope`` at ``lam = 0, 1`` and
+    that ``lam`` (0 on a tie; a NaN at 1 comes with one at 0, kept)."""
+    m0, m1 = base + 0.0 * slope, base + slope
     at_one = m1 < m0
     return np.where(at_one, m1, m0), np.where(at_one, 1.0, 0.0)
 
@@ -502,31 +502,25 @@ def _cylinder_face(ctx: _Sampling, rec: _Margins) -> None:
 
 
 def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
-    """Cone on the line: the signed gate on the four branch lines.
-
-    A branch is crossed outward where ``x p > 0`` and inward where
-    ``x p < 0``, so the gate times ``sign(x p)`` is the margin.
-    """
+    """Cone on the line: the margin ``K + B`` at each ``x = +-r``, for both
+    signs of ``p`` at once; ``F`` is read once per time."""
     a, b, F, G = ctx.spec.a, ctx.spec.b, ctx.F, ctx.G
     xi = np.concatenate([_jittered(a * 1e-3, a, 2 * ctx.spf, ctx.rng), [a]])
+    K0, B, one_minus = _cone_radial(xi, G, b)
     n_t = ctx.t_grid.size
     tq = np.repeat(ctx.t_grid, xi.size)
-    fq = F.eval(tq)
-    branches = []
-    for sx, sp in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-        xq = np.tile((sx * xi)[:, None], (n_t, 1))
-        pq = np.tile((sp * b * (1.0 - xi))[:, None], (n_t, 1))
-        g0, g1 = _cone_gate(rod_terms(xq, pq, fq, G), b)
-        rec.delta.add(*_lowest_end(g0, g1, sx * sp), tq, xq, pq, "cone-sign")
-        branches.append((xq, pq, g0, g1))
+    xq, pq = (np.tile(v[:, None], (n_t, 1)) for v in (xi, b * (1.0 - xi)))
+    base = np.tile(K0 + B, n_t)
+    K1 = np.outer(F.eval(ctx.t_grid)[:, 0], one_minus).ravel()
+    for sx in (1.0, -1.0):
+        rec.delta.add(*_lowest_end(base, -sx * K1), tq, sx * xq, pq,
+                      "cone-sign")
 
-    lam = 1.0
-    xq, pq, g0, g1 = branches[0]
+    # spot-check candidates at the full scale lam = 1
     sel = ctx.rng.choice(tq.size, size=min(30, tq.size), replace=False)
-    _, curv = _cone_quantities(tq[sel], xq[sel], pq[sel], lam, F, G, b)
-    for i, c in zip(sel, curv):
-        rec.candidate("delta", tq[i], lam, xq[i], pq[i], g0[i] + lam * g1[i],
-                      c, False)
+    gate, curv = _cone_quantities(tq[sel], xq[sel], pq[sel], 1.0, F, G, b)
+    for i, g, c in zip(sel, gate, curv):
+        rec.candidate("delta", tq[i], 1.0, xq[i], pq[i], g, c, False)
 
 
 def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
@@ -645,14 +639,14 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     * cylinder ``|x| = a``: gate points (``p`` orthogonal to ``x``) need
       positive curvature; the other points cross transversally and pass
       either way, so they are drawn only as spot-check candidates;
-    * cone ``b|x| + |p| = b``: on the line, every sample of the four branch
-      lines must cross in its prescribed direction (sign(x p)); in the
-      plane, the gate points are the roots of the module docstring's cubic
-      and need positive curvature;
+    * cone ``b|x| + |p| = b``: on the line, every sample ``x = +-r`` must
+      cross in its prescribed direction, both signs of ``p`` at once; in
+      the plane, the gate points are the roots of the module docstring's
+      cubic and need positive curvature;
     * vertex ``x = 0, |p| = b``: ``exit_cone_check``;
     * spot checks: a random subset confirmed by two-sided integrations.
 
-    The cylinder curvature and the line's cone gate, ``base + lam * slope``,
+    The cylinder curvature and the line's cone margin, ``base + lam * slope``,
     are monotone in ``lam`` as computed, for rounding is: the lower of their
     ends ``lam = 0, 1`` is their least value on all of ``[0, 1]``, bit for
     bit, and each sample is pooled once with it.  The planar cone's gate

@@ -354,8 +354,9 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     steps it takes alone.  ``breaks`` are times strictly
     inside ``(t0, t1)``, ascending, where the field's time derivative may
     jump (``PeriodicSignal.breaks_between``): each is a step node.  Raises
-    ``StepBudgetError`` if the step budget is exhausted and propagates
-    ``SingularityError`` if the field is singular even at the minimum step.
+    ``StepBudgetError`` if the step budget is exhausted, and
+    ``SingularityError`` if the field is singular, or the step's error
+    estimate is NaN or infinite, even at the minimum step.
     """
     t0 = float(t0)
     t1 = float(t1)
@@ -381,8 +382,7 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     f0 = fun(t0, y0)
     h = _initial_step(fun, t0, y0, f0, t1, cfg, n_err)
     step = _stepper(len(y0), len(y0) if n_err is None else n_err)
-    atol = cfg.abs_tol
-    rtol = cfg.rel_tol
+    atol, rtol, inf = cfg.abs_tol, cfg.rel_tol, math.inf
     t = t0
     y = y0
     k1 = f0
@@ -399,7 +399,7 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
         attempts += 1
         h = min(h, t1 - t)
         h_floor = 1e-14 * (1.0 + abs(t))
-        if h < h_floor:
+        if not h >= h_floor:
             h = h_floor
         landing = t + h >= t_knot
         if landing:
@@ -408,10 +408,12 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
 
         try:
             y_new, K, err_norm = step(fun, t, h, y, k1, atol, rtol)
+            if not err_norm < inf:  # NaN or inf: halved like a singular stage
+                raise SingularityError("error estimate not finite", t, y)
         except SingularityError as exc:
             if h <= 2 * h_floor:
                 raise SingularityError(
-                    f"field singular within one minimal step of t={t:.6g}",
+                    f"field singular within one minimal step of t={t:.6g} ({exc})",
                     time=exc.time, state=exc.state) from exc
             h *= 0.5
             continue
@@ -454,9 +456,11 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
 
 
 def _check_start(s0: PhaseState, params: ModelParams) -> None:
-    """Reject a start of the wrong dimension or already at the fall threshold."""
+    """Reject a start of the wrong dimension, not finite, or at the fall threshold."""
     if s0.dim != params.dim:
         raise ValueError(f"state dim {s0.dim} does not match model dim {params.dim}")
+    if not all(map(math.isfinite, s0.flat().tolist())):
+        raise ValueError(f"initial state x = {s0.x}, p = {s0.p} is not finite")
     r = float(np.linalg.norm(s0.x))
     if r >= FALL_THRESHOLD:
         raise ValueError(

@@ -17,7 +17,8 @@ from upright.bounds import (BoundSetSpec, _cone_gate_roots, _cone_gate_terms,
                             degree_of_autonomous_field, exit_cone_check,
                             orbit_containment, save_certificate_json,
                             verify_bound_set)
-from upright.dynamics import ModelParams, PhaseState, make_field, rod_terms
+from upright.dynamics import (ModelParams, PhaseState, make_field,
+                              rod_acceleration, rod_terms)
 from upright.errors import BoundVerificationError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve, integrate_field
@@ -219,10 +220,20 @@ F4 = make_fourier_forcing(
     [(0.1, 1.0), (0.2, 0.3), (0.1, 0.1), (0.05, 0.02)])
 
 
+def _split_cone_gate(s, b):
+    """The cone gate ``(b/|x|) x.p + p.(R x + Phi)/|p|`` from the rod
+    kernel's terms ``s``, as ``g0 + lam * g1``."""
+    pn = np.sqrt(s.p2)
+    g0 = ((b / np.sqrt(s.r2)) * s.xp
+          + np.sum(s.P * (s.R[:, None] * s.X), axis=1) / pn)
+    g1 = np.sum(s.P * (s.xf[:, None] * s.X - s.F), axis=1) / pn
+    return g0, g1
+
+
 def _cone_gate(t, theta, r, psi, lam, F, b, G=9.81):
     x = r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     p = (b * (1.0 - r))[:, None] * np.stack([np.cos(psi), np.sin(psi)], axis=1)
-    g0, g1 = bounds._cone_gate(rod_terms(x, p, F.eval(t), G), b)
+    g0, g1 = _split_cone_gate(rod_terms(x, p, F.eval(t), G), b)
     return g0 + lam * g1
 
 
@@ -572,7 +583,7 @@ def test_boundary_samples_count_the_samples_given_a_margin(dim):
                                      + cert.delta_gate_count + vertices)
     if dim == 1:
         assert (cert.boundary_samples, cert.gamma_gate_count,
-                cert.delta_gate_count) == (16896, 128, 16640)
+                cert.delta_gate_count) == (8576, 128, 8320)
 
 
 def test_planar_cylinder_pools_exactly_its_gate_grid():
@@ -619,14 +630,66 @@ def test_line_cone_face_reads_forcing_once_on_its_branch_times(monkeypatch):
     monkeypatch.setattr(bounds, "_cone_face_line", counted_face)
     spf = 8
     verify_bound_set(_line_certify_spec(), 9.81, F1, samples_per_face=spf)
-    # the four branches share one read; the 30 spot candidates read again
-    assert sizes == [(2 * spf) * (2 * spf + 1), 30]
+    # both sides share one read per time; the 30 spot candidates read again
+    assert sizes == [2 * spf, 30]
+
+
+@pytest.mark.parametrize("b_scale", [1.0, 0.3], ids=["passing", "undersized"])
+@pytest.mark.parametrize("F", [F1, make_fourier_forcing(
+    1.5, 1, [0.8, -0.3], [1.1, 0.2], constant=[0.4])], ids=["cosine", "mixed"])
+def test_line_cone_margin_is_the_signed_gate_on_all_four_branches(
+        monkeypatch, F, b_scale):
+    # the pooled margin at lam = 0 and 1 is sign(x p) n' from the rod
+    # kernel on each branch x = +-r, p = +-b (1 - r): one margin serves
+    # (x, p) and (x, -p), and the two sides are pooled once each
+    G = 9.81
+    a = compute_a(G, F.sup_norm, 0.5)
+    b = b_scale * compute_b_linear(a, F.sup_norm, 0.5)
+    ends, pooled = [], []
+    lowest_end = bounds._lowest_end
+
+    def recorded(base, slope):
+        ends.append((base, slope))
+        return lowest_end(base, slope)
+
+    def added(margins, lams, ts, xs, ps, kind):
+        pooled.append((ts, xs, ps, kind))
+
+    monkeypatch.setattr(bounds, "_lowest_end", recorded)
+    monkeypatch.setattr(bounds._MarginPool, "add",
+                        lambda self, *args: added(*args))
+    verify_bound_set(BoundSetSpec(a, b, 1), G, F, samples_per_face=8, seed=4)
+    cone = [(e, p) for e, p in zip(ends, pooled) if p[3] == "cone-sign"]
+    assert [np.sign(p[1][0, 0]) for _, p in cone] == [1.0, -1.0]
+    scale = b * b + G + F.sup_norm
+    for (base, slope), (ts, xs, ps, _) in cone:
+        assert np.all(ps > 0.0)
+        for sp in (1.0, -1.0):
+            s = rod_terms(xs, sp * ps, F.eval(ts), G)
+            for lam in (0.0, 1.0):
+                acc = rod_acceleration(s, lam)
+                gate = (b * s.xp / np.sqrt(s.r2)
+                        + np.sum(s.P * acc, axis=1) / np.sqrt(s.p2))
+                np.testing.assert_allclose(base + lam * slope,
+                                           np.sign(s.xp) * gate,
+                                           rtol=0.0, atol=1e-15 * scale)
+
+
+def test_line_certificate_worst_cone_samples_are_distinct():
+    # (x, -p) shares (x, p)'s margin, so a mirror pair would fill two
+    # worst slots with one sample: no two entries differ only in p's sign
+    spec = _line_certify_spec()
+    for b in (spec.b, 1.0):
+        cert = verify_bound_set(BoundSetSpec(spec.a, b, 1), 9.81, F1,
+                                samples_per_face=8, seed=1)
+        points = [(w["t"], *w["x"], abs(w["p"][0])) for w in cert.worst_delta]
+        assert len(set(points)) == len(points) == bounds._WORST_KEPT
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("dim", [1, 2], ids=["line", "plane"])
 def test_cone_quantities_gate_is_the_split_cone_gate(dim, lam):
-    # n' from the curvature's terms equals _cone_gate's g0 + lam g1 to
+    # n' from the curvature's terms equals the split gate g0 + lam g1 to
     # rounding of its terms, at random cone face points
     rng = np.random.default_rng(5)
     b, n, F = 4.0, 2000, (F1 if dim == 1 else F4)
@@ -638,7 +701,7 @@ def test_cone_quantities_gate_is_the_split_cone_gate(dim, lam):
     x, p = r[:, None] * u, (b * (1.0 - r))[:, None] * v
     gate, _ = _cone_quantities(t, x, p, lam, F, 9.81, b)
     s = rod_terms(x, p, F.eval(t), 9.81)
-    g0, g1 = bounds._cone_gate(s, b)
+    g0, g1 = _split_cone_gate(s, b)
     pn = np.sqrt(s.p2)
     size = (np.abs(b * s.xp / np.sqrt(s.r2))
             + np.abs(np.sum(s.P * (s.R[:, None] * s.X), axis=1)) / pn
@@ -693,10 +756,6 @@ def test_lowest_end_keeps_the_margin_printed_at_each_end():
                                        np.array([0.0, -0.0, -2.0, np.nan]))
     assert json.dumps(margins.tolist()) == "[0.0, -0.0, -1.0, NaN]"
     assert lams.tolist() == [0.0, 0.0, 1.0, 0.0]
-    # the line cone's sign applies after the sum, so an exact zero of
-    # g0 + lam g1 flips to -0.0 on a branch of sign -1
-    margins, _ = bounds._lowest_end(np.array([1.0]), np.array([-1.0]), -1.0)
-    assert json.dumps(margins.tolist()) == "[-1.0]"
 
 
 def test_affine_faces_cover_every_lambda_in_the_unit_interval(monkeypatch):
@@ -706,9 +765,9 @@ def test_affine_faces_cover_every_lambda_in_the_unit_interval(monkeypatch):
     # is the certificate's
     lowest_end, seen = bounds._lowest_end, []
 
-    def recorded(base, slope, sign=1.0):
-        seen.append((base, slope, sign))
-        return lowest_end(base, slope, sign)
+    def recorded(base, slope):
+        seen.append((base, slope))
+        return lowest_end(base, slope)
 
     monkeypatch.setattr(bounds, "_lowest_end", recorded)
     lam_fine = np.linspace(0.0, 1.0, 1001)[:, None]
@@ -721,11 +780,11 @@ def test_affine_faces_cover_every_lambda_in_the_unit_interval(monkeypatch):
             cert = verify_bound_set(spec, 9.81, F, samples_per_face=4,
                                     seed=seed)
             lows = []
-            for base, slope, sign in seen:
-                low, lam = lowest_end(base, slope, sign)
-                fine = sign * (base + lam_fine * slope)
+            for base, slope in seen:
+                low, lam = lowest_end(base, slope)
+                fine = base + lam_fine * slope
                 np.testing.assert_array_equal(np.min(fine, axis=0), low)
-                np.testing.assert_array_equal(sign * (base + lam * slope), low)
+                np.testing.assert_array_equal(base + lam * slope, low)
                 lows.append(low)
             pooled = (min(cert.min_margin_gamma, cert.min_margin_delta)
                       if spec.dim == 1 else cert.min_margin_gamma)
@@ -770,18 +829,19 @@ def test_verify_lambda_grid_contains_endpoints():
 # are those the per-scale verifier computed on the 21-point grid, before the
 # cone gate became g0 + lam g1; the counts are per sample, for the two faces
 # now cover lam in [0, 1] from its ends, and the boundary samples are those a
-# margin is formed for: the gate and vertex samples.  Inputs: the
+# margin is formed for: the gate and vertex samples.  The cone counts each
+# point (x, |p|) once, for (x, p) and (x, -p) share one margin.  Inputs: the
 # benchmark's ``certify`` linear config (a, b from the sampled sup |F|,
 # 32 samples per face, seed 1), its twin refuted with b = 1, and the config
 # of demos/bound_set_certificate.py (a, b from |F| = 2, 16 per face, seed 0).
 LINEAR_CERTIFICATES = {
-    "certify": (True, True, 16896, 128, 16640,
+    "certify": (True, True, 8576, 128, 8320,
                 2.0574163000705328, 7.932731780020939),
-    "refute": (False, False, 16896, 128, 16640,
+    "refute": (False, False, 8576, 128, 8320,
                2.0574163000705328, -0.9728440159359384),
-    "demo": (True, True, 4352, 64, 4224,
+    "demo": (True, True, 2240, 64, 2112,
              2.061400024358217, 7.936341612622172),
-    "demo_refuted": (False, False, 4352, 64, 4224,
+    "demo_refuted": (False, False, 2240, 64, 2112,
                      2.061400024358217, -0.9330854656279305),
 }
 
@@ -816,24 +876,23 @@ def test_lambda_free_kernels_run_once_per_verification(monkeypatch):
             return kernel(*args, **kwargs)
         return wrapper
 
-    for name in ("_cylinder_quantities", "_cone_gate", "_cone_gate_terms"):
+    names = ("_cylinder_quantities", "_cone_radial")
+    for name in names:
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     a1 = compute_a(9.81, 2.0, 0.5)
     a2 = compute_a(9.81, 1.5, 0.5)
-    # the planar face takes its gates from the cubic's cell terms and never
-    # splits the cone gate in lam, so there only the cell kernel is counted
-    for spec, F, cone in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0, 0.5), 1),
-                           F1, "_cone_gate"),
-                          (BoundSetSpec(a2, 5.0, 2), F2, "_cone_gate_terms")):
+    # both cone faces take their lam-free terms K0, B from the radial kernel
+    for spec, F in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0, 0.5), 1), F1),
+                    (BoundSetSpec(a2, 5.0, 2), F2)):
         seen = []
         for n_lam in (3, 21):
             calls.clear()
             monkeypatch.setattr(bounds, "_LAMBDA_GRID", np.linspace(0.0, 1.0, n_lam))
             verify_bound_set(spec, 9.81, F, samples_per_face=6)
-            seen.append({name: calls.get(name, 0)
-                         for name in ("_cylinder_quantities", cone)})
+            seen.append({name: calls.get(name, 0) for name in names})
         assert seen[0] == seen[1], (spec.dim, seen)
-        assert seen[0]["_cylinder_quantities"] > 0 and seen[0][cone] > 0, seen
+        assert seen[0]["_cylinder_quantities"] > 0, seen
+        assert seen[0]["_cone_radial"] == 1, seen
 
 
 def test_certificate_json_roundtrip(tmp_path):

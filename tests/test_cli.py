@@ -108,6 +108,17 @@ def test_verify_bounds_failure_exit_code(tmp_path, capsys):
     assert "verified = False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("a", [1.0, 1.5])
+def test_verify_bounds_planar_radius_outside_the_unit_interval_exit_1(
+        tmp_path, caplog, a):
+    # the planar slope search is refused before it divides by (1 - a)^3
+    rc, _ = run(tmp_path, "verify-bounds", problem="planar",
+                forcing={"cosine": [[1.5, 0.0]], "sine": [[0.0, 1.5]]},
+                bounds={"samples_per_face": 4, "a_override": a})
+    assert rc == 1
+    assert "invalid configuration" in caplog.text and "(0,1)" in caplog.text
+
+
 def test_verify_bounds_spot_checks_skip_arcs_through_the_cone_vertex(tmp_path):
     # at this seed a cone-face spot sample at x = 0.00227, p = 4.234 has a
     # two-sided arc crossing x = 0, where the cone gauge has a kink; such

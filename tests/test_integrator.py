@@ -18,6 +18,7 @@ from upright.integrator import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
                                 EventKind, IntegratorConfig, Trajectory,
                                 _dense_state, _fall_event, _stepper, evolve,
                                 integrate_field)
+from upright.poincare import poincare_map
 
 TWO_PI = 2.0 * math.pi
 
@@ -214,6 +215,33 @@ def test_initial_state_on_threshold_rejected():
     cfg = IntegratorConfig()
     with pytest.raises(ValueError):
         evolve(0.0, 1.0, PhaseState(FALL_THRESHOLD, 0.0), params, F1, cfg)
+
+
+@pytest.mark.parametrize("x, p", [(math.nan, 0.0), (0.1, math.nan),
+                                  (math.inf, 0.0), (0.0, -math.inf)])
+def test_non_finite_start_rejected(x, p):
+    params = ModelParams(G=9.81, lam=1.0, dim=1)
+    with pytest.raises(ValueError, match="not finite"):
+        evolve(0.0, 1.0, PhaseState(x, p), params, F1)
+    with pytest.raises(ValueError, match="not finite"):
+        poincare_map(PhaseState(x, p), params, F1)
+
+
+def test_non_finite_error_estimate_halves_then_raises():
+    # a field that turns NaN at t > 0.5: each step across it has a NaN
+    # error estimate and is halved like a singular stage; at the step floor
+    # next to t = 0.5 the driver gives up, long before the step budget
+    def fun(t, y):
+        return [math.nan if t > 0.5 else 1.0]
+
+    with pytest.raises(SingularityError, match="estimate not finite") as err:
+        integrate_field(fun, 0.0, 1.0, [0.0], IntegratorConfig(max_steps=200),
+                        fall_dim=1)
+    assert abs(err.value.time - 0.5) <= 1e-12
+    # a NaN start gives a NaN first step, which goes to the floor at once
+    with pytest.raises(SingularityError, match="t=0 "):
+        integrate_field(lambda t, y: [1.0], 0.0, 1.0, [math.nan],
+                        IntegratorConfig(max_steps=5))
 
 
 def test_config_validation():
