@@ -6,12 +6,13 @@ b|x| + |p| <= b.  A trajectory touching the boundary must not be able to
 linger: at every boundary point either the flow crosses transversally, or
 (at tangencies) the gauge function curves strictly upward along the flow,
 so the touching trajectory leaves immediately on both sides.  The
-verifier samples both faces, locates the tangency sets exactly, evaluates
-the curvature there, and confirms a random subset of predictions by short
-two-sided integrations.  On the line both faces' margins are affine in the
-forcing scale, so each sample is checked at its worst end, scale 0 or 1,
-which covers every scale in between: the certificate's "lambda" entry says
-"interval" for both.
+verifier reads the least margin of both faces in closed form: the forcing
+enters them only through lam x.F/|x|, which is at most sup|F| at every time
+and forcing scale lam in [0, 1], so the certificate's "lambda" entry says
+"interval" for both.  The cylinder's least tangency curvature is exact; the
+cone's margin c(r) is enclosed on a fine grid of radii.  Each face also
+reports concrete witness points, one per sampled time, and a random subset
+of predictions is confirmed by short two-sided integrations.
 """
 import json
 from pathlib import Path
@@ -33,21 +34,20 @@ print(f"a = {a:.6f}, b = {b:.6f}")
 print(f"verified = {cert.verified}")
 print(f"boundary samples: {cert.boundary_samples}")
 print(f"cylinder tangency margin: {cert.min_margin_gamma:.4f} "
-      f"over {cert.gamma_gate_count} gate points")
+      f"({cert.gamma_gate_count} witness points)")
 print(f"cone margin:              {cert.min_margin_delta:.4f} "
-      f"over {cert.delta_gate_count} branch samples")
+      f"({cert.delta_gate_count} witness points)")
 print(f"vertex exit condition (b^2 > |F|): {cert.corner_ok}")
 print(f"integration spot checks: {cert.spot_checks['passed']}"
       f"/{cert.spot_checks['attempted']}")
 save_certificate_json(cert, OUT / "certificate_pass.json")
 
 # now shrink the cone until it stops working: with b^2 < |F| the carriage
-# can push the rod out through the vertex, and the samples catch it
+# can push the rod out through the vertex, and the closed form refutes it
 bad = verify_bound_set(BoundSetSpec(a, 1.0, 1), G, F, samples_per_face=16)
 print(f"\nwith b = 1: verified = {bad.verified}, "
       f"vertex ok = {bad.corner_ok}, "
       f"worst cone margin = {bad.min_margin_delta:.4f}")
-worst = bad.worst_delta[0]
-print("worst offending sample:", json.dumps(worst, indent=2))
+print("closed-form refutation:", json.dumps(bad.failures[0], indent=2))
 save_certificate_json(bad, OUT / "certificate_fail.json")
 print(f"wrote {OUT / 'certificate_pass.json'} and certificate_fail.json")

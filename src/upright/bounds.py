@@ -22,13 +22,23 @@ so ``m' = x.p``, ``m'' = |p|^2 + x.a`` and
     n'' = b (|x|^2 |p|^2 - (x.p)^2)/|x|^3 + (|p|^2 |a|^2 - (p.a)^2)/|p|^3
           + b (x.a)/|x| + (p.a')/|p|.
 
-``verify_bound_set`` checks these conditions by quasi-uniform sampling of
-both faces over time, face coordinates and every forcing scale ``lam`` in
-``[0, 1]`` (a grid of scales on the planar cone), and spot-confirms a random
-subset of predictions by short forward/backward integrations.  Gate points
-are located exactly.  On the planar cone face at ``x = r (cos theta, sin theta)``,
-``|p| = rho = b (1 - r)``, ``c = cos s`` for the velocity angle ``s`` from ``x``,
-and ``f_par``, ``f_perp`` the forcing along ``x`` and across it, the gate is
+The forcing enters the cylinder's and the line cone's margins only through
+``lam xh.F`` (``xh = x/|x|``), at most ``sup|F|`` for every time and ``lam``
+in ``[0, 1]``: ``verify_bound_set`` reads both in closed form.  At a
+cylinder gate point (``x.p = 0``, ``|p| = rho``), in both dimensions,
+
+    m'' = rho^2 (1 - a^2) + a sqrt(1 - a^2) (G a - sqrt(1 - a^2) lam xh.F),
+
+least at ``rho = 0`` and ``lam xh.F = sup|F|``.  On the line's cone at
+``|x| = r`` the least margin is ``c(r) = b^2 (1-r)/(1+r) + r G sqrt(1-r^2)
+- sup|F| (1-r^2)``, enclosed on ``[0, a]`` by a fixed grid of ``r`` and
+``|c'| <= 2 b^2 + G/sqrt(1 - a^2) + 2 a sup|F|``.  The planar cone's gate
+points are located exactly over sampled time, face coordinates and scales;
+random predictions are spot-confirmed by short two-sided integrations.
+
+On the planar cone face at ``x = r (cos theta, sin theta)``, ``|p| = rho =
+b (1 - r)``, ``c = cos s`` for the velocity angle ``s`` from ``x``, and
+``f_par``, ``f_perp`` the forcing along ``x`` and across it, the gate is
 
     g(s) = c (K + B c^2) - L sin s,      B = -r^3 rho^2 / (1 - r^2) < 0,
     K = b rho + r (G sqrt(1 - r^2) - rho^2) - lam f_par (1 - r^2),
@@ -40,9 +50,9 @@ the sign of ``sin s``.  Where ``L = 0`` (``lam = 0``, or F along ``x``) the
 cubic is ``w (K + B w)^2``: ``c = 0`` and ``c^2 = -K/B``, each with either
 sign of ``sin s``.  On the line, the plane's axis, ``s`` is 0 or ``pi``,
 ``f_par = sign(x) F`` and ``L = 0``: the margin ``sign(x p) n'`` is ``g(0) =
-K + B`` at ``(x, p)`` and ``(x, -p)`` alike.  The closed-form constants
-(``compute_a`` and friends) supply starting values of ``a`` and ``b`` that
-make the conditions hold.
+K + B`` at ``(x, p)`` and ``(x, -p)`` alike, ``c(r)`` at its worst.  The
+closed-form constants (``compute_a`` and friends) supply starting values of
+``a`` and ``b`` that make the conditions hold.
 """
 from __future__ import annotations
 
@@ -126,11 +136,10 @@ class BoundSetCertificate:
 def compute_a(G: float, F_norm: float, margin: float = 0.5) -> float:
     """Cylinder radius, the same on the line and in the plane.
 
-    The threshold radius is ``a* = F_norm / sqrt(G^2 + F_norm^2)``; any
-    ``a`` above it keeps the cylinder face repelling.  In the plane the
-    condition ``G a sqrt(1+a) = (1+a) F_norm sqrt(1-a)`` factors as
-    ``sqrt(1+a) (G a - F_norm sqrt(1-a^2))``, so its root is the same
-    ``a*``.  Returns ``a* + margin*(1 - a*)``.
+    The threshold radius ``a* = F_norm / sqrt(G^2 + F_norm^2)`` is the root
+    of ``G a - F_norm sqrt(1 - a^2)``, the sign of the cylinder gate's least
+    curvature on the line and in the plane alike; any ``a`` above it keeps
+    the cylinder face repelling.  Returns ``a* + margin*(1 - a*)``.
     """
     if G <= 0:
         raise ValueError(f"G must be positive, got {G}")
@@ -342,6 +351,8 @@ def degree_of_autonomous_field(G: float, dim: int) -> int:
 # forcing scales at which the planar cone face is checked, ascending; the
 # last is the full forcing lam = 1
 _LAMBDA_GRID = np.linspace(0.0, 1.0, 21)
+# radii of the grid on [0, a] that encloses the line cone's closed form
+_CONE_RADII = 2 ** 14 + 1
 # samples confirmed by two-sided integration in each verification
 _SPOT_CHECKS = 50
 # worst samples a margin pool reports
@@ -358,20 +369,18 @@ class _MarginPool:
         self.count = 0
         self.worst: list[dict] = []
 
-    def add(self, margins, lams, ts, xs, ps, kind: str):
-        """Pool the margin of sample ``i`` at scale ``lams[i]``, or at the one
-        scale ``lams``; the worst tie by sample index."""
+    def add(self, margins, lam: float, ts, xs, ps, kind: str):
+        """Pool the samples' margins at scale ``lam``; the worst tie by index."""
         m = np.asarray(margins, dtype=float)
         if m.size == 0:
             return
-        lams = np.broadcast_to(lams, m.shape)
         self.count += m.size
         self.min = min(self.min, float(np.min(m)))
         k = min(_WORST_KEPT, m.size)
         kept = np.flatnonzero(m <= m[np.argpartition(m, k - 1)[k - 1]])
         for i in kept[np.argsort(m[kept], kind="stable")[:k]]:
             self.worst.append({
-                "margin": float(m[i]), "t": float(ts[i]), "lam": float(lams[i]),
+                "margin": float(m[i]), "t": float(ts[i]), "lam": float(lam),
                 "x": [float(v) for v in xs[i]], "p": [float(v) for v in ps[i]],
                 "kind": kind})
         self.worst.sort(key=lambda e: e["margin"])
@@ -382,14 +391,6 @@ class _MarginPool:
         self.worst.append(dict(entry, margin=float(value)))
         self.worst.sort(key=lambda e: e["margin"])
         del self.worst[_WORST_KEPT:]
-
-
-def _lowest_end(base, slope):
-    """Per sample, the lower of ``base + lam slope`` at ``lam = 0, 1`` and
-    that ``lam`` (0 on a tie; a NaN at 1 comes with one at 0, kept)."""
-    m0, m1 = base + 0.0 * slope, base + slope
-    at_one = m1 < m0
-    return np.where(at_one, m1, m0), np.where(at_one, 1.0, 0.0)
 
 
 def _unit(angles) -> np.ndarray:
@@ -405,13 +406,13 @@ def _jittered(lo: float, hi: float, n: int, rng) -> np.ndarray:
 def _thresholds(spec: BoundSetSpec, G: float, F: PeriodicSignal) -> dict:
     a, b = spec.a, spec.b
     Fn = F.sup_norm
+    # the cylinder gate's least curvature is a sqrt(1 - a^2) a_margin
+    a_margin = G * a - Fn * math.sqrt(1.0 - a * a)
     if spec.dim == 1:
-        a_margin = G * a - Fn * math.sqrt(1.0 - a * a)
         b2_req = (1.0 + a) * Fn / (1.0 - a)
         ok = a_margin > 0.0 and b * b > b2_req
         return {"a_margin": a_margin, "b_squared": b * b,
                 "b_squared_required": b2_req, "invariants_ok": ok}
-    a_margin = G * a * math.sqrt(1.0 + a) - (1.0 + a) * Fn * math.sqrt(1.0 - a)
     b4_req = 16.0 * Fn * Fn / (1.0 - a) ** 3
     ok = a_margin > 0.0 and b ** 4 > b4_req and b * b > Fn
     return {"a_margin": a_margin, "b_fourth": b ** 4,
@@ -442,85 +443,82 @@ class _Margins:
             "x": np.array(x, dtype=float), "p": np.array(p, dtype=float),
             "gate": float(gate), "curv": float(curv), "exact_gate": exact_gate})
 
+    def closed_form(self, pool: _MarginPool, value: float, face: str, r: float):
+        """A face's least margin in closed form, reached at radius ``r``."""
+        pool.min = min(pool.min, float(value))
+        if not value > 0.0:
+            self.failures.append({"face": face, "r": float(r), "margin": float(value),
+                                  "reason": "closed-form margin is not positive"})
 
-def _cylinder_samples(ctx: _Sampling):
-    """Up to 40 transversal spot candidates ``(t, x, p)`` of ``|x| = a``,
-    rows of the full product grid, and groups of exact gate samples."""
-    a, b, spf, rng, t_grid = ctx.spec.a, ctx.spec.b, ctx.spf, ctx.rng, ctx.t_grid
-    n_t = t_grid.size
-    p_max = b * (1.0 - a)
-    if ctx.spec.dim == 1:
-        # product grid over (t, side of x, p)
-        grids = (t_grid, np.asarray([a, -a]), _jittered(-p_max, p_max, 2 * spf, rng))
-        # on the line the gate is p = 0, on either side
-        gates = [(t_grid, np.full((n_t, 1), x), np.zeros((n_t, 1)))
-                 for x in (a, -a)]
-    else:
-        theta_grid = _jittered(0.0, 2.0 * math.pi, spf, rng)
-        rho_grid = np.concatenate([_jittered(0.0, p_max, max(4, spf // 2), rng),
-                                   [p_max]])
-        grids = (t_grid, theta_grid, rho_grid, _jittered(0.0, 2.0 * math.pi, spf, rng))
-        # exact gates: p = 0, and p orthogonal to x (the curvature is even in p)
-        tg, thg, rhg = (v.ravel() for v in np.meshgrid(
-            t_grid, theta_grid, np.concatenate([[0.0], rho_grid]), indexing="ij"))
-        radial = _unit(thg)
-        gates = [(tg, a * radial, rhg[:, None] * (radial[:, ::-1] * [-1.0, 1.0]))]
-    # the candidates, drawn by flat index into the C-ordered product grid
+
+def _draw_rows(grids, size, rng):
+    """Rows of the C-ordered product of ``grids``, drawn by flat index."""
     shape = [g.size for g in grids]
     n = math.prod(shape)
-    rows = np.unravel_index(rng.choice(n, size=min(40, n), replace=False), shape)
-    t, *rest = (g[i] for g, i in zip(grids, rows))
-    if ctx.spec.dim == 1:
-        return (t, rest[0][:, None], rest[1][:, None]), gates
-    th, rh, psi = rest
-    return (t, a * _unit(th), rh[:, None] * _unit(psi)), gates
+    rows = np.unravel_index(rng.choice(n, size=min(size, n), replace=False), shape)
+    return [g[i] for g, i in zip(grids, rows)]
 
 
 def _cylinder_face(ctx: _Sampling, rec: _Margins) -> None:
-    """Cylinder ``|x| = a``: the curvature at every gate sample and scale;
-    transversal samples pass either way and only offer spot checks."""
-    F, G, rng = ctx.F, ctx.G, ctx.rng
-    (ts, xs, ps), gates = _cylinder_samples(ctx)
-    full = []
-    for t, x, p in gates:
-        _, g_base, g_slope = _cylinder_quantities(t, x, p, F, G)
-        full.append(g_base + g_slope)
-        rec.gamma.add(*_lowest_end(g_base, g_slope), t, x, p, "cylinder-gate")
+    """Cylinder ``|x| = a``: the gate curvature's least value in closed form,
+    witnessed at each grid time by ``p = 0``, ``x`` along ``F``, ``lam = 1``.
+    Spot candidates are 40 transversal rows of the ``(t, x, p)`` product grid,
+    then exact gate points (``p`` orthogonal to ``x``; the curvature is even in ``p``)."""
+    a, b, F, G, spf, rng, t_grid = (ctx.spec.a, ctx.spec.b, ctx.F, ctx.G,
+                                    ctx.spf, ctx.rng, ctx.t_grid)
+    f = F.eval(t_grid)
+    f[np.linalg.norm(f, axis=1) == 0.0, 0] = 1.0  # F = 0: along the first axis
+    x, p = a * (f / np.linalg.norm(f, axis=1, keepdims=True)), np.zeros_like(f)
+    _, base, slope = _cylinder_quantities(t_grid, x, p, F, G)
+    rec.gamma.add(base + slope, 1.0, t_grid, x, p, "cylinder-gate")
+    rec.closed_form(rec.gamma, a * math.sqrt(1.0 - a * a)
+                    * _thresholds(ctx.spec, G, F)["a_margin"], "cylinder", a)
 
-    lam = 1.0
-    xp, base, slope = _cylinder_quantities(ts, xs, ps, F, G)
-    for j in range(ts.size):
-        rec.candidate("gamma", ts[j], lam, xs[j], ps[j], xp[j],
-                      base[j] + lam * slope[j], False)
-    (t, x, p), curv = gates[0], full[0]
+    p_max = b * (1.0 - a)
     if ctx.spec.dim == 1:
-        picks = range(0, t.size, max(1, t.size // 8))
+        t, x, p = _draw_rows((t_grid, np.asarray([a, -a]),
+                              _jittered(-p_max, p_max, 2 * spf, rng)), 40, rng)
+        transversal = (t, x[:, None], p[:, None])
+        i = np.arange(0, t_grid.size, max(1, t_grid.size // 8))
+        gate = (t_grid[i], np.full((i.size, 1), a), np.zeros((i.size, 1)))
     else:
-        picks = rng.choice(t.size, size=min(10, t.size), replace=False)
-    for i in picks:
-        rec.candidate("gamma", t[i], lam, x[i], p[i], 0.0, curv[i], True)
+        theta = _jittered(0.0, 2.0 * math.pi, spf, rng)
+        rho = np.concatenate([_jittered(0.0, p_max, max(4, spf // 2), rng), [p_max]])
+        t, th, rh, psi = _draw_rows((t_grid, theta, rho,
+                                     _jittered(0.0, 2.0 * math.pi, spf, rng)), 40, rng)
+        transversal = (t, a * _unit(th), rh[:, None] * _unit(psi))
+        t, th, rh = _draw_rows((t_grid, theta, np.concatenate([[0.0], rho])), 10, rng)
+        gate = (t, a * _unit(th), rh[:, None] * (_unit(th)[:, ::-1] * [-1.0, 1.0]))
+    for (t, x, p), exact in ((transversal, False), (gate, True)):
+        xp, base, slope = _cylinder_quantities(t, x, p, F, G)
+        for j in range(t.size):
+            rec.candidate("gamma", t[j], 1.0, x[j], p[j],
+                          0.0 if exact else xp[j], base[j] + slope[j], exact)
 
 
 def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
-    """Cone on the line: the margin ``K + B`` at each ``x = +-r``, for both
-    signs of ``p`` at once; ``F`` is read once per time."""
-    a, b, F, G = ctx.spec.a, ctx.spec.b, ctx.F, ctx.G
-    xi = np.concatenate([_jittered(a * 1e-3, a, 2 * ctx.spf, ctx.rng), [a]])
-    K0, B, one_minus = _cone_radial(xi, G, b)
-    n_t = ctx.t_grid.size
-    tq = np.repeat(ctx.t_grid, xi.size)
-    xq, pq = (np.tile(v[:, None], (n_t, 1)) for v in (xi, b * (1.0 - xi)))
-    base = np.tile(K0 + B, n_t)
-    K1 = np.outer(F.eval(ctx.t_grid)[:, 0], one_minus).ravel()
-    for sx in (1.0, -1.0):
-        rec.delta.add(*_lowest_end(base, -sx * K1), tq, sx * xq, pq,
-                      "cone-sign")
+    """Cone on the line: the least margin ``c(r)``, enclosed on ``[0, a]``.
+    The witness at each grid time is the grid's worst radius (``x != 0``)
+    on the side of ``F``, ``lam = 1``: ``K0 + B - |F(t)| (1 - r^2)``."""
+    a, b, F, G, t_grid = ctx.spec.a, ctx.spec.b, ctx.F, ctx.G, ctx.t_grid
+    r = np.linspace(0.0, a, _CONE_RADII)
+    K0, B, one_minus = _cone_radial(r, G, b)
+    c = K0 + B - F.sup_norm * one_minus
+    j = int(np.argmin(c))
+    slope = 2.0 * b * b + G / math.sqrt(1.0 - a * a) + 2.0 * a * F.sup_norm
+    rec.closed_form(rec.delta, c[j] - 0.5 * slope * (r[1] - r[0]), "cone", r[j])
+    k, f = max(j, 1), F.eval(t_grid)
+    x = r[k] * np.where(f < 0.0, -1.0, 1.0)
+    rec.delta.add(K0[k] + B[k] - np.abs(f[:, 0]) * one_minus[k], 1.0, t_grid,
+                  x, np.full_like(x, b * (1.0 - r[k])), "cone-sign")
 
     # spot-check candidates at the full scale lam = 1
-    sel = ctx.rng.choice(tq.size, size=min(30, tq.size), replace=False)
-    gate, curv = _cone_quantities(tq[sel], xq[sel], pq[sel], 1.0, F, G, b)
-    for i, g, c in zip(sel, gate, curv):
-        rec.candidate("delta", tq[i], 1.0, xq[i], pq[i], g, c, False)
+    xi = np.concatenate([_jittered(a * 1e-3, a, 2 * ctx.spf, ctx.rng), [a]])
+    tq, xq = _draw_rows((t_grid, xi), 30, ctx.rng)
+    xq, pq = xq[:, None], b * (1.0 - xq[:, None])
+    gate, curv = _cone_quantities(tq, xq, pq, 1.0, F, G, b)
+    for i in range(tq.size):
+        rec.candidate("delta", tq[i], 1.0, xq[i], pq[i], gate[i], curv[i], False)
 
 
 def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
@@ -551,10 +549,8 @@ def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
         rec.candidate("delta", tc[cells[i]], lam, xc[cells[i]], p_root[i],
                       0.0, curv[i], True)
     # transversal candidates on 32 velocity angles per cell
-    sel = rng.choice(tc.size * 32, size=min(40, tc.size * 32), replace=False)
-    rows = sel // 32
-    psis = (sel % 32) * (2.0 * math.pi / 32)
-    p_sel = pnorm[rows, None] * _unit(psis)
+    rows, k = _draw_rows((np.arange(tc.size), np.arange(32)), 40, rng)
+    p_sel = pnorm[rows, None] * _unit(k * (2.0 * math.pi / 32))
     gate, curv_sel = _cone_quantities(tc[rows], xc[rows], p_sel, lam, F, G, b)
     for j, i in enumerate(rows):
         rec.candidate("delta", tc[i], lam, xc[i], p_sel[j], gate[j],
@@ -631,26 +627,22 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
                      cfg: IntegratorConfig | None = None,
                      samples_per_face: int = 16, *,
                      seed: int = 0) -> BoundSetCertificate:
-    """Sample the boundary faces and certify the trap conditions.
+    """Check the boundary faces and certify the trap conditions.
 
     One function per face writes to a shared margin record, in a fixed
     order so that the seed fixes every sample:
 
     * cylinder ``|x| = a``: gate points (``p`` orthogonal to ``x``) need
-      positive curvature; the other points cross transversally and pass
-      either way, so they are drawn only as spot-check candidates;
-    * cone ``b|x| + |p| = b``: on the line, every sample ``x = +-r`` must
-      cross in its prescribed direction, both signs of ``p`` at once; in
-      the plane, the gate points are the roots of the module docstring's
-      cubic and need positive curvature;
+      positive curvature, least in the module docstring's closed form;
+    * cone ``b|x| + |p| = b``: on the line, the enclosed minimum of ``c(r)``
+      must be positive; in the plane, the curvature at the roots of the
+      module docstring's cubic, per scale of ``_LAMBDA_GRID``;
     * vertex ``x = 0, |p| = b``: ``exit_cone_check``;
     * spot checks: a random subset confirmed by two-sided integrations.
 
-    The cylinder curvature and the line's cone margin, ``base + lam * slope``,
-    are monotone in ``lam`` as computed, for rounding is: the lower of their
-    ends ``lam = 0, 1`` is their least value on all of ``[0, 1]``, bit for
-    bit, and each sample is pooled once with it.  The planar cone's gate
-    points move with ``lam`` and are pooled per scale of ``_LAMBDA_GRID``.
+    A closed-form minimum is the face's ``min_margin``, named in
+    ``failures`` with its radius when not positive; its worst samples are
+    boundary points at the grid times, each with its own margin.
     """
     if F.dim != spec.dim:
         raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")

@@ -144,8 +144,8 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
     ``cosine_coeffs=[2]`` gives ``2 cos(2 pi t / period)``.
 
     Sup norms are grid maxima over one period (``_DENSE_GRID`` points) plus a
-    Lipschitz safety margin ``L * h / 2`` with an ``L`` from the coefficient
-    sums, so they are genuine upper bounds for the continuum maxima.
+    Lipschitz margin ``L * h / 2`` with an ``L`` from the coefficient sums,
+    genuine upper bounds for the continuum maxima; they must be finite.
     """
     if not 0 < period < math.inf:
         raise ValueError(f"period must be positive and finite, got {period}")
@@ -210,12 +210,15 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
 
     u = np.linspace(0.0, period, _DENSE_GRID, endpoint=False)
     h = period / _DENSE_GRID
-    amp = np.linalg.norm(c, axis=1) + np.linalg.norm(s, axis=1)
-    # Lipschitz constants from coefficient sums: |dF/dt| <= sum w*amp, etc.
-    lip_f = float(np.sum(omega * amp))
-    lip_df = float(np.sum(omega**2 * amp))
-    sup_f = float(np.max(np.linalg.norm(value(u), axis=1))) + 0.5 * lip_f * h
-    sup_df = float(np.max(np.linalg.norm(derivative(u), axis=1))) + 0.5 * lip_df * h
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        amp = np.linalg.norm(c, axis=1) + np.linalg.norm(s, axis=1)
+        # Lipschitz constants from coefficient sums: |dF/dt| <= sum w*amp, etc.
+        lip_f = float(np.sum(omega * amp))
+        lip_df = float(np.sum(omega**2 * amp))
+        sup_f = float(np.max(np.linalg.norm(value(u), axis=1))) + 0.5 * lip_f * h
+        sup_df = float(np.max(np.linalg.norm(derivative(u), axis=1))) + 0.5 * lip_df * h
+    if not (math.isfinite(sup_f) and math.isfinite(sup_df)):
+        raise ValueError("coefficients too large: the forcing's sup norm bounds overflow")
 
     return PeriodicSignal(period, dim, value, derivative, sup_f, sup_df,
                           scalar_value_fn=value_scalar)

@@ -212,7 +212,8 @@ def _initial_step(fun, t0, y0, f0, t1, cfg, n_err):
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
-    h0 = min(h0, abs(t1 - t0))
+    # a huge field underflows h0 to 0; the stepping loop's floor keeps d2 defined
+    h0 = min(max(h0, 1e-14 * (1.0 + abs(t0))), abs(t1 - t0))
     try:
         f1 = fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
         d2 = _rms([a - b for a, b in zip(f1[:n], f0)], sc, n) / h0
@@ -351,18 +352,21 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     ``ValueError``.  ``n_err`` limits step control to the first ``n_err``
     components (partial error control, Hairer-Norsett-Wanner I, II.4): a
     state integrated together with its variational equation then takes the
-    steps it takes alone.  ``breaks`` are times strictly
-    inside ``(t0, t1)``, ascending, where the field's time derivative may
-    jump (``PeriodicSignal.breaks_between``): each is a step node.  Raises
-    ``StepBudgetError`` if the step budget is exhausted, and
-    ``SingularityError`` if the field is singular, or the step's error
-    estimate is NaN or infinite, even at the minimum step.
+    steps it takes alone.  ``breaks`` are times strictly inside ``(t0, t1)``,
+    ascending, where the field's time derivative may jump
+    (``PeriodicSignal.breaks_between``): each is a step node.  Raises
+    ``ValueError`` for a start that is not finite, ``StepBudgetError`` if the
+    step budget is exhausted, and ``SingularityError`` if the field is
+    singular, or the step's error estimate is NaN or infinite, even at the
+    minimum step.
     """
     t0 = float(t0)
     t1 = float(t1)
     if t1 < t0:
         raise ValueError(f"t1={t1} must be >= t0={t0}")
     y0 = np.asarray(y0, dtype=float).tolist()
+    if not all(map(math.isfinite, y0)):
+        raise ValueError(f"initial state {y0} is not finite")
     gauge = _fall_gauge(fall_dim)
 
     t_nodes = [t0]

@@ -509,14 +509,20 @@ def test_failed_spot_check_refutes_a_face_without_gate_points(monkeypatch):
 
 @pytest.mark.parametrize("dim, spf", [(1, 4), (1, 16), (2, 4), (2, 16)])
 def test_cylinder_candidates_are_rows_of_the_full_transversal_grid(dim, spf):
-    # the 40 candidates are the rows of the whole product grid that a draw of
-    # 40 flat indices picks, the draw coming after the grids' own
+    # the 40 transversal candidates are the rows of the whole product grid
+    # that a draw of 40 flat indices picks, the draw coming after the grids'
+    # own; in the plane the 10 exact gate picks are rows of the gate grid
+    # (t, theta, |p| in {0} and the speeds), drawn next by flat index
     spec = BoundSetSpec(0.6, 5.0, dim)
     t_grid = np.linspace(0.0, 1.0, 2 * spf, endpoint=False)
-    ctx = bounds._Sampling(spec=spec, G=9.81, F=F1 if dim == 1 else F2,
-                           cfg=IntegratorConfig(), t_grid=t_grid, spf=spf,
-                           gate_tol=1e-6, rng=np.random.default_rng(7))
-    (t, x, p), _ = bounds._cylinder_samples(ctx)
+    F = F1 if dim == 1 else F2
+    ctx = bounds._Sampling(spec=spec, G=9.81, F=F, cfg=IntegratorConfig(),
+                           t_grid=t_grid, spf=spf, gate_tol=1e-6,
+                           rng=np.random.default_rng(7))
+    rec = bounds._Margins()
+    bounds._cylinder_face(ctx, rec)
+    pool = rec.spot_pool
+    assert [s["exact_gate"] for s in pool[:40]] == [False] * 40
 
     rng, jittered = np.random.default_rng(7), bounds._jittered
     a, p_max = spec.a, spec.b * (1.0 - spec.a)
@@ -534,34 +540,49 @@ def test_cylinder_candidates_are_rows_of_the_full_transversal_grid(dim, spf):
         xs = a * np.stack([np.cos(th), np.sin(th)], axis=1)
         ps = rh[:, None] * np.stack([np.cos(ph), np.sin(ph)], axis=1)
     sel = rng.choice(tt.size, size=40, replace=False)
-    assert np.array_equal(t, tt[sel])
-    assert np.array_equal(x, xs[sel]) and np.array_equal(p, ps[sel])
+    assert [s["t"] for s in pool[:40]] == tt[sel].tolist()
+    assert np.array_equal([s["x"] for s in pool[:40]], xs[sel])
+    assert np.array_equal([s["p"] for s in pool[:40]], ps[sel])
+    if dim == 2:
+        tg, thg, rhg = (v.ravel() for v in np.meshgrid(
+            t_grid, theta, np.concatenate([[0.0], rho]), indexing="ij"))
+        radial = np.stack([np.cos(thg), np.sin(thg)], axis=1)
+        pg = rhg[:, None] * (radial[:, ::-1] * [-1.0, 1.0])
+        picks = rng.choice(tg.size, size=10, replace=False)
+        gates = pool[40:]
+        assert [s["exact_gate"] for s in gates] == [True] * 10
+        assert [s["t"] for s in gates] == tg[picks].tolist()
+        assert np.array_equal([s["x"] for s in gates], a * radial[picks])
+        assert np.array_equal([s["p"] for s in gates], pg[picks])
     # the next draw of the stream is where the parent's face took it
     assert ctx.rng.random() == rng.random()
 
 
 def test_planar_cylinder_gate_points_are_sampled_once():
-    spf, n_t = 4, 8
-    ctx = bounds._Sampling(
-        spec=BoundSetSpec(0.6, 5.0, 2), G=9.81, F=F2, cfg=IntegratorConfig(),
-        t_grid=np.linspace(0.0, 1.0, n_t, endpoint=False), spf=spf,
-        gate_tol=1e-6, rng=np.random.default_rng(0))
-    _, ((tg, xg, pg),) = bounds._cylinder_samples(ctx)
-    # np.unique compares with ==, so the velocities +0 and -0 are one point
-    rows = np.column_stack([tg, xg, pg])
-    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
-    # the curvature is even in p on the gate, so one sense of each velocity
-    # is sampled: no row is the mirror (t, x, -p) of another
-    mirrors = np.column_stack([tg, xg, -pg])[np.any(pg != 0.0, axis=1)]
-    assert not np.any(np.all(rows[:, None] == mirrors[None], axis=2))
-    assert np.count_nonzero(np.all(pg == 0.0, axis=1)) == n_t * spf
-    np.testing.assert_allclose(np.sum(xg * pg, axis=1), 0.0, atol=1e-15)
-
-    a = compute_a(9.81, 1.5, 0.5)
-    _, cert = compute_b_planar(a, F2, 9.81, samples_per_face=spf, seed=0)
-    for worst in (cert.worst_gamma, cert.worst_delta):
-        points = [(w["t"], w["lam"], *w["x"], *w["p"]) for w in worst]
-        assert len(set(points)) == len(points) == bounds._WORST_KEPT
+    # one gate point per grid time, in the plane as on the line: p = 0 and
+    # x along F at lam = 1, where that time's curvature is least; its margin
+    # is the rod kernel's there and never below the closed form
+    spf = 4
+    a1, a2 = compute_a(9.81, F1.sup_norm, 0.5), compute_a(9.81, 1.5, 0.5)
+    _, planar = compute_b_planar(a2, F2, 9.81, samples_per_face=spf, seed=0)
+    line = verify_bound_set(BoundSetSpec(a1, 5.0, 1), 9.81, F1,
+                            samples_per_face=spf, seed=0)
+    for a, F, cert in ((a1, F1, line), (a2, F2, planar)):
+        closed = a * math.sqrt(1.0 - a * a) * cert.thresholds["a_margin"]
+        assert cert.min_margin_gamma == closed
+        assert cert.gamma_gate_count == 2 * spf
+        points = [(w["t"], *w["x"]) for w in cert.worst_gamma]
+        assert len(set(points)) == len(points) == 2 * spf
+        for w in cert.worst_gamma:
+            x, f = np.asarray(w["x"]), F.eval(np.array([w["t"]]))[0]
+            assert w["kind"] == "cylinder-gate" and w["lam"] == 1.0
+            assert w["p"] == [0.0] * F.dim
+            np.testing.assert_allclose(x, a * f / np.linalg.norm(f), rtol=0,
+                                       atol=1e-15)
+            _, base, slope = _cylinder_quantities([w["t"]], [x], [w["p"]], F, 9.81)
+            assert w["margin"] == base[0] + slope[0] >= closed
+    points = [(w["t"], w["lam"], *w["x"], *w["p"]) for w in planar.worst_delta]
+    assert len(set(points)) == len(points) == bounds._WORST_KEPT
 
 
 def _line_certify_spec():
@@ -583,15 +604,15 @@ def test_boundary_samples_count_the_samples_given_a_margin(dim):
                                      + cert.delta_gate_count + vertices)
     if dim == 1:
         assert (cert.boundary_samples, cert.gamma_gate_count,
-                cert.delta_gate_count) == (8576, 128, 8320)
+                cert.delta_gate_count) == (256, 64, 64)
 
 
 def test_planar_cylinder_pools_exactly_its_gate_grid():
-    # the circle forcing at 16 samples per face: 32 times, 16 angles and
-    # 10 speeds (0, 8 jittered, the largest) on the gate, nothing more
+    # the circle forcing at 16 samples per face: one gate point for each of
+    # the 32 times, nothing more; no angle or speed grid is formed
     a = compute_a(9.81, F2.sup_norm, 0.5)
     _, cert = compute_b_planar(a, F2, 9.81, samples_per_face=16, seed=0)
-    assert cert.gamma_gate_count == 32 * 16 * 10
+    assert cert.gamma_gate_count == 32
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["line", "plane"])
@@ -609,7 +630,10 @@ def test_cylinder_quantities_run_on_gates_and_spot_candidates_only(
     else:
         spec, F = BoundSetSpec(compute_a(9.81, 1.5, 0.5), 5.0, 2), F2
     cert = verify_bound_set(spec, 9.81, F, samples_per_face=8, seed=2)
-    assert 0 < sum(rows) <= cert.gamma_gate_count + 40
+    # the witnesses, one per time, the 40 transversal candidates, and the
+    # exact gate picks (every second time on the line, 10 in the plane)
+    assert rows == [cert.gamma_gate_count, 40, 8 if dim == 1 else 10]
+    assert cert.gamma_gate_count == 16
 
 
 def test_line_cone_face_reads_forcing_once_on_its_branch_times(monkeypatch):
@@ -639,40 +663,32 @@ def test_line_cone_face_reads_forcing_once_on_its_branch_times(monkeypatch):
     1.5, 1, [0.8, -0.3], [1.1, 0.2], constant=[0.4])], ids=["cosine", "mixed"])
 def test_line_cone_margin_is_the_signed_gate_on_all_four_branches(
         monkeypatch, F, b_scale):
-    # the pooled margin at lam = 0 and 1 is sign(x p) n' from the rod
-    # kernel on each branch x = +-r, p = +-b (1 - r): one margin serves
-    # (x, p) and (x, -p), and the two sides are pooled once each
+    # each pooled witness's margin at lam = 1 is sign(x p) n' from the rod
+    # kernel at (x, p) and (x, -p), with x on the side of F; over the grid
+    # times F takes both signs, so all four branches x = +-r, p = +-b (1 - r)
+    # are met, and no witness is below the enclosed closed form
     G = 9.81
     a = compute_a(G, F.sup_norm, 0.5)
     b = b_scale * compute_b_linear(a, F.sup_norm, 0.5)
-    ends, pooled = [], []
-    lowest_end = bounds._lowest_end
+    pooled, add = [], bounds._MarginPool.add
 
-    def recorded(base, slope):
-        ends.append((base, slope))
-        return lowest_end(base, slope)
+    def added(self, margins, lam, ts, xs, ps, kind):
+        pooled.append((margins, lam, ts, xs, ps, kind))
+        add(self, margins, lam, ts, xs, ps, kind)
 
-    def added(margins, lams, ts, xs, ps, kind):
-        pooled.append((ts, xs, ps, kind))
-
-    monkeypatch.setattr(bounds, "_lowest_end", recorded)
-    monkeypatch.setattr(bounds._MarginPool, "add",
-                        lambda self, *args: added(*args))
-    verify_bound_set(BoundSetSpec(a, b, 1), G, F, samples_per_face=8, seed=4)
-    cone = [(e, p) for e, p in zip(ends, pooled) if p[3] == "cone-sign"]
-    assert [np.sign(p[1][0, 0]) for _, p in cone] == [1.0, -1.0]
+    monkeypatch.setattr(bounds._MarginPool, "add", added)
+    cert = verify_bound_set(BoundSetSpec(a, b, 1), G, F, samples_per_face=8,
+                            seed=4)
+    ((margins, lam, ts, xs, ps, _),) = [p for p in pooled if p[5] == "cone-sign"]
+    assert lam == 1.0 and np.all(ps > 0.0) and ts.size == 16
+    assert set(np.sign(xs[:, 0])) == {1.0, -1.0}
+    assert np.all(np.sign(xs[:, 0]) == np.where(F.eval(ts)[:, 0] < 0.0, -1.0, 1.0))
+    assert np.all(margins >= cert.min_margin_delta)
     scale = b * b + G + F.sup_norm
-    for (base, slope), (ts, xs, ps, _) in cone:
-        assert np.all(ps > 0.0)
-        for sp in (1.0, -1.0):
-            s = rod_terms(xs, sp * ps, F.eval(ts), G)
-            for lam in (0.0, 1.0):
-                acc = rod_acceleration(s, lam)
-                gate = (b * s.xp / np.sqrt(s.r2)
-                        + np.sum(s.P * acc, axis=1) / np.sqrt(s.p2))
-                np.testing.assert_allclose(base + lam * slope,
-                                           np.sign(s.xp) * gate,
-                                           rtol=0.0, atol=1e-15 * scale)
+    for sp in (1.0, -1.0):
+        gate, _ = _cone_quantities(ts, xs, sp * ps, 1.0, F, G, b)
+        np.testing.assert_allclose(margins, np.sign(xs[:, 0] * sp) * gate,
+                                   rtol=0.0, atol=1e-15 * scale)
 
 
 def test_line_certificate_worst_cone_samples_are_distinct():
@@ -712,11 +728,10 @@ def test_cone_quantities_gate_is_the_split_cone_gate(dim, lam):
 def _naive_pool(blocks, kind):
     """Every (block, sample) entry sorted by margin, then by order."""
     entries = []
-    for margins, lams, ts, xs, ps in blocks:
-        lams = np.broadcast_to(lams, margins.shape)
+    for margins, lam, ts, xs, ps in blocks:
         for i in range(margins.size):
             entries.append({"margin": float(margins[i]), "t": float(ts[i]),
-                            "lam": float(lams[i]),
+                            "lam": float(lam),
                             "x": [float(v) for v in xs[i]],
                             "p": [float(v) for v in ps[i]], "kind": kind})
     return sorted(entries, key=lambda e: e["margin"])[:bounds._WORST_KEPT]
@@ -726,22 +741,19 @@ def _naive_pool(blocks, kind):
 def test_margin_pool_block_matches_a_naive_reference(seed):
     rng = np.random.default_rng(seed)
     blocks = []
-    for n, scalar in ((30, False), (2, True), (7, False), (0, False),
-                      (40, True)):
+    for n in (30, 2, 7, 0, 40):
         # a few distinct negatives, then ties at zero, of either sign so that
-        # the JSON text tells the entries apart; each sample has its own lam
-        # in {0, 1}, as an affine margin's lower end, or the block one scale
+        # the JSON text tells the entries apart; each block has one scale
         margins = rng.integers(0, 3, size=n) * 0.5
         margins[(margins == 0.0) & (rng.uniform(size=n) < 0.5)] = -0.0
         margins[rng.uniform(size=n) < 0.03] = -rng.uniform()
         if not blocks:
             margins[:2] = (0.0, -0.0)
-        lams = rng.uniform() if scalar else rng.choice([0.0, 1.0], size=n)
-        blocks.append((margins, lams, rng.uniform(size=n),
+        blocks.append((margins, rng.uniform(), rng.uniform(size=n),
                        rng.normal(size=(n, 2)), rng.normal(size=(n, 2))))
     pool = bounds._MarginPool()
-    for margins, lams, ts, xs, ps in blocks:
-        pool.add(margins, lams, ts, xs, ps, "test")
+    for margins, lam, ts, xs, ps in blocks:
+        pool.add(margins, lam, ts, xs, ps, "test")
     assert pool.count == sum(m.size for m, *_ in blocks)
     assert pool.min == min(float(np.min(m)) for m, *_ in blocks if m.size)
     text = json.dumps(pool.worst)
@@ -749,46 +761,87 @@ def test_margin_pool_block_matches_a_naive_reference(seed):
     assert '"margin": -0.0' in text and '"margin": 0.0' in text
 
 
-def test_lowest_end_keeps_the_margin_printed_at_each_end():
-    # the lam = 0 end is base + 0.0 * slope, as the 21-point grid computed
-    # it: a -0.0 base prints as 0.0 there unless the slope is -0.0 too
-    margins, lams = bounds._lowest_end(np.array([-0.0, -0.0, 1.0, 1.0]),
-                                       np.array([0.0, -0.0, -2.0, np.nan]))
-    assert json.dumps(margins.tolist()) == "[0.0, -0.0, -1.0, NaN]"
-    assert lams.tolist() == [0.0, 0.0, 1.0, 0.0]
-
-
-def test_affine_faces_cover_every_lambda_in_the_unit_interval(monkeypatch):
+def test_affine_faces_cover_every_lambda_in_the_unit_interval():
     # the cylinder curvature and the line cone's signed gate are affine in
-    # lam: at every sample a verification pools, no lam of a 1,001-point
-    # grid goes below the endpoint minimum, bit for bit, and that minimum
-    # is the certificate's
-    lowest_end, seen = bounds._lowest_end, []
-
-    def recorded(base, slope):
-        seen.append((base, slope))
-        return lowest_end(base, slope)
-
-    monkeypatch.setattr(bounds, "_lowest_end", recorded)
+    # lam, and their closed forms hold for every lam in [0, 1]: at random
+    # boundary points and at every pooled witness, no lam of a 1,001-point
+    # grid takes a margin below the certificate's
     lam_fine = np.linspace(0.0, 1.0, 1001)[:, None]
+    rng = np.random.default_rng(11)
     a1, a2 = compute_a(9.81, 2.0, 0.5), compute_a(9.81, 1.5, 0.5)
     for spec, F in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0, 0.5), 1), F1),
                     (BoundSetSpec(a1, 1.0, 1), F1),
                     (BoundSetSpec(a2, 5.0, 2), F2)):
-        for seed in range(3):
-            seen.clear()
-            cert = verify_bound_set(spec, 9.81, F, samples_per_face=4,
-                                    seed=seed)
-            lows = []
-            for base, slope in seen:
-                low, lam = lowest_end(base, slope)
-                fine = base + lam_fine * slope
-                np.testing.assert_array_equal(np.min(fine, axis=0), low)
-                np.testing.assert_array_equal(base + lam * slope, low)
-                lows.append(low)
-            pooled = (min(cert.min_margin_gamma, cert.min_margin_delta)
-                      if spec.dim == 1 else cert.min_margin_gamma)
-            assert min(float(np.min(v)) for v in lows if v.size) == pooled
+        a, b, d = spec.a, spec.b, spec.dim
+        cert = verify_bound_set(spec, 9.81, F, samples_per_face=4, seed=3)
+        n = 400
+        t = np.concatenate([rng.uniform(0.0, 1.0, n),
+                            [w["t"] for w in cert.worst_gamma]])
+        u = rng.normal(size=(t.size, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        x = np.concatenate([a * u[:n], [w["x"] for w in cert.worst_gamma]])
+        rho = rng.uniform(0.0, b * (1.0 - a), t.size)[:, None]
+        p = rho * (u[:, ::-1] * ([-1.0, 1.0] if d == 2 else [0.0]))
+        p[n:] = 0.0
+        _, base, slope = _cylinder_quantities(t, x, p, F, 9.81)
+        assert np.min(base + lam_fine * slope) >= cert.min_margin_gamma
+        if d == 1:
+            t = np.concatenate([rng.uniform(0.0, 1.0, n),
+                                [w["t"] for w in cert.worst_delta]])
+            r = np.concatenate([rng.uniform(1e-3, a, n),
+                                [abs(w["x"][0]) for w in cert.worst_delta]])
+            x = (r * rng.choice([-1.0, 1.0], t.size))[:, None]
+            p = (b * (1.0 - r))[:, None]
+            signed = [np.sign(x[:, 0]) * _cone_quantities(t, x, p, lam, F, 9.81, b)[0]
+                      for lam in lam_fine[::50, 0]]
+            assert np.min(signed) >= cert.min_margin_delta
+
+
+def test_line_cone_refutes_a_trap_its_time_grid_misses():
+    # 8 cos 2 pi t at 0.99 of the exact threshold slope: at t = 0, x = 0.179,
+    # p = b (1 - x), lam = 1 the signed gate is -0.113, but 8 times at 4
+    # samples per face miss the forcing's peak; the closed form does not
+    F = make_fourier_forcing(1.0, 1, [8.0], [])
+    a = compute_a(9.81, F.sup_norm, 0.5)
+    spec = BoundSetSpec(a, 2.911555024, 1)
+    x, p = np.array([[0.179]]), np.array([[2.911555024 * (1.0 - 0.179)]])
+    assert _cone_quantities([0.0], x, p, 1.0, F, 9.81, spec.b)[0][0] < -0.1
+    cert = verify_bound_set(spec, 9.81, F, samples_per_face=4, seed=0)
+    assert not cert.verified and cert.corner_ok
+    assert min(w["margin"] for w in cert.worst_delta) > 0.0
+    (failure,) = [f for f in cert.failures if f["face"] == "cone"]
+    assert failure["margin"] == cert.min_margin_delta < -0.1
+    assert abs(failure["r"] - 0.179) < 1e-3
+    assert failure["reason"] == "closed-form margin is not positive"
+
+
+def _exact_cone_threshold(a, Fn, G=9.81):
+    """The least ``b`` with ``c(r) >= 0`` on a dense grid of ``[0, a]``."""
+    r = np.linspace(0.0, a, 200_001)
+    need = (Fn * (1 - r * r) - r * G * np.sqrt(1 - r * r)) * (1 + r) / (1 - r)
+    return math.sqrt(max(float(np.max(need)), 0.0)), r
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_line_never_verifies_a_trap_with_a_negative_closed_form(seed):
+    # random Fourier forcings near the exact threshold b*: a verified trap
+    # has c(r) > 0 on a dense grid, and a negative one is always refuted
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        k = int(rng.integers(1, 4))
+        coeffs = rng.normal(size=(2, k)) * rng.uniform(0.5, 10.0) / np.arange(1, k + 1)
+        F = make_fourier_forcing(rng.uniform(0.5, 2.0), 1, *coeffs.tolist())
+        a = compute_a(9.81, F.sup_norm, 0.5)
+        b_star, r = _exact_cone_threshold(a, F.sup_norm)
+        b = rng.uniform(0.95, 1.05) * b_star
+        c = (b * b * (1 - r) / (1 + r) + r * 9.81 * np.sqrt(1 - r * r)
+             - F.sup_norm * (1 - r * r))
+        cert = verify_bound_set(BoundSetSpec(a, b, 1), 9.81, F,
+                                samples_per_face=4, seed=seed)
+        assert cert.min_margin_delta <= np.min(c)
+        if np.min(c) < 0.0:
+            assert not cert.verified
+            assert any(f["face"] == "cone" for f in cert.failures)
 
 
 def test_verify_deterministic_given_seed():
@@ -825,24 +878,22 @@ def test_verify_lambda_grid_contains_endpoints():
 
 
 # 1-D certificates: verified, corner_ok, boundary samples, gamma and delta
-# gate counts, min_margin_gamma, min_margin_delta.  The verdicts and margins
-# are those the per-scale verifier computed on the 21-point grid, before the
-# cone gate became g0 + lam g1; the counts are per sample, for the two faces
-# now cover lam in [0, 1] from its ends, and the boundary samples are those a
-# margin is formed for: the gate and vertex samples.  The cone counts each
-# point (x, |p|) once, for (x, p) and (x, -p) share one margin.  Inputs: the
+# gate counts, min_margin_gamma, min_margin_delta.  Both margins are closed
+# forms in sup |F|: the cylinder's a sqrt(1 - a^2) a_margin, and the cone's
+# c(r) enclosed on [0, a]; each face pools one witness per grid time, and the
+# boundary samples are those witnesses and the vertex samples.  Inputs: the
 # benchmark's ``certify`` linear config (a, b from the sampled sup |F|,
 # 32 samples per face, seed 1), its twin refuted with b = 1, and the config
 # of demos/bound_set_certificate.py (a, b from |F| = 2, 16 per face, seed 0).
 LINEAR_CERTIFICATES = {
-    "certify": (True, True, 8576, 128, 8320,
-                2.0574163000705328, 7.932731780020939),
-    "refute": (False, False, 8576, 128, 8320,
-               2.0574163000705328, -0.9728440159359384),
-    "demo": (True, True, 2240, 64, 2112,
-             2.061400024358217, 7.936341612622172),
-    "demo_refuted": (False, False, 2240, 64, 2112,
-                     2.061400024358217, -0.9330854656279305),
+    "certify": (True, True, 256, 64, 64,
+                2.056384041007539, 7.930083196247213),
+    "refute": (False, False, 256, 64, 64,
+               2.056384041007539, -1.0018390788867877),
+    "demo": (True, True, 128, 32, 32,
+             2.0558744143717473, 7.926203220022744),
+    "demo_refuted": (False, False, 128, 32, 32,
+                     2.0558744143717473, -1.0018390206219165),
 }
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import upright
-from upright import poincare
+from upright import cli, poincare
 from upright.cli import DEFAULT_CONFIG, load_config, main
 
 
@@ -410,6 +410,24 @@ def test_non_finite_numbers_exit_1(tmp_path, caplog, overrides):
     rc, out = run(tmp_path, "simulate", problem="linear", **overrides)
     assert rc == 1
     assert "finite" in caplog.text
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("whitney-search", {"forcing": {"cosine": [1e300]}}),
+    ("simulate", {"forcing": {"cosine": [1e300]}}),
+    ("simulate", {"initial_state": {"x": [0.1], "p": [1e300]}}),
+    ("simulate", {"initial_state": {"x": [0.0], "p": [1e154]}}),
+], ids=["search-cosine", "simulate-cosine", "simulate-p", "simulate-p-at-rest"])
+def test_values_at_the_float_limit_end_in_a_typed_failure(tmp_path, command,
+                                                          overrides):
+    # a field of ~1e300 underflowed the first step size to 0 and the run
+    # ended in ZeroDivisionError; coefficients whose sup norm bounds
+    # overflow made numpy warn.  Each now exits with a code of _FAILURES,
+    # and the suite's warnings-as-errors shows that numpy stays quiet
+    rc, out = run(tmp_path, command, problem="linear", duration=1.0,
+                  journey={"t_end": 1.0, "depth": 4}, **overrides)
+    assert rc in {code for code, _ in cli._FAILURES.values()}
     assert not (out / "result.json").exists()
 
 

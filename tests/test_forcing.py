@@ -141,6 +141,17 @@ def _sine_path(n: int, amplitude: float = 0.05, period: float = 1.0):
     return PathSamples(times=ts, positions=xs)
 
 
+@pytest.mark.parametrize("dim, cosine", [(1, [1e300]), (2, [(1e200, 0.0)]),
+                                         (1, [0.0, 1e307])])
+def test_coefficients_whose_bounds_overflow_are_refused(dim, cosine):
+    # the sup norms square the coefficients: past ~1e154 they are not finite,
+    # which is refused without a numpy warning (warnings are errors here)
+    with pytest.raises(ValueError, match="overflow"):
+        make_fourier_forcing(1.0, dim, cosine, [])
+    F = make_fourier_forcing(1.0, 1, [1e150], [])
+    assert math.isfinite(F.sup_norm) and math.isfinite(F.sup_norm_derivative)
+
+
 def test_path_samples_validation():
     with pytest.raises(InsufficientDataError):
         PathSamples(times=np.linspace(0, 1, 5), positions=np.zeros(5))

@@ -238,10 +238,29 @@ def test_non_finite_error_estimate_halves_then_raises():
         integrate_field(fun, 0.0, 1.0, [0.0], IntegratorConfig(max_steps=200),
                         fall_dim=1)
     assert abs(err.value.time - 0.5) <= 1e-12
-    # a NaN start gives a NaN first step, which goes to the floor at once
-    with pytest.raises(SingularityError, match="t=0 "):
+    # a NaN start is refused before any step
+    with pytest.raises(ValueError, match="not finite"):
         integrate_field(lambda t, y: [1.0], 0.0, 1.0, [math.nan],
                         IntegratorConfig(max_steps=5))
+
+
+@pytest.mark.parametrize("start", [[math.inf], [0.1, -math.inf], [math.nan, 0.0]])
+@pytest.mark.parametrize("fall_dim", [0, 1])
+def test_integrate_field_refuses_a_non_finite_start(start, fall_dim):
+    # a field that is finite there would carry an infinite start to t1 with
+    # an error norm of 0, for the error scale atol + rtol |y| is infinite
+    with pytest.raises(ValueError, match="not finite"):
+        integrate_field(lambda t, y: [1.0] * len(y), 0.0, 1.0, start,
+                        IntegratorConfig(), fall_dim=fall_dim)
+
+
+def test_a_huge_field_does_not_underflow_the_first_step():
+    # 0.01 d0 / d1 underflows to 0 where the scaled field is ~1e309; the
+    # first step's difference quotient then divided by 0.  The step floor
+    # keeps it defined, and the run reaches t1 with the exact state
+    traj = integrate_field(lambda t, y: [1e300], 0.0, 1.0, [1.0],
+                           IntegratorConfig())
+    assert traj.t_nodes[-1] == 1.0 and traj.states[-1].tolist() == [1e300]
 
 
 def test_config_validation():
