@@ -22,37 +22,47 @@ so ``m' = x.p``, ``m'' = |p|^2 + x.a`` and
     n'' = b (|x|^2 |p|^2 - (x.p)^2)/|x|^3 + (|p|^2 |a|^2 - (p.a)^2)/|p|^3
           + b (x.a)/|x| + (p.a')/|p|.
 
-The forcing enters the cylinder's and the line cone's margins only through
-``lam xh.F`` (``xh = x/|x|``), at most ``sup|F|`` for every time and ``lam``
-in ``[0, 1]``: ``verify_bound_set`` reads both in closed form.  At a
-cylinder gate point (``x.p = 0``, ``|p| = rho``), in both dimensions,
+The forcing enters only through its value ``f = lam F(t)`` and rate
+``lam F'(t)``, at most ``sup|F|`` and ``sup|F'|`` in norm for every time and
+``lam`` in ``[0, 1]``; the verifier reads nothing else of it.  The
+cylinder's and the line cone's margins see only ``xh.f`` (``xh = x/|x|``),
+so both are closed forms.  At a cylinder gate point (``x.p = 0``,
+``|p| = rho``), in both dimensions,
 
-    m'' = rho^2 (1 - a^2) + a sqrt(1 - a^2) (G a - sqrt(1 - a^2) lam xh.F),
+    m'' = rho^2 (1 - a^2) + a sqrt(1 - a^2) (G a - sqrt(1 - a^2) xh.f),
 
-least at ``rho = 0`` and ``lam xh.F = sup|F|``.  On the line's cone at
+least at ``rho = 0`` and ``xh.f = sup|F|``.  On the line's cone at
 ``|x| = r`` the least margin is ``c(r) = b^2 (1-r)/(1+r) + r G sqrt(1-r^2)
 - sup|F| (1-r^2)``, enclosed on ``[0, a]`` by a fixed grid of ``r`` and
-``|c'| <= 2 b^2 + G/sqrt(1 - a^2) + 2 a sup|F|``.  The planar cone's gate
-points are located exactly over sampled time, face coordinates and scales;
-random predictions are spot-confirmed by short two-sided integrations.
+``|c''| <= 4 b^2 + 3 a G/(1 - a^2)^(3/2) + 2 sup|F|``.  From the vertex
+``x' = p`` and ``p' = -f``, so the gauge grows on both sides of it when
+``b^2 > sup|F|``.
 
-On the planar cone face at ``x = r (cos theta, sin theta)``, ``|p| = rho =
-b (1 - r)``, ``c = cos s`` for the velocity angle ``s`` from ``x``, and
-``f_par``, ``f_perp`` the forcing along ``x`` and across it, the gate is
+The rod is symmetric under rotation, so the planar cone is checked over the
+disk of forcing values: ``x = (r, 0)`` and ``f = |f| (cos phi, sin phi)``
+with ``|f| <= sup|F|`` stand for every time, scale and direction of ``x``,
+and a reflection across ``x`` leaves ``phi`` in ``[0, pi]``.  At
+``|p| = rho = b (1 - r)``, with ``c = cos s`` for the velocity angle ``s``
+from ``x``, and ``f_par``, ``f_perp`` the forcing along ``x`` and across it,
+the gate is
 
     g(s) = c (K + B c^2) - L sin s,      B = -r^3 rho^2 / (1 - r^2) < 0,
-    K = b rho + r (G sqrt(1 - r^2) - rho^2) - lam f_par (1 - r^2),
-    L = lam f_perp.
+    K = b rho + r (G sqrt(1 - r^2) - rho^2) - f_par (1 - r^2),
+    L = f_perp.
 
 ``w = c^2`` solves ``B^2 w^3 + 2 K B w^2 + (K^2 + L^2) w - L^2 = 0``; its
 roots in ``[0, 1]`` give ``c = +-sqrt(w)``, and ``L sin s = c (K + B c^2)``
-the sign of ``sin s``.  Where ``L = 0`` (``lam = 0``, or F along ``x``) the
+the sign of ``sin s``.  Where ``L = 0`` (no forcing, or f along ``x``) the
 cubic is ``w (K + B w)^2``: ``c = 0`` and ``c^2 = -K/B``, each with either
-sign of ``sin s``.  On the line, the plane's axis, ``s`` is 0 or ``pi``,
-``f_par = sign(x) F`` and ``L = 0``: the margin ``sign(x p) n'`` is ``g(0) =
-K + B`` at ``(x, p)`` and ``(x, -p)`` alike, ``c(r)`` at its worst.  The
-closed-form constants (``compute_a`` and friends) supply starting values of
-``a`` and ``b`` that make the conditions hold.
+sign of ``sin s``.  The gate does not involve the rate, which enters ``n''``
+only as ``lam F'.((x.p) x - p)/|p|``: at a gate root the curvature is at
+least its value at ``F' = 0`` less ``sup|F'| sqrt((1 - r^2)^2 c^2 + sin^2 s)``.
+Cells of the disk, realized at a time, are spot-confirmed by short
+two-sided integrations.  On the line, the plane's axis, ``s`` is 0 or
+``pi``, ``f_par = sign(x) f`` and ``L = 0``: the margin ``sign(x p) n'`` is
+``g(0) = K + B`` at ``(x, p)`` and ``(x, -p)`` alike, ``c(r)`` at its worst.
+The closed-form constants (``compute_a`` and friends) supply starting
+values of ``a`` and ``b`` that make the conditions hold.
 """
 from __future__ import annotations
 
@@ -63,11 +73,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (ModelParams, PhaseState, acceleration_rate, make_field,
+from .dynamics import (ModelParams, acceleration_rate, make_field,
                        rod_acceleration, rod_terms)
 from .errors import BoundVerificationError
 from .forcing import PeriodicSignal
-from .integrator import IntegratorConfig, evolve, integrate_field
+from .integrator import IntegratorConfig, integrate_field
 
 __all__ = [
     "BoundSetSpec",
@@ -110,7 +120,6 @@ class BoundSetCertificate:
     """Outcome of one verification run, including the worst offenders."""
 
     spec: BoundSetSpec
-    lambda_cover: dict
     boundary_samples: int
     min_margin_gamma: float
     min_margin_delta: float
@@ -148,7 +157,11 @@ def compute_a(G: float, F_norm: float, margin: float = 0.5) -> float:
     if F_norm < 0:
         raise ValueError(f"F_norm must be nonnegative, got {F_norm}")
     a_star = F_norm / math.sqrt(G * G + F_norm * F_norm)
-    return a_star + margin * (1.0 - a_star)
+    a = a_star + margin * (1.0 - a_star)
+    if not a < 1.0:
+        raise ValueError(f"sup|F| = {F_norm:g} is too large against gravity "
+                         f"{G:g}: the cylinder radius rounds to 1")
+    return a
 
 
 def compute_b_linear(a: float, F_norm: float, margin: float = 0.5) -> float:
@@ -219,12 +232,13 @@ def _cylinder_quantities(ts, xs, ps, F, G):
     return s.xp, s.p2 + s.R * s.r2, s.xf * s.r2 - s.xf
 
 
-def _cone_quantities(ts, xs, ps, lam, F, G, b):
-    """Gate ``n'`` and curvature ``n''`` of the cone gauge at the samples,
-    as the module docstring writes them."""
-    s = rod_terms(xs, ps, F.eval(ts), G)
-    acc = rod_acceleration(s, lam)
-    rate = acceleration_rate(s, acc, F.eval_derivative(ts), lam, G)
+def _cone_quantities(xs, ps, f, df, G, b):
+    """Gate ``n'`` and curvature ``n''`` of the cone gauge at rows of ``x``,
+    ``p``, the forcing ``f = lam F`` and its rate ``df = lam F'``, as the
+    module docstring writes them."""
+    s = rod_terms(xs, ps, f, G)
+    acc = rod_acceleration(s, 1.0)
+    rate = acceleration_rate(s, acc, df, 1.0, G)
     nx, pn = np.sqrt(s.r2), np.sqrt(s.p2)
     pa = np.sum(s.P * acc, axis=1)
     # the two determinant terms are nonnegative; clipping drops rounding
@@ -243,17 +257,9 @@ def _cone_radial(r, G, b):
             -r ** 3 * rho * rho / one_minus, one_minus)
 
 
-def _cone_gate_terms(theta, r, f, G, b):
-    """Cone gate ``K0, K1, B, f_perp``: ``K = K0 - lam K1``, ``L = lam f_perp``."""
-    f = np.atleast_2d(f)
-    cos, sin = np.cos(theta), np.sin(theta)
-    K0, B, one_minus = _cone_radial(r, G, b)
-    K1 = (f[:, 0] * cos + f[:, 1] * sin) * one_minus
-    return K0, K1, B, f[:, 1] * cos - f[:, 0] * sin
-
-
-def _cone_gate_roots(theta, K, B, L):
-    """Cell index and angle ``psi`` in ``[0, 2 pi)`` of every cone gate root.
+def _cone_gate_roots(K, B, L):
+    """Cell index and velocity angle ``s`` in ``[0, 2 pi)`` from ``x`` of
+    every cone gate root.
 
     Solves the module docstring's cubic for all cells at once; both signs
     of ``sin s`` are kept where ``L`` vanishes to rounding.  Unlike a sign
@@ -297,38 +303,23 @@ def _cone_gate_roots(theta, K, B, L):
         s = s - np.clip(step, -0.5, 0.5)
     c = np.cos(s)
     root = np.abs(c * (Kc + Bc * c * c) - Lc * np.sin(s)) <= 1e-12 * scale
-    cells = cells[root]
-    psi = np.mod(theta[cells] + s[root], 2.0 * math.pi)
-    order = np.lexsort((psi, cells))
-    cells, psi = cells[order], psi[order]
+    cells, s = cells[root], np.mod(s[root], 2.0 * math.pi)
+    order = np.lexsort((s, cells))
+    cells, s = cells[order], s[order]
     # drop candidates that polished onto the same root: near a double root
     # |g| grows quadratically, so within sqrt(1e-12) it is one root
     first = np.diff(cells, prepend=-1) != 0
-    psi_first = psi[np.maximum.accumulate(np.where(first, np.arange(cells.size), 0))]
-    gap = np.diff(psi, prepend=-math.inf)
-    dup = ~first & ((gap < 1e-6) | (psi_first + 2.0 * math.pi - psi < 1e-6))
-    return cells[~dup], psi[~dup]
+    s_first = s[np.maximum.accumulate(np.where(first, np.arange(cells.size), 0))]
+    gap = np.diff(s, prepend=-math.inf)
+    dup = ~first & ((gap < 1e-6) | (s_first + 2.0 * math.pi - s < 1e-6))
+    return cells[~dup], s[~dup]
 
 
-def exit_cone_check(t: float, p, F: PeriodicSignal, G: float | None = None,
-                    cfg: IntegratorConfig | None = None) -> bool:
-    """Exit condition at the cone vertex ``(x, p) = (0, p)`` with ``|p| = b``.
-
-    Analytically the vertex repels when ``b^2 > |F|_sup``.  When ``G`` is
-    supplied the verdict is additionally confirmed by a short integration
-    from the vertex at the full forcing scale ``lam = 1``, requiring the
-    cone gauge to be positive at the arc's end, ``1e-3`` periods later.
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+def exit_cone_check(p, F: PeriodicSignal) -> bool:
+    """Exit condition at the cone vertex ``(x, p) = (0, p)`` with ``|p| = b``:
+    the vertex repels when ``b^2 > sup|F|`` (the module docstring)."""
     b = float(np.linalg.norm(p))
-    analytic = b * b > F.sup_norm
-    if not analytic or G is None:
-        return analytic
-    d = p.shape[0]
-    traj = evolve(t, t + 1e-3 * F.period, PhaseState(np.zeros(d), p),
-                  ModelParams(G, 1.0, d), F, cfg)
-    x, p_end = np.split(traj.states[-1], 2)
-    return b * float(np.linalg.norm(x)) + float(np.linalg.norm(p_end)) - b > 0.0
+    return b * b > F.sup_norm
 
 
 def degree_of_autonomous_field(G: float, dim: int) -> int:
@@ -348,12 +339,9 @@ def degree_of_autonomous_field(G: float, dim: int) -> int:
 
 # -- verification driver ------------------------------------------------
 
-# forcing scales at which the planar cone face is checked, ascending; the
-# last is the full forcing lam = 1
-_LAMBDA_GRID = np.linspace(0.0, 1.0, 21)
 # radii of the grid on [0, a] that encloses the line cone's closed form
-_CONE_RADII = 2 ** 14 + 1
-# samples confirmed by two-sided integration in each verification
+_CONE_RADII = 2 ** 7 + 1
+# planar cone cells confirmed by two-sided integration in each verification
 _SPOT_CHECKS = 50
 # worst samples a margin pool reports
 _WORST_KEPT = 10
@@ -369,8 +357,9 @@ class _MarginPool:
         self.count = 0
         self.worst: list[dict] = []
 
-    def add(self, margins, lam: float, ts, xs, ps, kind: str):
-        """Pool the samples' margins at scale ``lam``; the worst tie by index."""
+    def add(self, margins, kind: str, **rows):
+        """Pool the samples' margins, each reported with its entry of every
+        row array (a number or a vector per sample); the worst tie by index."""
         m = np.asarray(margins, dtype=float)
         if m.size == 0:
             return
@@ -379,10 +368,11 @@ class _MarginPool:
         k = min(_WORST_KEPT, m.size)
         kept = np.flatnonzero(m <= m[np.argpartition(m, k - 1)[k - 1]])
         for i in kept[np.argsort(m[kept], kind="stable")[:k]]:
-            self.worst.append({
-                "margin": float(m[i]), "t": float(ts[i]), "lam": float(lam),
-                "x": [float(v) for v in xs[i]], "p": [float(v) for v in ps[i]],
-                "kind": kind})
+            entry = {"margin": float(m[i])}
+            entry.update((name, np.asarray(v[i], dtype=float).tolist())
+                         for name, v in rows.items())
+            entry["kind"] = kind
+            self.worst.append(entry)
         self.worst.sort(key=lambda e: e["margin"])
         del self.worst[_WORST_KEPT:]
 
@@ -396,11 +386,6 @@ class _MarginPool:
 def _unit(angles) -> np.ndarray:
     """Unit vectors ``(cos, sin)`` of the angles, one row each."""
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
-def _jittered(lo: float, hi: float, n: int, rng) -> np.ndarray:
-    u = (np.arange(n) + rng.uniform(0.15, 0.85, size=n)) / n
-    return lo + (hi - lo) * u
 
 
 def _thresholds(spec: BoundSetSpec, G: float, F: PeriodicSignal) -> dict:
@@ -426,22 +411,14 @@ _Sampling = namedtuple("_Sampling", "spec G F cfg t_grid spf gate_tol rng")
 
 @dataclass
 class _Margins:
-    """What the faces find: margins, vertex samples, spot-check candidates."""
+    """What the faces find: margins, failures, spot-check candidates."""
 
     gamma: _MarginPool = field(default_factory=_MarginPool)
     delta: _MarginPool = field(default_factory=_MarginPool)
-    vertex_samples: int = 0
     spot_pool: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     xtp_abs: list = field(default_factory=list)
     xtp_bound: list = field(default_factory=list)
-
-    def candidate(self, face, t, lam, x, p, gate, curv, exact_gate):
-        """Offer one sample to the two-sided integration spot checks."""
-        self.spot_pool.append({
-            "face": face, "t": float(t), "lam": float(lam),
-            "x": np.array(x, dtype=float), "p": np.array(p, dtype=float),
-            "gate": float(gate), "curv": float(curv), "exact_gate": exact_gate})
 
     def closed_form(self, pool: _MarginPool, value: float, face: str, r: float):
         """A face's least margin in closed form, reached at radius ``r``."""
@@ -451,49 +428,18 @@ class _Margins:
                                   "reason": "closed-form margin is not positive"})
 
 
-def _draw_rows(grids, size, rng):
-    """Rows of the C-ordered product of ``grids``, drawn by flat index."""
-    shape = [g.size for g in grids]
-    n = math.prod(shape)
-    rows = np.unravel_index(rng.choice(n, size=min(size, n), replace=False), shape)
-    return [g[i] for g, i in zip(grids, rows)]
-
-
 def _cylinder_face(ctx: _Sampling, rec: _Margins) -> None:
     """Cylinder ``|x| = a``: the gate curvature's least value in closed form,
-    witnessed at each grid time by ``p = 0``, ``x`` along ``F``, ``lam = 1``.
-    Spot candidates are 40 transversal rows of the ``(t, x, p)`` product grid,
-    then exact gate points (``p`` orthogonal to ``x``; the curvature is even in ``p``)."""
-    a, b, F, G, spf, rng, t_grid = (ctx.spec.a, ctx.spec.b, ctx.F, ctx.G,
-                                    ctx.spf, ctx.rng, ctx.t_grid)
+    witnessed at each grid time by ``p = 0``, ``x`` along ``F``, ``lam = 1``."""
+    a, F, G, t_grid = ctx.spec.a, ctx.F, ctx.G, ctx.t_grid
     f = F.eval(t_grid)
     f[np.linalg.norm(f, axis=1) == 0.0, 0] = 1.0  # F = 0: along the first axis
     x, p = a * (f / np.linalg.norm(f, axis=1, keepdims=True)), np.zeros_like(f)
     _, base, slope = _cylinder_quantities(t_grid, x, p, F, G)
-    rec.gamma.add(base + slope, 1.0, t_grid, x, p, "cylinder-gate")
+    rec.gamma.add(base + slope, "cylinder-gate", t=t_grid,
+                  lam=np.ones_like(t_grid), x=x, p=p)
     rec.closed_form(rec.gamma, a * math.sqrt(1.0 - a * a)
                     * _thresholds(ctx.spec, G, F)["a_margin"], "cylinder", a)
-
-    p_max = b * (1.0 - a)
-    if ctx.spec.dim == 1:
-        t, x, p = _draw_rows((t_grid, np.asarray([a, -a]),
-                              _jittered(-p_max, p_max, 2 * spf, rng)), 40, rng)
-        transversal = (t, x[:, None], p[:, None])
-        i = np.arange(0, t_grid.size, max(1, t_grid.size // 8))
-        gate = (t_grid[i], np.full((i.size, 1), a), np.zeros((i.size, 1)))
-    else:
-        theta = _jittered(0.0, 2.0 * math.pi, spf, rng)
-        rho = np.concatenate([_jittered(0.0, p_max, max(4, spf // 2), rng), [p_max]])
-        t, th, rh, psi = _draw_rows((t_grid, theta, rho,
-                                     _jittered(0.0, 2.0 * math.pi, spf, rng)), 40, rng)
-        transversal = (t, a * _unit(th), rh[:, None] * _unit(psi))
-        t, th, rh = _draw_rows((t_grid, theta, np.concatenate([[0.0], rho])), 10, rng)
-        gate = (t, a * _unit(th), rh[:, None] * (_unit(th)[:, ::-1] * [-1.0, 1.0]))
-    for (t, x, p), exact in ((transversal, False), (gate, True)):
-        xp, base, slope = _cylinder_quantities(t, x, p, F, G)
-        for j in range(t.size):
-            rec.candidate("gamma", t[j], 1.0, x[j], p[j],
-                          0.0 if exact else xp[j], base[j] + slope[j], exact)
 
 
 def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
@@ -505,85 +451,79 @@ def _cone_face_line(ctx: _Sampling, rec: _Margins) -> None:
     K0, B, one_minus = _cone_radial(r, G, b)
     c = K0 + B - F.sup_norm * one_minus
     j = int(np.argmin(c))
-    slope = 2.0 * b * b + G / math.sqrt(1.0 - a * a) + 2.0 * a * F.sup_norm
-    rec.closed_form(rec.delta, c[j] - 0.5 * slope * (r[1] - r[0]), "cone", r[j])
+    # with |c''| <= M, c stays within M h^2 / 8 below its chords
+    M = 4.0 * b * b + 3.0 * a * G / (1.0 - a * a) ** 1.5 + 2.0 * F.sup_norm
+    rec.closed_form(rec.delta, c[j] - M * (r[1] - r[0]) ** 2 / 8.0, "cone", r[j])
     k, f = max(j, 1), F.eval(t_grid)
     x = r[k] * np.where(f < 0.0, -1.0, 1.0)
-    rec.delta.add(K0[k] + B[k] - np.abs(f[:, 0]) * one_minus[k], 1.0, t_grid,
-                  x, np.full_like(x, b * (1.0 - r[k])), "cone-sign")
-
-    # spot-check candidates at the full scale lam = 1
-    xi = np.concatenate([_jittered(a * 1e-3, a, 2 * ctx.spf, ctx.rng), [a]])
-    tq, xq = _draw_rows((t_grid, xi), 30, ctx.rng)
-    xq, pq = xq[:, None], b * (1.0 - xq[:, None])
-    gate, curv = _cone_quantities(tq, xq, pq, 1.0, F, G, b)
-    for i in range(tq.size):
-        rec.candidate("delta", tq[i], 1.0, xq[i], pq[i], gate[i], curv[i], False)
+    rec.delta.add(K0[k] + B[k] - np.abs(f[:, 0]) * one_minus[k], "cone-sign",
+                  t=t_grid, lam=np.ones_like(t_grid), x=x,
+                  p=np.full_like(x, b * (1.0 - r[k])))
 
 
 def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
-    """Planar cone: the curvature at the gate roots of every cell and scale.
+    """Planar cone over the disk of forcing values: the curvature, with
+    ``F'`` at its worst, at the gate roots of every cell ``(r, |f|, phi)``
+    of a ``(2 spf + 1)^3`` grid.
 
-    ``F`` is read once per cell ``(t, theta, r)``; each ``lam`` shifts the
-    cubic's ``K`` and scales its ``L``.
+    Spot candidates are cells realized at the grid time ``t*`` where ``|F|``
+    peaks, at the scale ``lam = |f| / |F(t*)|`` (if at most 1) and with
+    ``x`` at the angle ``arg F(t*) - phi``: 20 gate roots, and 40 points at
+    one of 32 velocity angles.
     """
     a, b, F, G, rng = ctx.spec.a, ctx.spec.b, ctx.F, ctx.G, ctx.rng
-    theta_grid = _jittered(0.0, 2.0 * math.pi, ctx.spf, rng)
-    r_grid = np.concatenate([_jittered(a * 0.02, a, max(4, ctx.spf // 2), rng),
-                             [a]])
-    tc, thc, rc = (v.ravel() for v in np.meshgrid(ctx.t_grid, theta_grid, r_grid,
-                                                  indexing="ij"))
-    xc = rc[:, None] * _unit(thc)
-    pnorm = b * (1.0 - rc)
-    K0, K1, B, f_perp = _cone_gate_terms(thc, rc, F.eval(tc), G, b)
-    for lam in _LAMBDA_GRID:
-        cells, psi = _cone_gate_roots(thc, K0 - lam * K1, B, lam * f_perp)
-        p_root = pnorm[cells, None] * _unit(psi)
-        _, curv = _cone_quantities(tc[cells], xc[cells], p_root, lam, F, G, b)
-        rec.delta.add(curv, lam, tc[cells], xc[cells], p_root, "cone-gate")
-        rec.xtp_abs.append(np.abs(np.sum(xc[cells] * p_root, axis=1)))
-        rec.xtp_bound.append(4.0 * F.sup_norm * rc[cells] / b)
+    n = 2 * ctx.spf + 1
+    r, fn, phi = (v.ravel() for v in np.meshgrid(
+        np.linspace(0.02 * a, a, n), np.linspace(0.0, F.sup_norm, n),
+        np.linspace(0.0, math.pi, n), indexing="ij"))
+    K0, B, one_minus = _cone_radial(r, G, b)
+    f = fn[:, None] * _unit(phi)
+    cells, s = _cone_gate_roots(K0 - f[:, 0] * one_minus, B, f[:, 1])
+    x = r[cells, None] * [1.0, 0.0]
+    p = (b * (1.0 - r[cells]))[:, None] * _unit(s)
+    _, curv = _cone_quantities(x, p, f[cells], np.zeros_like(p), G, b)
+    curv -= F.sup_norm_derivative * np.hypot(one_minus[cells] * np.cos(s),
+                                             np.sin(s))
+    rec.delta.add(curv, "cone-gate", x=x, p=p, f=f[cells])
+    rec.xtp_abs.append(np.abs(x[:, 0] * p[:, 0]))
+    rec.xtp_bound.append(4.0 * F.sup_norm * r[cells] / b)
 
-    # spot-check candidates at the largest scale, whose roots the loop leaves
-    for i in rng.choice(cells.size, size=min(20, cells.size), replace=False):
-        rec.candidate("delta", tc[cells[i]], lam, xc[cells[i]], p_root[i],
-                      0.0, curv[i], True)
-    # transversal candidates on 32 velocity angles per cell
-    rows, k = _draw_rows((np.arange(tc.size), np.arange(32)), 40, rng)
-    p_sel = pnorm[rows, None] * _unit(k * (2.0 * math.pi / 32))
-    gate, curv_sel = _cone_quantities(tc[rows], xc[rows], p_sel, lam, F, G, b)
+    f_grid = F.eval(ctx.t_grid)
+    k = int(np.argmax(np.linalg.norm(f_grid, axis=1)))
+    t_star, f_star = float(ctx.t_grid[k]), f_grid[k]
+    df_star = F.eval_derivative(ctx.t_grid[k:k + 1])[0]
+    peak = float(np.linalg.norm(f_star))
+    lam = fn / peak if peak > 0.0 else np.zeros_like(fn)
+    realizable = np.flatnonzero(lam <= 1.0)
+    picks = np.flatnonzero(lam[cells] <= 1.0)
+    picks = rng.choice(picks, size=min(20, picks.size), replace=False)
+    flat = rng.choice(32 * realizable.size, size=min(40, 32 * realizable.size),
+                      replace=False)
+    rows = np.concatenate([cells[picks], realizable[flat // 32]])
+    angle = np.concatenate([s[picks], (flat % 32) * (2.0 * math.pi / 32)])
+    theta = math.atan2(f_star[1], f_star[0]) - phi[rows]
+    xs = r[rows, None] * _unit(theta)
+    ps = (b * (1.0 - r[rows]))[:, None] * _unit(theta + angle)
+    gate, curv = _cone_quantities(xs, ps, lam[rows, None] * f_star,
+                                  lam[rows, None] * df_star, G, b)
     for j, i in enumerate(rows):
-        rec.candidate("delta", tc[i], lam, xc[i], p_sel[j], gate[j],
-                      curv_sel[j], False)
+        exact = j < picks.size
+        rec.spot_pool.append({
+            "face": "delta", "t": t_star, "lam": float(lam[i]), "x": xs[j],
+            "p": ps[j], "gate": 0.0 if exact else float(gate[j]),
+            "curv": float(curv[j]), "exact_gate": exact})
 
 
 def _vertex_face(ctx: _Sampling, rec: _Margins) -> bool:
-    """Vertex circle ``x = 0, |p| = b``: the exit condition at every sample."""
-    b = ctx.spec.b
-    if ctx.spec.dim == 1:
-        vertex_ps = [np.asarray([b]), np.asarray([-b])]
-    else:
-        psis = _jittered(0.0, 2.0 * math.pi, ctx.spf, ctx.rng)
-        vertex_ps = [b * np.asarray([math.cos(s), math.sin(s)]) for s in psis]
-    samples = [(float(t), p) for t in ctx.t_grid for p in vertex_ps]
-    rec.vertex_samples = len(samples)
-
-    def failure(t, p, reason):
-        return {"face": "vertex", "t": t, "p": [float(v) for v in p],
-                "reason": reason}
-
-    # the analytic exit condition b^2 > sup|F| is one verdict for every sample
-    ok = exit_cone_check(samples[0][0], vertex_ps[0], ctx.F)
+    """Vertex circle ``x = 0, |p| = b``: the analytic exit condition, one
+    verdict for every point of it."""
+    p = np.zeros(ctx.spec.dim)
+    p[0] = ctx.spec.b
+    ok = exit_cone_check(p, ctx.F)
     if not ok:
-        rec.failures.extend(failure(t, p, "analytic vertex exit condition fails")
-                            for t, p in samples)
-    # confirm a few vertex samples by integration
-    for i in ctx.rng.choice(len(samples), size=min(5, len(samples)),
-                            replace=False):
-        t, p = samples[int(i)]
-        if ok and not exit_cone_check(t, p, ctx.F, G=ctx.G, cfg=ctx.cfg):
-            ok = False
-            rec.failures.append(failure(t, p, "vertex integration failed to exit"))
+        rec.failures.append({"face": "vertex", "p": p.tolist(),
+                             "margin": ctx.spec.b ** 2 - ctx.F.sup_norm,
+                             "reason": "analytic vertex exit condition fails"})
     return ok
 
 
@@ -599,8 +539,7 @@ def _spot_checks(ctx: _Sampling, rec: _Margins) -> dict:
     # gauge b|x| + |p| - b has a kink at x = 0: a cone-face arc, which moves
     # x by about |p| dt each way, must keep |x| > 2 |p| dt to stay clear of it.
     usable = [s for s in rec.spot_pool
-              if (s["face"] == "gamma"
-                  or np.linalg.norm(s["x"]) > 2.0 * np.linalg.norm(s["p"]) * dt)
+              if np.linalg.norm(s["x"]) > 2.0 * np.linalg.norm(s["p"]) * dt
               and (s["exact_gate"]
                    or (abs(s["gate"]) >= 10.0 * ctx.gate_tol
                        and abs(s["gate"]) >= 8.0 * abs(s["curv"]) * dt))]
@@ -618,8 +557,7 @@ def _spot_checks(ctx: _Sampling, rec: _Margins) -> dict:
         rec.failures.append(entry)
         # an observed wrong-side crossing is a genuine margin defect
         defect = {k: entry[k] for k in ("t", "lam", "x", "p")}
-        pool = rec.gamma if sample["face"] == "gamma" else rec.delta
-        pool.clamp(-abs(sample["gate"]) - 1e-15, dict(defect, kind="spot-check"))
+        rec.delta.clamp(-abs(sample["gate"]) - 1e-15, dict(defect, kind="spot-check"))
     return result
 
 
@@ -629,16 +567,18 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
                      seed: int = 0) -> BoundSetCertificate:
     """Check the boundary faces and certify the trap conditions.
 
-    One function per face writes to a shared margin record, in a fixed
-    order so that the seed fixes every sample:
+    The forcing is read through ``sup|F|`` and ``sup|F'|``; the grid of
+    ``2 samples_per_face`` times only places witnesses.  One function per
+    face writes to a shared margin record:
 
     * cylinder ``|x| = a``: gate points (``p`` orthogonal to ``x``) need
       positive curvature, least in the module docstring's closed form;
     * cone ``b|x| + |p| = b``: on the line, the enclosed minimum of ``c(r)``
       must be positive; in the plane, the curvature at the roots of the
-      module docstring's cubic, per scale of ``_LAMBDA_GRID``;
+      module docstring's cubic over the disk of forcing values;
     * vertex ``x = 0, |p| = b``: ``exit_cone_check``;
-    * spot checks: a random subset confirmed by two-sided integrations.
+    * spot checks: planar cone cells drawn by ``seed``, confirmed by
+      two-sided integrations.  The line draws nothing.
 
     A closed-form minimum is the face's ``min_margin``, named in
     ``failures`` with its radius when not positive; its worst samples are
@@ -646,14 +586,14 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     """
     if F.dim != spec.dim:
         raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")
-    rng = np.random.default_rng(seed)
     spf = int(samples_per_face)
     if spf < 1:
         raise ValueError(f"samples_per_face must be positive, got {samples_per_face}")
     ctx = _Sampling(
         spec=spec, G=G, F=F, cfg=cfg or IntegratorConfig(),
-        t_grid=_jittered(0.0, F.period, 2 * spf, rng), spf=spf,
-        gate_tol=1e-6 * spec.b * (1.0 + F.sup_norm + G), rng=rng)
+        t_grid=(np.arange(2 * spf) + 0.5) * (F.period / (2 * spf)), spf=spf,
+        gate_tol=1e-6 * spec.b * (1.0 + F.sup_norm + G),
+        rng=np.random.default_rng(seed))
     rec = _Margins()
     _cylinder_face(ctx, rec)
     (_cone_face_line if spec.dim == 1 else _cone_face_plane)(ctx, rec)
@@ -664,9 +604,7 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     failures = rec.failures + [e for e in gamma.worst + delta.worst
                                if e["margin"] <= 0.0]
     return BoundSetCertificate(
-        spec=spec, lambda_cover={"cylinder": "interval", "cone": "interval"
-                                 if spec.dim == 1 else _LAMBDA_GRID.tolist()},
-        boundary_samples=gamma.count + delta.count + rec.vertex_samples,
+        spec=spec, boundary_samples=gamma.count + delta.count,
         min_margin_gamma=gamma.min, min_margin_delta=delta.min,
         corner_ok=corner_ok,
         verified=(gamma.min > 0.0) and (delta.min > 0.0) and corner_ok,
@@ -749,7 +687,6 @@ def certificate_to_dict(cert: BoundSetCertificate) -> dict:
                "min_slack": float(slack[i])}
     return {
         "spec": {"a": cert.spec.a, "b": cert.spec.b, "dim": cert.spec.dim},
-        "lambda": cert.lambda_cover,
         "boundary_samples": cert.boundary_samples,
         "min_margin_gamma": cert.min_margin_gamma,
         "min_margin_delta": cert.min_margin_delta,

@@ -248,13 +248,16 @@ def test_velocity_alignment_on_gates(planar_certificate):
 # closed form of ``compute_a`` differs from it by rounding only.  The gamma
 # column is the cylinder's closed form ``a sqrt(1 - a^2) a_margin``, below
 # the sampled gate minimum the scan found (2.081234, 2.077206, 2.080274).
+# The delta column is the cone's least margin over the disk of forcing
+# values with F' at its worst, below the scan's sampled minimum (42.936869,
+# 43.761040, 42.920549): at r = a, f = sup|F| along x, s = pi/2.
 SCANNED_GATE_CERTIFICATES = {
     "circle": (0.5756875158306229, 4.895909838375161, 2.0801728300743396,
-               42.93686908500601),
+               42.898122435491),
     "four_harmonics": (0.5921084515564417, 5.57902769511731,
-                       2.0646063982244867, 43.76104044081853),
+                       2.0646063982244867, 40.702895688276485),
     "fixture": (0.5755742408625792, 4.894929803842235, 2.0793869356565997,
-                42.9205487003476),
+                42.89948446486489),
 }
 
 

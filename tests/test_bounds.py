@@ -10,18 +10,18 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from upright import bounds
-from upright.bounds import (BoundSetSpec, _cone_gate_roots, _cone_gate_terms,
-                            _cone_quantities, _cylinder_quantities,
+from upright.bounds import (BoundSetSpec, _cone_gate_roots, _cone_quantities,
+                            _cone_radial, _cylinder_quantities,
                             certificate_to_dict,
                             compute_a, compute_b_linear, compute_b_planar,
                             degree_of_autonomous_field, exit_cone_check,
                             orbit_containment, save_certificate_json,
                             verify_bound_set)
-from upright.dynamics import (ModelParams, PhaseState, make_field,
-                              rod_acceleration, rod_terms)
+from upright.dynamics import ModelParams, PhaseState, make_field, rod_terms
 from upright.errors import BoundVerificationError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
-from upright.integrator import IntegratorConfig, evolve, integrate_field
+from upright.integrator import (FALL_THRESHOLD, IntegratorConfig, evolve,
+                                integrate_field)
 
 F1 = make_fourier_forcing(1.0, 1, [2.0], [])
 F2 = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
@@ -149,7 +149,8 @@ def test_curvature_cone_unforced_orthogonal_sample():
     b = 3.0
     x = np.array([0.2, 0.0])
     p_mag = b * (1.0 - 0.2)
-    gate, curv = _cone_quantities([0.0], [x], [[0.0, p_mag]], 0.0, Z2, 9.81, b)
+    gate, curv = _cone_quantities([x], [[0.0, p_mag]], np.zeros((1, 2)),
+                                  np.zeros((1, 2)), 9.81, b)
     assert gate[0] == 0.0
     assert curv[0] > 0.0
 
@@ -158,44 +159,82 @@ def test_exit_cone_check_analytic():
     Fn = F2.sup_norm
     b_hi = math.sqrt(2.0 * Fn)
     b_lo = math.sqrt(0.5 * Fn)
-    assert exit_cone_check(0.0, np.array([0.0, b_hi]), F2)
-    assert not exit_cone_check(0.0, np.array([0.0, b_lo]), F2)
-    assert exit_cone_check(0.0, np.array([0.5, 0.0]), Z2)
+    assert exit_cone_check(np.array([0.0, b_hi]), F2)
+    assert not exit_cone_check(np.array([0.0, b_lo]), F2)
+    assert exit_cone_check(np.array([0.5, 0.0]), Z2)
+
+
+def _vertex_sample(t, p):
+    """The vertex ``x = 0`` with momentum ``p`` as a spot sample whose arcs
+    must end outside the cone on both sides."""
+    p = np.asarray(p, dtype=float)
+    return {"face": "delta", "t": t, "lam": 1.0, "x": np.zeros(p.size), "p": p,
+            "exact_gate": True, "gate": 0.0, "curv": 1.0}
 
 
 def test_exit_cone_check_with_integration():
+    # where the analytic condition holds, arcs of 1e-3 periods from the
+    # vertex end outside the cone both forward and backward in time
     Fn = F2.sup_norm
     p = np.array([0.0, math.sqrt(4.0 * Fn)])
-    assert exit_cone_check(0.3, p, F2, G=9.81)
+    assert exit_cone_check(p, F2)
+    spec = BoundSetSpec(0.6, float(np.linalg.norm(p)), 2)
+    for t in (0.0, 0.3, 0.7):
+        assert bounds._spot_check(_vertex_sample(t, p), spec, 9.81, F2,
+                                  IntegratorConfig(), 1e-3)
 
 
 @pytest.mark.parametrize("p, F", [
     ([1000.0], make_fourier_forcing(2.0, 1, [1.0], [])),
     ([1000.0, 0.0], make_fourier_forcing(2.0, 2, [[1.0, 0.0]], [[0.0, 1.0]])),
 ], ids=["line", "plane"])
-def test_exit_cone_check_steep_vertex_arc_ends_at_the_fall(p, F):
-    # from |p| = 1000 the vertex arc reaches |x| = 1 long before 1e-3
-    # periods; it ends at the fall threshold, outside the cone, instead of
+def test_exit_cone_check_steep_vertex_arc_ends_at_the_fall(monkeypatch, p, F):
+    # from |p| = 1000 the vertex arcs reach |x| = 1 long before 1e-3
+    # periods; each ends at the fall threshold, outside the cone, instead of
     # crawling into the field's singularity until the step budget runs out
-    assert exit_cone_check(0.0, p, F, G=1.0)
+    assert exit_cone_check(p, F)
+    arcs = []
+
+    def recorded(*args, **kwargs):
+        traj = integrate_field(*args, **kwargs)
+        arcs.append(traj)
+        return traj
+
+    monkeypatch.setattr(bounds, "integrate_field", recorded)
+    spec = BoundSetSpec(0.5, 1000.0, len(p))
+    assert bounds._spot_check(_vertex_sample(0.0, p), spec, 1.0, F,
+                              IntegratorConfig(), 1e-3 * F.period)
+    assert len(arcs) == 2
+    for traj in arcs:
+        assert traj.fall_event is not None
+        assert traj.fall_event.time - traj.t0 < 1e-3 * F.period
+        assert np.linalg.norm(traj.fall_event.state[:len(p)]) == pytest.approx(
+            FALL_THRESHOLD, abs=1e-9)
 
 
 def test_planar_verification_reads_forcing_once_per_cone_point(monkeypatch):
-    # the planar cone face reads F once per cell and once per point whose
-    # curvature it forms; its transversal candidates take gate and
-    # curvature from one read
+    # the planar cone's cells take their forcing from the disk |f| <= sup|F|;
+    # the face reads F only at the grid times, to find the peak t* where its
+    # spot candidates are realized, and F' there.  Gate and curvature come
+    # from one call for the gate roots and one for the 60 candidates
     face = {"inside": False, "points": [], "quantity_points": []}
     eval_points = bounds.PeriodicSignal.eval
+    eval_rates = bounds.PeriodicSignal.eval_derivative
     cone_face = bounds._cone_face_plane
 
     def counted_eval(self, t):
         if face["inside"]:
-            face["points"].append(np.size(t))
+            face["points"].append(("F", np.size(t)))
         return eval_points(self, t)
 
-    def counted_quantities(ts, *args):
-        face["quantity_points"].append(np.size(ts))
-        return _cone_quantities(ts, *args)
+    def counted_rate(self, t):
+        if face["inside"]:
+            face["points"].append(("F'", np.size(t)))
+        return eval_rates(self, t)
+
+    def counted_quantities(xs, *args):
+        face["quantity_points"].append(len(xs))
+        return _cone_quantities(xs, *args)
 
     def counted_face(ctx, rec):
         face["inside"] = True
@@ -203,14 +242,13 @@ def test_planar_verification_reads_forcing_once_per_cone_point(monkeypatch):
         face["inside"] = False
 
     monkeypatch.setattr(bounds.PeriodicSignal, "eval", counted_eval)
+    monkeypatch.setattr(bounds.PeriodicSignal, "eval_derivative", counted_rate)
     monkeypatch.setattr(bounds, "_cone_quantities", counted_quantities)
     monkeypatch.setattr(bounds, "_cone_face_plane", counted_face)
     spec = BoundSetSpec(compute_a(9.81, 1.5, 0.5), 5.0, 2)
-    verify_bound_set(spec, 9.81, F2, samples_per_face=6)
-    cells, *rest = face["points"]
-    assert cells == (2 * 6) * 6 * (max(4, 6 // 2) + 1)
-    assert face["quantity_points"][-1] == 40
-    assert sum(rest) == sum(face["quantity_points"])
+    cert = verify_bound_set(spec, 9.81, F2, samples_per_face=6)
+    assert face["points"] == [("F", 2 * 6), ("F'", 1)]
+    assert face["quantity_points"] == [cert.delta_gate_count, 20 + 40]
 
 
 # -- closed-form planar cone gates ---------------------------------------
@@ -257,10 +295,20 @@ def _scanned_gate_roots(t, theta, r, lam, F, b, n=4096):
     return cells, 0.5 * (lo + hi)
 
 
+def _cone_gate_terms(theta, r, f, b):
+    """The cubic's ``K``, ``B`` and ``L`` at ``x = r (cos theta, sin theta)``
+    under the forcing rows ``f``."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    K0, B, one_minus = _cone_radial(r, 9.81, b)
+    f = np.atleast_2d(f)
+    return (K0 - (f[:, 0] * cos + f[:, 1] * sin) * one_minus, B,
+            f[:, 1] * cos - f[:, 0] * sin)
+
+
 def _check_gate_roots(t, theta, r, lam, F, b):
     """Closed-form roots: every scanned root, true gate points, at most 6."""
-    K0, K1, B, f_perp = _cone_gate_terms(theta, r, F.eval(t), 9.81, b)
-    cells, psi = _cone_gate_roots(theta, K0 - lam * K1, B, lam * f_perp)
+    cells, s = _cone_gate_roots(*_cone_gate_terms(theta, r, lam * F.eval(t), b))
+    psi = np.mod(theta[cells] + s, 2.0 * math.pi)
     gate_tol = 1e-6 * b * (1.0 + F.sup_norm + 9.81)
     assert np.all(np.abs(_cone_gate(t[cells], theta[cells], r[cells], psi,
                                     lam, F, b)) <= gate_tol)
@@ -275,12 +323,12 @@ def _check_gate_roots(t, theta, r, lam, F, b):
 
 
 def _cell_B(theta, r, b):
-    return _cone_gate_terms(theta, r, np.zeros((1, 2)), 9.81, b)[2][0]
+    return _cone_gate_terms(theta, r, np.zeros((1, 2)), b)[1][0]
 
 
 def _constant_forcing(theta, r, b, K, L):
     """A constant forcing that gives one cell the gate terms K and L at lam = 1."""
-    K0 = _cone_gate_terms(theta, r, np.zeros((1, 2)), 9.81, b)[0][0]
+    K0 = _cone_gate_terms(theta, r, np.zeros((1, 2)), b)[0][0]
     f_par = (K0 - K) / (1.0 - r[0] ** 2)
     f = f_par * np.array([math.cos(theta[0]), math.sin(theta[0])]) \
         + L * np.array([-math.sin(theta[0]), math.cos(theta[0])])
@@ -396,7 +444,8 @@ def test_gates_and_curvatures_match_differences_along_the_flow(dim, lam):
         u, v = (w / np.linalg.norm(w) for w in rng.normal(size=(2, dim)))
         r = rng.uniform(0.2, a)
         x, p = r * u, b * (1.0 - r) * v
-        gate, curv = _cone_quantities([t0], [x], [p], lam, F, 9.81, b)
+        gate, curv = _cone_quantities([x], [p], lam * F.eval([t0]),
+                                      lam * F.eval_derivative([t0]), 9.81, b)
         fd = _gauge_rates(lambda xn, pn: b * xn + pn - b, t0, x, p, lam)
         x, p = a * u, rng.uniform(0.0, b * (1.0 - a)) * v
         cyl_gate, base, slope = _cylinder_quantities([t0], [x], [p], F, 9.81)
@@ -459,8 +508,8 @@ def test_verify_linear_forced_config():
     b = compute_b_linear(a, 2.0, 0.5)
     cert = verify_bound_set(BoundSetSpec(a, b, 1), 9.81, F1, samples_per_face=8)
     assert cert.verified
-    assert cert.spot_checks["attempted"] == 50
-    assert cert.spot_checks["passed"] == 50
+    # closed forms only: no spot-check arcs on the line
+    assert cert.spot_checks == {"attempted": 0, "passed": 0, "failures": []}
     assert cert.thresholds["invariants_ok"]
 
 
@@ -490,10 +539,68 @@ def test_verify_planar_config():
     assert np.all(cert.xtp_abs <= cert.xtp_bound + 1e-9)
 
 
+# the slopes of the benchmark's planar ``certify`` inputs, which
+# compute_b_planar finds at 6 samples per face and seed 1
+PLANAR_SLOPES = {"circle": 4.895909838375881, "four_harmonics": 5.579027695118285}
+
+
+def _fine_disk_margin(a, b, F, G=9.81):
+    """Least cone curvature at the gate roots of a 16 x 32 x 64 grid of
+    radii, forcing sizes and forcing angles round the whole circle, less
+    ``sup|F'| |(x.p) x - p| / |p|``."""
+    r, fn, phi = (v.ravel() for v in np.meshgrid(
+        np.linspace(0.02 * a, a, 16), np.linspace(0.0, F.sup_norm, 32),
+        np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False), indexing="ij"))
+    f = fn[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    cells, s = _cone_gate_roots(*_cone_gate_terms(np.zeros(r.size), r, f, b))
+    x = np.stack([r[cells], np.zeros(cells.size)], axis=1)
+    p = (b * (1.0 - r[cells]))[:, None] * np.stack([np.cos(s), np.sin(s)], axis=1)
+    _, curv = _cone_quantities(x, p, f[cells], np.zeros_like(p), G, b)
+    xp = np.sum(x * p, axis=1)
+    rate = np.linalg.norm(xp[:, None] * x - p, axis=1) / np.linalg.norm(p, axis=1)
+    return float(np.min(curv - F.sup_norm_derivative * rate))
+
+
+@pytest.mark.parametrize("name, F", [("circle", F2), ("four_harmonics", F4)],
+                         ids=["circle", "four_harmonics"])
+def test_planar_cone_margin_matches_a_fine_disk_grid(monkeypatch, name, F):
+    # the reference slopes still verify; the (2 spf + 1)^3 half-disk grid
+    # finds the least margin of a 16 x 32 x 64 grid over the whole disk to
+    # 1e-3 (42.898 and 40.703), in no more cells than the (t, theta, r)
+    # grid at 21 forcing scales that it replaces
+    cells = []
+    roots = bounds._cone_gate_roots
+
+    def counted(K, B, L):
+        cells.append(K.size)
+        return roots(K, B, L)
+
+    monkeypatch.setattr(bounds, "_cone_gate_roots", counted)
+    a = compute_a(9.81, F.sup_norm, 0.5)
+    b, cert = compute_b_planar(a, F, 9.81, samples_per_face=6, seed=1)
+    assert b == PLANAR_SLOPES[name] and cert.verified
+    assert abs(cert.min_margin_delta - _fine_disk_margin(a, b, F)) <= 1e-3
+    assert cells == [13 ** 3] and 13 ** 3 <= (2 * 6) * 6 * (max(4, 6 // 2) + 1) * 21
+    assert np.all(cert.xtp_abs <= cert.xtp_bound)
+
+
+def test_planar_verdict_is_the_same_for_every_seed():
+    # four harmonics at b = 1.449 and 6 samples per face: a jittered
+    # (t, theta, r) grid verified this trap at seeds 1-6 and 8 and refuted
+    # it at seed 7.  The disk of forcing values has no seed; the finer
+    # _fine_disk_margin refutes it too
+    a = compute_a(9.81, F4.sup_norm, 0.5)
+    certs = [verify_bound_set(BoundSetSpec(a, 1.449, 2), 9.81, F4,
+                              samples_per_face=6, seed=seed) for seed in range(1, 9)]
+    assert {(c.verified, c.min_margin_delta) for c in certs} \
+        == {(False, certs[0].min_margin_delta)}
+    assert certs[0].min_margin_delta < 0.0 and _fine_disk_margin(a, 1.449, F4) < 0.0
+
+
 def test_failed_spot_check_refutes_a_face_without_gate_points(monkeypatch):
     # a planar cone face whose cells have no gate roots pools no margin; a
     # spot check that contradicts its prediction there must still refute it
-    def no_roots(theta, K, B, L):
+    def no_roots(K, B, L):
         return np.zeros(0, dtype=int), np.zeros(0)
 
     def refuted(sample, *args):
@@ -505,57 +612,6 @@ def test_failed_spot_check_refutes_a_face_without_gate_points(monkeypatch):
                             samples_per_face=4)
     assert cert.delta_gate_count == 0 and cert.spot_checks["failures"]
     assert cert.min_margin_delta < 0.0 and not cert.verified
-
-
-@pytest.mark.parametrize("dim, spf", [(1, 4), (1, 16), (2, 4), (2, 16)])
-def test_cylinder_candidates_are_rows_of_the_full_transversal_grid(dim, spf):
-    # the 40 transversal candidates are the rows of the whole product grid
-    # that a draw of 40 flat indices picks, the draw coming after the grids'
-    # own; in the plane the 10 exact gate picks are rows of the gate grid
-    # (t, theta, |p| in {0} and the speeds), drawn next by flat index
-    spec = BoundSetSpec(0.6, 5.0, dim)
-    t_grid = np.linspace(0.0, 1.0, 2 * spf, endpoint=False)
-    F = F1 if dim == 1 else F2
-    ctx = bounds._Sampling(spec=spec, G=9.81, F=F, cfg=IntegratorConfig(),
-                           t_grid=t_grid, spf=spf, gate_tol=1e-6,
-                           rng=np.random.default_rng(7))
-    rec = bounds._Margins()
-    bounds._cylinder_face(ctx, rec)
-    pool = rec.spot_pool
-    assert [s["exact_gate"] for s in pool[:40]] == [False] * 40
-
-    rng, jittered = np.random.default_rng(7), bounds._jittered
-    a, p_max = spec.a, spec.b * (1.0 - spec.a)
-    if dim == 1:
-        p_grid = jittered(-p_max, p_max, 2 * spf, rng)
-        tt, xx, pp = (v.ravel() for v in np.meshgrid(t_grid, [a, -a], p_grid,
-                                                     indexing="ij"))
-        xs, ps = xx[:, None], pp[:, None]
-    else:
-        theta = jittered(0.0, 2.0 * math.pi, spf, rng)
-        rho = np.concatenate([jittered(0.0, p_max, max(4, spf // 2), rng), [p_max]])
-        psi = jittered(0.0, 2.0 * math.pi, spf, rng)
-        tt, th, rh, ph = (v.ravel() for v in np.meshgrid(t_grid, theta, rho, psi,
-                                                         indexing="ij"))
-        xs = a * np.stack([np.cos(th), np.sin(th)], axis=1)
-        ps = rh[:, None] * np.stack([np.cos(ph), np.sin(ph)], axis=1)
-    sel = rng.choice(tt.size, size=40, replace=False)
-    assert [s["t"] for s in pool[:40]] == tt[sel].tolist()
-    assert np.array_equal([s["x"] for s in pool[:40]], xs[sel])
-    assert np.array_equal([s["p"] for s in pool[:40]], ps[sel])
-    if dim == 2:
-        tg, thg, rhg = (v.ravel() for v in np.meshgrid(
-            t_grid, theta, np.concatenate([[0.0], rho]), indexing="ij"))
-        radial = np.stack([np.cos(thg), np.sin(thg)], axis=1)
-        pg = rhg[:, None] * (radial[:, ::-1] * [-1.0, 1.0])
-        picks = rng.choice(tg.size, size=10, replace=False)
-        gates = pool[40:]
-        assert [s["exact_gate"] for s in gates] == [True] * 10
-        assert [s["t"] for s in gates] == tg[picks].tolist()
-        assert np.array_equal([s["x"] for s in gates], a * radial[picks])
-        assert np.array_equal([s["p"] for s in gates], pg[picks])
-    # the next draw of the stream is where the parent's face took it
-    assert ctx.rng.random() == rng.random()
 
 
 def test_planar_cylinder_gate_points_are_sampled_once():
@@ -581,7 +637,7 @@ def test_planar_cylinder_gate_points_are_sampled_once():
                                        atol=1e-15)
             _, base, slope = _cylinder_quantities([w["t"]], [x], [w["p"]], F, 9.81)
             assert w["margin"] == base[0] + slope[0] >= closed
-    points = [(w["t"], w["lam"], *w["x"], *w["p"]) for w in planar.worst_delta]
+    points = [(*w["x"], *w["p"], *w["f"]) for w in planar.worst_delta]
     assert len(set(points)) == len(points) == bounds._WORST_KEPT
 
 
@@ -593,18 +649,17 @@ def _line_certify_spec():
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["line", "plane"])
 def test_boundary_samples_count_the_samples_given_a_margin(dim):
-    # every counted sample has a margin pooled, or is a vertex sample
+    # every counted sample has a margin pooled; the vertex is one analytic
+    # condition and counts none
     if dim == 1:
         spf, spec, F = 32, _line_certify_spec(), F1
     else:
         spf, spec, F = 6, BoundSetSpec(compute_a(9.81, 1.5, 0.5), 5.0, 2), F2
     cert = verify_bound_set(spec, 9.81, F, samples_per_face=spf, seed=1)
-    vertices = 2 * spf * (2 if dim == 1 else spf)
-    assert cert.boundary_samples == (cert.gamma_gate_count
-                                     + cert.delta_gate_count + vertices)
+    assert cert.boundary_samples == cert.gamma_gate_count + cert.delta_gate_count
     if dim == 1:
         assert (cert.boundary_samples, cert.gamma_gate_count,
-                cert.delta_gate_count) == (256, 64, 64)
+                cert.delta_gate_count) == (128, 64, 64)
 
 
 def test_planar_cylinder_pools_exactly_its_gate_grid():
@@ -630,9 +685,8 @@ def test_cylinder_quantities_run_on_gates_and_spot_candidates_only(
     else:
         spec, F = BoundSetSpec(compute_a(9.81, 1.5, 0.5), 5.0, 2), F2
     cert = verify_bound_set(spec, 9.81, F, samples_per_face=8, seed=2)
-    # the witnesses, one per time, the 40 transversal candidates, and the
-    # exact gate picks (every second time on the line, 10 in the plane)
-    assert rows == [cert.gamma_gate_count, 40, 8 if dim == 1 else 10]
+    # the witnesses, one per time; the closed-form face offers no candidates
+    assert rows == [cert.gamma_gate_count]
     assert cert.gamma_gate_count == 16
 
 
@@ -654,8 +708,8 @@ def test_line_cone_face_reads_forcing_once_on_its_branch_times(monkeypatch):
     monkeypatch.setattr(bounds, "_cone_face_line", counted_face)
     spf = 8
     verify_bound_set(_line_certify_spec(), 9.81, F1, samples_per_face=spf)
-    # both sides share one read per time; the 30 spot candidates read again
-    assert sizes == [2 * spf, 30]
+    # both sides share one read per time, and nothing else is read
+    assert sizes == [2 * spf]
 
 
 @pytest.mark.parametrize("b_scale", [1.0, 0.3], ids=["passing", "undersized"])
@@ -672,21 +726,23 @@ def test_line_cone_margin_is_the_signed_gate_on_all_four_branches(
     b = b_scale * compute_b_linear(a, F.sup_norm, 0.5)
     pooled, add = [], bounds._MarginPool.add
 
-    def added(self, margins, lam, ts, xs, ps, kind):
-        pooled.append((margins, lam, ts, xs, ps, kind))
-        add(self, margins, lam, ts, xs, ps, kind)
+    def added(self, margins, kind, **rows):
+        pooled.append((margins, kind, rows))
+        add(self, margins, kind, **rows)
 
     monkeypatch.setattr(bounds._MarginPool, "add", added)
     cert = verify_bound_set(BoundSetSpec(a, b, 1), G, F, samples_per_face=8,
                             seed=4)
-    ((margins, lam, ts, xs, ps, _),) = [p for p in pooled if p[5] == "cone-sign"]
-    assert lam == 1.0 and np.all(ps > 0.0) and ts.size == 16
+    ((margins, _, rows),) = [p for p in pooled if p[1] == "cone-sign"]
+    ts, xs, ps = rows["t"], rows["x"], rows["p"]
+    assert np.all(rows["lam"] == 1.0) and np.all(ps > 0.0) and ts.size == 16
     assert set(np.sign(xs[:, 0])) == {1.0, -1.0}
     assert np.all(np.sign(xs[:, 0]) == np.where(F.eval(ts)[:, 0] < 0.0, -1.0, 1.0))
     assert np.all(margins >= cert.min_margin_delta)
     scale = b * b + G + F.sup_norm
     for sp in (1.0, -1.0):
-        gate, _ = _cone_quantities(ts, xs, sp * ps, 1.0, F, G, b)
+        gate, _ = _cone_quantities(xs, sp * ps, F.eval(ts),
+                                   F.eval_derivative(ts), G, b)
         np.testing.assert_allclose(margins, np.sign(xs[:, 0] * sp) * gate,
                                    rtol=0.0, atol=1e-15 * scale)
 
@@ -715,7 +771,8 @@ def test_cone_quantities_gate_is_the_split_cone_gate(dim, lam):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     x, p = r[:, None] * u, (b * (1.0 - r))[:, None] * v
-    gate, _ = _cone_quantities(t, x, p, lam, F, 9.81, b)
+    gate, _ = _cone_quantities(x, p, lam * F.eval(t),
+                               lam * F.eval_derivative(t), 9.81, b)
     s = rod_terms(x, p, F.eval(t), 9.81)
     g0, g1 = _split_cone_gate(s, b)
     pn = np.sqrt(s.p2)
@@ -753,7 +810,8 @@ def test_margin_pool_block_matches_a_naive_reference(seed):
                        rng.normal(size=(n, 2)), rng.normal(size=(n, 2))))
     pool = bounds._MarginPool()
     for margins, lam, ts, xs, ps in blocks:
-        pool.add(margins, lam, ts, xs, ps, "test")
+        pool.add(margins, "test", t=ts, lam=np.full(margins.size, lam), x=xs,
+                 p=ps)
     assert pool.count == sum(m.size for m, *_ in blocks)
     assert pool.min == min(float(np.min(m)) for m, *_ in blocks if m.size)
     text = json.dumps(pool.worst)
@@ -792,8 +850,9 @@ def test_affine_faces_cover_every_lambda_in_the_unit_interval():
                                 [abs(w["x"][0]) for w in cert.worst_delta]])
             x = (r * rng.choice([-1.0, 1.0], t.size))[:, None]
             p = (b * (1.0 - r))[:, None]
-            signed = [np.sign(x[:, 0]) * _cone_quantities(t, x, p, lam, F, 9.81, b)[0]
-                      for lam in lam_fine[::50, 0]]
+            signed = [np.sign(x[:, 0]) * _cone_quantities(
+                x, p, lam * F.eval(t), lam * F.eval_derivative(t), 9.81, b)[0]
+                for lam in lam_fine[::50, 0]]
             assert np.min(signed) >= cert.min_margin_delta
 
 
@@ -805,7 +864,8 @@ def test_line_cone_refutes_a_trap_its_time_grid_misses():
     a = compute_a(9.81, F.sup_norm, 0.5)
     spec = BoundSetSpec(a, 2.911555024, 1)
     x, p = np.array([[0.179]]), np.array([[2.911555024 * (1.0 - 0.179)]])
-    assert _cone_quantities([0.0], x, p, 1.0, F, 9.81, spec.b)[0][0] < -0.1
+    assert _cone_quantities(x, p, F.eval([0.0]), F.eval_derivative([0.0]),
+                            9.81, spec.b)[0][0] < -0.1
     cert = verify_bound_set(spec, 9.81, F, samples_per_face=4, seed=0)
     assert not cert.verified and cert.corner_ok
     assert min(w["margin"] for w in cert.worst_delta) > 0.0
@@ -813,6 +873,65 @@ def test_line_cone_refutes_a_trap_its_time_grid_misses():
     assert failure["margin"] == cert.min_margin_delta < -0.1
     assert abs(failure["r"] - 0.179) < 1e-3
     assert failure["reason"] == "closed-form margin is not positive"
+
+
+@pytest.mark.parametrize("a, b, G, Fn", [
+    (0.5, 3.0, 9.81, 2.0), (0.9, 10.0, 9.81, 30.0), (0.97, 1.0, 50.0, 0.5),
+    (0.2, 0.3, 0.1, 0.01)])
+def test_line_cone_enclosure_bounds_the_second_derivative(a, b, G, Fn):
+    # the line cone's enclosure lies M h^2 / 8 below the least grid value of
+    # c(r), with M = 4 b^2 + 3 a G / (1 - a^2)^(3/2) + 2 sup|F| read back
+    # from the certificate; M bounds |c''| by differences on a fine grid
+    F = make_fourier_forcing(1.0, 1, [Fn], [])
+    cert = verify_bound_set(BoundSetSpec(a, b, 1), G, F, samples_per_face=4)
+    r = np.linspace(0.0, a, bounds._CONE_RADII)
+    K0, B, one_minus = _cone_radial(r, G, b)
+    M = 8.0 * (np.min(K0 + B - F.sup_norm * one_minus)
+               - cert.min_margin_delta) / (r[1] - r[0]) ** 2
+    assert M == pytest.approx(4 * b * b + 3 * a * G / (1 - a * a) ** 1.5
+                              + 2 * F.sup_norm, rel=1e-6)
+    r, h = np.linspace(0.0, a, 20_001, retstep=True)
+    K0, B, one_minus = _cone_radial(r, G, b)
+    c = K0 + B - F.sup_norm * one_minus
+    assert np.max(np.abs(c[2:] - 2.0 * c[1:-1] + c[:-2])) / h ** 2 <= M
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["line", "plane"])
+def test_closed_form_witnesses_leave_the_trap_on_both_sides(dim):
+    # the closed-form faces run no arcs at verification; their witnesses are
+    # confirmed here by two-sided arcs of 1e-3 periods.  From the cylinder's
+    # worst witness (p = 0, x along F(t*), t* where |F| peaks on the grid)
+    # both arcs end outside |x| = a, as both arcs from a vertex |p| = b end
+    # outside the cone.  The line cone's witness at its argmin radius
+    # crosses: forward it leaves the trap, backward it comes from inside,
+    # and its mirror (x, -p) crosses the other way
+    if dim == 1:
+        spec, F = _line_certify_spec(), F1
+    else:
+        spec, F = BoundSetSpec(compute_a(9.81, F4.sup_norm, 0.5), 5.6, 2), F4
+    cert = verify_bound_set(spec, 9.81, F, samples_per_face=8)
+    cfg, dt = IntegratorConfig(), 1e-3 * F.period
+    t_grid = (np.arange(16) + 0.5) / 16 * F.period
+    w = cert.worst_gamma[0]
+    assert w["t"] == t_grid[np.argmax(np.linalg.norm(F.eval(t_grid), axis=1))]
+    cylinder = {"face": "gamma", "t": w["t"], "lam": 1.0, "x": np.array(w["x"]),
+                "p": np.array(w["p"]), "exact_gate": True, "gate": 0.0,
+                "curv": w["margin"]}
+    assert bounds._spot_check(cylinder, spec, 9.81, F, cfg, dt)
+    p = spec.b * np.eye(dim)[-1]
+    assert bounds._spot_check(_vertex_sample(w["t"], p), spec, 9.81, F, cfg, dt)
+    if dim == 1:
+        w = cert.worst_delta[0]
+        r = np.linspace(0.0, spec.a, bounds._CONE_RADII)
+        K0, B, one_minus = _cone_radial(r, 9.81, spec.b)
+        j = np.argmin(K0 + B - F.sup_norm * one_minus)
+        assert w["t"] == cylinder["t"] and abs(w["x"][0]) == r[max(j, 1)]
+        for sign in (1.0, -1.0):
+            cone = {"face": "delta", "t": w["t"], "lam": 1.0,
+                    "x": np.array(w["x"]), "p": sign * np.array(w["p"]),
+                    "exact_gate": False, "curv": 0.0,
+                    "gate": sign * np.sign(w["x"][0]) * w["margin"]}
+            assert bounds._spot_check(cone, spec, 9.81, F, cfg, dt)
 
 
 def _exact_cone_threshold(a, Fn, G=9.81):
@@ -844,6 +963,19 @@ def test_line_never_verifies_a_trap_with_a_negative_closed_form(seed):
             assert any(f["face"] == "cone" for f in cert.failures)
 
 
+def test_line_certificate_is_the_same_for_every_seed(tmp_path):
+    # a line verification draws nothing from its random stream: seeds 0-3
+    # write the same certificate but for its "seed"
+    texts = set()
+    for seed in range(4):
+        cert = verify_bound_set(_line_certify_spec(), 9.81, F1,
+                                samples_per_face=8, seed=seed)
+        save_certificate_json(cert, tmp_path / "certificate.json")
+        text = (tmp_path / "certificate.json").read_text()
+        texts.add(text.replace(f'"seed": {seed}\n', ""))
+    assert len(texts) == 1
+
+
 def test_verify_deterministic_given_seed():
     spec = BoundSetSpec(a=0.5, b=2.0, dim=1)
     c1 = verify_bound_set(spec, 9.81, F1, samples_per_face=6, seed=3)
@@ -863,37 +995,23 @@ def test_verify_density_stability_linear():
     assert c1.verified and c2.verified
 
 
-def test_verify_lambda_grid_contains_endpoints():
-    # three faces cover lam in [0, 1] exactly; only the planar cone's gate
-    # roots move with lam, and it alone reads the grid
-    spec = BoundSetSpec(a=0.5, b=2.0, dim=1)
-    cert = verify_bound_set(spec, 9.81, F1, samples_per_face=6)
-    assert cert.lambda_cover == {"cylinder": "interval", "cone": "interval"}
-    cert = verify_bound_set(BoundSetSpec(0.6, 5.0, 2), 9.81, F2,
-                            samples_per_face=4)
-    assert cert.lambda_cover["cylinder"] == "interval"
-    grid = cert.lambda_cover["cone"]
-    assert grid[0] == 0.0 and grid[-1] == 1.0 and len(grid) == 21
-    assert certificate_to_dict(cert)["lambda"] == cert.lambda_cover
-
-
 # 1-D certificates: verified, corner_ok, boundary samples, gamma and delta
 # gate counts, min_margin_gamma, min_margin_delta.  Both margins are closed
 # forms in sup |F|: the cylinder's a sqrt(1 - a^2) a_margin, and the cone's
 # c(r) enclosed on [0, a]; each face pools one witness per grid time, and the
-# boundary samples are those witnesses and the vertex samples.  Inputs: the
+# boundary samples are those witnesses.  No spot check runs.  Inputs: the
 # benchmark's ``certify`` linear config (a, b from the sampled sup |F|,
 # 32 samples per face, seed 1), its twin refuted with b = 1, and the config
 # of demos/bound_set_certificate.py (a, b from |F| = 2, 16 per face, seed 0).
 LINEAR_CERTIFICATES = {
-    "certify": (True, True, 256, 64, 64,
-                2.056384041007539, 7.930083196247213),
-    "refute": (False, False, 256, 64, 64,
-               2.056384041007539, -1.0018390788867877),
-    "demo": (True, True, 128, 32, 32,
-             2.0558744143717473, 7.926203220022744),
-    "demo_refuted": (False, False, 128, 32, 32,
-                     2.0558744143717473, -1.0018390206219165),
+    "certify": (True, True, 128, 64, 64,
+                2.056384041007539, 7.930707687005328),
+    "refute": (False, False, 128, 64, 64,
+               2.056384041007539, -1.0016506507460003),
+    "demo": (True, True, 64, 32, 32,
+             2.0558744143717473, 7.926827221926628),
+    "demo_refuted": (False, False, 64, 32, 32,
+                     2.0558744143717473, -1.0016505909647686),
 }
 
 
@@ -911,14 +1029,15 @@ def test_linear_certificates_match_reference_values():
         assert (cert.verified, cert.corner_ok, cert.boundary_samples,
                 cert.gamma_gate_count, cert.delta_gate_count,
                 cert.min_margin_gamma) == tuple(exact), name
-        assert cert.spot_checks == {"attempted": 50, "passed": 50,
+        assert cert.spot_checks == {"attempted": 0, "passed": 0,
                                     "failures": []}, name
         assert abs(cert.min_margin_delta - delta) <= 1e-9 * abs(delta), name
 
 
 def test_lambda_free_kernels_run_once_per_verification(monkeypatch):
-    # each face computes its samples' lam-free terms once; a grid of 21
-    # scales must call these kernels exactly as often as a grid of 3
+    # each face computes its lam-free terms once: the cylinder's witnesses
+    # in one call, and the cone's K0, B for all of its radii, in the plane
+    # for every cell of the disk of forcing values at once
     calls = {}
 
     def counted(name, kernel):
@@ -932,18 +1051,11 @@ def test_lambda_free_kernels_run_once_per_verification(monkeypatch):
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     a1 = compute_a(9.81, 2.0, 0.5)
     a2 = compute_a(9.81, 1.5, 0.5)
-    # both cone faces take their lam-free terms K0, B from the radial kernel
     for spec, F in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0, 0.5), 1), F1),
                     (BoundSetSpec(a2, 5.0, 2), F2)):
-        seen = []
-        for n_lam in (3, 21):
-            calls.clear()
-            monkeypatch.setattr(bounds, "_LAMBDA_GRID", np.linspace(0.0, 1.0, n_lam))
-            verify_bound_set(spec, 9.81, F, samples_per_face=6)
-            seen.append({name: calls.get(name, 0) for name in names})
-        assert seen[0] == seen[1], (spec.dim, seen)
-        assert seen[0]["_cylinder_quantities"] > 0, seen
-        assert seen[0]["_cone_radial"] == 1, seen
+        calls.clear()
+        verify_bound_set(spec, 9.81, F, samples_per_face=6)
+        assert calls == {"_cylinder_quantities": 1, "_cone_radial": 1}, spec
 
 
 def test_certificate_json_roundtrip(tmp_path):

@@ -119,12 +119,25 @@ def test_verify_bounds_planar_radius_outside_the_unit_interval_exit_1(
     assert "invalid configuration" in caplog.text and "(0,1)" in caplog.text
 
 
+
+@pytest.mark.parametrize("command", ["verify-bounds", "solve-periodic"])
+def test_forcing_too_large_for_gravity_exit_1(tmp_path, caplog, command):
+    # at sup|F| = 1e12 against gravity 9.81 the cylinder radius rounds to 1;
+    # the refusal names the two inputs, not the derived radius
+    rc, out = run(tmp_path, command, problem="linear", forcing={"cosine": [1e12]})
+    assert rc == 1
+    assert "invalid configuration: sup|F| = 1.00077e+12 is too large against " \
+           "gravity 9.81: the cylinder radius rounds to 1" in caplog.text
+    assert not (out / "certificate.json").exists()
+
 def test_verify_bounds_spot_checks_skip_arcs_through_the_cone_vertex(tmp_path):
-    # at this seed a cone-face spot sample at x = 0.00227, p = 4.234 has a
-    # two-sided arc crossing x = 0, where the cone gauge has a kink; such
-    # samples say nothing about the crossing direction and are not checked
-    rc, out = run(tmp_path, "verify-bounds", ("--seed", "502"), problem="linear",
-                  forcing={"cosine": [2.0]}, bounds={"samples_per_face": 32})
+    # at this seed and b = 50, three planar cone spot samples at |x| = 0.0115,
+    # |p| = 49.4 have two-sided arcs crossing x = 0, where the cone gauge has
+    # a kink; such samples say nothing about the crossing direction and are
+    # not checked
+    rc, out = run(tmp_path, "verify-bounds", ("--seed", "5"), problem="planar",
+                  forcing={"cosine": [[1.5, 0.0]], "sine": [[0.0, 1.5]]},
+                  bounds={"samples_per_face": 4, "b_override": 50})
     assert rc == 0
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verified"] is True
@@ -132,8 +145,9 @@ def test_verify_bounds_spot_checks_skip_arcs_through_the_cone_vertex(tmp_path):
 
 
 def test_verify_bounds_steep_cone_vertex_arcs_end_at_the_fall(tmp_path, capsys):
-    # at b = 1000 each vertex arc reaches the fall threshold within its
-    # window; the fall ends the arc outside the cone, so the vertex exits
+    # at b = 1000 a vertex arc would reach the fall threshold within its
+    # window (test_bounds confirms that it ends there, outside the cone);
+    # the verifier itself reads the vertex as b^2 > sup|F|, and it exits
     rc, out = run(tmp_path, "verify-bounds", problem="linear", period=2.0,
                   gravity=1.0, forcing={"cosine": [1.0]},
                   bounds={"b_override": 1000})
@@ -418,13 +432,16 @@ def test_non_finite_numbers_exit_1(tmp_path, caplog, overrides):
     ("simulate", {"forcing": {"cosine": [1e300]}}),
     ("simulate", {"initial_state": {"x": [0.1], "p": [1e300]}}),
     ("simulate", {"initial_state": {"x": [0.0], "p": [1e154]}}),
-], ids=["search-cosine", "simulate-cosine", "simulate-p", "simulate-p-at-rest"])
+    ("verify-bounds", {"gravity": 1e300}),
+], ids=["search-cosine", "simulate-cosine", "simulate-p", "simulate-p-at-rest",
+        "verify-gravity"])
 def test_values_at_the_float_limit_end_in_a_typed_failure(tmp_path, command,
                                                           overrides):
     # a field of ~1e300 underflowed the first step size to 0 and the run
     # ended in ZeroDivisionError; coefficients whose sup norm bounds
-    # overflow made numpy warn.  Each now exits with a code of _FAILURES,
-    # and the suite's warnings-as-errors shows that numpy stays quiet
+    # overflow made numpy warn, and so did the line cone's spot samples
+    # under gravity 1e300.  Each now exits with a code of _FAILURES, and
+    # the suite's warnings-as-errors shows that numpy stays quiet
     rc, out = run(tmp_path, command, problem="linear", duration=1.0,
                   journey={"t_end": 1.0, "depth": 4}, **overrides)
     assert rc in {code for code, _ in cli._FAILURES.values()}
@@ -521,8 +538,8 @@ def test_verify_bounds_on_a_path(tmp_path):
     assert rc == 0
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verified"] is True
-    spots = cert["spot_checks"]
-    assert spots["attempted"] > 0 and spots["passed"] == spots["attempted"]
+    # the line's faces are closed forms in sup|F|: no arc is integrated
+    assert cert["spot_checks"] == {"attempted": 0, "passed": 0, "failures": []}
 
 
 def test_forcing_path_dimension_mismatch(tmp_path):
