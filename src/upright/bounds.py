@@ -66,10 +66,12 @@ values of ``a`` and ``b`` that make the conditions hold.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -266,9 +268,19 @@ def _cone_gate_roots(K, B, L):
     scan, this finds tangent roots and pairs closer than any scan step.
     Roots are ordered by cell, then by angle, at most six per cell.
     """
+    # Scaled exactly, by a power of two, so that no square overflows: the
+    # largest of |K|, |B|, |L| lies in [1/2, 1) and the roots are the same.
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(K), np.abs(B)), np.abs(L)))
+    K, B, L = np.ldexp(K, -e), np.ldexp(B, -e), np.ldexp(L, -e)
+    # Where |B| < 1e-8 max(|K|, |L|) the monic form loses every digit, and
+    # its coefficients overflow as |K/B| grows.  There the cubic increases on
+    # [0, 1], and its one root there lies within 1e-7 of L^2 / (K^2 + L^2),
+    # where the Newton steps below start.
+    flat = np.abs(B) < 1e-8 * np.maximum(np.abs(K), np.abs(L))
+    Bm = np.where(flat, 1.0, B)
     # Cardano, adding the discriminant's root with the sign of d1 so that
     # nothing cancels; C = 0 only at a triple root, where d0 = 0 as well
-    a2, a1, a0 = 2.0 * K / B, (K * K + L * L) / (B * B), -(L * L) / (B * B)
+    a2, a1, a0 = 2.0 * K / Bm, (K * K + L * L) / (Bm * Bm), -(L * L) / (Bm * Bm)
     d0 = a2 * a2 - 3.0 * a1
     d1 = (2.0 * a2 * a2 - 9.0 * a1) * a2 + 27.0 * a0
     root_disc = np.sqrt(d1 * d1 - 4.0 * d0 ** 3 + 0j)
@@ -281,6 +293,8 @@ def _cone_gate_roots(K, B, L):
     slack = 1e-6 * (1.0 + np.abs(a2))[:, None]
     real = ((np.abs(w.imag) <= slack) & (w.real >= -slack)
             & (w.real <= 1.0 + slack))
+    w[flat, 0] = L[flat] ** 2 / (K[flat] ** 2 + L[flat] ** 2)
+    real[flat] = [True, False, False]
     cells, k = np.nonzero(real)
     w = np.repeat(np.clip(w.real[cells, k], 0.0, 1.0), 4)
     cells = np.repeat(cells, 4)
@@ -539,14 +553,18 @@ def _spot_checks(ctx: _Sampling, rec: _Margins) -> dict:
     # gauge b|x| + |p| - b has a kink at x = 0: a cone-face arc, which moves
     # x by about |p| dt each way, must keep |x| > 2 |p| dt to stay clear of it.
     usable = [s for s in rec.spot_pool
-              if np.linalg.norm(s["x"]) > 2.0 * np.linalg.norm(s["p"]) * dt
+              if math.hypot(*s["x"]) > 2.0 * math.hypot(*s["p"]) * dt
               and (s["exact_gate"]
                    or (abs(s["gate"]) >= 10.0 * ctx.gate_tol
                        and abs(s["gate"]) >= 8.0 * abs(s["curv"]) * dt))]
     ctx.rng.shuffle(usable)
+    # Every arc starts at the same time and spans the same window, mostly in
+    # one step: the arcs share their reads of F, F's own floats, one per time.
+    F = copy.copy(ctx.F)
+    F.eval_scalar = lru_cache(maxsize=None)(ctx.F.eval_scalar)
     for sample in usable[:_SPOT_CHECKS]:
         result["attempted"] += 1
-        if _spot_check(sample, ctx.spec, ctx.G, ctx.F, ctx.cfg, dt):
+        if _spot_check(sample, ctx.spec, ctx.G, F, ctx.cfg, dt):
             result["passed"] += 1
             continue
         entry = {"face": sample["face"], "t": sample["t"], "lam": sample["lam"],
@@ -582,13 +600,20 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
 
     A closed-form minimum is the face's ``min_margin``, named in
     ``failures`` with its radius when not positive; its worst samples are
-    boundary points at the grid times, each with its own margin.
+    boundary points at the grid times, each with its own margin.  Raises
+    ``ValueError`` for a planar set whose cone curvature is no float.
     """
     if F.dim != spec.dim:
         raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")
     spf = int(samples_per_face)
     if spf < 1:
         raise ValueError(f"samples_per_face must be positive, got {samples_per_face}")
+    # the planar cone's curvature multiplies |p|^2 <= b^2 by the squared
+    # acceleration, up to about G + sup|F| + b^2 / (1 - a^2): no float beyond
+    a, b = spec.a, spec.b
+    if spec.dim == 2 and not b * (G + F.sup_norm + b * b / (1.0 - a * a)) < 1e150:
+        raise ValueError(f"the planar cone's curvature overflows at G = {G:.6g}, "
+                         f"sup|F| = {F.sup_norm:.6g}, b = {b:.6g}")
     ctx = _Sampling(
         spec=spec, G=G, F=F, cfg=cfg or IntegratorConfig(),
         t_grid=(np.arange(2 * spf) + 0.5) * (F.period / (2 * spf)), spf=spf,
@@ -628,8 +653,8 @@ def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
     d = spec.dim
 
     def gauge(y):
-        xn = float(np.linalg.norm(y[:d]))
-        pn = float(np.linalg.norm(y[d:]))
+        xn = math.hypot(*y[:d])
+        pn = math.hypot(*y[d:])
         if sample["face"] == "gamma":
             return 0.5 * xn * xn - 0.5 * a * a
         return b * xn + pn - b

@@ -1,10 +1,13 @@
 """Adaptive Runge-Kutta integration with dense output and fall detection.
 
-The stepper is a Dormand-Prince 5(4) pair with the first-same-as-last
-property and a quartic interpolant on every accepted step.  The one event is
-the fall, the rod reaching the fall threshold; it is located on the
-interpolant by bisection, so fall times are resolved far below the step size
-without extra field evaluations.
+The stepper is DOP853, Dormand and Prince's 8(5,3) pair (Hairer-Norsett-
+Wanner I, II.10): twelve stages of order 8 and a combined 5th- and 3rd-order
+error estimate.  Stage 13, the field at the new node, is the next step's
+first; it is evaluated once the step is accepted and the next step or a
+dense read needs it.  Dense output is the 7th-order interpolant, built with
+three more stages only on the steps that are read.  The one event is the
+fall, the rod reaching the fall threshold; it is located on the interpolant
+by bisection, so fall times are resolved far below the step size.
 
 Steps never straddle a breakpoint of the forcing, where ``dF/dt`` jumps, as
 at the knots of a sampled path: a step that would cross one is clipped to
@@ -26,6 +29,7 @@ on the chart's first component.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,35 +51,74 @@ __all__ = [
     "evolve",
 ]
 
-# Dormand-Prince 5(4) tableau: nodes, stage weights, 5th-order weights and
-# error weights as named floats (zero entries left out).  The step generated
-# for each state width (``_stepper``) reads them by these names.  Every width
-# takes a plain-float step: its stage sums beat numpy's per-call overhead even
-# at width 20, the variational system in the plane.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                                -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
-# Interpolant y(t0 + theta h) = y0 + h sum_j w_j K_j: row j holds the
-# coefficients of theta, .., theta^4 in w_j (the second stage's are 0).
-_P_ROWS = [
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-]
+# DOP853 tableau (Hairer's Fortran code, to double precision): the nodes, and
+# row j of ``_A`` the weights of stages 0 .. j-1 in stage j.  Rows 1-11 are
+# the step's stages, row 12 the 8th-order weights (stage 12 is the field at
+# the new node), rows 13-15 the dense output's extra stages.  ``_E5`` weighs
+# the stages into the 5th-order error estimate, ``_A[12] - _BHH`` into the
+# 3rd-order one, and row r of ``_D`` into the interpolant's coefficient r + 3.
+# Zero weights are left out of every sum.  Every width takes a plain-float
+# step, written out by ``_stepper``: its stage sums beat numpy's per-call
+# overhead even at width 20, the variational system in the plane.
+_C = (0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+      0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+      1.0, 1.0, 0.1, 0.2, 0.7777777777777778)
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724,
+     -9.15095847217987),
+)
+_E5 = (0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+       1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+       -0.022355307863886294, 0)
+_BHH = (0.2440944881889764, 0, 0, 0, 0, 0, 0, 0, 0.7338466882816118, 0, 0, 0.022058823529411766)
+_D = (
+    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
+)
 
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
+# the step-size controller (Hairer's DOP853 defaults): the step changes by the
+# factor SAFETY err^-EXPONENT, held within [MIN_FACTOR, MAX_FACTOR]
+_EXPONENT = 1 / 8
+_MIN_FACTOR = 0.333
+_MAX_FACTOR = 6.0
 _SAFETY = 0.9
 
 @dataclass(frozen=True)
@@ -111,12 +154,18 @@ class Event:
 class Trajectory:
     """Solution of one integration with dense evaluation between step nodes."""
 
-    def __init__(self, t_nodes, y_nodes, seg_h, seg_K, fall_event, n_accepted,
-                 n_rejected):
+    def __init__(self, fun, t_nodes, y_nodes, seg_h, seg_K, fall_event,
+                 n_accepted, n_rejected, fall_rows=None):
+        self._fun = fun
         self._t = np.asarray(t_nodes, dtype=float)
         self._y = np.asarray(y_nodes, dtype=float)
         self._h = np.asarray(seg_h, dtype=float)
-        self._seg_K = seg_K  # per segment, the 7 stage vectors
+        self._seg_K = seg_K
+        self._n = self._y.shape[1]  # the components shown
+        self._rows = np.empty((8, len(seg_h), self._n))  # per step, once read
+        self._ready = np.zeros(len(seg_h), dtype=bool)
+        if fall_rows is not None:  # the fall step's, built to locate it
+            self._rows[:, -1], self._ready[-1] = fall_rows, True
         # the fall that ended the run early, if any
         self.fall_event: Event | None = fall_event
         self.n_accepted = int(n_accepted)
@@ -137,52 +186,63 @@ class Trajectory:
     @property
     def states(self) -> np.ndarray:
         """Flat states at the step nodes, shape (n_nodes, 2*dim)."""
-        return self._y
+        return self._y[:, :self._n]
 
     @property
     def dim(self) -> int:
-        return self._y.shape[1] // 2
+        return self._n // 2
 
     def end_state(self) -> PhaseState:
-        return PhaseState.from_flat(self._y[-1])
+        return PhaseState.from_flat(self.states[-1])
 
     def leading(self, n: int) -> Trajectory:
         """The first ``n`` components on this run's steps: the state part of
-        a state-and-variational run is the state's own run."""
+        a state-and-variational run is the state's own run.  It shares this
+        run's interpolants, built on every component."""
+        run = copy.copy(self)
+        run._n = n
         ev = self.fall_event
-        ev = ev and Event(ev.kind, ev.time, ev.state[:n])
-        return Trajectory(self._t, self._y[:, :n].copy(), self._h,
-                          [[k[:n] for k in K] for K in self._seg_K], ev,
-                          self.n_accepted, self.n_rejected)
+        run.fall_event = ev and Event(ev.kind, ev.time, ev.state[:n])
+        return run
 
     def dense_array(self, ts) -> np.ndarray:
         """Vectorized dense evaluation, shape (len(ts), 2*dim): each sample
-        is ``_dense_state`` on its step, the interpolant the fall is located on."""
+        is ``_dense_state`` on its step, the interpolant the fall is located
+        on, built the first time one of its samples is read."""
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < self._t[0]) or np.any(ts > self._t[-1]):
             raise ValueError("sample times outside the integration interval")
         if len(self._h) == 0:
-            return np.broadcast_to(self._y[0], (ts.shape[0], self._y.shape[1])).copy()
+            return np.broadcast_to(self.states[0], (ts.shape[0], self._n)).copy()
         idx = np.clip(np.searchsorted(self._t, ts, side="right") - 1, 0, len(self._h) - 1)
-        h = self._h[idx]
-        K = np.asarray(self._seg_K, dtype=float)[idx]
-        return np.stack(_dense_state(self._y[idx].T, h, K.transpose(1, 2, 0),
-                                     (ts - self._t[idx]) / h), axis=1)
+        new = np.unique(idx[~self._ready[idx]])
+        if new.size:
+            # stage 13 is the next step's first, or the field at the end
+            K = np.array([(*self._seg_K[i], self._seg_K[i + 1][0] if i + 1 < len(self._h)
+                           else self._fun(self.t_end, self._y[-1].tolist())) for i in new],
+                         dtype=float)
+            self._rows[:, new] = np.array(_dense_rows(
+                self._batch, self._t[new, None], self._h[new, None], [self._y[new]],
+                K.transpose(1, 0, 2)[:, None], [self._y[new + 1]]))[:, 0]
+            self._ready[new] = True
+        rows = self._rows[:, idx, :self._n].transpose(0, 2, 1)
+        return np.stack(_dense_state(rows, (ts - self._t[idx]) / self._h[idx]), axis=1)
+
+    def _batch(self, t, ys):
+        """``fun`` on arrays of steps: times (n, 1), a list of one (n, m)."""
+        return [np.array([self._fun(tj, yj) for tj, yj in
+                          zip(t.ravel().tolist(), ys[0].tolist())], dtype=float)]
 
     def to_csv(self, path, n_samples: int | None = None) -> None:
         """Write ``t,x1[,x2],p1[,p2],y`` rows; dense-resampled if requested."""
         if n_samples is None:
-            ts = self._t
-            ys = self._y
+            ts, ys = self._t, self.states
         else:
             ts = np.linspace(self._t[0], self._t[-1], int(n_samples))
             ys = self.dense_array(ts)
         d = self.dim
         heights = np.sqrt(np.maximum(1.0 - np.sum(ys[:, :d] ** 2, axis=1), 0.0))
-        if d == 1:
-            header = "t,x1,p1,y"
-        else:
-            header = "t,x1,x2,p1,p2,y"
+        header = "t,x1,p1,y" if d == 1 else "t,x1,x2,p1,p2,y"
         row = ",".join(["%.17g"] * (2 * d + 2)) + "\n"
         with open(path, "w") as fh:
             fh.write(header + "\n")
@@ -206,8 +266,7 @@ def _initial_step(fun, t0, y0, f0, t1, cfg, n_err):
     """
     n = len(y0) if n_err is None else n_err
     sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0[:n]]
-    d0 = _rms(y0, sc, n)
-    d1 = _rms(f0, sc, n)
+    d0, d1 = _rms(y0, sc, n), _rms(f0, sc, n)
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -222,18 +281,41 @@ def _initial_step(fun, t0, y0, f0, t1, cfg, n_err):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** _EXPONENT
     return min(100 * h0, h1, abs(t1 - t0))
 
 
-def _dense_state(y_left, h, K, theta):
-    """The step's interpolant at ``theta``, in plain floats or elementwise on
-    arrays: ``y_left`` and each stage of ``K`` (m, n), ``h`` and ``theta`` (n,)."""
-    w1, _, w3, w4, w5, w6, w7 = [
-        ((c4 * theta + c3) * theta + c2) * theta * theta + c1 * theta
-        for c1, c2, c3, c4 in _P_ROWS]
-    return [y + h * (w1 * a + w3 * c + w4 * d + w5 * e + w6 * f + w7 * g)
-            for y, a, _, c, d, e, f, g in zip(y_left, *K)]
+def _weighted(weights, K):
+    """``sum_j weights[j] K[j]`` over the nonzero weights, left to right."""
+    total = None
+    for w, k in zip(weights, K):
+        if w:
+            total = w * k if total is None else total + w * k
+    return total
+
+
+def _dense_rows(fun, t, h, y, K, y_new):
+    """The rows that ``_dense_state`` reads on a step, ``y`` and 7
+    coefficients, after 3 more stages: in plain floats, with ``y``, ``y_new``
+    and ``K``'s 13 stages lists of components, or the same floats on arrays
+    of steps, each a list of one array."""
+    K = list(K)
+    for c, row in zip(_C[13:], _A[13:]):
+        K.append(fun(t + c * h, [v + h * _weighted(row, k) for v, k in zip(y, zip(*K))]))
+    cols = []
+    for v, w, k in zip(y, y_new, zip(*K)):
+        dy = w - v
+        cols.append([v, dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]),
+                     *(h * _weighted(row, k) for row in _D)])
+    return [list(row) for row in zip(*cols)]
+
+
+def _dense_state(rows, theta):
+    """The interpolant at ``theta`` from the rows of ``_dense_rows``, in plain
+    floats or elementwise on arrays: every row holds m components."""
+    s = 1.0 - theta
+    return [y + theta * (a + s * (b + theta * (c + s * (d + theta * (e + s * (f + theta * g))))))
+            for y, a, b, c, d, e, f, g in zip(*rows)]
 
 
 def _fall_gauge(fall_dim: int):
@@ -261,76 +343,69 @@ def _fall_event(t, y, fall_dim: int) -> Event:
     return Event(kind, t, np.asarray(y, dtype=float))
 
 
-def _locate_fall(gauge, t_left, h, y_left, K, t_right):
+def _locate_fall(gauge, t_left, h, rows, t_right):
     """Bisect gauge(y(t)) >= 0 to a root on the step's interpolant."""
-    a = t_left
-    b = t_right
+    a, b = t_left, t_right
     width_goal = 1e-13 * (1.0 + abs(t_right))
     for _ in range(200):
         if b - a <= width_goal:
             break
         mid = 0.5 * (a + b)
-        ymid = _dense_state(y_left, h, K, (mid - t_left) / h)
-        if gauge(ymid) >= 0.0:
+        if gauge(_dense_state(rows, (mid - t_left) / h)) >= 0.0:
             b = mid
         else:
             a = mid
-    yb = _dense_state(y_left, h, K, (b - t_left) / h)
-    return b, yb
+    return b, _dense_state(rows, (b - t_left) / h)
 
 
 @lru_cache
 def _stepper(width: int, n: int):
     """The trial step on ``width`` floats, compiled once per ``(width, n)``:
-    ``step(fun, t, h, y, k1, atol, rtol) -> (y_new, K, err_norm)``.
-
-    ``K`` holds the seven stage vectors as ``fun`` returned them; the last is
-    the field at ``y_new`` (first-same-as-last).  ``err_norm`` is the RMS over
-    the first ``n`` components of the error estimate ``h E.K`` scaled by
-    ``atol + rtol max(|y|, |y_new|)``.  The source unpacks every stage into
-    locals (stage ``k_j`` into ``a_i, b_i, ..`` for ``j = 1, 2, ..``) and
-    writes each component's sums out in full, in the order of a loop over the
-    components: the same floats without the loop, and a stage of the wrong
-    length raises where it is unpacked.
+    ``step(fun, t, h, y, k1, atol, rtol) -> (y_new, K, err_norm)``, ``K`` the
+    twelve stages as ``fun`` returned them.  ``err_norm`` is DOP853's
+    ``h e5 / sqrt(n (e5 + e3 / 100))``: ``e5`` and ``e3`` sum the squares of
+    the estimates ``_E5.K`` and ``_A[12].K - _BHH.K`` over the first ``n``
+    components, scaled by ``atol + rtol max(|y|, |y_new|)``.  The source
+    unpacks every stage into locals (stage ``k_j`` into ``a_i, b_i, ..``)
+    and writes each component's sums out in full, weights as literals, in
+    the order of a loop over the components: the same floats without the
+    loop, and a stage of the wrong length raises where it is unpacked.
     """
     comps = range(width)
+    letters = "abcdefgijmno"  # no clash with the other locals' names
 
     def unpack(k):
         return "".join(f"{k}{i}, " for i in comps)
 
-    def combo(weight, stages, i):
-        # e.g. "_B1 * a0 + _B3 * c0 + ...": weight name + stage number, times
-        # that stage's component i
-        return " + ".join(f"{weight}{m} * {'abcdefg'[m - 1]}{i}" for m in stages)
+    def combo(weights, i):
+        # e.g. "0.0197 * a2 + 0.0592 * b2": each nonzero weight times its
+        # stage's component i
+        return " + ".join(f"{w!r} * {letters[m]}{i}" for m, w in enumerate(weights) if w)
 
     src = ["def step(fun, t, h, y, k1, atol, rtol):",
            f"    {unpack('y')}= y",
            f"    {unpack('a')}= k1"]
-    for j in range(2, 7):
-        node = f"_C{j} * h" if j < 6 else "h"
-        stage = ", ".join(f"y{i} + h * ({combo(f'_A{j}', range(1, j), i)})"
-                          for i in comps)
-        src += [f"    k{j} = fun(t + {node}, [{stage}])",
-                f"    {unpack('abcdefg'[j - 1])}= k{j}"]
-    src += [f"    u{i} = y{i} + h * ({combo('_B', (1, 3, 4, 5, 6), i)})" for i in comps]
-    src += [f"    y_new = [{unpack('u')}]",
-            "    k7 = fun(t + h, y_new)",
-            f"    {unpack('g')}= k7"]
-    measured = range(min(n, width))
-    for i in measured:
+    for j in range(1, 12):
+        node = "h" if _C[j] == 1.0 else f"{_C[j]!r} * h"
+        stage = ", ".join(f"y{i} + h * ({combo(_A[j], i)})" for i in comps)
+        src += [f"    k{j + 1} = fun(t + {node}, [{stage}])",
+                f"    {unpack(letters[j])}= k{j + 1}"]
+    src += [f"    r{i} = {combo(_A[12], i)}\n    u{i} = y{i} + h * r{i}" for i in comps]
+    src.append("    err5 = err3 = 0.0")
+    for i in range(min(n, width)):
         src += [f"    v = abs(y{i})",
                 f"    w = abs(u{i})",
-                f"    q{i} = ({combo('_E', (1, 3, 4, 5, 6, 7), i)})"
-                " / (atol + rtol * (v if v > w else w))"]
-    total = "".join(f" + q{i} * q{i}" for i in measured)
-    src.append(f"    return y_new, (k1, k2, k3, k4, k5, k6, k7), h * sqrt((0.0{total}) / {n})")
-    namespace = dict(
-        _C2=_C2, _C3=_C3, _C4=_C4, _C5=_C5, _A21=_A21, _A31=_A31, _A32=_A32,
-        _A41=_A41, _A42=_A42, _A43=_A43, _A51=_A51, _A52=_A52, _A53=_A53,
-        _A54=_A54, _A61=_A61, _A62=_A62, _A63=_A63, _A64=_A64, _A65=_A65,
-        _B1=_B1, _B3=_B3, _B4=_B4, _B5=_B5, _B6=_B6, _E1=_E1, _E3=_E3,
-        _E4=_E4, _E5=_E5, _E6=_E6, _E7=_E7, sqrt=math.sqrt)
-    exec(compile("\n".join(src), f"<DOPRI5 step, width {width}>", "exec"), namespace)
+                "    s = atol + rtol * (v if v > w else w)",
+                f"    q = ({combo(_E5, i)}) / s",
+                "    err5 += q * q",
+                f"    q = (r{i} - ({combo(_BHH, i)})) / s",
+                "    err3 += q * q"]
+    stages = ", ".join(f"k{j}" for j in range(1, 13))
+    src += ["    den = err5 + 0.01 * err3",
+            f"    return [{unpack('u')}], ({stages}), "
+            f"h * err5 / sqrt((den if den > 0.0 else 1.0) * {n})"]
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(src), f"<DOP853 step, width {width}>", "exec"), namespace)
     return namespace["step"]
 
 
@@ -356,9 +431,9 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     ascending, where the field's time derivative may jump
     (``PeriodicSignal.breaks_between``): each is a step node.  Raises
     ``ValueError`` for a start that is not finite, ``StepBudgetError`` if the
-    step budget is exhausted, and ``SingularityError`` if the field is
-    singular, or the step's error estimate is NaN or infinite, even at the
-    minimum step.
+    step budget is exhausted or a step of the minimum size fails the error
+    test, and ``SingularityError`` if the field is singular, or the step's
+    error estimate is NaN or infinite, even at the minimum step.
     """
     t0 = float(t0)
     t1 = float(t1)
@@ -372,25 +447,23 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     t_nodes = [t0]
     y_nodes = [y0]
     seg_h: list[float] = []
-    seg_K: list = []
-    n_acc = 0
-    n_rej = 0
+    seg_K: list = []  # per step, its 12 stages
+    n_acc = n_rej = 0
 
     if gauge is not None and gauge(y0) >= 0.0:
-        return Trajectory(t_nodes, y_nodes, seg_h, seg_K,
+        return Trajectory(fun, t_nodes, y_nodes, seg_h, seg_K,
                           _fall_event(t0, y0, fall_dim), 0, 0)
 
     if t1 == t0:
-        return Trajectory(t_nodes, y_nodes, seg_h, seg_K, None, 0, 0)
+        return Trajectory(fun, t_nodes, y_nodes, seg_h, seg_K, None, 0, 0)
 
     f0 = fun(t0, y0)
     h = _initial_step(fun, t0, y0, f0, t1, cfg, n_err)
     step = _stepper(len(y0), len(y0) if n_err is None else n_err)
     atol, rtol, inf = cfg.abs_tol, cfg.rel_tol, math.inf
-    t = t0
-    y = y0
-    k1 = f0
+    t, y, k1 = t0, y0, f0
     attempts = 0
+    grow = _MAX_FACTOR
     knots = [*breaks, math.inf]
     i_knot = 0
     t_knot = knots[0]
@@ -414,6 +487,12 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
             y_new, K, err_norm = step(fun, t, h, y, k1, atol, rtol)
             if not err_norm < inf:  # NaN or inf: halved like a singular stage
                 raise SingularityError("error estimate not finite", t, y)
+            t_new = t_knot if landing else t + h
+            # Every node so far lies inside the threshold, so the rod falls
+            # within this step exactly when it ends outside.  The 13th stage
+            # is the next step's first and a part of the fall's interpolant.
+            fell = err_norm <= 1.0 and gauge is not None and gauge(y_new) >= 0.0
+            k13 = fun(t_new, y_new) if err_norm <= 1.0 and (fell or t_new < t1) else None
         except SingularityError as exc:
             if h <= 2 * h_floor:
                 raise SingularityError(
@@ -424,39 +503,40 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
 
         if err_norm > 1.0:
             n_rej += 1
-            factor = max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
-            h *= min(factor, 1.0)
+            if h <= h_floor:  # the same trial step would come back forever
+                raise StepBudgetError(
+                    f"step size underflow at t={t:.6g}: a step of {h:.3g} fails "
+                    f"the error test (accepted {n_acc}, rejected {n_rej})")
+            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -_EXPONENT)
+            grow = 1.0  # the step after a rejection does not grow
             continue
 
-        # Accepted.  Every node so far lies inside the threshold, so the
-        # rod falls within this step exactly when it ends outside.
         n_acc += 1
-        t_new = t_knot if landing else t + h
         seg_h.append(h)
         seg_K.append(K)
-        if gauge is not None and gauge(y_new) >= 0.0:
-            t_ev, y_ev = _locate_fall(gauge, t, h, y, K, t_new)
+        if fell:
+            rows = _dense_rows(fun, t, h, y, (*K, k13), y_new)
+            t_ev, y_ev = _locate_fall(gauge, t, h, rows, t_new)
             t_nodes.append(t_ev)
             y_nodes.append(y_ev)
-            return Trajectory(t_nodes, y_nodes, seg_h, seg_K,
-                              _fall_event(t_ev, y_ev, fall_dim), n_acc, n_rej)
+            return Trajectory(fun, t_nodes, y_nodes, seg_h, seg_K,
+                              _fall_event(t_ev, y_ev, fall_dim), n_acc, n_rej, rows)
 
         t_nodes.append(t_new)
         y_nodes.append(y_new)
-        t = t_new
-        y = y_new
-        k1 = K[6]  # first-same-as-last
+        t, y, k1 = t_new, y_new, k13
 
         if landing:  # resume at the step the controller had proposed
             i_knot += 1
             t_knot = knots[i_knot]
             h = h_free
         elif err_norm == 0.0:
-            h *= _MAX_FACTOR
+            h *= grow
         else:
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
+            h *= min(grow, max(_MIN_FACTOR, _SAFETY * err_norm ** -_EXPONENT))
+        grow = _MAX_FACTOR
 
-    return Trajectory(t_nodes, y_nodes, seg_h, seg_K, None, n_acc, n_rej)
+    return Trajectory(fun, t_nodes, y_nodes, seg_h, seg_K, None, n_acc, n_rej)
 
 
 def _check_start(s0: PhaseState, params: ModelParams) -> None:

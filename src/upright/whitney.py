@@ -13,8 +13,8 @@ Each release is classified in the angle chart ``x = sin theta``,
 regular pendulum.  In ``x`` the field's ``d(x'')/dp = -2px / (1 - x^2)``
 grows without bound toward the fall, and the stepper's steps shrink for
 stability alone: bisecting a four-second journey under ``0.5 sin t`` at
-rel tol 1e-12 takes 12,918 steps in ``x``, 45 % of them beyond
-``|x| = 0.99``, and 5,729 in the angle chart.  The chart is stretched to
+rel tol 1e-12 takes 1,575 steps in ``x``, 53 % of them beyond
+``|x| = 0.99``, and 542 in the angle chart.  The chart is stretched to
 ``phi = c theta`` with ``c = dynamics.ANGLE_CHART_SCALE``, so the
 integrator's fall gauge on ``|phi|`` fires where ``|x|`` reaches
 ``FALL_THRESHOLD``, on the same side.
@@ -24,8 +24,8 @@ The planar grid steps each start in the rod-direction chart
 obeys ``u'' = (g.u - |u'|^2) u - g``, regular at every direction.  In ``x``
 the field's ``1 / (1 - |x|^2)`` terms stiffen toward the fall here too: on
 a 9x9 grid of rest starts under the circle of acceleration 1.5 to
-``t_end`` 3, 64 % of ``evolve``'s 8,263 accepted steps end beyond
-``|x| = 0.99``, and the chart takes 2,351.  Its state is stretched so that
+``t_end`` 3, 66 % of ``evolve``'s 1,984 accepted steps end beyond
+``|x| = 0.99``, and the chart takes 585.  Its state is stretched so that
 the fall gauge on its first component fires where ``|x|`` reaches
 ``FALL_THRESHOLD``.  ``evolve`` and everything else keep ``x``.
 """

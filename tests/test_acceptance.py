@@ -349,31 +349,36 @@ def test_whitney_journey():
 @criterion("tolerance tightening by 1e-2 cuts the terminal error at least "
            "16-fold against the matrix-exponential oracle")
 def test_integrator_order_against_linearization():
-    # Reference: the linearized flow expm(t A) from x0 = 1e-3.  The true
-    # solution differs by the cubic remainder r with
+    # Reference: the linearized flow expm(t A) from x0 = 1e-6 over [0, T].
+    # The true solution differs by the cubic remainder r with
     # |r(t)| <= A^3 (cosh^3(t)/2 + cosh(t) sinh^2(t)) (1 + eps), and through
     # the Duhamel formula the terminal gap is at most
-    #   B = (1+eps) A^3 int_0^1 sqrt(cosh 2(1-s)) (cosh^3 s / 2
+    #   B = (1+eps) A^3 int_0^T sqrt(cosh 2(T-s)) (cosh^3 s / 2
     #       + cosh s sinh^2 s) ds,
     # so measured errors pin the numerical error to within B either way.
-    A = 1e-3
+    # Over T = 5 (|x| <= 7.4e-5) the errors at both tolerances below are
+    # the steps' own: an 8th-order pair takes each unit of time in one or
+    # two steps, and over a shorter window it takes the same few steps at
+    # every tolerance.
+    A, T = 1e-6, 5.0
     I, quad_err = quad(
-        lambda s: sqrt(cosh(2 * (1 - s)))
-        * (0.5 * cosh(s) ** 3 + cosh(s) * sinh(s) ** 2), 0.0, 1.0)
-    assert quad_err < 1e-12
+        lambda s: sqrt(cosh(2 * (T - s)))
+        * (0.5 * cosh(s) ** 3 + cosh(s) * sinh(s) ** 2), 0.0, T,
+        epsabs=0.0, epsrel=1e-13)
+    assert quad_err < 1e-12 * I
     B = 1.05 * 1.001 ** 3 * I * A ** 3
 
     params = ModelParams(G=1.0, lam=0.0, dim=1)
     z0 = PhaseState(A, 0.0)
-    ref = expm(np.array([[0.0, 1.0], [1.0, 0.0]])) @ np.array([A, 0.0])
+    ref = expm(T * np.array([[0.0, 1.0], [1.0, 0.0]])) @ np.array([A, 0.0])
 
     def terminal_error(rel):
         cfg = IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-4)
-        traj = evolve(0.0, 1.0, z0, params, Z_LIN, cfg)
+        traj = evolve(0.0, T, z0, params, Z_LIN, cfg)
         return float(np.linalg.norm(traj.states[-1] - ref))
 
     # the budget itself is checked against an ultra-tight run
     assert terminal_error(1e-13) <= B
-    e_base = terminal_error(3e-3)
-    e_tight = terminal_error(3e-5)
+    e_base = terminal_error(1e-5)
+    e_tight = terminal_error(1e-7)
     assert e_base - B >= 16.0 * (e_tight + B), (e_base, e_tight, B)

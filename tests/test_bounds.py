@@ -362,6 +362,26 @@ def test_cone_gate_roots_without_cross_forcing_take_both_signs():
     assert np.max(np.abs(psi - expected)) <= 1e-12
 
 
+def test_cone_gate_roots_at_any_scale():
+    # K, B, L scaled by 2^600 or 2^-600 (their squares overflow or vanish)
+    # give the same roots; where |K/B| and |L/B| are 1e300 the monic cubic
+    # has no float coefficients, and the gate c K = L sin s has one root
+    # pair, c = 0 with both signs of sin s where L = 0
+    rng = np.random.default_rng(5)
+    K, B, L = rng.normal(size=(3, 200))
+    B = -np.abs(B)
+    cells, s = _cone_gate_roots(K, B, L)
+    assert cells.size > 200
+    for k in (-600, 600):
+        scaled = _cone_gate_roots(np.ldexp(K, k), np.ldexp(B, k), np.ldexp(L, k))
+        assert np.array_equal(scaled[0], cells) and np.array_equal(scaled[1], s)
+    K, L = np.array([1e300, -1e300, 3e299]), np.array([2e299, 1e300, 0.0])
+    cells, s = _cone_gate_roots(K, -np.ones(3), L)
+    assert cells.tolist() == [0, 0, 1, 1, 2, 2]
+    gate = np.cos(s) * (K[cells] - np.cos(s) ** 2) - L[cells] * np.sin(s)
+    assert np.all(np.abs(gate) <= 1e-12 * (np.abs(K) + np.abs(L))[cells])
+
+
 def test_cone_gate_roots_resolve_a_pair_the_coarse_scan_misses():
     # put a double root of g(s) = c (K + B c^2) - L sin s mid-way between
     # two of 32 scan angles, then shift K to split it into a close pair

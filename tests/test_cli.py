@@ -448,6 +448,23 @@ def test_values_at_the_float_limit_end_in_a_typed_failure(tmp_path, command,
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("gravity", [1e50, 1e300])
+def test_planar_verify_bounds_at_a_huge_gravity_ends_in_a_typed_failure(
+        tmp_path, capsys, gravity):
+    # the gate cubic's monic coefficients overflowed from gravity ~1e50 on,
+    # and at 1e300 the run printed verified = True with an infinite cone
+    # margin.  The roots are found at any scale now; at 1e50 a spot-check
+    # arc fails, and at 1e300 the cone's curvature, quadratic in the rod's
+    # acceleration, is no float and the run is refused.  The suite's
+    # warnings-as-errors shows that numpy stays quiet
+    rc, out = run(tmp_path, "verify-bounds", problem="planar", gravity=gravity)
+    assert rc in {code for code, _ in cli._FAILURES.values()}
+    assert "verified = True" not in capsys.readouterr().out
+    assert not (out / "result.json").exists()
+    cert = out / "certificate.json"
+    assert not cert.exists() or not json.loads(cert.read_text())["verified"]
+
+
 def test_output_directory_that_cannot_be_created_exits_1(tmp_path, caplog):
     blocker = tmp_path / "afile"
     blocker.write_text("")
@@ -608,6 +625,25 @@ from upright.cli import main
 
 print(json.dumps([[main(argv) for argv in json.loads(sys.argv[1])], attempts]))
 """
+
+
+def test_solve_periodic_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: importing the integrator's tableau
+    # from it would cost every run its import time and memory
+    cfg = write_config(tmp_path, problem="linear", forcing={"cosine": [2.0]},
+                       bounds={"samples_per_face": 4})
+    code = ("import sys; from upright.cli import main; "
+            f"rc = main(['solve-periodic', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(upright.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_every_command_runs_with_scipy_import_blocked(tmp_path):

@@ -11,13 +11,9 @@ from upright.dynamics import (GUARD, ModelParams, PhaseState, angle_field,
                               direction_field, make_field)
 from upright.errors import SingularityError, StepBudgetError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
-from upright.integrator import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52,
-                                _A53, _A54, _A61, _A62, _A63, _A64, _A65, _B1,
-                                _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1,
-                                _E3, _E4, _E5, _E6, _E7, FALL_THRESHOLD,
-                                EventKind, IntegratorConfig, Trajectory,
-                                _dense_state, _fall_event, _stepper, evolve,
-                                integrate_field)
+from upright.integrator import (_A, _BHH, _C, _D, _E5, FALL_THRESHOLD,
+                                EventKind, IntegratorConfig, _dense_state,
+                                _fall_event, _stepper, evolve, integrate_field)
 from upright.poincare import poincare_map
 
 TWO_PI = 2.0 * math.pi
@@ -112,9 +108,10 @@ def test_dense_array_checks_the_range_of_a_run_without_steps():
 
 def _pointwise(traj, t):
     """The fall locator's interpolant, in plain floats, on the step holding ``t``."""
-    i = min(max(bisect_right(traj.t_nodes.tolist(), t) - 1, 0), len(traj._seg_K) - 1)
+    i = min(max(bisect_right(traj.t_nodes.tolist(), t) - 1, 0), len(traj._h) - 1)
     t_left, h = float(traj.t_nodes[i]), float(traj._h[i])
-    return _dense_state(traj.states[i].tolist(), h, traj._seg_K[i], (t - t_left) / h)
+    traj.dense_array([t])  # builds the step's interpolant
+    return _dense_state(traj._rows[:, i, :traj.states.shape[1]].tolist(), (t - t_left) / h)
 
 
 def _path_run():
@@ -260,7 +257,9 @@ def test_a_huge_field_does_not_underflow_the_first_step():
     # keeps it defined, and the run reaches t1 with the exact state
     traj = integrate_field(lambda t, y: [1e300], 0.0, 1.0, [1.0],
                            IntegratorConfig())
-    assert traj.t_nodes[-1] == 1.0 and traj.states[-1].tolist() == [1e300]
+    # exact up to the rounding of the weighted stage sum, 7e-16 relative
+    assert traj.t_nodes[-1] == 1.0
+    assert traj.states[-1].tolist() == [pytest.approx(1e300, rel=4 * 2.0 ** -52)]
 
 
 def test_config_validation():
@@ -399,11 +398,11 @@ def test_field_returning_array_or_list_gives_identical_runs(dim, variational):
 # -- trial steps past the guard are halved ---------------------------------
 
 def test_step_next_to_guard_halves_down_to_the_step_floor():
-    # |x| = 1 - 1e-9 lies between the fall threshold and GUARD.  Unwatched
+    # |x| = 1 - 1e-7 lies between the fall threshold and GUARD.  Unwatched
     # and moving outwards, the rod's trial steps end past GUARD and are
     # halved down to the step floor, where the driver gives up
     params = ModelParams(G=9.81, lam=1.0, dim=2)
-    y0 = [1.0 - 1e-9, 0.0, 1.0, 0.0]
+    y0 = [1.0 - 1e-7, 0.0, 1.0, 0.0]
     field = make_field(params, F2)
     halved = []
 
@@ -419,6 +418,22 @@ def test_step_next_to_guard_halves_down_to_the_step_floor():
     assert len(halved) >= 2
     # the error carries the time of the singular stage
     assert err.value.time in halved
+
+
+def test_a_rejected_step_at_the_step_floor_ends_the_run():
+    # from |x| = 1 - 1e-10, unwatched and moving outwards, the error test
+    # fails even at the step floor, where the same trial step would come
+    # back until the budget of a million attempts ran out
+    field = make_field(ModelParams(G=9.81, lam=1.0, dim=2), F2)
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return field(t, y)
+
+    with pytest.raises(StepBudgetError, match="step size underflow"):
+        integrate_field(fun, 0.0, 0.1, [1.0 - 1e-10, 0.0, 1.0, 0.0], IntegratorConfig())
+    assert len(calls) < 100_000
 
 
 def test_step_that_overshoots_guard_halves_then_locates_its_fall():
@@ -460,53 +475,74 @@ def test_path_knots_are_step_nodes():
 
 # -- the generated step is the loop step, bit for bit ----------------------
 
+def _weighted(weights, stages, i):
+    """``sum_j weights[j] stages[j][i]`` over the nonzero weights, left to right."""
+    total = None
+    for w, k in zip(weights, stages):
+        if w:
+            total = w * k[i] if total is None else total + w * k[i]
+    return total
+
+
 def _step_floats(fun, t, h, y, k1, n, atol, rtol):
-    """The reference trial step: the stage sums as loops over the components."""
-    k2 = fun(t + _C2 * h, [v + h * (_A21 * a) for v, a in zip(y, k1)])
-    k3 = fun(t + _C3 * h, [v + h * (_A31 * a + _A32 * b)
-                           for v, a, b in zip(y, k1, k2)])
-    k4 = fun(t + _C4 * h, [v + h * (_A41 * a + _A42 * b + _A43 * c)
-                           for v, a, b, c in zip(y, k1, k2, k3)])
-    k5 = fun(t + _C5 * h, [v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                           for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = fun(t + h, [v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                     for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-             for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-    k7 = fun(t + h, y_new)
-    total = 0.0
-    for v, w, a, c, d, e, f, g in zip(y[:n], y_new, k1, k3, k4, k5, k6, k7):
-        v = abs(v)
-        w = abs(w)
-        q = ((_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-             / (atol + rtol * (v if v > w else w)))
-        total += q * q
-    return y_new, (k1, k2, k3, k4, k5, k6, k7), h * math.sqrt(total / n)
+    """The reference trial step: the stage sums as loops over the tableau."""
+    comps = range(len(y))
+    K = [k1]
+    for j in range(1, 12):
+        K.append(fun(t + _C[j] * h, [y[i] + h * _weighted(_A[j], K, i) for i in comps]))
+    r = [_weighted(_A[12], K, i) for i in comps]
+    y_new = [v + h * ri for v, ri in zip(y, r)]
+    err5 = err3 = 0.0
+    for i in range(min(n, len(y))):
+        v, w = abs(y[i]), abs(y_new[i])
+        scale = atol + rtol * (v if v > w else w)
+        q = _weighted(_E5, K, i) / scale
+        err5 += q * q
+        q = (r[i] - _weighted(_BHH, K, i)) / scale
+        err3 += q * q
+    den = err5 + 0.01 * err3
+    return y_new, tuple(K), h * err5 / math.sqrt((den if den > 0.0 else 1.0) * n)
+
+
+def test_tableau_is_dop853_bit_for_bit():
+    # scipy carries the coefficients of Hairer's DOP853; scipy is a test
+    # dependency only
+    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert len(_C) == len(_A) == 16
+    assert list(_C) == ref.C.tolist()
+    for j in range(16):
+        assert list(_A[j]) == ref.A[j, :j].tolist()
+    assert list(_A[12]) == ref.B.tolist()
+    assert list(_E5) == ref.E5.tolist()
+    assert [b - bhh for b, bhh in zip(_A[12], _BHH)] + [0.0] == ref.E3.tolist()
+    assert [list(row) for row in _D] == ref.D.tolist()
 
 
 _PLANE = make_fourier_forcing(1.0, 2, [(1.5, -0.4), (0.3, 0.2)], [(0.0, 1.5)],
                               constant=(0.1, -0.2))
 _LINE = make_fourier_forcing(2 * math.pi, 1, [0.3], [0.5, -0.25], constant=0.05)
 _STEP_FIELDS = {
-    # name: (state width, the model's dim, field)
-    "line": (2, 1, make_field(ModelParams(9.81, 1.0, 1), _LINE)),
-    "angle": (2, 1, angle_field(ModelParams(9.81, 0.7, 1), _LINE)),
-    "plane": (4, 2, make_field(ModelParams(9.81, 1.0, 2), _PLANE)),
-    "line-variational": (6, 1, make_field(ModelParams(9.81, 1.0, 1), _LINE, True)),
-    "direction": (6, 2, direction_field(ModelParams(9.81, 0.8, 2), _PLANE)),
-    "plane-variational": (20, 2, make_field(ModelParams(9.81, 1.0, 2), _PLANE, True)),
+    # name: (state width, widths under step control, field)
+    "scalar": (1, (1,), lambda t, y: [math.sin(3.0 * t) - y[0] ** 3]),
+    "line": (2, (2,), make_field(ModelParams(9.81, 1.0, 1), _LINE)),
+    "angle": (2, (2,), angle_field(ModelParams(9.81, 0.7, 1), _LINE)),
+    "plane": (4, (4,), make_field(ModelParams(9.81, 1.0, 2), _PLANE)),
+    "line-variational": (6, (2, 6), make_field(ModelParams(9.81, 1.0, 1), _LINE, True)),
+    "direction": (6, (6,), direction_field(ModelParams(9.81, 0.8, 2), _PLANE)),
+    "plane-variational": (20, (4, 20), make_field(ModelParams(9.81, 1.0, 2), _PLANE, True)),
 }
 
 
 @pytest.mark.parametrize("name", list(_STEP_FIELDS))
 def test_generated_step_equals_the_loop_step_bit_for_bit(name):
-    # the package's fields at widths 2, 4, 6 and 20, with step control on
-    # every component (n_err None) and on the state alone (n_err = 2 dim),
-    # from seeded states and step sizes that both accept and reject
-    width, dim, fun = _STEP_FIELDS[name]
+    # widths 1, 2, 4, 6 and 20, with step control on every component and,
+    # for the variational systems, on the state alone, from seeded states
+    # and step sizes that both accept and reject
+    width, controlled, fun = _STEP_FIELDS[name]
     rng = np.random.default_rng(width)
-    for n in sorted({width, 2 * dim}):
+    for n in controlled:
         step = _stepper(width, n)
+        accepted = 0
         for _ in range(40):
             y = rng.uniform(-0.5, 0.5, width).tolist()
             t = float(rng.uniform(-3.0, 3.0))
@@ -517,6 +553,55 @@ def test_generated_step_equals_the_loop_step_bit_for_bit(name):
             assert got[0] == want[0]
             assert all(a == b for a, b in zip(got[1], want[1], strict=True))
             assert got[2] == want[2]
+            accepted += got[2] <= 1.0
+        assert 0 < accepted < 40
+
+
+def test_one_step_error_shrinks_by_two_to_the_ninth():
+    # order 8: halving h divides the local error by 2^9.  The oscillator
+    # (cos t, -sin t) reads the weights, the quadrature of e^t the nodes too
+    def fun(t, y):
+        return [y[1], -y[0], math.exp(t)]
+
+    def exact(t):
+        return [math.cos(t), -math.sin(t), math.exp(t)]
+
+    step = _stepper(3, 3)
+
+    def error(t0, h):
+        y = exact(t0)
+        y_new = step(fun, t0, h, y, fun(t0, y), 1e-11, 1e-9)[0]
+        return max(abs(a - b) for a, b in zip(y_new, exact(t0 + h)))
+
+    for t0 in (0.0, 0.4, 0.8, 1.2):
+        assert error(t0, 0.25) > 1e-13
+        assert error(t0, 0.5) / error(t0, 0.25) == pytest.approx(2.0 ** 9, rel=0.2)
+
+
+_SCIPY_FIELDS = {
+    # the fields of the step counts in ROADMAP.md's Baseline: name: (field,
+    # start, end time)
+    "line-variational": (make_field(ModelParams(9.81, 1.0, 1), F1, True),
+                         [0.05, 0.0, 1.0, 0.0, 0.0, 1.0], 1.0),
+    "plane-variational": (make_field(ModelParams(9.81, 1.0, 2), F2, True),
+                          [0.05, 0.02, 0.0, 0.0, *np.eye(4).ravel()], 1.0),
+    "angle": (angle_field(ModelParams(9.81, 1.0, 1),
+                          make_fourier_forcing(TWO_PI, 1, [], [0.5])), [0.01, 0.0], 4.0),
+}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("name", list(_SCIPY_FIELDS))
+def test_accepted_steps_match_scipys_dop853(name, rel_tol):
+    # the same pair and controller take within 15 % of the steps that
+    # scipy's DOP853 takes, at abs_tol = rel_tol / 100
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    fun, y0, t1 = _SCIPY_FIELDS[name]
+    run = integrate_field(fun, 0.0, t1, y0, IntegratorConfig(rel_tol, rel_tol / 100))
+    ref = solve_ivp(lambda t, y: fun(t, y.tolist()), (0.0, t1), y0, method="DOP853",
+                    rtol=rel_tol, atol=rel_tol / 100)
+    assert ref.success
+    assert run.n_accepted == pytest.approx(len(ref.t) - 1, rel=0.15)
 
 
 @pytest.mark.parametrize("width", [1, 2, 6])

@@ -321,8 +321,8 @@ def test_classification_keeps_evolves_start_checks():
 
 def test_bisection_takes_half_the_steps_of_evolve(monkeypatch):
     # the benchmark's journey: in x the field stiffens toward the fall and
-    # the steps shrink there; the angle chart is regular (12,918 accepted
-    # steps through evolve, 5,729 through the chart)
+    # the steps shrink there; the angle chart is regular (1,575 accepted
+    # steps through evolve, 542 through the chart)
     journey = JourneySpec(F=F_SIN, t_end=4.0, G=9.81)
     counts = _count_steps(monkeypatch)
     result = bisect_survivor(journey, TIGHT)
@@ -371,8 +371,8 @@ def test_planar_grid_matches_evolve(t_end):
 
 def test_planar_grid_takes_half_the_steps_of_evolve(monkeypatch):
     # in x the field's 1 / (1 - |x|^2) terms stiffen toward the fall, and
-    # 64 % of evolve's steps end beyond |x| = 0.99; the direction chart is
-    # regular (8,263 accepted steps through evolve, 2,351 through the chart)
+    # 66 % of evolve's steps end beyond |x| = 0.99; the direction chart is
+    # regular (1,984 accepted steps through evolve, 585 through the chart)
     journey = JourneySpec(F=F_PLANAR, t_end=3.0, G=9.81)
     counts = _count_steps(monkeypatch)
     report = planar_survivor_grid(journey, grid_radius=0.9, n=9)
