@@ -601,18 +601,18 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     A closed-form minimum is the face's ``min_margin``, named in
     ``failures`` with its radius when not positive; its worst samples are
     boundary points at the grid times, each with its own margin.  Raises
-    ``ValueError`` for a planar set whose cone curvature is no float.
+    ``ValueError`` for a set whose cone curvature is no float.
     """
     if F.dim != spec.dim:
         raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")
     spf = int(samples_per_face)
     if spf < 1:
         raise ValueError(f"samples_per_face must be positive, got {samples_per_face}")
-    # the planar cone's curvature multiplies |p|^2 <= b^2 by the squared
+    # the cone's curvature multiplies |p|^2 <= b^2 by the squared
     # acceleration, up to about G + sup|F| + b^2 / (1 - a^2): no float beyond
     a, b = spec.a, spec.b
-    if spec.dim == 2 and not b * (G + F.sup_norm + b * b / (1.0 - a * a)) < 1e150:
-        raise ValueError(f"the planar cone's curvature overflows at G = {G:.6g}, "
+    if not b * (G + F.sup_norm + b * b / (1.0 - a * a)) < 1e150:
+        raise ValueError(f"the cone's curvature overflows at G = {G:.6g}, "
                          f"sup|F| = {F.sup_norm:.6g}, b = {b:.6g}")
     ctx = _Sampling(
         spec=spec, G=G, F=F, cfg=cfg or IntegratorConfig(),

@@ -133,8 +133,8 @@ def make_field(params: ModelParams, F: PeriodicSignal, variational: bool = False
     ``n x n`` matrix stored row by row, ``n = 2 * dim``) and adds the
     variational equation ``dM/dt = J(t, y) M``; started from ``M = I`` it
     carries the derivative of the flow.  The state rows are computed with
-    the same expressions as the plain field, and the forcing is evaluated
-    once per call.
+    the same expressions as the plain field, each entry of ``J M`` is one
+    sum written out, and the forcing is evaluated once per call.
     """
     if F.dim != params.dim:
         raise ValueError(f"forcing dim {F.dim} does not match model dim {params.dim}")
@@ -277,7 +277,8 @@ def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scala
         return field1_var
 
     def field2_var(t: float, y: list) -> list:
-        x0, x1, p0, p1, *m = y
+        (x0, x1, p0, p1, m00, m01, m02, m03, m10, m11, m12, m13,
+         m20, m21, m22, m23, m30, m31, m32, m33) = y
         r2 = x0 * x0 + x1 * x1
         if r2 >= guard2:
             raise SingularityError(f"|x| = {math.sqrt(r2):.17g} at the singular radius",
@@ -301,22 +302,20 @@ def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scala
         a01 = x0 * dRx1 + lam * x0 * f1
         a10 = x1 * dRx0 + lam * x1 * f0
         a11 = x1 * dRx1 + diag + lam * x1 * f1
-        b00 = x0 * dRp0
-        b01 = x0 * dRp1
-        b10 = x1 * dRp0
-        b11 = x1 * dRp1
-        m0, m1, m2, m3 = m[0:4], m[4:8], m[8:12], m[12:16]
+        b00, b01, b10, b11 = x0 * dRp0, x0 * dRp1, x1 * dRp0, x1 * dRp1
         return [
-            p0,
-            p1,
+            p0, p1,
             R * x0 + lam * (xf * x0 - f0),
             R * x1 + lam * (xf * x1 - f1),
-            *m2,
-            *m3,
-            *[a00 * u + a01 * v + b00 * w + b01 * s
-              for u, v, w, s in zip(m0, m1, m2, m3)],
-            *[a10 * u + a11 * v + b10 * w + b11 * s
-              for u, v, w, s in zip(m0, m1, m2, m3)],
+            m20, m21, m22, m23, m30, m31, m32, m33,
+            a00 * m00 + a01 * m10 + b00 * m20 + b01 * m30,
+            a00 * m01 + a01 * m11 + b00 * m21 + b01 * m31,
+            a00 * m02 + a01 * m12 + b00 * m22 + b01 * m32,
+            a00 * m03 + a01 * m13 + b00 * m23 + b01 * m33,
+            a10 * m00 + a11 * m10 + b10 * m20 + b11 * m30,
+            a10 * m01 + a11 * m11 + b10 * m21 + b11 * m31,
+            a10 * m02 + a11 * m12 + b10 * m22 + b11 * m32,
+            a10 * m03 + a11 * m13 + b10 * m23 + b11 * m33,
         ]
 
     return field2_var

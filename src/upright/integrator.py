@@ -343,15 +343,16 @@ def _fall_event(t, y, fall_dim: int) -> Event:
     return Event(kind, t, np.asarray(y, dtype=float))
 
 
-def _locate_fall(gauge, t_left, h, rows, t_right):
-    """Bisect gauge(y(t)) >= 0 to a root on the step's interpolant."""
+def _locate_fall(gauge, fall_dim, t_left, h, rows, t_right):
+    """Bisect gauge(y(t)) >= 0 to a root on the interpolant's gauge components."""
     a, b = t_left, t_right
     width_goal = 1e-13 * (1.0 + abs(t_right))
+    head = [row[:fall_dim] for row in rows]
     for _ in range(200):
         if b - a <= width_goal:
             break
         mid = 0.5 * (a + b)
-        if gauge(_dense_state(rows, (mid - t_left) / h)) >= 0.0:
+        if gauge(_dense_state(head, (mid - t_left) / h)) >= 0.0:
             b = mid
         else:
             a = mid
@@ -516,7 +517,7 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
         seg_K.append(K)
         if fell:
             rows = _dense_rows(fun, t, h, y, (*K, k13), y_new)
-            t_ev, y_ev = _locate_fall(gauge, t, h, rows, t_new)
+            t_ev, y_ev = _locate_fall(gauge, fall_dim, t, h, rows, t_new)
             t_nodes.append(t_ev)
             y_nodes.append(y_ev)
             return Trajectory(fun, t_nodes, y_nodes, seg_h, seg_K,

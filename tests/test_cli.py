@@ -465,6 +465,20 @@ def test_planar_verify_bounds_at_a_huge_gravity_ends_in_a_typed_failure(
     assert not cert.exists() or not json.loads(cert.read_text())["verified"]
 
 
+@pytest.mark.parametrize("problem", ["linear", "planar"])
+def test_verify_bounds_at_a_huge_cone_slope_ends_in_a_typed_failure(
+        tmp_path, capsys, caplog, problem):
+    # on the line, b^2 overflowed to inf in the cone's closed form and the
+    # run printed verified = True with an infinite cone margin; a cone
+    # whose curvature is no float is refused in both dimensions
+    rc, out = run(tmp_path, "verify-bounds", problem=problem,
+                  bounds={"b_override": 1e300})
+    assert rc == 1
+    assert "cone's curvature overflows" in caplog.text
+    assert "verified = True" not in capsys.readouterr().out
+    assert not (out / "certificate.json").exists()
+
+
 def test_output_directory_that_cannot_be_created_exits_1(tmp_path, caplog):
     blocker = tmp_path / "afile"
     blocker.write_text("")

@@ -357,6 +357,82 @@ def test_direction_chart_is_the_planes_only():
         direction_field(ModelParams(G=9.81, lam=1.0, dim=1), F1)
 
 
+# -- the written-out planar variational field is the row form, bit for bit --
+
+def _field2_var_rows(params, F):
+    """The reference planar variational field: the rows of ``M`` sliced out
+    and each bottom row of ``dM/dt`` summed as one comprehension over them."""
+    G, lam, eval_scalar = params.G, params.lam, F.eval_scalar
+
+    def field(t, y):
+        x0, x1, p0, p1, *m = y
+        r2 = x0 * x0 + x1 * x1
+        if r2 >= GUARD * GUARD:
+            raise SingularityError(f"|x| = {math.sqrt(r2):.17g} at the singular radius",
+                                   time=t, state=np.asarray(y[:4], dtype=float))
+        one_minus = 1.0 - r2
+        f0, f1 = eval_scalar(t)
+        root = math.sqrt(one_minus)
+        xp = x0 * p0 + x1 * p1
+        R = G * root - xp * xp / one_minus - (p0 * p0 + p1 * p1)
+        xf = x0 * f0 + x1 * f1
+        c = 2.0 * xp / one_minus
+        g = G / root + c * xp / one_minus
+        dRx0 = -g * x0 - c * p0
+        dRx1 = -g * x1 - c * p1
+        dRp0 = -c * x0 - 2.0 * p0
+        dRp1 = -c * x1 - 2.0 * p1
+        diag = R + lam * xf
+        a00 = x0 * dRx0 + diag + lam * x0 * f0
+        a01 = x0 * dRx1 + lam * x0 * f1
+        a10 = x1 * dRx0 + lam * x1 * f0
+        a11 = x1 * dRx1 + diag + lam * x1 * f1
+        b00, b01, b10, b11 = x0 * dRp0, x0 * dRp1, x1 * dRp0, x1 * dRp1
+        m0, m1, m2, m3 = m[0:4], m[4:8], m[8:12], m[12:16]
+        return [
+            p0,
+            p1,
+            R * x0 + lam * (xf * x0 - f0),
+            R * x1 + lam * (xf * x1 - f1),
+            *m2,
+            *m3,
+            *[a00 * u + a01 * v + b00 * w + b01 * s
+              for u, v, w, s in zip(m0, m1, m2, m3)],
+            *[a10 * u + a11 * v + b10 * w + b11 * s
+              for u, v, w, s in zip(m0, m1, m2, m3)],
+        ]
+
+    return field
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.8, 1.0])
+@pytest.mark.parametrize("make_F", [lambda: F2, _circle_path], ids=["fourier", "path"])
+def test_planar_variational_field_is_the_row_form_bit_for_bit(make_F, lam):
+    # M is stored row by row, so output row 2, column j is
+    # a00 M0j + a01 M1j + b00 M2j + b01 M3j summed left to right in both
+    params = ModelParams(G=9.81, lam=lam, dim=2)
+    F = make_F()
+    fused, ref = make_field(params, F, variational=True), _field2_var_rows(params, F)
+    rng = np.random.default_rng(int(10 * lam) + 3)
+    for _ in range(300):
+        s = _rand_state(rng, 2, r_max=0.95, p_max=5.0)
+        y = [*s.flat().tolist(), *rng.normal(scale=3.0, size=16).tolist()]
+        t = float(rng.uniform(-2.0, 2.0))
+        got, want = fused(t, y), ref(t, y)
+        assert all(type(v) is float for v in got)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_planar_variational_guard_reports_the_state_alone():
+    params = ModelParams(G=9.81, lam=1.0, dim=2)
+    y = [0.8, 0.6, 0.3, -0.2, *np.eye(4).ravel().tolist()]
+    for fun in (make_field(params, F2, variational=True), _field2_var_rows(params, F2)):
+        with pytest.raises(SingularityError) as info:
+            fun(0.25, y)
+        assert info.value.time == 0.25
+        assert info.value.state.tolist() == y[:4]
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(G=-1.0, lam=0.0, dim=1)

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from oracles import linear_scalar_rhs, rhs_linear, rk4_integrate, rk4_until_fall
-from upright.dynamics import (GUARD, ModelParams, PhaseState, angle_field,
-                              direction_field, make_field)
+from upright.dynamics import (ANGLE_CHART_SCALE, DIRECTION_CHART_SCALE, GUARD, ModelParams,
+                              PhaseState, angle_field, direction_field, make_field)
 from upright.errors import SingularityError, StepBudgetError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import (_A, _BHH, _C, _D, _E5, FALL_THRESHOLD,
                                 EventKind, IntegratorConfig, _dense_state,
-                                _fall_event, _stepper, evolve, integrate_field)
+                                _fall_event, _fall_gauge, _locate_fall, _stepper,
+                                evolve, integrate_field)
 from upright.poincare import poincare_map
 
 TWO_PI = 2.0 * math.pi
@@ -183,6 +184,58 @@ def test_planar_fall_kind():
     s = PhaseState(np.array([0.1, 0.05]), np.zeros(2))
     traj = evolve(0.0, 20.0, s, params, Z2)
     assert traj.fall_event.kind is EventKind.FALL_PLANAR
+
+
+def _locate_fall_full_rows(gauge, t_left, h, rows, t_right):
+    """The reference fall locator: every bisection step forms the full state."""
+    a, b = t_left, t_right
+    width_goal = 1e-13 * (1.0 + abs(t_right))
+    for _ in range(200):
+        if b - a <= width_goal:
+            break
+        mid = 0.5 * (a + b)
+        if gauge(_dense_state(rows, (mid - t_left) / h)) >= 0.0:
+            b = mid
+        else:
+            a = mid
+    return b, _dense_state(rows, (b - t_left) / h)
+
+
+def _direction_start(x0):
+    x = [x0, -0.5 * x0]
+    r2 = x[0] ** 2 + x[1] ** 2
+    return [DIRECTION_CHART_SCALE * r2 / (1.0 + math.sqrt(1.0 - r2)), *x, 0.0, 0.0, 0.0]
+
+
+_FALLS = {
+    # name: (field, fall_dim, n_err, start from a release offset)
+    "line": (make_field(ModelParams(9.81, 1.0, 1), F1), 1, None, lambda x0: [x0, 0.0]),
+    "plane": (make_field(ModelParams(9.81, 1.0, 2), F2), 2, None,
+              lambda x0: [x0, -0.5 * x0, 0.0, 0.0]),
+    "plane-variational": (make_field(ModelParams(9.81, 1.0, 2), F2, True), 2, 4,
+                          lambda x0: [x0, -0.5 * x0, 0.0, 0.0, *np.eye(4).ravel()]),
+    "angle": (angle_field(ModelParams(9.81, 1.0, 1), F1), 1, None,
+              lambda x0: [ANGLE_CHART_SCALE * math.asin(x0), 0.0]),
+    "direction": (direction_field(ModelParams(9.81, 1.0, 2), F2), 1, None,
+                  _direction_start),
+}
+
+
+@pytest.mark.parametrize("name", list(_FALLS))
+def test_gauge_only_fall_bisection_is_the_full_row_one_bit_for_bit(name):
+    # the interpolant is formed per component, so bisecting on the gauge's
+    # components alone lands on the same time and state as on every row
+    fun, fall_dim, n_err, start = _FALLS[name]
+    gauge = _fall_gauge(fall_dim)
+    for x0 in np.linspace(-0.6, 0.6, 9).tolist():
+        traj = integrate_field(fun, 0.0, 5.0, start(x0), IntegratorConfig(), fall_dim, n_err)
+        ev = traj.fall_event
+        assert ev is not None
+        t_left, h = float(traj.t_nodes[-2]), float(traj._h[-1])
+        rows = traj._rows[:, -1].tolist()
+        want = _locate_fall_full_rows(gauge, t_left, h, rows, t_left + h)
+        assert _locate_fall(gauge, fall_dim, t_left, h, rows, t_left + h) == want
+        assert (ev.time, ev.state.tolist()) == want
 
 
 def test_reversibility():
