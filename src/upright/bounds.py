@@ -158,7 +158,11 @@ def compute_a(G: float, F_norm: float, margin: float = 0.5) -> float:
         raise ValueError(f"margin must lie in (0,1), got {margin}")
     if F_norm < 0:
         raise ValueError(f"F_norm must be nonnegative, got {F_norm}")
-    a_star = F_norm / math.sqrt(G * G + F_norm * F_norm)
+    # Scaled exactly, by a power of two, so that no square under- or
+    # overflows: the larger of G and F_norm lies in [1/2, 1), and a* is the same.
+    e = math.frexp(max(G, F_norm))[1]
+    g, f = math.ldexp(G, -e), math.ldexp(F_norm, -e)
+    a_star = f / math.sqrt(g * g + f * f)
     a = a_star + margin * (1.0 - a_star)
     if not a < 1.0:
         raise ValueError(f"sup|F| = {F_norm:g} is too large against gravity "

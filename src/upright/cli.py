@@ -153,7 +153,12 @@ def _build_model(cfg: dict):
         # coefficients describe the carriage acceleration; the equations
         # use it divided by rod length
         def scale(c):
-            return np.atleast_1d(np.asarray(c, dtype=float)) / ell
+            try:
+                with np.errstate(over="raise"):
+                    return np.atleast_1d(np.asarray(c, dtype=float)) / ell
+            except FloatingPointError:
+                raise ConfigError("forcing coefficients divided by rod_length "
+                                  f"{ell:g} overflow") from None
 
         constant = fspec["constant"]
         F = make_fourier_forcing(

@@ -546,7 +546,7 @@ def _check_start(s0: PhaseState, params: ModelParams) -> None:
         raise ValueError(f"state dim {s0.dim} does not match model dim {params.dim}")
     if not all(map(math.isfinite, s0.flat().tolist())):
         raise ValueError(f"initial state x = {s0.x}, p = {s0.p} is not finite")
-    r = float(np.linalg.norm(s0.x))
+    r = math.hypot(*s0.x)  # no overflow, where np.linalg.norm squares
     if r >= FALL_THRESHOLD:
         raise ValueError(
             f"initial |x| = {r:.17g} already at the fall threshold {FALL_THRESHOLD}")

@@ -1,15 +1,15 @@
 """Period maps, Newton refinement, and continuation in the forcing scale.
 
 A T-periodic solution of the rod equations is a fixed point of the period
-map ``P(z) = flow from time 0 to T started at z``.  At forcing scale
-``lam = 0`` the upright rest state is such a fixed point; the
-continuation driver walks ``lam`` from 0 to 1, carrying the fixed point
-along by a predictor-corrector scheme, and returns the periodic orbit of
-the fully driven equation together with its monodromy matrix.  The
-predictor is the secant through the last two fixed points on the branch
-(Allgower & Georg, *Introduction to Numerical Continuation Methods*, §2),
-so each Newton run starts on the branch to second order in the ``lam``
-step, not a whole step behind it.
+map ``P(z) = flow from time 0 to T started at z``.  The driver first runs
+Newton at full forcing from the periodic solution of the equation
+linearized at rest, Polekhin's orbit to first order in the forcing.  Only
+where that fails does it continue from ``lam = 0``, where the upright rest
+state is a fixed point, carrying the fixed point along by a
+predictor-corrector scheme as ``lam`` walks to 1.  The predictor is the
+secant through the last two fixed points on the branch (Allgower & Georg,
+*Introduction to Numerical Continuation Methods*, §2).  Either way it
+returns the orbit of the fully driven equation and its monodromy matrix.
 """
 from __future__ import annotations
 
@@ -31,10 +31,10 @@ from .integrator import (FALL_THRESHOLD, IntegratorConfig, Trajectory,
 
 log = logging.getLogger(__name__)
 
-# Newton runs that ``continue_in_lambda`` may spend before it gives up.  The
-# reference continuations (cosine amplitude 2 on the line at T = 1 and 1.5,
-# the circular stirring of amplitude 1.5 in the plane) take 5 each; cosine
-# amplitude 2 on the line at T = 3 takes 34, for 22 accepted steps.
+# Newton runs that ``continue_in_lambda`` may spend, the one from the linear
+# response included.  The reference orbits (cosine amplitude 2 on the line at
+# T = 1 and 1.5, the circular stirring of amplitude 1.5 in the plane) take
+# that one each; continued from lam = 0 they took 5 each.
 _MAX_ATTEMPTS = 400
 # the first lam increment, and the increment below which continuation stalls
 _LAMBDA_STEP_INIT = 0.1
@@ -147,8 +147,25 @@ def poincare_jacobian(z: PhaseState, params: ModelParams, F: PeriodicSignal,
     return J
 
 
+def _linear_response(params: ModelParams, F: PeriodicSignal) -> PhaseState:
+    """``(x(0), p(0))`` of the T-periodic solution of ``x'' = G x - lam F(t)``,
+    mode by mode ``lam F_k / (G + w_k^2)``: the real DFT of 256 samples of
+    ``F`` folded into one weight vector per output, exact to rounding for a
+    trigonometric polynomial of fewer than 128 modes."""
+    n = 256  # a power of two
+    k = np.arange(n // 2 + 1)
+    w = 2.0 * math.pi / F.period * k
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller skips non-finite starts
+        # the mean and the Nyquist mode count once in the real DFT, the others twice
+        gain = np.where(k % (n // 2) == 0, 1.0, 2.0) * params.lam / n / (params.G + w * w)
+        # e^(2 pi i jk / n) read from its n values: jk mod n is jk & (n - 1)
+        turn = np.exp(2j * math.pi / n * np.arange(n))[np.outer(np.arange(n), k) & (n - 1)]
+        samples = F.eval(F.period / n * np.arange(n))
+        return PhaseState(turn.real @ gain @ samples, turn.imag @ (gain * w) @ samples)
+
+
 def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
-            cfg: IntegratorConfig):
+            cfg: IntegratorConfig, origin: str = "the continuation predictor"):
     """Bare Newton iteration on ``P(z) - z``; returns ``(z, residual, run)``
     with ``run`` the ``_period_pass`` from ``z`` that measured ``residual``.
 
@@ -156,7 +173,7 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
     ``DP(z)``.  Raises ``NewtonConvergenceError`` when the iteration budget
     runs out, ``IllConditionedError`` when ``DP - I`` is numerically
     singular (e.g. at a fold), and passes through ``FallError`` from the
-    map itself.  Every outcome is logged at debug level.
+    map itself.  Every outcome is logged at debug level, with ``origin``.
     """
     z = z0.flat().copy()
     n = z.shape[0]
@@ -167,7 +184,7 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
             Pz, J, run = _period_pass(PhaseState.from_flat(z), params, F, cfg,
                                       n_err=n)
         except FallError:
-            _log_attempt(params.lam, "fell", it, residual, cond, start)
+            _log_attempt(params.lam, "fell", it, residual, cond, start, origin)
             raise
         res_vec = Pz - z
         residual = float(np.linalg.norm(res_vec))
@@ -176,10 +193,11 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
         A = J - eye
         cond = float(np.linalg.cond(A))
         if residual <= _NEWTON_TOL:
-            _log_attempt(params.lam, "converged", it, residual, cond, start)
+            _log_attempt(params.lam, "converged", it, residual, cond, start, origin)
             return PhaseState.from_flat(z), residual, run
         if not np.isfinite(cond) or cond > 1e12:
-            _log_attempt(params.lam, "ill-conditioned", it, residual, cond, start)
+            _log_attempt(params.lam, "ill-conditioned", it, residual, cond,
+                         start, origin)
             raise IllConditionedError(
                 f"period-map Jacobian minus identity has condition {cond:.3e}",
                 condition=cond)
@@ -192,7 +210,7 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
             dz *= 0.5
         z = z + dz
     _log_attempt(params.lam, "Newton stalled", _NEWTON_MAX_ITERS, residual,
-                 cond, start)
+                 cond, start, origin)
     raise NewtonConvergenceError(
         f"no fixed point after {_NEWTON_MAX_ITERS} iterations "
         f"(residual {residual:.3e})", residual=residual,
@@ -200,12 +218,12 @@ def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
 
 
 def _log_attempt(lam: float, outcome: str, iterations: int, residual: float,
-                 cond: float, start: float) -> None:
+                 cond: float, start: float, origin: str) -> None:
     """One line per Newton run: the last residual and ``cond(DP - I)`` seen,
-    and the residual ``|P(z0) - z0|`` at the predicted start ``z0``."""
+    and the residual ``|P(z0) - z0|`` at the start ``z0``, from ``origin``."""
     log.debug("lam=%.6g %s: %d Newton iterations, residual %.3e, "
-              "cond(DP - I) %.3e, start residual %.3e", lam, outcome,
-              iterations, residual, cond, start)
+              "cond(DP - I) %.3e, start residual %.3e from %s", lam, outcome,
+              iterations, residual, cond, start, origin)
 
 
 def _finish(z: PhaseState, residual: float, run: Trajectory, path: list,
@@ -237,16 +255,21 @@ def _secant(path: list, lam_try: float) -> PhaseState:
 
 def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
                        cfg: IntegratorConfig | None = None) -> PeriodicOrbitResult:
-    """Carry the upright fixed point from ``lam = 0`` to ``lam = 1``.
+    """The periodic orbit at ``lam = 1``: Newton from the linear response,
+    else continuation from the upright fixed point at ``lam = 0``.
 
-    Secant predictor, Newton corrector: Newton at ``lam_try`` starts from
+    Under nonzero forcing Newton first runs at ``lam = 1`` from
+    ``_linear_response``; a solve there gives ``lambda_path`` ``[(0, 0, 0),
+    (1, z, residual)]``.  When it fails, or the start is not finite or past
+    ``FALL_THRESHOLD``, the orbit is continued from ``lam = 0``.  Secant
+    predictor, Newton corrector: Newton at ``lam_try`` starts from
     the line through the last two converged fixed points, extrapolated to
     ``lam_try`` (``_secant``); on the first step, and where that line leans
     the rod past ``FALL_THRESHOLD``, it starts from the last fixed point.
     Failures (falls, stalled Newton, near-singular corrections) halve the
     increment, successes grow it by half.  Raises ``ContinuationStuckError``
     once the increment falls below ``_LAMBDA_STEP_MIN`` or ``_MAX_ATTEMPTS``
-    Newton runs have not reached ``lam = 1``.
+    Newton runs, the direct one included, have not reached ``lam = 1``.
     """
     cfg = cfg or IntegratorConfig()
     lam = 0.0
@@ -254,6 +277,18 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
     step = 1.0 if F.sup_norm == 0.0 else _LAMBDA_STEP_INIT
     last_result = None
     attempts = 0
+    params_one = params_at_zero.with_lam(1.0)
+    start = _linear_response(params_one, F)
+    if (F.sup_norm > 0.0 and np.isfinite(start.flat()).all()
+            and math.hypot(*start.x) < FALL_THRESHOLD):
+        attempts = 1
+        try:
+            z, residual, run = _newton(start, params_one, F, cfg, "the linear response")
+        except (FallError, NewtonConvergenceError, IllConditionedError):
+            pass
+        else:
+            path.append((1.0, z.flat().copy(), residual))
+            return _finish(z, residual, run, path, params_one, F, cfg)
 
     while lam < 1.0:
         if attempts >= _MAX_ATTEMPTS:
@@ -277,7 +312,7 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
         last_result = (lam, z)
         step = min(step * 1.5, max(1.0 - lam, step))
 
-    return _finish(z, residual, run, path, params_at_zero.with_lam(1.0), F, cfg)
+    return _finish(z, residual, run, path, params_one, F, cfg)
 
 
 def result_to_dict(result: PeriodicOrbitResult) -> dict:

@@ -61,6 +61,15 @@ def test_a_linear_properties(G, Fn, m):
                                                             rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("e", [-1000, -500, 500, 1000])
+def test_a_is_the_same_at_any_scale_of_gravity_and_forcing(e):
+    # a* depends on G and sup|F| through their ratio alone; G^2 + sup|F|^2
+    # underflowed to 0 near 1e-300 (ZeroDivisionError) and overflowed
+    # near 1e300 (a* = 0)
+    for G, Fn in ((9.81, 2.0), (9.81, 0.0), (1.0, 1.0), (2.0, 9.81)):
+        assert compute_a(math.ldexp(G, e), math.ldexp(Fn, e)) == compute_a(G, Fn)
+
+
 def test_b_linear_threshold_values():
     # thresholds: sqrt((1+a) F/(1-a)); margin inflates multiplicatively
     assert compute_b_linear(0.8, 1.0, 0.5) == pytest.approx(3.0 * 1.5, rel=1e-15)

@@ -179,10 +179,10 @@ def test_solve_periodic_linear(tmp_path, capsys):
     assert result["residual"] < 1e-10
     assert result["containment"]["contained"] is True
     assert result["liouville_defect"] <= 1e-7
+    # one Newton run at full forcing, from the linear response
     path = result["lambda_path"]
-    assert path[0]["lam"] == 0.0 and path[-1]["lam"] == 1.0
-    lams = [node["lam"] for node in path]
-    assert lams == sorted(lams)
+    assert [node["lam"] for node in path] == [0.0, 1.0]
+    assert path[1]["state"] == result["fixed_point"]
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verified"] is True
     with open(out / "orbit.csv", newline="") as fh:
@@ -281,6 +281,9 @@ def test_solve_periodic_verbose_streams_attempts_only_to_the_log(tmp_path):
     result = json.loads(runs["verbose"][1][0])
     assert sum(" converged: " in line for line in attempts) == \
         len(result["lambda_path"]) - 1
+    assert len(attempts) == 1
+    assert attempts[0].startswith("DEBUG upright.poincare: lam=1 converged: ")
+    assert attempts[0].endswith(" from the linear response")
     assert runs["quiet"][1] == runs["verbose"][1]
 
 
@@ -477,6 +480,39 @@ def test_verify_bounds_at_a_huge_cone_slope_ends_in_a_typed_failure(
     assert "cone's curvature overflows" in caplog.text
     assert "verified = True" not in capsys.readouterr().out
     assert not (out / "certificate.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["verify-bounds", "solve-periodic"])
+@pytest.mark.parametrize("problem, cosine", [("linear", [2.0]),
+                                             ("planar", [[2.0, 0.0]])])
+def test_a_huge_rod_length_ends_in_a_result_or_a_typed_failure(
+        tmp_path, command, problem, cosine):
+    # rod_length 1e300 scales G and sup|F| to ~1e-300, and compute_a's
+    # G^2 + sup|F|^2 underflowed to 0: ZeroDivisionError
+    rc, _ = run(tmp_path, command, problem=problem, rod_length=1e300,
+                forcing={"cosine": cosine}, bounds={"samples_per_face": 8})
+    assert rc in {0} | {code for code, _ in cli._FAILURES.values()}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, overrides, message", [
+    ("degree", {"rod_length": 1e-12, "forcing": {"cosine": [1e300]}},
+     "divided by rod_length 1e-12 overflow"),
+    ("verify-bounds", {"rod_length": 1e-12, "forcing": {"sine": [-1e300]}},
+     "divided by rod_length 1e-12 overflow"),
+    ("simulate", {"initial_state": {"x": [1e300], "p": [0.0]}},
+     "already at the fall threshold"),
+], ids=["scaled-coefficient", "scaled-sine", "simulate-x"])
+def test_numpy_overflows_end_in_a_config_error(tmp_path, caplog, command,
+                                               overrides, message):
+    # numpy overflowed dividing a coefficient of 1e300 by rod_length 1e-12,
+    # and squaring x = 1e300 inside np.linalg.norm; with warnings as errors
+    # both ended in a traceback
+    rc, out = run(tmp_path, command, problem="linear", **overrides)
+    assert rc == 1
+    assert message in caplog.text
+    assert not (out / "result.json").exists()
 
 
 def test_output_directory_that_cannot_be_created_exits_1(tmp_path, caplog):

@@ -12,7 +12,7 @@ from upright.dynamics import (ANGLE_CHART_SCALE, DIRECTION_CHART_SCALE, GUARD, M
 from upright.errors import SingularityError, StepBudgetError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import (_A, _BHH, _C, _D, _E5, FALL_THRESHOLD,
-                                EventKind, IntegratorConfig, _dense_state,
+                                EventKind, IntegratorConfig, _check_start, _dense_state,
                                 _fall_event, _fall_gauge, _locate_fall, _stepper,
                                 evolve, integrate_field)
 from upright.poincare import poincare_map
@@ -22,6 +22,15 @@ TWO_PI = 2.0 * math.pi
 F1 = make_fourier_forcing(1.0, 1, [2.0], [])
 Z1 = make_fourier_forcing(1.0, 1, [0.0], [])
 F2 = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [[1e300], [1e300, -1e300], [1e308, 1e308]])
+def test_a_huge_start_is_refused_without_an_overflow(x):
+    # np.linalg.norm squared x and overflowed in numpy
+    dim = len(x)
+    with pytest.raises(ValueError, match="already at the fall threshold"):
+        _check_start(PhaseState(x, [0.0] * dim), ModelParams(G=9.81, lam=1.0, dim=dim))
 
 
 def test_equilibrium_stays_put():

@@ -12,11 +12,13 @@ from scipy.linalg import expm
 from oracles import linear_scalar_rhs, rk4_scalar
 from upright import integrator, poincare
 from upright.dynamics import ModelParams, PhaseState, make_field
-from upright.errors import ContinuationStuckError, FallError
+from upright.errors import (ContinuationStuckError, FallError,
+                            IllConditionedError, NewtonConvergenceError)
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve, integrate_field
 from upright.poincare import (_NEWTON_TOL, PeriodicOrbitResult, _finish,
-                              _newton, _period_pass, continue_in_lambda,
+                              _linear_response, _newton, _period_pass,
+                              continue_in_lambda,
                               poincare_jacobian, poincare_map, result_to_dict,
                               save_result_json)
 
@@ -250,8 +252,10 @@ def test_continuation_gives_up_after_its_attempt_budget(monkeypatch):
 
 
 def test_secant_predictor_cuts_the_stress_continuation(monkeypatch):
-    # line T=1.5, cosine amplitude 2: Newton started from the last converged
-    # point needs 53 period passes here, 3 of its attempts falling
+    # line T=1.5, cosine amplitude 2, continued from lam = 0 with no direct
+    # run: Newton started from the last converged point needs 53 period
+    # passes here, 3 of its attempts falling
+    monkeypatch.setattr(poincare, "_linear_response", _skip_the_direct_run)
     calls = []
 
     def counted(*args, _inner=poincare._period_pass, **kwargs):
@@ -261,7 +265,7 @@ def test_secant_predictor_cuts_the_stress_continuation(monkeypatch):
     monkeypatch.setattr(poincare, "_period_pass", counted)
     F = make_fourier_forcing(1.5, 1, [2.0], [])
     result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F)
-    assert result.lambda_path[-1][0] == 1.0
+    assert len(result.lambda_path) > 2 and result.lambda_path[-1][0] == 1.0
     assert len(calls) <= 25
 
 
@@ -313,6 +317,114 @@ def test_newton_is_idempotent_at_a_fixed_point():
     again = refine(first.fixed_point, params, F_SMALL)
     shift = np.linalg.norm(again.fixed_point.flat() - first.fixed_point.flat())
     assert shift <= _NEWTON_TOL
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0])
+@pytest.mark.parametrize("T", [0.5, 1.0, 3.0])
+def test_linear_response_is_the_closed_form(T, lam):
+    # x'' = G x - lam F: A cos wt gives x = lam A cos wt / (G + w^2), and
+    # A sin wt its quarter-period shift, in each component of the plane;
+    # the 128th cosine mode is the samples' Nyquist mode
+    G, A, w = 9.81, 2.0, TWO_PI / T
+    amp = lam * A / (G + w * w)
+    for cos, sin, dim, x, p in [
+            ([A], [], 1, [amp], [0.0]),
+            ([], [A], 1, [0.0], [amp * w]),
+            ([(A, 0.0)], [(0.0, A)], 2, [amp, 0.0], [0.0, amp * w]),
+            ([0.0] * 127 + [A], [], 1, [lam * A / (G + (128 * w) ** 2)], [0.0])]:
+        F = make_fourier_forcing(T, dim, cos, sin)
+        z = _linear_response(ModelParams(G=G, lam=lam, dim=dim), F)
+        assert np.max(np.abs(z.x - x)) <= 1e-14
+        assert np.max(np.abs(z.p - p)) <= 1e-14
+
+
+def test_linear_response_reads_a_path_signal():
+    # a 128-knot spline through a two-mode path: finite, and within the
+    # spline's error of the response to the path's exact acceleration
+    ts = np.linspace(0.0, 1.0, 129)
+    xs = np.stack([0.02 * np.sin(TWO_PI * ts), 0.01 * np.cos(2 * TWO_PI * ts)], axis=1)
+    xs[-1] = xs[0]
+    F, G = ingest_path(PathSamples(times=ts, positions=xs), gravity=9.81)
+    params = ModelParams(G=G, lam=1.0, dim=2)
+    z = _linear_response(params, F).flat()
+    exact = make_fourier_forcing(1.0, 2, [(0.0, 0.0), (0.0, -0.01 * (2 * TWO_PI) ** 2)],
+                                 [(-0.02 * TWO_PI ** 2, 0.0)])
+    assert np.all(np.isfinite(z))
+    assert np.max(np.abs(z - _linear_response(params, exact).flat())) <= 1e-5
+
+
+def _outcomes(monkeypatch):
+    """Record each ``_newton`` run of a continuation: its start's origin and
+    the type of its error, or None."""
+    runs = []
+
+    def recorded(*args, _inner=poincare._newton, **kwargs):
+        origin = args[4] if len(args) > 4 else "the continuation predictor"
+        try:
+            out = _inner(*args, **kwargs)
+        except (FallError, NewtonConvergenceError, IllConditionedError) as exc:
+            runs.append((origin, type(exc)))
+            raise
+        runs.append((origin, None))
+        return out
+
+    monkeypatch.setattr(poincare, "_newton", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("dim, F", [(1, F_LIN), (2, F_CIRCLE)], ids=["line", "plane"])
+def test_reference_orbit_is_one_newton_run_at_full_forcing(monkeypatch, dim, F):
+    runs = _outcomes(monkeypatch)
+    result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=dim), F)
+    assert runs == [("the linear response", None)]
+    (lam0, z0, r0), (lam1, z1, r1) = result.lambda_path
+    assert (lam0, r0, lam1, r1) == (0.0, 0.0, 1.0, result.residual)
+    assert np.array_equal(z0, np.zeros(2 * dim))
+    assert np.array_equal(z1, result.fixed_point.flat())
+    assert result.residual <= _NEWTON_TOL
+
+
+def _skip_the_direct_run(params, F):
+    """A start that ``continue_in_lambda`` refuses, so that it continues
+    from lam = 0 as it did before the direct run."""
+    return PhaseState(np.full(params.dim, np.nan), np.zeros(params.dim))
+
+
+def test_a_falling_linear_response_falls_back_to_continuation(monkeypatch):
+    # from x(0) = 0.9 the rod falls within the period; the continuation
+    # that follows is the one run with no direct attempt, node for node
+    monkeypatch.setattr(poincare, "_linear_response", _skip_the_direct_run)
+    params = ModelParams(G=9.81, lam=0.0, dim=1)
+    continued = continue_in_lambda(params, F_LIN)
+    monkeypatch.setattr(poincare, "_linear_response",
+                        lambda params, F: PhaseState(0.9, 0.0))
+    runs = _outcomes(monkeypatch)
+    result = continue_in_lambda(params, F_LIN)
+    assert runs[0] == ("the linear response", FallError)
+    assert all(origin == "the continuation predictor" for origin, _ in runs[1:])
+    assert len(result.lambda_path) > 2 and result.lambda_path[-1][0] == 1.0
+    assert len(result.lambda_path) == len(continued.lambda_path)
+    for (l1, z1, r1), (l2, z2, r2) in zip(result.lambda_path, continued.lambda_path):
+        assert (l1, r1) == (l2, r2) and np.array_equal(z1, z2)
+
+
+@pytest.mark.parametrize("T", [1.0, 3.0])
+@pytest.mark.parametrize("A", [0.5, 2.0])
+@pytest.mark.parametrize("family", ["line", "plane", "mixed"])
+def test_direct_and_continued_fixed_points_agree(monkeypatch, family, A, T):
+    # an atlas subset: G = 9.81, line A cos wt, plane circle of radius A,
+    # line A cos wt + (A/2) sin 2wt
+    dim, cos, sin = {"line": (1, [A], []),
+                     "plane": (2, [(A, 0.0)], [(0.0, A)]),
+                     "mixed": (1, [A], [0.0, A / 2])}[family]
+    F = make_fourier_forcing(T, dim, cos, sin)
+    params = ModelParams(G=9.81, lam=0.0, dim=dim)
+    direct = continue_in_lambda(params, F)
+    monkeypatch.setattr(poincare, "_linear_response", _skip_the_direct_run)
+    continued = continue_in_lambda(params, F)
+    assert len(continued.lambda_path) > 2
+    shift = np.max(np.abs(direct.fixed_point.flat() - continued.fixed_point.flat()))
+    assert shift <= 1e-9
 
 
 def test_unforced_continuation_is_a_single_step():
