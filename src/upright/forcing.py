@@ -255,7 +255,9 @@ class PathSamples:
             raise ValueError("times must be strictly increasing")
         if self.rod_length <= 0:
             raise ValueError(f"rod_length must be positive, got {self.rod_length}")
-        gap = float(np.linalg.norm(positions[-1] - positions[0]))
+        # in Python floats: a difference past the float range is inf, unwarned
+        gap = math.hypot(*(b - a for a, b in zip(positions[0].tolist(),
+                                                 positions[-1].tolist())))
         if gap > _CLOSURE_TOL:
             raise ValueError(
                 f"path endpoints differ by {gap:.3e} > {_CLOSURE_TOL:.3e}; "
@@ -311,9 +313,14 @@ def ingest_path(samples: PathSamples, gravity: float):
     # periodic closure: the end samples already agree within tolerance
     pos = np.vstack([samples.positions[:-1], samples.positions[:1]])
     h = np.diff(knots)
-    slope = np.diff(pos, axis=0) / h[:, None]
-    curv = _periodic_spline_curvature(h, 6.0 * (slope - np.roll(slope, 1, axis=0))) / ell
-    rate = (np.roll(curv, -1, axis=0) - curv) / h[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        slope = np.diff(pos, axis=0) / h[:, None]
+        curv = _periodic_spline_curvature(h, 6.0 * (slope - np.roll(slope, 1, axis=0))) / ell
+        rate = (np.roll(curv, -1, axis=0) - curv) / h[:, None]
+        sup_f, sup_df = (np.linalg.norm(a, axis=1).max() for a in (curv, rate))
+    if not (math.isfinite(sup_f) and math.isfinite(sup_df)):
+        raise ValueError("path too large: the spline's curvature or rate, "
+                         "or their sup norms, are not finite")
     period = samples.period
     inner = knots[1:-1]
 
@@ -338,7 +345,6 @@ def ingest_path(samples: PathSamples, gravity: float):
         s = u - knot_list[k]
         return tuple([m + r * s for m, r in zip(curv_list[k], rate_list[k])])
 
-    sup_f, sup_df = (np.linalg.norm(a, axis=1).max() for a in (curv, rate))
     return PeriodicSignal(period, samples.dim, value, derivative, sup_f, sup_df,
                           scalar_value_fn=value_scalar,
                           breakpoints=knot_list[:-1]), gravity / ell

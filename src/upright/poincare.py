@@ -1,15 +1,16 @@
 """Period maps, Newton refinement, and continuation in the forcing scale.
 
 A T-periodic solution of the rod equations is a fixed point of the period
-map ``P(z) = flow from time 0 to T started at z``.  The driver first runs
-Newton at full forcing from the periodic solution of the equation
-linearized at rest, Polekhin's orbit to first order in the forcing.  Only
-where that fails does it continue from ``lam = 0``, where the upright rest
-state is a fixed point, carrying the fixed point along by a
-predictor-corrector scheme as ``lam`` walks to 1.  The predictor is the
-secant through the last two fixed points on the branch (Allgower & Georg,
-*Introduction to Numerical Continuation Methods*, §2).  Either way it
-returns the orbit of the fully driven equation and its monodromy matrix.
+map ``P(z) = flow from time 0 to T started at z``.  At ``lam = 0`` the
+upright rest state is a fixed point, and the driver carries it along the
+branch to ``lam = 1`` by a predictor-corrector scheme (Allgower & Georg,
+*Introduction to Numerical Continuation Methods*, §2).  The branch's
+tangent at ``lam = 0`` is the periodic solution of the equation linearized
+at rest, Polekhin's orbit to first order in the forcing, so the first
+prediction is an Euler step along it, the whole way to ``lam = 1``; later
+ones are the secant through the last two fixed points.  A failed step is
+halved.  It returns the orbit of the fully driven equation and its
+monodromy matrix.
 """
 from __future__ import annotations
 
@@ -31,13 +32,11 @@ from .integrator import (FALL_THRESHOLD, IntegratorConfig, Trajectory,
 
 log = logging.getLogger(__name__)
 
-# Newton runs that ``continue_in_lambda`` may spend, the one from the linear
-# response included.  The reference orbits (cosine amplitude 2 on the line at
-# T = 1 and 1.5, the circular stirring of amplitude 1.5 in the plane) take
-# that one each; continued from lam = 0 they took 5 each.
+# Newton runs that ``continue_in_lambda`` may spend.  The reference orbits
+# (cosine amplitude 2 on the line at T = 1 and 1.5, the circular stirring of
+# amplitude 1.5 in the plane) take one each, from the linear response.
 _MAX_ATTEMPTS = 400
-# the first lam increment, and the increment below which continuation stalls
-_LAMBDA_STEP_INIT = 0.1
+# the lam increment below which continuation stalls
 _LAMBDA_STEP_MIN = 1e-4
 # Newton's tolerance on |P(z) - z| and its iteration budget
 _NEWTON_TOL = 1e-10
@@ -151,11 +150,12 @@ def _linear_response(params: ModelParams, F: PeriodicSignal) -> PhaseState:
     """``(x(0), p(0))`` of the T-periodic solution of ``x'' = G x - lam F(t)``,
     mode by mode ``lam F_k / (G + w_k^2)``: the real DFT of 256 samples of
     ``F`` folded into one weight vector per output, exact to rounding for a
-    trigonometric polynomial of fewer than 128 modes."""
+    trigonometric polynomial of fewer than 128 modes.  It may not be finite
+    (``G = 0``, overflow); the caller skips non-finite starts."""
     n = 256  # a power of two
     k = np.arange(n // 2 + 1)
     w = 2.0 * math.pi / F.period * k
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller skips non-finite starts
+    with np.errstate(over="ignore", invalid="ignore"):
         # the mean and the Nyquist mode count once in the real DFT, the others twice
         gain = np.where(k % (n // 2) == 0, 1.0, 2.0) * params.lam / n / (params.G + w * w)
         # e^(2 pi i jk / n) read from its n values: jk mod n is jk & (n - 1)
@@ -165,7 +165,7 @@ def _linear_response(params: ModelParams, F: PeriodicSignal) -> PhaseState:
 
 
 def _newton(z0: PhaseState, params: ModelParams, F: PeriodicSignal,
-            cfg: IntegratorConfig, origin: str = "the continuation predictor"):
+            cfg: IntegratorConfig, origin: str):
     """Bare Newton iteration on ``P(z) - z``; returns ``(z, residual, run)``
     with ``run`` the ``_period_pass`` from ``z`` that measured ``residual``.
 
@@ -238,58 +238,48 @@ def _finish(z: PhaseState, residual: float, run: Trajectory, path: list,
                                monodromy=monodromy)
 
 
-def _secant(path: list, lam_try: float) -> PhaseState:
-    """Newton's start at ``lam_try``: the line through the last two points of
-    ``path``, or the last point when there is only one or the line leans the
-    rod past ``FALL_THRESHOLD``."""
+def _predict(path: list, lam_try: float, tangent: np.ndarray):
+    """Newton's start at ``lam_try`` and where it came from: ``lam_try``
+    times the ``tangent`` while ``path`` holds only ``lam = 0``, else the
+    line through its last two points; the last point where that start is
+    not finite or leans the rod past ``FALL_THRESHOLD``."""
     last = path[-1][1]
     if len(path) < 2:
-        return PhaseState.from_flat(last)
-    lam0, z0, _ = path[-2]
-    lam1 = path[-1][0]
-    guess = last + (lam_try - lam1) / (lam1 - lam0) * (last - z0)
-    if float(np.linalg.norm(guess[:guess.shape[0] // 2])) >= FALL_THRESHOLD:
-        return PhaseState.from_flat(last)
-    return PhaseState.from_flat(guess)
+        guess, origin = lam_try * tangent, "the linear response"
+    else:
+        (lam0, z0, _), (lam1, _, _) = path[-2:]
+        guess = last + (lam_try - lam1) / (lam1 - lam0) * (last - z0)
+        origin = "the secant predictor"
+    if not (np.isfinite(guess).all()
+            and math.hypot(*guess[:guess.shape[0] // 2]) < FALL_THRESHOLD):
+        return PhaseState.from_flat(last), "the last fixed point"
+    return PhaseState.from_flat(guess), origin
 
 
 def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
                        cfg: IntegratorConfig | None = None) -> PeriodicOrbitResult:
-    """The periodic orbit at ``lam = 1``: Newton from the linear response,
-    else continuation from the upright fixed point at ``lam = 0``.
+    """The periodic orbit at ``lam = 1``, continued from the upright fixed
+    point at ``lam = 0``.
 
-    Under nonzero forcing Newton first runs at ``lam = 1`` from
-    ``_linear_response``; a solve there gives ``lambda_path`` ``[(0, 0, 0),
-    (1, z, residual)]``.  When it fails, or the start is not finite or past
-    ``FALL_THRESHOLD``, the orbit is continued from ``lam = 0``.  Secant
-    predictor, Newton corrector: Newton at ``lam_try`` starts from
-    the line through the last two converged fixed points, extrapolated to
-    ``lam_try`` (``_secant``); on the first step, and where that line leans
-    the rod past ``FALL_THRESHOLD``, it starts from the last fixed point.
-    Failures (falls, stalled Newton, near-singular corrections) halve the
-    increment, successes grow it by half.  Raises ``ContinuationStuckError``
-    once the increment falls below ``_LAMBDA_STEP_MIN`` or ``_MAX_ATTEMPTS``
-    Newton runs, the direct one included, have not reached ``lam = 1``.
+    Predictor, Newton corrector (``_predict``): from ``lam = 0`` alone the
+    start at ``lam_try`` is ``lam_try`` times the linear response at
+    ``lam = 1`` (``_linear_response``), the branch's tangent; after that
+    it is the line through the last two fixed points, extrapolated to
+    ``lam_try``.  The increment starts at 1, so the first run is Newton at
+    full forcing from the linear response, and a solve there gives
+    ``lambda_path`` ``[(0, 0, 0), (1, z, residual)]``.  Failures (falls,
+    stalled Newton, near-singular corrections) halve the increment,
+    successes grow it by half.  Raises ``ContinuationStuckError`` once the
+    increment falls below ``_LAMBDA_STEP_MIN`` or ``_MAX_ATTEMPTS`` Newton
+    runs have not reached ``lam = 1``.
     """
     cfg = cfg or IntegratorConfig()
-    lam = 0.0
+    params_one = params_at_zero.with_lam(1.0)
+    tangent = _linear_response(params_one, F).flat()
     path = [(0.0, np.zeros(2 * params_at_zero.dim), 0.0)]
-    step = 1.0 if F.sup_norm == 0.0 else _LAMBDA_STEP_INIT
+    lam, step = 0.0, 1.0
     last_result = None
     attempts = 0
-    params_one = params_at_zero.with_lam(1.0)
-    start = _linear_response(params_one, F)
-    if (F.sup_norm > 0.0 and np.isfinite(start.flat()).all()
-            and math.hypot(*start.x) < FALL_THRESHOLD):
-        attempts = 1
-        try:
-            z, residual, run = _newton(start, params_one, F, cfg, "the linear response")
-        except (FallError, NewtonConvergenceError, IllConditionedError):
-            pass
-        else:
-            path.append((1.0, z.flat().copy(), residual))
-            return _finish(z, residual, run, path, params_one, F, cfg)
-
     while lam < 1.0:
         if attempts >= _MAX_ATTEMPTS:
             raise ContinuationStuckError(
@@ -297,9 +287,10 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
                 f"(last step {step:.3g})", last_lambda=lam, last_result=last_result)
         attempts += 1
         lam_try = min(lam + step, 1.0)
-        params_try = params_at_zero.with_lam(lam_try)
+        start, origin = _predict(path, lam_try, tangent)
         try:
-            z, residual, run = _newton(_secant(path, lam_try), params_try, F, cfg)
+            z, residual, run = _newton(start, params_at_zero.with_lam(lam_try),
+                                       F, cfg, origin)
         except (FallError, NewtonConvergenceError, IllConditionedError):
             step *= 0.5
             if step < _LAMBDA_STEP_MIN:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import math
 import os
@@ -215,10 +216,10 @@ def test_solve_periodic_continuation_failure(tmp_path, monkeypatch):
 
 
 def test_solve_periodic_attempt_budget_exits_3(tmp_path, caplog, monkeypatch):
-    # line T=3, cosine amplitude 8: the trap verifies, but every trial rod
+    # line T=8, cosine amplitude 8: the trap verifies, but every trial rod
     # falls at lam=0, so only the attempt budget ends the run
     monkeypatch.setattr(poincare, "_MAX_ATTEMPTS", 5)
-    rc, out = run(tmp_path, "solve-periodic", problem="linear", period=3.0,
+    rc, out = run(tmp_path, "solve-periodic", problem="linear", period=8.0,
                   forcing={"cosine": [8.0]},
                   bounds={"samples_per_face": 8})
     assert json.loads((out / "certificate.json").read_text())["verified"] is True
@@ -242,6 +243,22 @@ def test_solve_periodic_period_3(tmp_path):
     assert result["liouville_defect"] <= 1e-7
 
 
+def test_solve_periodic_period_3_at_amplitude_8(tmp_path):
+    # multipliers near 1.2e4 and a lean of 0.49: Newton falls from the
+    # linear response at full forcing, and the path along the tangent and
+    # its secants takes 150 Newton runs to get there
+    rc, out = run(tmp_path, "solve-periodic", problem="linear", period=3.0,
+                  forcing={"cosine": [8.0]},
+                  bounds={"samples_per_face": 8})
+    assert rc == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["lambda_path"][-1]["lam"] == 1.0
+    assert result["residual"] <= poincare._NEWTON_TOL
+    assert result["containment"]["contained"] is True
+    assert result["liouville_defect"] <= 1e-6
+    assert abs(result["fixed_point"][0] - 0.4930989383609449) <= 1e-9
+
+
 def test_solve_periodic_planar(tmp_path):
     rc, out = run(tmp_path, "solve-periodic", problem="planar",
                   forcing={"cosine": [[1.5, 0.0]], "sine": [[0.0, 1.5]]},
@@ -256,9 +273,11 @@ def test_solve_periodic_planar(tmp_path):
     assert header == ["t", "x1", "x2", "p1", "p2", "y"]
 
 
-def test_solve_periodic_verbose_streams_attempts_only_to_the_log(tmp_path):
-    cfg = write_config(tmp_path, problem="linear", forcing={"cosine": [2.0]},
-                       bounds={"samples_per_face": 8})
+def _quiet_and_verbose(tmp_path, **overrides):
+    """``solve-periodic`` on ``overrides`` in a subprocess, without and with
+    ``--verbose``: per run, the attempt lines on standard error and the bytes
+    of ``result.json`` and ``certificate.json``."""
+    cfg = write_config(tmp_path, **overrides)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(upright.__file__).resolve().parents[1]),
@@ -277,6 +296,13 @@ def test_solve_periodic_verbose_streams_attempts_only_to_the_log(tmp_path):
                      for f in ("result.json", "certificate.json")]
         runs[name] = (attempts, artifacts)
     assert runs["quiet"][0] == []
+    assert runs["quiet"][1] == runs["verbose"][1]
+    return runs
+
+
+def test_solve_periodic_verbose_streams_attempts_only_to_the_log(tmp_path):
+    runs = _quiet_and_verbose(tmp_path, problem="linear", forcing={"cosine": [2.0]},
+                              bounds={"samples_per_face": 8})
     attempts = runs["verbose"][0]
     result = json.loads(runs["verbose"][1][0])
     assert sum(" converged: " in line for line in attempts) == \
@@ -284,7 +310,21 @@ def test_solve_periodic_verbose_streams_attempts_only_to_the_log(tmp_path):
     assert len(attempts) == 1
     assert attempts[0].startswith("DEBUG upright.poincare: lam=1 converged: ")
     assert attempts[0].endswith(" from the linear response")
-    assert runs["quiet"][1] == runs["verbose"][1]
+
+
+def test_solve_periodic_verbose_names_each_start(tmp_path):
+    # line T=1.5, cosine amplitude 8: the first step falls, and the path
+    # runs through lam = 0.5 and 0.75
+    runs = _quiet_and_verbose(tmp_path, problem="linear", period=1.5,
+                              forcing={"cosine": [8.0]},
+                              bounds={"samples_per_face": 8})
+    attempts = runs["verbose"][0]
+    assert [line.split(": ", 1)[1].split(" ", 2)[:2] for line in attempts] == [
+        ["lam=1", "fell:"], ["lam=0.5", "converged:"], ["lam=1", "fell:"],
+        ["lam=0.75", "converged:"], ["lam=1", "converged:"]]
+    assert [line.rsplit(" from ", 1)[1] for line in attempts] == \
+        ["the linear response"] * 2 + ["the secant predictor"] * 3
+    assert len(json.loads(runs["verbose"][1][0])["lambda_path"]) == 4
 
 
 # -- whitney-search -----------------------------------------------------------
@@ -543,6 +583,25 @@ def test_readme_schema_matches_defaults():
     assert json.loads(re.sub(r"//.*", "", block)) == DEFAULT_CONFIG
 
 
+def test_readme_constants_table_matches_the_library():
+    # each `module.NAME` of the table exists with the value shown; a bare
+    # `_NAME` after it in the same row is of the same module
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| constant | value | meaning |\n| --- | --- | --- |\n")[1]
+    checked = []
+    for row in table.split("\n\n")[0].splitlines():
+        names, values = (re.findall(r"`([^`]+)`", cell) for cell in row.split("|")[1:3])
+        if "." not in names[0]:
+            continue
+        for name, value in zip(names, values, strict=True):
+            if "." in name:
+                module, name = name.split(".")
+            shown = eval(value, {"__builtins__": {}})
+            assert getattr(importlib.import_module(f"upright.{module}"), name) == shown, name
+            checked.append(name)
+    assert {"_MAX_ATTEMPTS", "_LAMBDA_STEP_MIN", "_NEWTON_TOL"} <= set(checked)
+
+
 def test_config_defaults_fill_in(tmp_path):
     path = write_config(tmp_path, problem="planar")
     cfg = load_config(path)
@@ -651,6 +710,26 @@ def test_forcing_path_non_finite_samples_exit_1(tmp_path, caplog, row, column,
                 forcing={"type": "path_csv", "path": str(path_file)})
     assert rc == 1
     assert "invalid configuration" in caplog.text and "finite" in caplog.text
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("last_row, message", [
+    ("open", "path endpoints differ by 2.449e+284"),
+    ("closed", "path too large")], ids=["open", "closed"])
+def test_a_path_of_size_1e300_exits_1(tmp_path, caplog, last_row, message):
+    # the closure gap of an open path, and the spline's sup norms of a
+    # closed one, overflowed in numpy: a RuntimeWarning traceback with
+    # warnings as errors
+    rows = [[k / 16, 1e300 * math.sin(2 * math.pi * k / 16)] for k in range(17)]
+    if last_row == "closed":
+        rows[-1][1] = rows[0][1]
+    path_file = tmp_path / "path.csv"
+    path_file.write_text("\n".join(["t,f1"] + [f"{t!r},{f!r}" for t, f in rows]) + "\n")
+    rc, out = run(tmp_path, "verify-bounds", problem="linear",
+                  forcing={"type": "path_csv", "path": str(path_file)})
+    assert rc == 1
+    assert message in caplog.text
+    assert not (out / "certificate.json").exists()
 
 
 # refuses scipy and its submodules, as an interpreter without scipy would,

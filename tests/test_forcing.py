@@ -169,6 +169,22 @@ def test_path_samples_validation():
             PathSamples(times=times, positions=xs)
 
 
+def test_path_sizes_past_the_float_range_are_refused_unwarned():
+    # the closure gap is measured in Python floats, and a spline whose
+    # curvature, rate or sup norms overflow is refused (warnings are errors)
+    ts = np.linspace(0.0, 1.0, 17)
+    ends = np.zeros(17)
+    ends[0], ends[-1] = -1.5e308, 1.5e308
+    with pytest.raises(ValueError, match="differ by inf"):
+        PathSamples(times=ts, positions=ends)
+    sine = 0.05 * np.sin(TWO_PI * ts)
+    sine[-1] = sine[0]
+    for positions, rod_length in ((1e300 * sine, 1.0), (sine, 1e-305)):
+        samples = PathSamples(times=ts, positions=positions, rod_length=rod_length)
+        with pytest.raises(ValueError, match="path too large"):
+            ingest_path(samples, gravity=9.81)
+
+
 def test_constant_path_gives_zero_forcing():
     ts = np.linspace(0.0, 2.0, 33)
     samples = PathSamples(times=ts, positions=np.full(33, 0.7))

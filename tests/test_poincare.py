@@ -18,7 +18,7 @@ from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve, integrate_field
 from upright.poincare import (_NEWTON_TOL, PeriodicOrbitResult, _finish,
                               _linear_response, _newton, _period_pass,
-                              continue_in_lambda,
+                              _predict, continue_in_lambda,
                               poincare_jacobian, poincare_map, result_to_dict,
                               save_result_json)
 
@@ -31,7 +31,8 @@ Z2 = make_fourier_forcing(1.0, 2, [(0.0, 0.0)], [])
 F_SMALL = make_fourier_forcing(1.0, 1, [0.05], [])
 F_LIN = make_fourier_forcing(1.0, 1, [2.0], [])
 F_CIRCLE = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
-F_FALLS = make_fourier_forcing(3.0, 1, [8.0], [])
+# line T=8, cosine amplitude 8: the rod falls from every start at lam=0
+F_STUCK = make_fourier_forcing(8.0, 1, [8.0], [])
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
@@ -39,7 +40,7 @@ def refine(z0, params, F):
     """Newton on the period map from ``z0``, then the converged pass's orbit
     and residual and the monodromy, as continuation finishes."""
     cfg = IntegratorConfig()
-    z, residual, run = _newton(z0, params, F, cfg)
+    z, residual, run = _newton(z0, params, F, cfg, "the test's start")
     return _finish(z, residual, run, [(params.lam, z.flat().copy(), residual)],
                    params, F, cfg)
 
@@ -216,16 +217,19 @@ def test_orbit_is_the_run_of_evolve_from_the_fixed_point(dim, make_F):
 
 def test_continuation_logs_every_lambda_attempt(caplog):
     caplog.set_level(logging.DEBUG, logger="upright.poincare")
-    F = make_fourier_forcing(1.5, 1, [2.0], [])
+    # line T=1.5, cosine amplitude 8: the first step fails, and the path
+    # runs through lam = 0.5 and 0.75
+    F = make_fourier_forcing(1.5, 1, [8.0], [])
     result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F)
-    # linear T=3, cosine amplitude 8: the rod falls from every start at lam=0
     with pytest.raises(ContinuationStuckError):
-        continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_FALLS)
+        continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_STUCK)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "upright.poincare"]
     converged = [line for line in lines if " converged: " in line]
-    assert len(converged) == len(result.lambda_path) - 1
+    assert len(converged) == len(result.lambda_path) - 1 == 3
     assert any(" fell: " in line for line in lines)
+    origins = {line.rsplit(" from ", 1)[1] for line in lines}
+    assert origins == {"the linear response", "the secant predictor"}
     for line in lines:
         assert line.startswith("lam=")
         assert "Newton iterations, residual " in line and "cond(DP - I) " in line
@@ -233,8 +237,8 @@ def test_continuation_logs_every_lambda_attempt(caplog):
 
 
 def test_continuation_gives_up_after_its_attempt_budget(monkeypatch):
-    # linear T=3, cosine amplitude 8: every trial rod falls at lam=0, and
-    # the budget ends the halving before the step gets below its minimum
+    # every trial rod falls at lam=0, and the budget ends the halving
+    # before the step gets below its minimum
     calls = []
 
     def counted(*args, _inner=poincare._newton, **kwargs):
@@ -245,17 +249,16 @@ def test_continuation_gives_up_after_its_attempt_budget(monkeypatch):
     monkeypatch.setattr(poincare, "_MAX_ATTEMPTS", 5)
     start = time.perf_counter()
     with pytest.raises(ContinuationStuckError, match="in 5 attempts") as info:
-        continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_FALLS)
+        continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_STUCK)
     assert len(calls) == 5
     assert info.value.last_lambda < 1.0
     assert time.perf_counter() - start < 30.0
 
 
 def test_secant_predictor_cuts_the_stress_continuation(monkeypatch):
-    # line T=1.5, cosine amplitude 2, continued from lam = 0 with no direct
-    # run: Newton started from the last converged point needs 53 period
-    # passes here, 3 of its attempts falling
-    monkeypatch.setattr(poincare, "_linear_response", _skip_the_direct_run)
+    # line T=1.5, cosine amplitude 2, continued with the first step failed:
+    # the tangent to lam = 0.5, then the secant to 1, 7 period passes in all
+    _outcomes(monkeypatch, fail_first=True)
     calls = []
 
     def counted(*args, _inner=poincare._period_pass, **kwargs):
@@ -266,7 +269,7 @@ def test_secant_predictor_cuts_the_stress_continuation(monkeypatch):
     F = make_fourier_forcing(1.5, 1, [2.0], [])
     result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F)
     assert len(result.lambda_path) > 2 and result.lambda_path[-1][0] == 1.0
-    assert len(calls) <= 25
+    assert len(calls) <= 10
 
 
 def test_planar_continuation_reaches_full_forcing_at_period_3():
@@ -353,19 +356,21 @@ def test_linear_response_reads_a_path_signal():
     assert np.max(np.abs(z - _linear_response(params, exact).flat())) <= 1e-5
 
 
-def _outcomes(monkeypatch):
-    """Record each ``_newton`` run of a continuation: its start's origin and
-    the type of its error, or None."""
+def _outcomes(monkeypatch, fail_first=False):
+    """Record each ``_newton`` run of a continuation as ``(lam, start,
+    origin, error type or None)``.  With ``fail_first`` the first run falls
+    without integrating, so that the continuation goes on from lam = 0."""
     runs = []
 
-    def recorded(*args, _inner=poincare._newton, **kwargs):
-        origin = args[4] if len(args) > 4 else "the continuation predictor"
+    def recorded(z0, params, F, cfg, origin, _inner=poincare._newton):
         try:
-            out = _inner(*args, **kwargs)
+            if fail_first and not runs:
+                raise FallError("the first run falls", time=0.0)
+            out = _inner(z0, params, F, cfg, origin)
         except (FallError, NewtonConvergenceError, IllConditionedError) as exc:
-            runs.append((origin, type(exc)))
+            runs.append((params.lam, z0.flat(), origin, type(exc)))
             raise
-        runs.append((origin, None))
+        runs.append((params.lam, z0.flat(), origin, None))
         return out
 
     monkeypatch.setattr(poincare, "_newton", recorded)
@@ -375,8 +380,11 @@ def _outcomes(monkeypatch):
 @pytest.mark.parametrize("dim, F", [(1, F_LIN), (2, F_CIRCLE)], ids=["line", "plane"])
 def test_reference_orbit_is_one_newton_run_at_full_forcing(monkeypatch, dim, F):
     runs = _outcomes(monkeypatch)
-    result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=dim), F)
-    assert runs == [("the linear response", None)]
+    params = ModelParams(G=9.81, lam=0.0, dim=dim)
+    result = continue_in_lambda(params, F)
+    [(lam, start, origin, error)] = runs
+    assert (lam, origin, error) == (1.0, "the linear response", None)
+    assert np.array_equal(start, _linear_response(params.with_lam(1.0), F).flat())
     (lam0, z0, r0), (lam1, z1, r1) = result.lambda_path
     assert (lam0, r0, lam1, r1) == (0.0, 0.0, 1.0, result.residual)
     assert np.array_equal(z0, np.zeros(2 * dim))
@@ -384,28 +392,38 @@ def test_reference_orbit_is_one_newton_run_at_full_forcing(monkeypatch, dim, F):
     assert result.residual <= _NEWTON_TOL
 
 
-def _skip_the_direct_run(params, F):
-    """A start that ``continue_in_lambda`` refuses, so that it continues
-    from lam = 0 as it did before the direct run."""
-    return PhaseState(np.full(params.dim, np.nan), np.zeros(params.dim))
-
-
 def test_a_falling_linear_response_falls_back_to_continuation(monkeypatch):
-    # from x(0) = 0.9 the rod falls within the period; the continuation
-    # that follows is the one run with no direct attempt, node for node
-    monkeypatch.setattr(poincare, "_linear_response", _skip_the_direct_run)
+    # a failed step from lam = 0 is halved, and Newton starts at half the
+    # linear response; with two fixed points on the path, at their secant
+    runs = _outcomes(monkeypatch, fail_first=True)
     params = ModelParams(G=9.81, lam=0.0, dim=1)
-    continued = continue_in_lambda(params, F_LIN)
-    monkeypatch.setattr(poincare, "_linear_response",
-                        lambda params, F: PhaseState(0.9, 0.0))
-    runs = _outcomes(monkeypatch)
     result = continue_in_lambda(params, F_LIN)
-    assert runs[0] == ("the linear response", FallError)
-    assert all(origin == "the continuation predictor" for origin, _ in runs[1:])
-    assert len(result.lambda_path) > 2 and result.lambda_path[-1][0] == 1.0
-    assert len(result.lambda_path) == len(continued.lambda_path)
-    for (l1, z1, r1), (l2, z2, r2) in zip(result.lambda_path, continued.lambda_path):
-        assert (l1, r1) == (l2, r2) and np.array_equal(z1, z2)
+    tangent = _linear_response(params.with_lam(1.0), F_LIN).flat()
+    (lam0, z0, origin0, error0), (lam1, z1, origin1, _) = runs[:2]
+    assert (lam0, origin0, error0) == (1.0, "the linear response", FallError)
+    assert np.array_equal(z0, tangent)
+    assert (lam1, origin1) == (0.5, "the linear response")
+    assert np.array_equal(z1, 0.5 * tangent)
+    assert all(origin == "the secant predictor" for _, _, origin, _ in runs[2:])
+    assert [lam for lam, _, _ in result.lambda_path] == [0.0, 0.5, 1.0]
+
+
+def test_predictor_falls_back_to_the_last_fixed_point():
+    # a start that is not finite, or leans the rod past the fall threshold,
+    # is replaced by the last point of the path (dyadic values: exact sums)
+    path = [(0.0, np.zeros(2), 0.0)]
+    for tangent in ([np.nan, 0.0], [0.0, np.inf], [2.0, 0.0]):
+        z, origin = _predict(path, 0.5, np.array(tangent))
+        assert origin == "the last fixed point" and np.array_equal(z.flat(), [0.0, 0.0])
+    z, origin = _predict(path, 0.5, np.array([0.25, 0.5]))
+    assert origin == "the linear response" and np.array_equal(z.flat(), [0.125, 0.25])
+    path.append((0.5, np.array([0.125, -0.25]), 0.0))
+    z, origin = _predict(path, 0.75, np.array([np.nan, np.nan]))
+    assert origin == "the secant predictor" and np.array_equal(z.flat(), [0.1875, -0.375])
+    # the secant through (0.5, 0.125) and (0.625, 0.875) reaches 1.625 at 0.75
+    path.append((0.625, np.array([0.875, 0.0]), 0.0))
+    z, origin = _predict(path, 0.75, np.zeros(2))
+    assert origin == "the last fixed point" and np.array_equal(z.flat(), [0.875, 0.0])
 
 
 @pytest.mark.parametrize("T", [1.0, 3.0])
@@ -420,11 +438,31 @@ def test_direct_and_continued_fixed_points_agree(monkeypatch, family, A, T):
     F = make_fourier_forcing(T, dim, cos, sin)
     params = ModelParams(G=9.81, lam=0.0, dim=dim)
     direct = continue_in_lambda(params, F)
-    monkeypatch.setattr(poincare, "_linear_response", _skip_the_direct_run)
+    _outcomes(monkeypatch, fail_first=True)
     continued = continue_in_lambda(params, F)
     assert len(continued.lambda_path) > 2
     shift = np.max(np.abs(direct.fixed_point.flat() - continued.fixed_point.flat()))
     assert shift <= 1e-9
+
+
+# cells of the regime atlas (G = 9.81) whose first step fails, each with a
+# ceiling on its Newton runs, the count it took when the ceiling was set;
+# A = 8 at T = 3 takes 150-195 runs (the line's runs in test_cli.py)
+@pytest.mark.parametrize("family, A, T, runs", [
+    ("line", 2.0, 3.0, 15), ("plane", 2.0, 3.0, 15), ("mixed", 2.0, 3.0, 20),
+    ("line", 8.0, 1.5, 5), ("mixed", 8.0, 1.5, 5),
+    ("line", 8.0, 2.0, 15), ("plane", 8.0, 2.0, 15), ("mixed", 8.0, 2.0, 20)])
+def test_continued_cells_solve_within_their_newton_runs(monkeypatch, family, A, T, runs):
+    dim, cos, sin = {"line": (1, [A], []),
+                     "plane": (2, [(A, 0.0)], [(0.0, A)]),
+                     "mixed": (1, [A], [0.0, A / 2])}[family]
+    F = make_fourier_forcing(T, dim, cos, sin)
+    record = _outcomes(monkeypatch)
+    result = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=dim), F)
+    assert len(result.lambda_path) > 2 and result.lambda_path[-1][0] == 1.0
+    assert result.residual <= _NEWTON_TOL
+    assert result.liouville_defect <= 1e-7
+    assert len(record) <= runs
 
 
 def test_unforced_continuation_is_a_single_step():
