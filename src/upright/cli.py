@@ -52,6 +52,10 @@ __all__ = ["main", "entry", "DEFAULT_CONFIG", "load_config"]
 
 log = logging.getLogger("upright")
 
+# |det M - 1| above which solve-periodic warns that the monodromy M is not
+# resolved; the reference orbits' defects are below 3e-7
+_LIOUVILLE_WARN = 1e-6
+
 DEFAULT_CONFIG = {
     "problem": "linear",
     "gravity": 9.81,
@@ -258,6 +262,10 @@ def cmd_solve_periodic(cfg: dict, args) -> None:
     _require_verified(spec, cert)
     params0 = ModelParams(G=G, lam=0.0, dim=dim)
     result = continue_in_lambda(params0, F, icfg)
+    if result.liouville_defect > _LIOUVILLE_WARN:
+        log.warning("monodromy unresolved: Liouville defect |det M - 1| = %.3g "
+                    "exceeds %g, so the Floquet multipliers are unreliable",
+                    result.liouville_defect, _LIOUVILLE_WARN)
     result.containment = orbit_containment(result.orbit, spec)
     result.orbit.to_csv(out / "orbit.csv", n_samples=1001)
     save_result_json(result, out / "result.json")

@@ -22,10 +22,12 @@ are retried with half the step until the fall event can be localized.
 
 ``integrate_field`` is the one stepper: it steps one state at a time, in
 plain Python floats at every width, with a step whose source is written out
-for that width.  The journey tools step the rod in charts where the fall is
-no singularity (``dynamics.angle_field`` on the line,
-``dynamics.direction_field`` in the plane), with the gauge ``fall_dim = 1``
-on the chart's first component.
+for that width.  The fall step's interpolant rows are written out per width
+the same way, and the fall's bisection runs on the gauge components' own
+interpolant coefficients, held in locals.  The journey tools step the rod
+in charts where the fall is no singularity (``dynamics.angle_field`` on the
+line, ``dynamics.direction_field`` in the plane), with the gauge
+``fall_dim = 1`` on the chart's first component.
 """
 from __future__ import annotations
 
@@ -221,7 +223,7 @@ class Trajectory:
             K = np.array([(*self._seg_K[i], self._seg_K[i + 1][0] if i + 1 < len(self._h)
                            else self._fun(self.t_end, self._y[-1].tolist())) for i in new],
                          dtype=float)
-            self._rows[:, new] = np.array(_dense_rows(
+            self._rows[:, new] = np.array(_interpolant(1)(
                 self._batch, self._t[new, None], self._h[new, None], [self._y[new]],
                 K.transpose(1, 0, 2)[:, None], [self._y[new + 1]]))[:, 0]
             self._ready[new] = True
@@ -285,33 +287,8 @@ def _initial_step(fun, t0, y0, f0, t1, cfg, n_err):
     return min(100 * h0, h1, abs(t1 - t0))
 
 
-def _weighted(weights, K):
-    """``sum_j weights[j] K[j]`` over the nonzero weights, left to right."""
-    total = None
-    for w, k in zip(weights, K):
-        if w:
-            total = w * k if total is None else total + w * k
-    return total
-
-
-def _dense_rows(fun, t, h, y, K, y_new):
-    """The rows that ``_dense_state`` reads on a step, ``y`` and 7
-    coefficients, after 3 more stages: in plain floats, with ``y``, ``y_new``
-    and ``K``'s 13 stages lists of components, or the same floats on arrays
-    of steps, each a list of one array."""
-    K = list(K)
-    for c, row in zip(_C[13:], _A[13:]):
-        K.append(fun(t + c * h, [v + h * _weighted(row, k) for v, k in zip(y, zip(*K))]))
-    cols = []
-    for v, w, k in zip(y, y_new, zip(*K)):
-        dy = w - v
-        cols.append([v, dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]),
-                     *(h * _weighted(row, k) for row in _D)])
-    return [list(row) for row in zip(*cols)]
-
-
 def _dense_state(rows, theta):
-    """The interpolant at ``theta`` from the rows of ``_dense_rows``, in plain
+    """The interpolant at ``theta`` from the rows of ``_interpolant``, in plain
     floats or elementwise on arrays: every row holds m components."""
     s = 1.0 - theta
     return [y + theta * (a + s * (b + theta * (c + s * (d + theta * (e + s * (f + theta * g))))))
@@ -343,20 +320,57 @@ def _fall_event(t, y, fall_dim: int) -> Event:
     return Event(kind, t, np.asarray(y, dtype=float))
 
 
-def _locate_fall(gauge, fall_dim, t_left, h, rows, t_right):
-    """Bisect gauge(y(t)) >= 0 to a root on the interpolant's gauge components."""
-    a, b = t_left, t_right
+def _locate_fall(fall_dim, t_left, h, rows, t_right):
+    """Bisect the fall to a root on the interpolant: ``_fall_gauge``'s
+    expression on ``_dense_state``'s, written out on the gauge components'
+    coefficients, held in locals, so every decision is theirs bit for bit.
+    The full state is formed once, at the root."""
+    lo, hi = t_left, t_right
     width_goal = 1e-13 * (1.0 + abs(t_right))
-    head = [row[:fall_dim] for row in rows]
+    y, a, b, c, d, e, f, g = (row[0] for row in rows)
+    z, a2, b2, c2, d2, e2, f2, g2 = (row[fall_dim - 1] for row in rows)
+    thr2 = FALL_THRESHOLD * FALL_THRESHOLD
     for _ in range(200):
-        if b - a <= width_goal:
+        if hi - lo <= width_goal:
             break
-        mid = 0.5 * (a + b)
-        if gauge(_dense_state(head, (mid - t_left) / h)) >= 0.0:
-            b = mid
+        mid = 0.5 * (lo + hi)
+        theta = (mid - t_left) / h
+        s = 1.0 - theta
+        x = y + theta * (a + s * (b + theta * (c + s * (d + theta * (e + s * (f + theta * g))))))
+        if fall_dim == 1:
+            gauge = abs(x) - FALL_THRESHOLD
         else:
-            a = mid
-    return b, _dense_state(rows, (b - t_left) / h)
+            x2 = z + theta * (a2 + s * (b2 + theta * (c2 + s * (d2 + theta * (e2 + s * (
+                f2 + theta * g2))))))
+            gauge = x * x + x2 * x2 - thr2
+        if gauge >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi, _dense_state(rows, (hi - t_left) / h)
+
+
+# Stage j's component i is the local ``f"{_STAGE[j]}{i}"`` in the generated
+# source; no letter clashes with the other locals' names.
+_STAGE = "abcdefgijmnopqsx"
+
+
+def _unpack(name, width):
+    """``"y0, y1, .. "``: the targets of one vector's components."""
+    return "".join(f"{name}{i}, " for i in range(width))
+
+
+def _combo(weights, i):
+    """e.g. ``"0.0197 * a2 + 0.0592 * b2"``: each nonzero weight times its
+    stage's component ``i``, left to right."""
+    return " + ".join(f"{w!r} * {_STAGE[m]}{i}" for m, w in enumerate(weights) if w)
+
+
+def _compiled(src, name, label):
+    """The function ``name`` that the source lines ``src`` define."""
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(src), label, "exec"), namespace)
+    return namespace[name]
 
 
 @lru_cache
@@ -373,41 +387,56 @@ def _stepper(width: int, n: int):
     loop, and a stage of the wrong length raises where it is unpacked.
     """
     comps = range(width)
-    letters = "abcdefgijmno"  # no clash with the other locals' names
-
-    def unpack(k):
-        return "".join(f"{k}{i}, " for i in comps)
-
-    def combo(weights, i):
-        # e.g. "0.0197 * a2 + 0.0592 * b2": each nonzero weight times its
-        # stage's component i
-        return " + ".join(f"{w!r} * {letters[m]}{i}" for m, w in enumerate(weights) if w)
-
     src = ["def step(fun, t, h, y, k1, atol, rtol):",
-           f"    {unpack('y')}= y",
-           f"    {unpack('a')}= k1"]
+           f"    {_unpack('y', width)}= y",
+           f"    {_unpack('a', width)}= k1"]
     for j in range(1, 12):
         node = "h" if _C[j] == 1.0 else f"{_C[j]!r} * h"
-        stage = ", ".join(f"y{i} + h * ({combo(_A[j], i)})" for i in comps)
+        stage = ", ".join(f"y{i} + h * ({_combo(_A[j], i)})" for i in comps)
         src += [f"    k{j + 1} = fun(t + {node}, [{stage}])",
-                f"    {unpack(letters[j])}= k{j + 1}"]
-    src += [f"    r{i} = {combo(_A[12], i)}\n    u{i} = y{i} + h * r{i}" for i in comps]
+                f"    {_unpack(_STAGE[j], width)}= k{j + 1}"]
+    src += [f"    r{i} = {_combo(_A[12], i)}\n    u{i} = y{i} + h * r{i}" for i in comps]
     src.append("    err5 = err3 = 0.0")
     for i in range(min(n, width)):
         src += [f"    v = abs(y{i})",
                 f"    w = abs(u{i})",
                 "    s = atol + rtol * (v if v > w else w)",
-                f"    q = ({combo(_E5, i)}) / s",
+                f"    q = ({_combo(_E5, i)}) / s",
                 "    err5 += q * q",
-                f"    q = (r{i} - ({combo(_BHH, i)})) / s",
+                f"    q = (r{i} - ({_combo(_BHH, i)})) / s",
                 "    err3 += q * q"]
     stages = ", ".join(f"k{j}" for j in range(1, 13))
     src += ["    den = err5 + 0.01 * err3",
-            f"    return [{unpack('u')}], ({stages}), "
+            f"    return [{_unpack('u', width)}], ({stages}), "
             f"h * err5 / sqrt((den if den > 0.0 else 1.0) * {n})"]
-    namespace = {"sqrt": math.sqrt}
-    exec(compile("\n".join(src), f"<DOP853 step, width {width}>", "exec"), namespace)
-    return namespace["step"]
+    return _compiled(src, "step", f"<DOP853 step, width {width}>")
+
+
+@lru_cache
+def _interpolant(width: int):
+    """The rows that ``_dense_state`` reads on a step, ``y`` and 7
+    coefficients, compiled once per ``width`` like ``_stepper``:
+    ``rows(fun, t, h, y, K, y_new)``, ``K`` the step's 13 stages.  The
+    source unpacks ``y``, ``y_new`` and the stages into locals, takes the 3
+    extra stages and writes each row's sums out, left to right over the
+    nonzero weights.  On plain floats each component is a float;
+    ``dense_array`` passes width 1, its one component an array of steps,
+    and the same source runs on it elementwise.
+    """
+    comps = range(width)
+    src = ["def rows(fun, t, h, y, K, y_new):",
+           f"    {_unpack('y', width)}= y",
+           f"    {_unpack('w', width)}= y_new",
+           "    " + "".join(f"({_unpack(_STAGE[j], width)}), " for j in range(13)) + "= K"]
+    for j in range(13, 16):
+        stage = ", ".join(f"y{i} + h * ({_combo(_A[j], i)})" for i in comps)
+        src.append(f"    {_unpack(_STAGE[j], width)}= fun(t + {_C[j]!r} * h, [{stage}])")
+    src += [f"    v{i} = w{i} - y{i}" for i in comps]
+    terms = ["y{0}", "v{0}", "h * a{0} - v{0}", "2.0 * v{0} - h * (p{0} + a{0})"]
+    rows = [[term.format(i) for i in comps] for term in terms]
+    rows += [[f"h * ({_combo(row, i)})" for i in comps] for row in _D]
+    src.append(f"    return [{', '.join('[' + ', '.join(row) + ']' for row in rows)}]")
+    return _compiled(src, "rows", f"<DOP853 interpolant, width {width}>")
 
 
 def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
@@ -516,8 +545,8 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
         seg_h.append(h)
         seg_K.append(K)
         if fell:
-            rows = _dense_rows(fun, t, h, y, (*K, k13), y_new)
-            t_ev, y_ev = _locate_fall(gauge, fall_dim, t, h, rows, t_new)
+            rows = _interpolant(len(y))(fun, t, h, y, (*K, k13), y_new)
+            t_ev, y_ev = _locate_fall(fall_dim, t, h, rows, t_new)
             t_nodes.append(t_ev)
             y_nodes.append(y_ev)
             return Trajectory(fun, t_nodes, y_nodes, seg_h, seg_K,

@@ -36,6 +36,12 @@ log = logging.getLogger(__name__)
 # (cosine amplitude 2 on the line at T = 1 and 1.5, the circular stirring of
 # amplitude 1.5 in the plane) take one each, from the linear response.
 _MAX_ATTEMPTS = 400
+# continuation stalls once its last _STALL_RUNS Newton runs have advanced lam
+# by less than _STALL_ADVANCE in all.  Every regime-atlas cell that solves
+# advances at least 0.157 in any 50 runs; the cells that crawl at T = 5 stop
+# after 50-89 runs, where the attempt budget let them run 221-400.
+_STALL_RUNS = 50
+_STALL_ADVANCE = 0.1
 # the lam increment below which continuation stalls
 _LAMBDA_STEP_MIN = 1e-4
 # Newton's tolerance on |P(z) - z| and its iteration budget
@@ -270,8 +276,9 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
     ``lambda_path`` ``[(0, 0, 0), (1, z, residual)]``.  Failures (falls,
     stalled Newton, near-singular corrections) halve the increment,
     successes grow it by half.  Raises ``ContinuationStuckError`` once the
-    increment falls below ``_LAMBDA_STEP_MIN`` or ``_MAX_ATTEMPTS`` Newton
-    runs have not reached ``lam = 1``.
+    increment falls below ``_LAMBDA_STEP_MIN``, the last ``_STALL_RUNS``
+    Newton runs have advanced ``lam`` by less than ``_STALL_ADVANCE``, or
+    ``_MAX_ATTEMPTS`` runs have not reached ``lam = 1``.
     """
     cfg = cfg or IntegratorConfig()
     params_one = params_at_zero.with_lam(1.0)
@@ -279,13 +286,19 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
     path = [(0.0, np.zeros(2 * params_at_zero.dim), 0.0)]
     lam, step = 0.0, 1.0
     last_result = None
-    attempts = 0
+    lam_before = []  # lam at the start of each Newton run
     while lam < 1.0:
+        attempts = len(lam_before)
         if attempts >= _MAX_ATTEMPTS:
             raise ContinuationStuckError(
                 f"continuation reached only lam={lam:.6g} in {attempts} attempts "
                 f"(last step {step:.3g})", last_lambda=lam, last_result=last_result)
-        attempts += 1
+        if attempts >= _STALL_RUNS and lam - lam_before[-_STALL_RUNS] < _STALL_ADVANCE:
+            raise ContinuationStuckError(
+                f"continuation stalled at lam={lam:.6g}: the last {_STALL_RUNS} Newton "
+                f"runs advanced lam by {lam - lam_before[-_STALL_RUNS]:.3g}, less than "
+                f"{_STALL_ADVANCE}", last_lambda=lam, last_result=last_result)
+        lam_before.append(lam)
         lam_try = min(lam + step, 1.0)
         start, origin = _predict(path, lam_try, tangent)
         try:

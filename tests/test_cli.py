@@ -172,10 +172,11 @@ def test_verify_bounds_reruns_byte_stable(tmp_path):
 
 # -- solve-periodic ---------------------------------------------------------
 
-def test_solve_periodic_linear(tmp_path, capsys):
+def test_solve_periodic_linear(tmp_path, capsys, caplog):
     rc, out = run(tmp_path, "solve-periodic", problem="linear",
                   forcing={"cosine": [2.0]}, bounds={"samples_per_face": 8})
     assert rc == 0
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
     result = json.loads((out / "result.json").read_text())
     assert result["residual"] < 1e-10
     assert result["containment"]["contained"] is True
@@ -227,6 +228,20 @@ def test_solve_periodic_attempt_budget_exits_3(tmp_path, caplog, monkeypatch):
     assert "in 5 attempts" in caplog.text
     assert (out / "certificate.json").exists()
     assert not (out / "result.json").exists()
+
+
+def test_solve_periodic_warns_of_an_unresolved_monodromy(tmp_path, caplog):
+    # line T=5, cosine amplitude 0.5: Newton converges, but multipliers near
+    # 6e6 leave |det M - 1| near 3e-3; the run still succeeds
+    rc, out = run(tmp_path, "solve-periodic", problem="linear", period=5.0,
+                  forcing={"cosine": [0.5]},
+                  bounds={"samples_per_face": 8})
+    assert rc == 0
+    defect = json.loads((out / "result.json").read_text())["liouville_defect"]
+    assert defect > 1e-6
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "Liouville defect" in warnings[0]
+    assert f"{defect:.3g}" in warnings[0]
 
 
 def test_solve_periodic_period_3(tmp_path):

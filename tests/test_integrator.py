@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from oracles import linear_scalar_rhs, rhs_linear, rk4_integrate, rk4_until_fall
+from upright import integrator
 from upright.dynamics import (ANGLE_CHART_SCALE, DIRECTION_CHART_SCALE, GUARD, ModelParams,
                               PhaseState, angle_field, direction_field, make_field)
 from upright.errors import SingularityError, StepBudgetError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import (_A, _BHH, _C, _D, _E5, FALL_THRESHOLD,
                                 EventKind, IntegratorConfig, _check_start, _dense_state,
-                                _fall_event, _fall_gauge, _locate_fall, _stepper,
-                                evolve, integrate_field)
+                                _fall_event, _fall_gauge, _interpolant, _locate_fall,
+                                _stepper, evolve, integrate_field)
 from upright.poincare import poincare_map
+from upright.whitney import JourneySpec, bisect_survivor, planar_survivor_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -243,7 +245,7 @@ def test_gauge_only_fall_bisection_is_the_full_row_one_bit_for_bit(name):
         t_left, h = float(traj.t_nodes[-2]), float(traj._h[-1])
         rows = traj._rows[:, -1].tolist()
         want = _locate_fall_full_rows(gauge, t_left, h, rows, t_left + h)
-        assert _locate_fall(gauge, fall_dim, t_left, h, rows, t_left + h) == want
+        assert _locate_fall(fall_dim, t_left, h, rows, t_left + h) == want
         assert (ev.time, ev.state.tolist()) == want
 
 
@@ -686,3 +688,81 @@ def test_a_fall_dimension_beyond_the_plane_is_rejected():
                             fall_dim=fall_dim)
         with pytest.raises(ValueError, match="fall_dim"):
             _fall_event(0.5, [1.0, 0.0, 0.0], fall_dim)
+
+
+# -- the generated interpolant rows and fall bisection are the loop forms ---
+
+def _dense_rows(fun, t, h, y, K, y_new):
+    """The reference rows that ``_dense_state`` reads: the 3 extra stages and
+    every sum as loops over the tableau, in plain floats or on arrays of
+    steps, each a list of one array."""
+    K = list(K)
+    comps = range(len(y))
+    for c, row in zip(_C[13:], _A[13:]):
+        K.append(fun(t + c * h, [y[i] + h * _weighted(row, K, i) for i in comps]))
+    cols = []
+    for i in comps:
+        dy = y_new[i] - y[i]
+        cols.append([y[i], dy, h * K[0][i] - dy, 2.0 * dy - h * (K[12][i] + K[0][i]),
+                     *(h * _weighted(row, K, i) for row in _D)])
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("name", list(_STEP_FIELDS))
+def test_generated_rows_equal_the_loop_rows_bit_for_bit(name):
+    # widths 1, 2, 4, 6 and 20 in plain floats, on trial steps from seeded
+    # states and step sizes
+    width, _, fun = _STEP_FIELDS[name]
+    rng = np.random.default_rng(width + 1)
+    for _ in range(20):
+        y = rng.uniform(-0.5, 0.5, width).tolist()
+        t = float(rng.uniform(-3.0, 3.0))
+        h = float(10.0 ** rng.uniform(-4.0, -0.5))
+        y_new, K, _ = _stepper(width, width)(fun, t, h, y, fun(t, y), 1e-11, 1e-9)
+        K = (*K, fun(t + h, y_new))
+        got = _interpolant(width)(fun, t, h, y, K, y_new)
+        assert got == _dense_rows(fun, t, h, y, K, y_new)
+        assert len(got) == 8 and all(len(row) == width for row in got)
+
+
+@pytest.mark.parametrize("make_run", [_path_run, _leading_run], ids=["path", "leading"])
+def test_dense_array_rows_equal_the_loop_rows_bit_for_bit(make_run, monkeypatch):
+    # width 1 on arrays: each component is one (steps, width) array
+    ours, ref = make_run(), make_run()
+    ours.dense_array(ours.t_nodes)
+    monkeypatch.setattr(integrator, "_interpolant", lambda width: _dense_rows)
+    ref.dense_array(ref.t_nodes)
+    assert ours._ready.all() and ref._ready.all()
+    assert np.array_equal(ours._rows, ref._rows)
+
+
+_GRID_JOURNEY = JourneySpec(F=F2, t_end=3.0, G=9.81)
+_LINE_JOURNEY = JourneySpec(F=make_fourier_forcing(TWO_PI, 1, [0.0], [0.5]), t_end=4.0,
+                            G=9.81)
+
+
+def test_journeys_are_the_loop_forms_bit_for_bit(monkeypatch):
+    # the benchmark's planar grid and a line bisection's transcript, with the
+    # generated rows and bisection, then with the loop forms patched back in
+    def outputs():
+        grid = planar_survivor_grid(_GRID_JOURNEY, grid_radius=0.9, n=9)
+        search = bisect_survivor(_LINE_JOURNEY, depth=30)
+        return grid["fall_times"].tobytes(), search.transcript, search.survivor
+
+    ours = outputs()
+    monkeypatch.setattr(integrator, "_interpolant", lambda width: _dense_rows)
+    monkeypatch.setattr(integrator, "_locate_fall",
+                        lambda fall_dim, t_left, h, rows, t_right: _locate_fall_full_rows(
+                            _fall_gauge(fall_dim), t_left, h, rows, t_right))
+    assert outputs() == ours
+
+
+def test_the_interpolant_compiles_once_per_width():
+    planar_survivor_grid(_GRID_JOURNEY, grid_radius=0.9, n=5)
+    bisect_survivor(_LINE_JOURNEY, depth=10)
+    misses = _interpolant.cache_info().misses
+    planar_survivor_grid(_GRID_JOURNEY, grid_radius=0.9, n=5)
+    bisect_survivor(_LINE_JOURNEY, depth=10)
+    info = _interpolant.cache_info()
+    assert info.misses == misses == info.currsize
+    assert info.hits > 0

@@ -16,9 +16,9 @@ from upright.errors import (ContinuationStuckError, FallError,
                             IllConditionedError, NewtonConvergenceError)
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve, integrate_field
-from upright.poincare import (_NEWTON_TOL, PeriodicOrbitResult, _finish,
-                              _linear_response, _newton, _period_pass,
-                              _predict, continue_in_lambda,
+from upright.poincare import (_NEWTON_TOL, _STALL_ADVANCE, _STALL_RUNS,
+                              PeriodicOrbitResult, _finish, _linear_response, _newton,
+                              _period_pass, _predict, continue_in_lambda,
                               poincare_jacobian, poincare_map, result_to_dict,
                               save_result_json)
 
@@ -253,6 +253,24 @@ def test_continuation_gives_up_after_its_attempt_budget(monkeypatch):
     assert len(calls) == 5
     assert info.value.last_lambda < 1.0
     assert time.perf_counter() - start < 30.0
+
+
+def test_continuation_stops_a_crawl(monkeypatch):
+    # line T=5, cosine amplitude 8: Newton converges only on tiny lam steps,
+    # so lam creeps; the stall stop ends it long before the attempt budget
+    calls = []
+
+    def counted(*args, _inner=poincare._newton, **kwargs):
+        calls.append(None)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(poincare, "_newton", counted)
+    F = make_fourier_forcing(5.0, 1, [8.0], [])
+    with pytest.raises(ContinuationStuckError, match="stalled at lam=.*the last 50 Newton "
+                       "runs advanced lam by .*, less than 0.1") as info:
+        continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F)
+    assert _STALL_RUNS <= len(calls) <= 60
+    assert 0.0 < info.value.last_lambda < _STALL_ADVANCE
 
 
 def test_secant_predictor_cuts_the_stress_continuation(monkeypatch):
