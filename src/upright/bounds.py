@@ -310,17 +310,19 @@ def _cone_gate_roots(K, B, L):
             | (np.abs(Lc) <= 1e-6 * scale))
     cells, Kc, Bc, Lc, scale = (v[keep] for v in (cells, Kc, Bc, Lc, scale))
     s = np.arctan2(sn[keep], c[keep])
-    # Newton on g; a candidate stops once g is at rounding level, for at a
-    # tangent root g' vanishes too and a step would only lead away
-    for _ in range(6):
+    # Newton on g, at most 6 steps; a candidate stops once g is at rounding
+    # level (at a tangent root g' vanishes too and a step would lead away)
+    # and never moves again, so the loop ends once all of them have stopped
+    for n_steps in range(7):
         c, sn = np.cos(s), np.sin(s)
         g = c * (Kc + Bc * c * c) - Lc * sn
+        moving = np.abs(g) > 1e-15 * scale
+        if n_steps == 6 or not moving.any():
+            break
         dg = -sn * (Kc + 3.0 * Bc * c * c) - Lc * c
-        step = np.divide(g, dg, out=np.zeros_like(g),
-                         where=(dg != 0.0) & (np.abs(g) > 1e-15 * scale))
+        step = np.divide(g, dg, out=np.zeros_like(g), where=(dg != 0.0) & moving)
         s = s - np.clip(step, -0.5, 0.5)
-    c = np.cos(s)
-    root = np.abs(c * (Kc + Bc * c * c) - Lc * np.sin(s)) <= 1e-12 * scale
+    root = np.abs(g) <= 1e-12 * scale
     cells, s = cells[root], np.mod(s[root], 2.0 * math.pi)
     order = np.lexsort((s, cells))
     cells, s = cells[order], s[order]

@@ -416,6 +416,100 @@ def test_cone_gate_roots_resolve_a_pair_the_coarse_scan_misses():
     assert np.count_nonzero(g * np.roll(g, -1) < 0.0) < cells.size
 
 
+def _six_pass_gate_roots(K, B, L):
+    """The reference ``_cone_gate_roots``: its Newton loop runs all 6 passes
+    over every candidate, and the root test forms ``g`` once more."""
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(K), np.abs(B)), np.abs(L)))
+    K, B, L = np.ldexp(K, -e), np.ldexp(B, -e), np.ldexp(L, -e)
+    flat = np.abs(B) < 1e-8 * np.maximum(np.abs(K), np.abs(L))
+    Bm = np.where(flat, 1.0, B)
+    a2, a1, a0 = 2.0 * K / Bm, (K * K + L * L) / (Bm * Bm), -(L * L) / (Bm * Bm)
+    d0 = a2 * a2 - 3.0 * a1
+    d1 = (2.0 * a2 * a2 - 9.0 * a1) * a2 + 27.0 * a0
+    root_disc = np.sqrt(d1 * d1 - 4.0 * d0 ** 3 + 0j)
+    q = 0.5 * (d1 + np.where(d1 * root_disc.real >= 0.0, root_disc, -root_disc))
+    C = q[:, None] ** (1.0 / 3.0) * np.exp(2j * math.pi / 3.0 * np.arange(3))
+    w = -(a2[:, None] + C
+          + np.divide(d0[:, None], C, out=np.zeros_like(C), where=C != 0)) / 3.0
+    slack = 1e-6 * (1.0 + np.abs(a2))[:, None]
+    real = ((np.abs(w.imag) <= slack) & (w.real >= -slack)
+            & (w.real <= 1.0 + slack))
+    w[flat, 0] = L[flat] ** 2 / (K[flat] ** 2 + L[flat] ** 2)
+    real[flat] = [True, False, False]
+    cells, k = np.nonzero(real)
+    w = np.repeat(np.clip(w.real[cells, k], 0.0, 1.0), 4)
+    cells = np.repeat(cells, 4)
+    c = np.tile([1.0, 1.0, -1.0, -1.0], cells.size // 4) * np.sqrt(w)
+    sn = np.tile([1.0, -1.0, 1.0, -1.0], cells.size // 4) * np.sqrt(1.0 - w)
+    Kc, Bc, Lc = K[cells], B[cells], L[cells]
+    scale = np.abs(Kc) + np.abs(Bc) + np.abs(Lc)
+    keep = ((c * (Kc + Bc * w) * Lc * sn >= 0.0)
+            | (np.abs(Lc) <= 1e-6 * scale))
+    cells, Kc, Bc, Lc, scale = (v[keep] for v in (cells, Kc, Bc, Lc, scale))
+    s = np.arctan2(sn[keep], c[keep])
+    for _ in range(6):
+        c, sn = np.cos(s), np.sin(s)
+        g = c * (Kc + Bc * c * c) - Lc * sn
+        dg = -sn * (Kc + 3.0 * Bc * c * c) - Lc * c
+        step = np.divide(g, dg, out=np.zeros_like(g),
+                         where=(dg != 0.0) & (np.abs(g) > 1e-15 * scale))
+        s = s - np.clip(step, -0.5, 0.5)
+    c = np.cos(s)
+    root = np.abs(c * (Kc + Bc * c * c) - Lc * np.sin(s)) <= 1e-12 * scale
+    cells, s = cells[root], np.mod(s[root], 2.0 * math.pi)
+    order = np.lexsort((s, cells))
+    cells, s = cells[order], s[order]
+    first = np.diff(cells, prepend=-1) != 0
+    s_first = s[np.maximum.accumulate(np.where(first, np.arange(cells.size), 0))]
+    gap = np.diff(s, prepend=-math.inf)
+    dup = ~first & ((gap < 1e-6) | (s_first + 2.0 * math.pi - s < 1e-6))
+    return cells[~dup], s[~dup]
+
+
+def _assert_six_pass_roots(K, B, L):
+    cells, s = _cone_gate_roots(K, B, L)
+    want_cells, want_s = _six_pass_gate_roots(K, B, L)
+    assert np.array_equal(cells, want_cells) and s.tobytes() == want_s.tobytes()
+
+
+@pytest.mark.parametrize("spf", [4, 6, 16])
+@pytest.mark.parametrize("name, F", [("circle", F2), ("four_harmonics", F4)],
+                         ids=["circle", "four_harmonics"])
+def test_gate_newton_stops_where_the_six_passes_end(monkeypatch, name, F, spf):
+    # the Newton loop ends once no candidate moves, which changes no root:
+    # the reference grids' cells and angles are the six passes' bit for bit
+    terms = []
+    roots = bounds._cone_gate_roots
+
+    def recorded(K, B, L):
+        terms.append((K, B, L))
+        return roots(K, B, L)
+
+    monkeypatch.setattr(bounds, "_cone_gate_roots", recorded)
+    a = compute_a(9.81, F.sup_norm, 0.5)
+    verify_bound_set(BoundSetSpec(a, PLANAR_SLOPES[name], 2), 9.81, F,
+                     samples_per_face=spf)
+    assert [K.size for K, _, _ in terms] == [(2 * spf + 1) ** 3]
+    _assert_six_pass_roots(*terms[0])
+
+
+def test_gate_newton_stops_where_the_six_passes_end_on_random_cubics():
+    # random cubics with flat cells (|B| below 1e-8 of the largest, and
+    # B = 0), L = 0, tangent roots (g = g' = 0 at a random s0) and scales
+    # from 2^-600 to 2^600
+    rng = np.random.default_rng(34)
+    n = 3000
+    K, B, L = rng.normal(size=(3, n))
+    B[:300] *= 10.0 ** rng.uniform(-16.0, -8.5, 300)
+    B[300:400] = 0.0
+    L[400:600] = 0.0
+    s0 = rng.uniform(0.0, 2.0 * math.pi, 1000)
+    c0, sn0, Bt = np.cos(s0), np.sin(s0), B[600:1600]
+    r1, r2 = -Bt * c0 ** 3, 3.0 * Bt * c0 * c0 * sn0
+    K[600:1600], L[600:1600] = c0 * r1 - sn0 * r2, -sn0 * r1 - c0 * r2
+    e = np.where(np.arange(n) % 3 == 0, rng.integers(-600, 600, n), 0)
+    _assert_six_pass_roots(np.ldexp(K, e), np.ldexp(B, e), np.ldexp(L, e))
+
 # -- gates and curvatures against the flow -------------------------------
 
 # cosine and sine coefficients of the forcings below; F(-t) flips the sines

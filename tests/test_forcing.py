@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import bisect
+import inspect
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from upright import cli, forcing
 from upright.errors import InsufficientDataError
 from upright.forcing import (PathSamples, ingest_path, make_fourier_forcing,
                              read_path_csv)
@@ -240,16 +245,10 @@ def test_ingested_signal_is_periodic():
             < 1e-10 * (1.0 + F.sup_norm)
 
 
-@pytest.mark.parametrize("dim, n", [
-    pytest.param(1, 41, id="1"),
-    pytest.param(2, 41, id="2"),
-    pytest.param(1, 4097, id="1-4097-knots"),
-    pytest.param(2, 4097, id="2-4097-knots"),
-])
-def test_ingested_scalar_value_equals_the_spline_exactly(dim, n):
-    # eval and eval_scalar pick the same piece and form M_k + rate_k (u - t_k)
-    # alike, on arrays and in plain floats: they must agree to the bit.
-    # scipy's CubicSpline is the reference for F, dF/dt and both sup norms.
+def _probed_path(dim, n):
+    """A path on ``n`` random non-uniform knots, its seeded generator, its
+    signal, and probe times: random, the knots, the period's ends, signed
+    zeros and tiny negatives, and many periods away."""
     rng = np.random.default_rng(20 + dim)
     # knot gaps within a factor 19 of each other: 4,097 uniformly drawn
     # knots come within 1e-8 of each other, and there scipy's own periodic
@@ -272,6 +271,21 @@ def test_ingested_scalar_value_equals_the_spline_exactly(dim, n):
         knots - 3.0 * P,
         knots + 2.0 * P,
     ])
+    return rng, knots, pos, ell, F, probes
+
+
+@pytest.mark.parametrize("dim, n", [
+    pytest.param(1, 41, id="1"),
+    pytest.param(2, 41, id="2"),
+    pytest.param(1, 4097, id="1-4097-knots"),
+    pytest.param(2, 4097, id="2-4097-knots"),
+])
+def test_ingested_scalar_value_equals_the_spline_exactly(dim, n):
+    # eval and eval_scalar pick the same piece and form M_k + rate_k (u - t_k)
+    # alike, on arrays and in plain floats: they must agree to the bit.
+    # scipy's CubicSpline is the reference for F, dF/dt and both sup norms.
+    rng, knots, pos, ell, F, probes = _probed_path(dim, n)
+    P = F.period
     block = F.eval(probes)
     scalar = np.asarray([F.eval_scalar(float(t)) for t in probes])
     assert block.shape == scalar.shape == (probes.size, dim)
@@ -293,6 +307,116 @@ def test_ingested_scalar_value_equals_the_spline_exactly(dim, n):
     assert abs(F.sup_norm - sup) <= 1e-12 * sup
     assert abs(F.sup_norm_derivative - sup_d) <= 1e-12 * sup_d
 
+
+
+# -- the scalar path and the spline fit against their list forms ------------
+
+def _rows_curvature(h, rhs):
+    """The reference periodic spline solve: Thomas' sweeps as numpy row
+    operations, then the Sherman-Morrison correction."""
+    diag = 2.0 * (h + np.roll(h, 1))
+    gamma = -diag[0]
+    diag[0] -= gamma
+    diag[-1] -= h[-1] * h[-1] / gamma
+    b = np.column_stack([rhs, np.zeros(len(h))])
+    b[0, -1], b[-1, -1] = gamma, h[-1]
+    for k in range(1, len(h)):
+        w = h[k - 1] / diag[k - 1]
+        diag[k] -= w * h[k - 1]
+        b[k] -= w * b[k - 1]
+    b[-1] /= diag[-1]
+    for k in range(len(h) - 2, -1, -1):
+        b[k] = (b[k] - h[k] * b[k + 1]) / diag[k]
+    vb = b[0] + h[-1] / gamma * b[-1]
+    return b[:, :-1] - np.outer(b[:, -1], vb[:-1] / (1.0 + vb[-1]))
+
+
+def _listed_scalar(F):
+    """The reference scalar path of a path signal: one list comprehension
+    over the dimensions, on the fit that the signal's array path reads."""
+    fit = inspect.getclosurevars(F._value_fn).nonlocals
+    period = F.period
+    knot_list, curv_list, rate_list = (fit[k].tolist() for k in ("knots", "curv", "rate"))
+    inner_list = knot_list[1:-1]
+
+    def value_scalar(t):
+        u = math.fmod(t, period)
+        if u < 0.0:
+            u += period
+        u = u % period
+        k = bisect.bisect_right(inner_list, u)
+        s = u - knot_list[k]
+        return tuple([m + r * s for m, r in zip(curv_list[k], rate_list[k])])
+
+    return value_scalar
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scalar_path_is_the_list_form_byte_for_byte(dim):
+    # same piece, same floats and the same sign of every zero: bytes, not ==
+    *_, F, probes = _probed_path(dim, 41)
+    listed = _listed_scalar(F)
+    for t in probes.tolist():
+        got = F.eval_scalar(t)
+        assert type(got) is tuple and {type(v) for v in got} == {float}
+        assert struct.pack(f"{dim}d", *got) == struct.pack(f"{dim}d", *listed(t))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 41), (2, 41), (1, 4097), (2, 4097)])
+def test_float_sweeps_are_the_row_sweeps_bit_for_bit(dim, n):
+    rng = np.random.default_rng(n + dim)
+    h = np.diff(np.sort(rng.uniform(0.0, 3.0, n)))
+    rhs = rng.normal(size=(n - 1, dim))
+    got = forcing._periodic_spline_curvature(h, rhs)
+    assert got.shape == (n - 1, dim)
+    assert got.tobytes() == _rows_curvature(h, rhs).tobytes()
+
+
+def _write_path(path, n, positions):
+    rows = ["t,f1" if len(positions(0.0)) == 1 else "t,f1,f2"]
+    for k in range(n + 1):
+        t = TWO_PI * k / n
+        rows.append(",".join(f"{v:.17g}" for v in (t, *positions(t))))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def _path_command_bytes(tmp_path, name):
+    """The files that whitney-search on the 64-knot path of -0.5 sin t and
+    verify-bounds on a 128-knot planar circle path write, by name."""
+    line, plane = tmp_path / "line.csv", tmp_path / "plane.csv"
+    _write_path(line, 64, lambda t: [-0.5 * math.sin(t)])
+    _write_path(plane, 128, lambda t: [-1.5 * math.cos(t), -1.5 * math.sin(t)])
+    runs = {"whitney-search": ({"problem": "linear",
+                                "forcing": {"type": "path_csv", "path": str(line)},
+                                "journey": {"t_end": 4.0, "depth": 60}},
+                               ("result.json", "transcript.csv")),
+            "verify-bounds": ({"problem": "planar",
+                               "forcing": {"type": "path_csv", "path": str(plane)},
+                               "bounds": {"samples_per_face": 4}},
+                              ("certificate.json",))}
+    out = {}
+    for command, (cfg, files) in runs.items():
+        cfg_file = tmp_path / f"{name}-{command}.json"
+        cfg_file.write_text(json.dumps(cfg))
+        where = tmp_path / name / command
+        assert cli.main([command, "--config", str(cfg_file), "--out", str(where)]) == 0
+        out.update({f: (where / f).read_bytes() for f in files})
+    return out
+
+
+def test_path_commands_write_the_list_forms_bytes(tmp_path, monkeypatch):
+    # end to end: a line journey and a planar certificate, whose spot arcs
+    # read the two-dimensional evaluator, with the list forms put back
+    ours = _path_command_bytes(tmp_path, "ours")
+
+    def listed_ingest(samples, gravity):
+        F, G = ingest_path(samples, gravity)
+        F._scalar_value_fn = _listed_scalar(F)
+        return F, G
+
+    monkeypatch.setattr(forcing, "_periodic_spline_curvature", _rows_curvature)
+    monkeypatch.setattr(cli, "ingest_path", listed_ingest)
+    assert _path_command_bytes(tmp_path, "listed") == ours
 
 def test_read_path_csv_roundtrip(tmp_path):
     ts = np.linspace(0.0, 1.0, 33)

@@ -249,6 +249,41 @@ def test_gauge_only_fall_bisection_is_the_full_row_one_bit_for_bit(name):
         assert (ev.time, ev.state.tolist()) == want
 
 
+# the Horner basis of ``_dense_state``: y + theta (a + s (b + theta (c + ..)))
+_NODES = np.linspace(0.0, 1.0, 8)
+_HORNER = np.stack([_NODES ** ((j + 1) // 2) * (1.0 - _NODES) ** (j // 2) for j in range(8)],
+                   axis=1)
+
+
+def test_fall_bisection_is_the_dense_state_one_on_random_falls():
+    # seeded falls on the line and in the plane, over a spread of h and
+    # t_left, whose gauge crosses zero nearly flat (rho = thr + c3 (theta -
+    # theta0)^3 + c1 (theta - theta0), c1 down to 1e-12 c3): there rounding
+    # decides many of the last midpoints, so a last-bit change in theta moves
+    # the root in about a quarter of them
+    rng = np.random.default_rng(34)
+    for trial in range(300):
+        fall_dim = 1 + trial % 2
+        width = (2, 4, 6)[trial % 3] if fall_dim == 1 else (4, 2, 20)[trial % 3]
+        theta0 = rng.uniform(0.05, 0.95)
+        c3 = 10.0 ** rng.uniform(-1.0, 1.0)
+        c1 = c3 * 10.0 ** rng.uniform(-12.0, 0.0)
+        rho = FALL_THRESHOLD + c3 * (_NODES - theta0) ** 3 + c1 * (_NODES - theta0)
+        if fall_dim == 1:
+            direction = [rng.choice([-1.0, 1.0])]
+        else:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            direction = [math.cos(angle), math.sin(angle)]
+        rows = rng.normal(scale=0.1, size=(8, width))
+        for i, d in enumerate(direction):
+            rows[:, i] = np.linalg.solve(_HORNER, d * rho)
+        rows = rows.tolist()
+        t_left = float(rng.uniform(-20.0, 20.0)) if trial % 4 else 0.0
+        h = float(10.0 ** rng.uniform(-5.0, 0.5))
+        want = _locate_fall_full_rows(_fall_gauge(fall_dim), t_left, h, rows, t_left + h)
+        assert _locate_fall(fall_dim, t_left, h, rows, t_left + h) == want
+
+
 def test_reversibility():
     params = ModelParams(G=9.81, lam=1.0, dim=1)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
