@@ -69,6 +69,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -363,6 +364,8 @@ def degree_of_autonomous_field(G: float, dim: int) -> int:
 _CONE_RADII = 2 ** 7 + 1
 # planar cone cells confirmed by two-sided integration in each verification
 _SPOT_CHECKS = 50
+# the planar cone's sampled radii start at this fraction of a
+_CONE_LEAST_RADIUS = 0.02
 # worst samples a margin pool reports
 _WORST_KEPT = 10
 # dense-output times at which orbit_containment reads a trajectory
@@ -494,7 +497,7 @@ def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
     a, b, F, G, rng = ctx.spec.a, ctx.spec.b, ctx.F, ctx.G, ctx.rng
     n = 2 * ctx.spf + 1
     r, fn, phi = (v.ravel() for v in np.meshgrid(
-        np.linspace(0.02 * a, a, n), np.linspace(0.0, F.sup_norm, n),
+        np.linspace(_CONE_LEAST_RADIUS * a, a, n), np.linspace(0.0, F.sup_norm, n),
         np.linspace(0.0, math.pi, n), indexing="ij"))
     K0, B, one_minus = _cone_radial(r, G, b)
     f = fn[:, None] * _unit(phi)
@@ -526,11 +529,11 @@ def _cone_face_plane(ctx: _Sampling, rec: _Margins) -> None:
     ps = (b * (1.0 - r[rows]))[:, None] * _unit(theta + angle)
     gate, curv = _cone_quantities(xs, ps, lam[rows, None] * f_star,
                                   lam[rows, None] * df_star, G, b)
-    for j, i in enumerate(rows):
+    for j, (i, x, p) in enumerate(zip(rows, xs.tolist(), ps.tolist())):
         exact = j < picks.size
         rec.spot_pool.append({
-            "face": "delta", "t": t_star, "lam": float(lam[i]), "x": xs[j],
-            "p": ps[j], "gate": 0.0 if exact else float(gate[j]),
+            "face": "delta", "t": t_star, "lam": float(lam[i]), "x": x,
+            "p": p, "gate": 0.0 if exact else float(gate[j]),
             "curv": float(curv[j]), "exact_gate": exact})
 
 
@@ -574,8 +577,7 @@ def _spot_checks(ctx: _Sampling, rec: _Margins) -> dict:
             result["passed"] += 1
             continue
         entry = {"face": sample["face"], "t": sample["t"], "lam": sample["lam"],
-                 "x": [float(v) for v in sample["x"]],
-                 "p": [float(v) for v in sample["p"]],
+                 "x": list(sample["x"]), "p": list(sample["p"]),
                  "reason": "two-sided integration contradicts prediction"}
         result["failures"].append(entry)
         rec.failures.append(entry)
@@ -607,7 +609,8 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     A closed-form minimum is the face's ``min_margin``, named in
     ``failures`` with its radius when not positive; its worst samples are
     boundary points at the grid times, each with its own margin.  Raises
-    ``ValueError`` for a set whose cone curvature is no float.
+    ``ValueError`` for a set whose cone curvature is no float, or whose
+    planar cone reaches radii or speeds whose cubes underflow.
     """
     if F.dim != spec.dim:
         raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")
@@ -620,6 +623,12 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     if not b * (G + F.sup_norm + b * b / (1.0 - a * a)) < 1e150:
         raise ValueError(f"the cone's curvature overflows at G = {G:.6g}, "
                          f"sup|F| = {F.sup_norm:.6g}, b = {b:.6g}")
+    # the planar cone divides by |x|^3 and |p|^3 at its sampled radii and
+    # speeds b (1 - r): a cube below the least normal float is no divisor
+    r_min, rho_min = _CONE_LEAST_RADIUS * a, b * (1.0 - a)
+    if spec.dim == 2 and not min(r_min, rho_min) ** 3 >= sys.float_info.min:
+        raise ValueError(f"the planar cone's least radius {r_min:.6g} or speed "
+                         f"{rho_min:.6g} underflows when cubed")
     ctx = _Sampling(
         spec=spec, G=G, F=F, cfg=cfg or IntegratorConfig(),
         t_grid=(np.arange(2 * spf) + 0.5) * (F.period / (2 * spf)), spf=spf,
@@ -650,11 +659,13 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
 
 def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
                 cfg: IntegratorConfig, dt: float) -> bool:
-    """Confirm one boundary sample by integrating a short arc both ways."""
+    """Confirm one boundary sample by integrating a short arc both ways, in
+    plain floats: each arc starts from the list ``x + p`` and its gauge
+    reads the arc's last node."""
     a, b = spec.a, spec.b
     params = ModelParams(G=G, lam=sample["lam"], dim=spec.dim)
     fun = make_field(params, F)
-    y0 = np.concatenate([sample["x"], sample["p"]])
+    y0 = [*sample["x"], *sample["p"]]
     t0 = sample["t"]
     d = spec.dim
 
@@ -667,7 +678,7 @@ def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
 
     fwd = integrate_field(fun, t0, t0 + dt, y0, cfg, d,
                           breaks=F.breaks_between(t0, t0 + dt))
-    e_plus = gauge(fwd.states[-1])
+    e_plus = gauge(fwd.y_end)
 
     def fun_rev(s, y):
         return [-v for v in fun(t0 - s, y)]
@@ -675,7 +686,7 @@ def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
     # the backward arc runs s = t0 - t: its breaks are the knots before t0
     bwd = integrate_field(fun_rev, 0.0, dt, y0, cfg, d,
                           breaks=[t0 - s for s in F.breaks_between(t0 - dt, t0)[::-1]])
-    e_minus = gauge(bwd.states[-1])
+    e_minus = gauge(bwd.y_end)
 
     if sample["exact_gate"] and sample["curv"] > 0:
         return e_plus > 0.0 and e_minus > 0.0

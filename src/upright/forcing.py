@@ -164,14 +164,16 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
         raise ValueError("coefficients and constant must be finite")
     omega = 2.0 * math.pi * np.arange(1, n_modes + 1) / period
 
-    def value(u):
-        # u: (m,) reduced times -> (m, dim)
+    # F and F' at reduced times u, (m,) -> (m, dim), from the phases' cos and sin
+    def trig(u):
         ph = np.outer(u, omega)
-        return c0 + np.cos(ph) @ c + np.sin(ph) @ s
+        return np.cos(ph), np.sin(ph)
 
-    def derivative(u):
-        ph = np.outer(u, omega)
-        return -(np.sin(ph) * omega) @ c + (np.cos(ph) * omega) @ s
+    def value_at(cos_ph, sin_ph):
+        return c0 + cos_ph @ c + sin_ph @ s
+
+    def rate_at(cos_ph, sin_ph):
+        return -(sin_ph * omega) @ c + (cos_ph * omega) @ s
 
     # Python floats, not numpy scalars: the integrator's stage sums run on
     # whatever the field returns, and numpy scalar arithmetic is slower.
@@ -215,12 +217,14 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
         # Lipschitz constants from coefficient sums: |dF/dt| <= sum w*amp, etc.
         lip_f = float(np.sum(omega * amp))
         lip_df = float(np.sum(omega**2 * amp))
-        sup_f = float(np.max(np.linalg.norm(value(u), axis=1))) + 0.5 * lip_f * h
-        sup_df = float(np.max(np.linalg.norm(derivative(u), axis=1))) + 0.5 * lip_df * h
+        grid = trig(u)  # one cos and one sin serve both sup norms
+        sup_f = float(np.max(np.linalg.norm(value_at(*grid), axis=1))) + 0.5 * lip_f * h
+        sup_df = float(np.max(np.linalg.norm(rate_at(*grid), axis=1))) + 0.5 * lip_df * h
     if not (math.isfinite(sup_f) and math.isfinite(sup_df)):
         raise ValueError("coefficients too large: the forcing's sup norm bounds overflow")
 
-    return PeriodicSignal(period, dim, value, derivative, sup_f, sup_df,
+    return PeriodicSignal(period, dim, lambda u: value_at(*trig(u)),
+                          lambda u: rate_at(*trig(u)), sup_f, sup_df,
                           scalar_value_fn=value_scalar)
 
 

@@ -24,7 +24,9 @@ are retried with half the step until the fall event can be localized.
 plain Python floats at every width, with a step whose source is written out
 for that width.  The fall step's interpolant rows are written out per width
 the same way, and the fall's bisection runs on the gauge components' own
-interpolant coefficients, held in locals.  The journey tools step the rod
+interpolant coefficients, held in locals.  The start step's heuristic is
+written out per width too, and a run builds its arrays only when they are
+read, so it costs its steps and little else.  The journey tools step the rod
 in charts where the fall is no singularity (``dynamics.angle_field`` on the
 line, ``dynamics.direction_field`` in the plane), with the gauge
 ``fall_dim = 1`` on the chart's first component.
@@ -35,7 +37,7 @@ import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -154,32 +156,47 @@ class Event:
 
 
 class Trajectory:
-    """Solution of one integration with dense evaluation between step nodes."""
+    """Solution of one integration with dense evaluation between step nodes.
+
+    The run keeps the integrator's node lists; their arrays and the
+    interpolant rows are built the first time they are read, so a run read
+    only for its fall or its last node builds none.
+    """
 
     def __init__(self, fun, t_nodes, y_nodes, seg_h, seg_K, fall_event,
                  n_accepted, n_rejected, fall_rows=None):
         self._fun = fun
-        self._t = np.asarray(t_nodes, dtype=float)
-        self._y = np.asarray(y_nodes, dtype=float)
-        self._h = np.asarray(seg_h, dtype=float)
+        self._t_nodes, self._y_nodes, self._seg_h = t_nodes, y_nodes, seg_h
         self._seg_K = seg_K
-        self._n = self._y.shape[1]  # the components shown
-        self._rows = np.empty((8, len(seg_h), self._n))  # per step, once read
-        self._ready = np.zeros(len(seg_h), dtype=bool)
-        if fall_rows is not None:  # the fall step's, built to locate it
-            self._rows[:, -1], self._ready[-1] = fall_rows, True
+        self._fall_rows = fall_rows  # the fall step's, built to locate it
+        self._n = len(y_nodes[0])  # the components shown
         # the fall that ended the run early, if any
         self.fall_event: Event | None = fall_event
         self.n_accepted = int(n_accepted)
         self.n_rejected = int(n_rejected)
 
+    _t = cached_property(lambda self: np.asarray(self._t_nodes, dtype=float))
+    _y = cached_property(lambda self: np.asarray(self._y_nodes, dtype=float))
+    _h = cached_property(lambda self: np.asarray(self._seg_h, dtype=float))
+    # which steps' rows are built: at first the fall step's, if any
+    _ready = cached_property(lambda self: np.arange(len(self._seg_h)) == (
+        len(self._seg_h) - 1 if self._fall_rows is not None else -1))
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Per step, its interpolant rows on every component, once read."""
+        rows = np.empty((8, len(self._seg_h), len(self._y_nodes[0])))
+        if self._fall_rows is not None:
+            rows[:, -1] = self._fall_rows
+        return rows
+
     @property
     def t0(self) -> float:
-        return float(self._t[0])
+        return float(self._t_nodes[0])
 
     @property
     def t_end(self) -> float:
-        return float(self._t[-1])
+        return float(self._t_nodes[-1])
 
     @property
     def t_nodes(self) -> np.ndarray:
@@ -191,11 +208,16 @@ class Trajectory:
         return self._y[:, :self._n]
 
     @property
+    def y_end(self) -> list:
+        """The flat state at the last node, a list of the stepper's own floats."""
+        return self._y_nodes[-1][:self._n]
+
+    @property
     def dim(self) -> int:
         return self._n // 2
 
     def end_state(self) -> PhaseState:
-        return PhaseState.from_flat(self.states[-1])
+        return PhaseState.from_flat(self.y_end)
 
     def leading(self, n: int) -> Trajectory:
         """The first ``n`` components on this run's steps: the state part of
@@ -203,6 +225,7 @@ class Trajectory:
         run's interpolants, built on every component."""
         run = copy.copy(self)
         run._n = n
+        run._rows, run._ready = self._rows, self._ready
         ev = self.fall_event
         run.fall_event = ev and Event(ev.kind, ev.time, ev.state[:n])
         return run
@@ -250,41 +273,6 @@ class Trajectory:
             fh.write(header + "\n")
             fh.writelines(row % (t, *y, hgt) for t, y, hgt in
                           zip(ts.tolist(), ys.tolist(), heights.tolist()))
-
-
-def _rms(values, scales, n) -> float:
-    """Root mean square of ``values / scales`` over the first ``n`` entries."""
-    total = 0.0
-    for v, s in zip(values[:n], scales):
-        q = v / s
-        total += q * q
-    return math.sqrt(total / n)
-
-
-def _initial_step(fun, t0, y0, f0, t1, cfg, n_err):
-    """Starting step size from the standard two-evaluation heuristic.
-
-    Only the first ``n_err`` components are measured.
-    """
-    n = len(y0) if n_err is None else n_err
-    sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0[:n]]
-    d0, d1 = _rms(y0, sc, n), _rms(f0, sc, n)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    # a huge field underflows h0 to 0; the stepping loop's floor keeps d2 defined
-    h0 = min(max(h0, 1e-14 * (1.0 + abs(t0))), abs(t1 - t0))
-    try:
-        f1 = fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
-        d2 = _rms([a - b for a, b in zip(f1[:n], f0)], sc, n) / h0
-    except SingularityError:
-        d2 = math.inf
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** _EXPONENT
-    return min(100 * h0, h1, abs(t1 - t0))
 
 
 def _dense_state(rows, theta):
@@ -368,7 +356,7 @@ def _combo(weights, i):
 
 def _compiled(src, name, label):
     """The function ``name`` that the source lines ``src`` define."""
-    namespace = {"sqrt": math.sqrt}
+    namespace = {"sqrt": math.sqrt, "inf": math.inf, "SingularityError": SingularityError}
     exec(compile("\n".join(src), label, "exec"), namespace)
     return namespace[name]
 
@@ -439,10 +427,41 @@ def _interpolant(width: int):
     return _compiled(src, "rows", f"<DOP853 interpolant, width {width}>")
 
 
+@lru_cache
+def _starter(width: int, n: int):
+    """The first step's size on ``width`` floats, compiled once per
+    ``(width, n)`` like ``_stepper``: ``start(fun, t0, y0, f0, t1, atol,
+    rtol)``, Hairer-Norsett-Wanner's two-evaluation heuristic (I, II.4).
+    The root mean squares of ``y0``, ``f0`` and the field's difference
+    quotient along one Euler probe, over the first ``n`` components scaled
+    by ``atol + rtol |y0|``, are written out as sums in component order.
+    """
+    ctrl = range(min(n, width))
+    rms = f"sqrt(({' + '.join(f'q{i} * q{i}' for i in ctrl)}) / {n})"
+    probe = ", ".join(f"y{i} + h0 * a{i}" for i in range(width))
+    src = ["def start(fun, t0, y, f0, t1, atol, rtol):",
+           f"    {_unpack('y', width)}= y",
+           f"    {_unpack('a', width)}= f0"]
+    src += [f"    s{i} = atol + rtol * abs(y{i})\n    q{i} = y{i} / s{i}" for i in ctrl]
+    src += [f"    d0 = {rms}"] + [f"    q{i} = a{i} / s{i}" for i in ctrl]
+    src += [f"    d1 = {rms}",
+            "    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1",
+            # a huge field underflows h0 to 0; the step floor keeps d2 defined
+            "    h0 = min(max(h0, 1e-14 * (1.0 + abs(t0))), abs(t1 - t0))",
+            f"    try:\n        f1 = fun(t0 + h0, [{probe}])"]
+    src += [f"        q{i} = (f1[{i}] - a{i}) / s{i}" for i in ctrl]
+    src += [f"        d2 = {rms} / h0\n    except SingularityError:\n        d2 = inf",
+            "    d = max(d1, d2)",
+            f"    h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** {_EXPONENT!r}",
+            "    return min(100 * h0, h1, abs(t1 - t0))"]
+    return _compiled(src, "start", f"<DOP853 start step, width {width}>")
+
+
 def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
                     n_err=None, breaks=()) -> Trajectory:
     """Integrate ``dy/dt = fun(t, y)`` from t0 to t1 (t1 >= t0).
 
+    ``y0`` is any flat sequence of numbers, converted to Python floats once.
     ``fun(t, y)`` receives ``y`` as a list of floats and returns a sequence
     of floats of the same length (a list is fastest; a tuple or an ndarray
     gives the same result).  The stage sums run on whatever scalars the
@@ -487,10 +506,12 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     if t1 == t0:
         return Trajectory(fun, t_nodes, y_nodes, seg_h, seg_K, None, 0, 0)
 
-    f0 = fun(t0, y0)
-    h = _initial_step(fun, t0, y0, f0, t1, cfg, n_err)
-    step = _stepper(len(y0), len(y0) if n_err is None else n_err)
     atol, rtol, inf = cfg.abs_tol, cfg.rel_tol, math.inf
+    width = len(y0)
+    n = width if n_err is None else n_err
+    f0 = fun(t0, y0)
+    h = _starter(width, n)(fun, t0, y0, f0, t1, atol, rtol)
+    step = _stepper(width, n)
     t, y, k1 = t0, y0, f0
     attempts = 0
     grow = _MAX_FACTOR

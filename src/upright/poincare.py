@@ -117,7 +117,7 @@ def _period_pass(z: PhaseState, params: ModelParams, F: PeriodicSignal,
     traj = integrate_field(fun, 0.0, F.period, Y0, cfg, params.dim, n_err,
                            F.breaks_between(0.0, F.period))
     _raise_if_fell(traj)
-    end = traj.states[-1]
+    end = np.array(traj.y_end)
     return end[:n], end[n:].reshape(n, n), traj
 
 

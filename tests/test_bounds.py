@@ -1253,3 +1253,34 @@ def test_spot_check_arcs_step_on_the_path_knots(monkeypatch):
         else:
             assert fwd_breaks == [knot] and bwd_breaks == []
         assert set(fwd_breaks) <= set(fwd_nodes) and set(bwd_breaks) <= set(bwd_nodes)
+
+
+def test_planar_spot_arcs_take_one_step_and_thirteen_field_reads(monkeypatch):
+    # the circle at its benchmark slope, 6 samples per face and seed 1: 50
+    # cells, 100 arcs, each one accepted step of 13 field evaluations (the
+    # start, the start step's probe and 11 more stages); each arc starts
+    # from a list of floats, and the gauge reads its last node as floats
+    evals, arcs = [], []
+
+    def counted(*args, **kwargs):
+        field = make_field(*args, **kwargs)
+
+        def fun(t, y):
+            evals.append(t)
+            return field(t, y)
+        return fun
+
+    def recorded(fun, t0, t1, y0, *args, **kwargs):
+        traj = integrate_field(fun, t0, t1, y0, *args, **kwargs)
+        arcs.append((type(y0), traj.n_accepted, traj.n_rejected, vars(traj).keys()))
+        return traj
+
+    monkeypatch.setattr(bounds, "make_field", counted)
+    monkeypatch.setattr(bounds, "integrate_field", recorded)
+    a = compute_a(9.81, F2.sup_norm, 0.5)
+    cert = verify_bound_set(BoundSetSpec(a, PLANAR_SLOPES["circle"], 2), 9.81, F2,
+                            samples_per_face=6, seed=1)
+    assert cert.verified and cert.spot_checks["attempted"] == 50
+    assert [arc[:3] for arc in arcs] == [(list, 1, 0)] * 100
+    assert not any({"_t", "_y", "_h", "_rows", "_ready"} & arc[3] for arc in arcs)
+    assert len(evals) == 1300

@@ -121,6 +121,33 @@ def test_verify_bounds_planar_radius_outside_the_unit_interval_exit_1(
 
 
 
+@pytest.mark.parametrize("key, value", [("a_override", 1e-110), ("a_override", 1e-300),
+                                        ("b_override", 1e-160), ("b_override", 1e-200)])
+def test_verify_bounds_planar_cone_cubes_that_underflow_exit_1(tmp_path, caplog, key, value):
+    # the planar cone divides by |x|^3 and |p|^3, which underflowed to 0:
+    # NaN curvatures, a RuntimeWarning, and a cone margin reported as inf.
+    # The set is refused before any sampling (warnings are errors here)
+    rc, out = run(tmp_path, "verify-bounds", problem="planar",
+                  forcing={"cosine": [[1.5, 0.0]], "sine": [[0.0, 1.5]]},
+                  bounds={"samples_per_face": 4, key: value})
+    assert rc == 1
+    assert "invalid configuration: the planar cone's least radius" in caplog.text
+    assert "underflows when cubed" in caplog.text
+    assert not (out / "certificate.json").exists()
+
+
+def test_verify_bounds_planar_tiny_cone_slope_fails_with_finite_margins(tmp_path):
+    # b = 1e-100 still cubes to a normal float: the set is checked, fails,
+    # and every margin is a float
+    rc, out = run(tmp_path, "verify-bounds", problem="planar",
+                  forcing={"cosine": [[1.5, 0.0]], "sine": [[0.0, 1.5]]},
+                  bounds={"samples_per_face": 4, "b_override": 1e-100})
+    assert rc == 2
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["verified"] is False
+    assert math.isfinite(cert["min_margin_gamma"]) and math.isfinite(cert["min_margin_delta"])
+
+
 @pytest.mark.parametrize("command", ["verify-bounds", "solve-periodic"])
 def test_forcing_too_large_for_gravity_exit_1(tmp_path, caplog, command):
     # at sup|F| = 1e12 against gravity 9.81 the cylinder radius rounds to 1;

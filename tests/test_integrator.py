@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from bisect import bisect_right
 
@@ -14,8 +15,8 @@ from upright.errors import SingularityError, StepBudgetError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import (_A, _BHH, _C, _D, _E5, FALL_THRESHOLD,
                                 EventKind, IntegratorConfig, _check_start, _dense_state,
-                                _fall_event, _fall_gauge, _interpolant, _locate_fall,
-                                _stepper, evolve, integrate_field)
+                                _EXPONENT, _fall_event, _fall_gauge, _interpolant,
+                                _locate_fall, _starter, _stepper, evolve, integrate_field)
 from upright.poincare import poincare_map
 from upright.whitney import JourneySpec, bisect_survivor, planar_survivor_grid
 
@@ -133,12 +134,15 @@ def _path_run():
     return evolve(0.0, 0.9, PhaseState(0.1, 0.0), ModelParams(G=G, lam=1.0, dim=1), F)
 
 
-def _leading_run():
+def _fused_run():
     params = ModelParams(G=9.81, lam=1.0, dim=2)
     Y0 = np.concatenate([[0.2, 0.1, 0.0, 0.0], np.eye(4).ravel()])
-    fused = integrate_field(make_field(params, F2, variational=True), 0.0, 3.0, Y0,
-                            IntegratorConfig(), 2, 4)
-    return fused.leading(4)
+    return integrate_field(make_field(params, F2, variational=True), 0.0, 3.0, Y0,
+                           IntegratorConfig(), 2, 4)
+
+
+def _leading_run():
+    return _fused_run().leading(4)
 
 
 @pytest.mark.parametrize("make_run", [
@@ -801,3 +805,183 @@ def test_the_interpolant_compiles_once_per_width():
     info = _interpolant.cache_info()
     assert info.misses == misses == info.currsize
     assert info.hits > 0
+
+
+# -- the generated start step is the loop heuristic, bit for bit -----------
+
+def _rms(values, scales, n) -> float:
+    """Root mean square of ``values / scales`` over the first ``n`` entries."""
+    total = 0.0
+    for v, s in zip(values[:n], scales):
+        q = v / s
+        total += q * q
+    return math.sqrt(total / n)
+
+
+def _initial_step(fun, t0, y0, f0, t1, atol, rtol, n_err):
+    """The reference start step: Hairer-Norsett-Wanner's two-evaluation
+    heuristic as loops, on the first ``n_err`` components."""
+    n = len(y0) if n_err is None else n_err
+    sc = [atol + rtol * abs(v) for v in y0[:n]]
+    d0, d1 = _rms(y0, sc, n), _rms(f0, sc, n)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(max(h0, 1e-14 * (1.0 + abs(t0))), abs(t1 - t0))
+    try:
+        f1 = fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
+        d2 = _rms([a - b for a, b in zip(f1[:n], f0)], sc, n) / h0
+    except SingularityError:
+        d2 = math.inf
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** _EXPONENT
+    return min(100 * h0, h1, abs(t1 - t0))
+
+
+def _singular_after(t_cut, fun):
+    """``fun``, singular at every time after ``t_cut``: at the start step's
+    probe point when ``t_cut`` is the start."""
+    def field(t, y):
+        if t > t_cut:
+            raise SingularityError("singular past the start", t, y)
+        return fun(t, y)
+    return field
+
+
+@pytest.mark.parametrize("name", list(_STEP_FIELDS))
+def test_generated_start_step_equals_the_loop_heuristic_bit_for_bit(name):
+    # widths 1, 2, 4, 6 and 20, n_err None and, for the variational systems,
+    # the state's 2 dim; seeded starts (some at rest), windows down to 1e-6
+    # that clip the step and tolerances, every seventh field singular at
+    # the probe point
+    width, controlled, fun = _STEP_FIELDS[name]
+    rng = np.random.default_rng(width + 2)
+    for n_err in (None, *controlled):
+        start = _starter(width, width if n_err is None else n_err)
+        for k in range(200):
+            y = [0.0] * width if k % 10 == 0 else rng.uniform(-0.5, 0.5, width).tolist()
+            t0 = float(rng.uniform(-3.0, 3.0))
+            t1 = t0 + float(10.0 ** rng.uniform(-6.0, 1.0))
+            atol, rtol = (float(v) for v in 10.0 ** rng.uniform(-13.0, -6.0, 2))
+            field = _singular_after(t0, fun) if k % 7 == 0 else fun
+            f0 = fun(t0, y)
+            got = start(field, t0, y, f0, t1, atol, rtol)
+            assert got == _initial_step(field, t0, y, f0, t1, atol, rtol, n_err)
+            assert type(got) is float and got >= 0.0
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 6, 20])
+def test_generated_start_step_corners_are_the_loop_ones(width):
+    # a field at rest (max(d1, d2) <= 1e-15), a huge field whose h0
+    # underflows to 0 below the floor, and one singular at the probe point;
+    # the last two start at 0 (d1 or d2 is inf), where the stepping loop's
+    # floor rules
+    y = [1.0] * width
+    fields = {"rest": lambda t, y: [0.0] * len(y), "huge": lambda t, y: [1e300] * len(y),
+              "singular": _singular_after(0.5, lambda t, y: [1.0] * len(y))}
+    for name, fun in fields.items():
+        f0 = fun(0.5, y)
+        for n_err in (None, 1):
+            got = _starter(width, width if n_err is None else n_err)(
+                fun, 0.5, y, f0, 2.0, 1e-11, 1e-9)
+            assert got == _initial_step(fun, 0.5, y, f0, 2.0, 1e-11, 1e-9, n_err)
+            assert (got == 0.0) is (name != "rest")
+
+
+# -- a run's arrays are built on first read --------------------------------
+
+_LAZY = ("_t", "_y", "_h", "_rows", "_ready")
+
+
+# sha256 (first 16 hex digits) of t_nodes, states and 101 dense samples,
+# as the arrays were when every run built them at once
+_RUN_DIGESTS = {
+    "line": ("e5c6317d37a76b70", lambda: evolve(
+        0.0, 1.0, PhaseState(0.05, 0.1), ModelParams(G=9.81, lam=1.0, dim=1), F1)),
+    "plane": ("5af56b9e68185dce", lambda: evolve(
+        0.0, 3.0, PhaseState(np.array([0.1, 0.05]), np.zeros(2)),
+        ModelParams(G=9.81, lam=1.0, dim=2), F2)),
+    "path": ("140f62bcdd568f92", _path_run),
+    "fused": ("6b0d2d52a4726f15", _fused_run),
+    "leading": ("54367fc2e78a8f12", _leading_run),
+}
+
+
+@pytest.mark.parametrize("name", list(_RUN_DIGESTS))
+def test_lazily_built_arrays_are_the_eager_ones_bit_for_bit(name):
+    want, make_run = _RUN_DIGESTS[name]
+    for dense_first in (False, True):
+        traj = make_run()
+        ts = np.linspace(traj.t0, traj.t_end, 101)
+        dense = traj.dense_array(ts) if dense_first else None
+        arrays = [traj.t_nodes, traj.states]
+        arrays.append(dense if dense_first else traj.dense_array(ts))
+        digest = hashlib.sha256()
+        for a in arrays:
+            digest.update(a.tobytes())
+        assert digest.hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize("fall", [True, False], ids=["falls", "survives"])
+def test_a_run_read_for_its_fall_and_last_node_builds_no_arrays(fall):
+    # what the journey grid, the period map and the spot arcs read
+    s0 = PhaseState(np.array([0.1, 0.05]) if fall else np.zeros(2), np.zeros(2))
+    traj = evolve(0.0, 3.0, s0, ModelParams(G=9.81, lam=1.0 if fall else 0.0, dim=2), F2)
+    assert (traj.fall_event is not None) is fall and traj.n_accepted > 0
+    end = traj.end_state()
+    assert traj.y_end == end.flat().tolist()
+    assert not set(_LAZY) & vars(traj).keys()
+    assert traj.states[-1].tolist() == traj.y_end
+    assert {"_y"} == set(_LAZY) & vars(traj).keys()
+
+
+def test_a_leading_run_builds_the_full_runs_rows():
+    # the state run of a fused run reads the interpolant built on every
+    # component: after its dense read, the full run's rows are built there
+    fused = _fused_run()
+    run = fused.leading(4)
+    assert run._rows is fused._rows and run._ready is fused._ready
+    ts = np.linspace(0.0, 0.5 * run.t_end, 9)
+    run.dense_array(ts)
+    steps = np.unique(np.searchsorted(fused.t_nodes, ts, side="right") - 1)
+    assert fused._ready[steps].all() and fused._ready.sum() == steps.size + 1
+    assert np.array_equal(fused.dense_array(ts)[:, :4], run.dense_array(ts))
+
+
+# -- the start is converted to floats once --------------------------------
+
+def test_any_float_sequence_start_gives_the_same_run():
+    # a list of ints, a tuple, an ndarray and numpy scalars: the field sees a
+    # list of Python floats, and every float of the run is the same
+    seen = []
+    field = make_field(ModelParams(G=9.81, lam=1.0, dim=1), F1)
+
+    def recorded(t, y):
+        seen.append(y)
+        return field(t, y)
+
+    def run(y0):
+        return integrate_field(recorded, 0.0, 2.0, y0, IntegratorConfig(), fall_dim=1)
+
+    for ref, starts in (([0.0, 1.0], [[0, 1]]),
+                        ([0.25, -0.5], [(0.25, -0.5), np.array([0.25, -0.5]),
+                                        [np.float64(0.25), np.float64(-0.5)]])):
+        want = run(ref)
+        for y0 in starts:
+            seen.clear()
+            got = run(y0)
+            assert all(type(v) is float for y in seen for v in y)
+            assert np.array_equal(got.t_nodes, want.t_nodes)
+            assert np.array_equal(got.states, want.states)
+            assert got.fall_event.time == want.fall_event.time
+            assert (got.n_accepted, got.n_rejected) == (want.n_accepted, want.n_rejected)
+
+
+@pytest.mark.parametrize("y0", [[[0.1, 0.2], [0.3]], [[0.1], 0.2], ["x", 0.0],
+                                [None, 0.0], ([0.1, 0.2], [0.3]), ("x", 0.0)])
+def test_a_ragged_or_non_numeric_start_raises(y0):
+    with pytest.raises((TypeError, ValueError)):
+        integrate_field(lambda t, y: [0.0] * len(y), 0.0, 1.0, y0, IntegratorConfig())
