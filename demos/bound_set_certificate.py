@@ -26,8 +26,8 @@ OUT.mkdir(exist_ok=True)
 
 G = 9.81
 F = make_fourier_forcing(1.0, 1, [2.0], [])
-a = compute_a(G, 2.0, margin=0.5)
-b = compute_b_linear(a, 2.0, margin=0.5)
+a = compute_a(G, 2.0)
+b = compute_b_linear(a, 2.0)
 
 cert = verify_bound_set(BoundSetSpec(a, b, 1), G, F, samples_per_face=16)
 print(f"a = {a:.6f}, b = {b:.6f}")

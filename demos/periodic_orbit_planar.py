@@ -24,7 +24,7 @@ OUT.mkdir(exist_ok=True)
 G = 9.81
 F = make_fourier_forcing(1.0, 2, [(1.5, 0.0)], [(0.0, 1.5)])
 
-a = compute_a(G, 1.5, margin=0.5)
+a = compute_a(G, 1.5)
 b, cert = compute_b_planar(a, F, G, samples_per_face=8)
 print(f"trap constants: a = {a:.6f}, b = {b:.6f} "
       f"(verified = {cert.verified})")

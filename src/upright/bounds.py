@@ -144,19 +144,20 @@ class BoundSetCertificate:
 
 # -- closed-form constants ---------------------------------------------
 
+# how far compute_a and compute_b_linear back off their thresholds
+_TRAP_MARGIN = 0.5
 
-def compute_a(G: float, F_norm: float, margin: float = 0.5) -> float:
+
+def compute_a(G: float, F_norm: float) -> float:
     """Cylinder radius, the same on the line and in the plane.
 
     The threshold radius ``a* = F_norm / sqrt(G^2 + F_norm^2)`` is the root
     of ``G a - F_norm sqrt(1 - a^2)``, the sign of the cylinder gate's least
     curvature on the line and in the plane alike; any ``a`` above it keeps
-    the cylinder face repelling.  Returns ``a* + margin*(1 - a*)``.
+    the cylinder face repelling.  Returns ``a* + _TRAP_MARGIN (1 - a*)``.
     """
     if G <= 0:
         raise ValueError(f"G must be positive, got {G}")
-    if not (0.0 < margin < 1.0):
-        raise ValueError(f"margin must lie in (0,1), got {margin}")
     if F_norm < 0:
         raise ValueError(f"F_norm must be nonnegative, got {F_norm}")
     # Scaled exactly, by a power of two, so that no square under- or
@@ -164,27 +165,25 @@ def compute_a(G: float, F_norm: float, margin: float = 0.5) -> float:
     e = math.frexp(max(G, F_norm))[1]
     g, f = math.ldexp(G, -e), math.ldexp(F_norm, -e)
     a_star = f / math.sqrt(g * g + f * f)
-    a = a_star + margin * (1.0 - a_star)
+    a = a_star + _TRAP_MARGIN * (1.0 - a_star)
     if not a < 1.0:
         raise ValueError(f"sup|F| = {F_norm:g} is too large against gravity "
                          f"{G:g}: the cylinder radius rounds to 1")
     return a
 
 
-def compute_b_linear(a: float, F_norm: float, margin: float = 0.5) -> float:
+def compute_b_linear(a: float, F_norm: float) -> float:
     """Cone slope for the one-dimensional problem.
 
     The threshold is ``b^2 = (1+a) F_norm / (1-a)``; returns the threshold
-    inflated by ``1 + margin``.  For an unforced system any positive b
-    works and the value of ``margin`` itself is returned as the floor.
+    inflated by ``1 + _TRAP_MARGIN``.  For an unforced system any positive
+    b works and ``_TRAP_MARGIN`` itself is returned as the floor.
     """
     if not (0.0 < a < 1.0):
         raise ValueError(f"a must lie in (0,1), got {a}")
-    if margin <= 0:
-        raise ValueError(f"margin must be positive, got {margin}")
     if F_norm == 0.0:
-        return margin
-    return math.sqrt((1.0 + a) * F_norm / (1.0 - a)) * (1.0 + margin)
+        return _TRAP_MARGIN
+    return math.sqrt((1.0 + a) * F_norm / (1.0 - a)) * (1.0 + _TRAP_MARGIN)
 
 
 # the planar slope search starts at or above _B_FLOOR, so that the unforced
@@ -609,26 +608,27 @@ def verify_bound_set(spec: BoundSetSpec, G: float, F: PeriodicSignal,
     A closed-form minimum is the face's ``min_margin``, named in
     ``failures`` with its radius when not positive; its worst samples are
     boundary points at the grid times, each with its own margin.  Raises
-    ``ValueError`` for a set whose cone curvature is no float, or whose
-    planar cone reaches radii or speeds whose cubes underflow.
+    ``ValueError`` for a set whose planar cone reaches radii or speeds whose
+    cubes underflow, or whose cone curvature is no float.
     """
     if F.dim != spec.dim:
         raise ValueError(f"forcing dim {F.dim} does not match spec dim {spec.dim}")
     spf = int(samples_per_face)
     if spf < 1:
         raise ValueError(f"samples_per_face must be positive, got {samples_per_face}")
-    # the cone's curvature multiplies |p|^2 <= b^2 by the squared
-    # acceleration, up to about G + sup|F| + b^2 / (1 - a^2): no float beyond
-    a, b = spec.a, spec.b
-    if not b * (G + F.sup_norm + b * b / (1.0 - a * a)) < 1e150:
-        raise ValueError(f"the cone's curvature overflows at G = {G:.6g}, "
-                         f"sup|F| = {F.sup_norm:.6g}, b = {b:.6g}")
     # the planar cone divides by |x|^3 and |p|^3 at its sampled radii and
     # speeds b (1 - r): a cube below the least normal float is no divisor
+    a, b = spec.a, spec.b
     r_min, rho_min = _CONE_LEAST_RADIUS * a, b * (1.0 - a)
     if spec.dim == 2 and not min(r_min, rho_min) ** 3 >= sys.float_info.min:
         raise ValueError(f"the planar cone's least radius {r_min:.6g} or speed "
                          f"{rho_min:.6g} underflows when cubed")
+    # the cone's curvature multiplies |p|^2 <= b^2 by acc^2, the squared
+    # acceleration's bound, and in the plane divides acc^2 by |p| >= rho_min
+    acc = G + F.sup_norm + b * b / (1.0 - a * a)
+    if not (b * acc < 1e150 and (spec.dim == 1 or acc / rho_min * acc < 1e300)):
+        raise ValueError(f"the cone's curvature overflows at G = {G:.6g}, "
+                         f"sup|F| = {F.sup_norm:.6g}, b = {b:.6g}")
     ctx = _Sampling(
         spec=spec, G=G, F=F, cfg=cfg or IntegratorConfig(),
         t_grid=(np.arange(2 * spf) + 0.5) * (F.period / (2 * spf)), spf=spf,

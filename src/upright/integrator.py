@@ -5,9 +5,10 @@ Wanner I, II.10): twelve stages of order 8 and a combined 5th- and 3rd-order
 error estimate.  Stage 13, the field at the new node, is the next step's
 first; it is evaluated once the step is accepted and the next step or a
 dense read needs it.  Dense output is the 7th-order interpolant, built with
-three more stages only on the steps that are read.  The one event is the
-fall, the rod reaching the fall threshold; it is located on the interpolant
-by bisection, so fall times are resolved far below the step size.
+three more stages per step, in one pass at a run's first dense read; the
+fall step keeps the rows that located the fall.  The one event is the fall,
+the rod reaching the fall threshold; it is located on the interpolant by
+bisection, so fall times are resolved far below the step size.
 
 Steps never straddle a breakpoint of the forcing, where ``dF/dt`` jumps, as
 at the knots of a sampled path: a step that would cross one is clipped to
@@ -178,16 +179,25 @@ class Trajectory:
     _t = cached_property(lambda self: np.asarray(self._t_nodes, dtype=float))
     _y = cached_property(lambda self: np.asarray(self._y_nodes, dtype=float))
     _h = cached_property(lambda self: np.asarray(self._seg_h, dtype=float))
-    # which steps' rows are built: at first the fall step's, if any
-    _ready = cached_property(lambda self: np.arange(len(self._seg_h)) == (
-        len(self._seg_h) - 1 if self._fall_rows is not None else -1))
 
     @cached_property
     def _rows(self) -> np.ndarray:
-        """Per step, its interpolant rows on every component, once read."""
+        """Every step's interpolant rows on every component, built in one
+        pass at the first dense read; the fall step keeps its own."""
+        fall = self._fall_rows
+        m = len(self._seg_h) - (fall is not None)  # the steps built here
         rows = np.empty((8, len(self._seg_h), len(self._y_nodes[0])))
-        if self._fall_rows is not None:
-            rows[:, -1] = self._fall_rows
+        if m:
+            # stage 13 is the next step's first, or the field at the end
+            k13 = [k[0] for k in self._seg_K[1:]]
+            if fall is None:
+                k13.append(self._fun(self.t_end, self._y[-1].tolist()))
+            K = np.array([(*k, k_last) for k, k_last in zip(self._seg_K, k13)], dtype=float)
+            rows[:, :m] = np.array(_interpolant(1)(
+                self._batch, self._t[:m, None], self._h[:m, None], [self._y[:m]],
+                K.transpose(1, 0, 2)[:, None], [self._y[1:m + 1]]))[:, 0]
+        if fall is not None:
+            rows[:, -1] = fall
         return rows
 
     @property
@@ -221,11 +231,9 @@ class Trajectory:
 
     def leading(self, n: int) -> Trajectory:
         """The first ``n`` components on this run's steps: the state part of
-        a state-and-variational run is the state's own run.  It shares this
-        run's interpolants, built on every component."""
+        a state-and-variational run is the state's own run."""
         run = copy.copy(self)
         run._n = n
-        run._rows, run._ready = self._rows, self._ready
         ev = self.fall_event
         run.fall_event = ev and Event(ev.kind, ev.time, ev.state[:n])
         return run
@@ -233,23 +241,13 @@ class Trajectory:
     def dense_array(self, ts) -> np.ndarray:
         """Vectorized dense evaluation, shape (len(ts), 2*dim): each sample
         is ``_dense_state`` on its step, the interpolant the fall is located
-        on, built the first time one of its samples is read."""
+        on."""
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < self._t[0]) or np.any(ts > self._t[-1]):
             raise ValueError("sample times outside the integration interval")
         if len(self._h) == 0:
             return np.broadcast_to(self.states[0], (ts.shape[0], self._n)).copy()
         idx = np.clip(np.searchsorted(self._t, ts, side="right") - 1, 0, len(self._h) - 1)
-        new = np.unique(idx[~self._ready[idx]])
-        if new.size:
-            # stage 13 is the next step's first, or the field at the end
-            K = np.array([(*self._seg_K[i], self._seg_K[i + 1][0] if i + 1 < len(self._h)
-                           else self._fun(self.t_end, self._y[-1].tolist())) for i in new],
-                         dtype=float)
-            self._rows[:, new] = np.array(_interpolant(1)(
-                self._batch, self._t[new, None], self._h[new, None], [self._y[new]],
-                K.transpose(1, 0, 2)[:, None], [self._y[new + 1]]))[:, 0]
-            self._ready[new] = True
         rows = self._rows[:, idx, :self._n].transpose(0, 2, 1)
         return np.stack(_dense_state(rows, (ts - self._t[idx]) / self._h[idx]), axis=1)
 
@@ -299,8 +297,6 @@ def _fall_event(t, y, fall_dim: int) -> Event:
     """The fall at ``(t, y)``; on the line its side is the sign of ``x``."""
     if fall_dim == 2:
         kind = EventKind.FALL_PLANAR
-    elif fall_dim != 1:
-        raise ValueError(f"a fall is watched with fall_dim 1 or 2, got {fall_dim}")
     elif y[0] > 0.0:
         kind = EventKind.FALL_POSITIVE
     else:

@@ -32,14 +32,10 @@ from .integrator import (FALL_THRESHOLD, IntegratorConfig, Trajectory,
 
 log = logging.getLogger(__name__)
 
-# Newton runs that ``continue_in_lambda`` may spend.  The reference orbits
-# (cosine amplitude 2 on the line at T = 1 and 1.5, the circular stirring of
-# amplitude 1.5 in the plane) take one each, from the linear response.
-_MAX_ATTEMPTS = 400
 # continuation stalls once its last _STALL_RUNS Newton runs have advanced lam
-# by less than _STALL_ADVANCE in all.  Every regime-atlas cell that solves
-# advances at least 0.157 in any 50 runs; the cells that crawl at T = 5 stop
-# after 50-89 runs, where the attempt budget let them run 221-400.
+# by less than _STALL_ADVANCE in all, so it spends at most 500 runs (lam at
+# the start of run 50 k is at least 0.1 k).  Every atlas cell that solves
+# advances at least 0.157 in any 50 runs; the T = 5 crawls stop in 50-89.
 _STALL_RUNS = 50
 _STALL_ADVANCE = 0.1
 # the lam increment below which continuation stalls
@@ -276,9 +272,9 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
     ``lambda_path`` ``[(0, 0, 0), (1, z, residual)]``.  Failures (falls,
     stalled Newton, near-singular corrections) halve the increment,
     successes grow it by half.  Raises ``ContinuationStuckError`` once the
-    increment falls below ``_LAMBDA_STEP_MIN``, the last ``_STALL_RUNS``
-    Newton runs have advanced ``lam`` by less than ``_STALL_ADVANCE``, or
-    ``_MAX_ATTEMPTS`` runs have not reached ``lam = 1``.
+    increment falls below ``_LAMBDA_STEP_MIN``, or the last ``_STALL_RUNS``
+    Newton runs have advanced ``lam`` by less than ``_STALL_ADVANCE``: after
+    at most ``_STALL_RUNS / _STALL_ADVANCE`` runs.
     """
     cfg = cfg or IntegratorConfig()
     params_one = params_at_zero.with_lam(1.0)
@@ -288,12 +284,7 @@ def continue_in_lambda(params_at_zero: ModelParams, F: PeriodicSignal,
     last_result = None
     lam_before = []  # lam at the start of each Newton run
     while lam < 1.0:
-        attempts = len(lam_before)
-        if attempts >= _MAX_ATTEMPTS:
-            raise ContinuationStuckError(
-                f"continuation reached only lam={lam:.6g} in {attempts} attempts "
-                f"(last step {step:.3g})", last_lambda=lam, last_result=last_result)
-        if attempts >= _STALL_RUNS and lam - lam_before[-_STALL_RUNS] < _STALL_ADVANCE:
+        if len(lam_before) >= _STALL_RUNS and lam - lam_before[-_STALL_RUNS] < _STALL_ADVANCE:
             raise ContinuationStuckError(
                 f"continuation stalled at lam={lam:.6g}: the last {_STALL_RUNS} Newton "
                 f"runs advanced lam by {lam - lam_before[-_STALL_RUNS]:.3g}, less than "

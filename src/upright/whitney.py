@@ -116,8 +116,6 @@ def _classify_with_time(x0: float, journey: JourneySpec,
     """Fate and fall time (nan if it survives) of the rod released at rest
     from ``x0`` over the journey window, integrated in the angle chart
     with the forcing's breakpoints as step nodes."""
-    if not abs(x0) < 1.0:
-        raise ValueError(f"|x0| must be < 1, got {x0}")
     params = ModelParams(G=journey.G, lam=1.0, dim=1)
     _check_start(PhaseState(x0, 0.0), params)
     traj = integrate_field(angle_field(params, journey.F), 0.0, journey.t_end,

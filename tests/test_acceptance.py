@@ -85,14 +85,14 @@ def planar_orbit():
 
 @pytest.fixture(scope="session")
 def linear_constants():
-    a = compute_a(G_EARTH, 2.0, 0.5)
-    b = compute_b_linear(a, 2.0, 0.5)
+    a = compute_a(G_EARTH, 2.0)
+    b = compute_b_linear(a, 2.0)
     return a, b
 
 
 @pytest.fixture(scope="session")
 def planar_constants():
-    a = compute_a(G_EARTH, 1.5, 0.5)
+    a = compute_a(G_EARTH, 1.5)
     b, _ = compute_b_planar(a, F_PLA, G_EARTH, samples_per_face=8)
     return a, b
 
@@ -195,8 +195,8 @@ def test_orbit_demos_reproduce_committed_csv(tmp_path):
            "demos/output/certificate_{pass,fail}.json byte for byte")
 def test_certificate_demo_reproduces_committed_json(tmp_path):
     # the config of demos/bound_set_certificate.py
-    a = compute_a(G_EARTH, 2.0, margin=0.5)
-    b = compute_b_linear(a, 2.0, margin=0.5)
+    a = compute_a(G_EARTH, 2.0)
+    b = compute_b_linear(a, 2.0)
     for name, slope in (("certificate_pass.json", b),
                         ("certificate_fail.json", 1.0)):
         cert = verify_bound_set(BoundSetSpec(a, slope, 1), G_EARTH, F_LIN,
@@ -273,7 +273,7 @@ def test_planar_certificates_match_scanned_gates(planar_certificate):
     certs = {}
     for name, (F, F_norm, spf, seed) in inputs.items():
         a_ref = SCANNED_GATE_CERTIFICATES[name][0]
-        assert abs(compute_a(G_EARTH, F_norm, 0.5) - a_ref) <= 1e-12, name
+        assert abs(compute_a(G_EARTH, F_norm) - a_ref) <= 1e-12, name
         b, cert = compute_b_planar(a_ref, F, G_EARTH, samples_per_face=spf,
                                    seed=seed)
         if name == "fixture":

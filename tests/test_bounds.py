@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,15 +33,15 @@ Z2 = make_fourier_forcing(1.0, 2, [(0.0, 0.0)], [])
 # -- closed-form constants ----------------------------------------------
 
 def test_a_linear_unforced():
-    assert compute_a(9.81, 0.0, 0.5) == pytest.approx(0.5)
+    assert compute_a(9.81, 0.0) == pytest.approx(0.5)
 
 
 def test_a_linear_threshold_values():
     # a* = F/sqrt(G^2+F^2); the returned radius interpolates toward 1
-    a = compute_a(1.0, 1.0, 0.5)
+    a = compute_a(1.0, 1.0)
     a_star = (a - 0.5) / 0.5
     assert a_star == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-    a = compute_a(9.81, 2.0, 0.5)
+    a = compute_a(9.81, 2.0)
     a_star = (a - 0.5) / 0.5
     assert a_star == pytest.approx(2.0 / math.sqrt(9.81 ** 2 + 4.0), abs=1e-15)
     assert a_star == pytest.approx(0.19978, abs=5e-5)
@@ -51,7 +52,8 @@ def test_a_linear_threshold_values():
        m=st.floats(0.05, 0.95))
 @example(G=0.125, Fn=13.0, m=0.94921875)
 def test_a_linear_properties(G, Fn, m):
-    a = compute_a(G, Fn, m)
+    with mock.patch.object(bounds, "_TRAP_MARGIN", m):
+        a = compute_a(G, Fn)
     assert 0.0 < a < 1.0
     a_star = (a - m) / (1.0 - m)
     # the threshold radius balances gravity against the forcing exactly,
@@ -71,17 +73,18 @@ def test_a_is_the_same_at_any_scale_of_gravity_and_forcing(e):
 
 
 def test_b_linear_threshold_values():
-    # thresholds: sqrt((1+a) F/(1-a)); margin inflates multiplicatively
-    assert compute_b_linear(0.8, 1.0, 0.5) == pytest.approx(3.0 * 1.5, rel=1e-15)
-    assert compute_b_linear(0.5, 4.0, 0.5) \
+    # thresholds: sqrt((1+a) F/(1-a)); the trap margin 0.5 inflates them
+    # multiplicatively
+    assert compute_b_linear(0.8, 1.0) == pytest.approx(3.0 * 1.5, rel=1e-15)
+    assert compute_b_linear(0.5, 4.0) \
         == pytest.approx(3.4641016151377544 * 1.5, rel=1e-14)
     # unforced case returns the margin itself as a floor
-    assert compute_b_linear(0.5, 0.0, 0.25) == 0.25
+    assert compute_b_linear(0.5, 0.0) == bounds._TRAP_MARGIN == 0.5
 
 
 def test_a_planar_against_root_finder():
     for G, Fn in ((1.0, 1.0), (9.81, 1.5), (5.0, 3.0)):
-        a = compute_a(G, Fn, 0.5)
+        a = compute_a(G, Fn)
         a_star = (a - 0.5) / 0.5
         h = lambda s: G * s * math.sqrt(1 + s) - (1 + s) * Fn * math.sqrt(1 - s)
         ref = brentq(h, 1e-9, 1.0 - 1e-9, xtol=1e-13)
@@ -89,10 +92,10 @@ def test_a_planar_against_root_finder():
 
 
 def test_a_planar_unforced_and_monotone():
-    assert compute_a(9.81, 0.0, 0.5) == pytest.approx(0.5)
+    assert compute_a(9.81, 0.0) == pytest.approx(0.5)
     prev = 0.0
     for Fn in (0.5, 1.0, 2.0, 4.0):
-        a = compute_a(9.81, Fn, 0.5)
+        a = compute_a(9.81, Fn)
         assert a > prev
         prev = a
 
@@ -106,7 +109,7 @@ def test_b_planar_start_respects_quartic_bound():
 
 
 def test_b_planar_certificate_and_cap(monkeypatch):
-    a = compute_a(9.81, 1.5, 0.5)
+    a = compute_a(9.81, 1.5)
     b, cert = compute_b_planar(a, F2, 9.81, samples_per_face=6)
     assert cert.verified
     assert cert.spec.b == b
@@ -254,7 +257,7 @@ def test_planar_verification_reads_forcing_once_per_cone_point(monkeypatch):
     monkeypatch.setattr(bounds.PeriodicSignal, "eval_derivative", counted_rate)
     monkeypatch.setattr(bounds, "_cone_quantities", counted_quantities)
     monkeypatch.setattr(bounds, "_cone_face_plane", counted_face)
-    spec = BoundSetSpec(compute_a(9.81, 1.5, 0.5), 5.0, 2)
+    spec = BoundSetSpec(compute_a(9.81, 1.5), 5.0, 2)
     cert = verify_bound_set(spec, 9.81, F2, samples_per_face=6)
     assert face["points"] == [("F", 2 * 6), ("F'", 1)]
     assert face["quantity_points"] == [cert.delta_gate_count, 20 + 40]
@@ -486,7 +489,7 @@ def test_gate_newton_stops_where_the_six_passes_end(monkeypatch, name, F, spf):
         return roots(K, B, L)
 
     monkeypatch.setattr(bounds, "_cone_gate_roots", recorded)
-    a = compute_a(9.81, F.sup_norm, 0.5)
+    a = compute_a(9.81, F.sup_norm)
     verify_bound_set(BoundSetSpec(a, PLANAR_SLOPES[name], 2), 9.81, F,
                      samples_per_face=spf)
     assert [K.size for K, _, _ in terms] == [(2 * spf + 1) ** 3]
@@ -627,8 +630,8 @@ def test_verify_linear_unforced_closed_form_config():
 
 
 def test_verify_linear_forced_config():
-    a = compute_a(9.81, 2.0, 0.5)
-    b = compute_b_linear(a, 2.0, 0.5)
+    a = compute_a(9.81, 2.0)
+    b = compute_b_linear(a, 2.0)
     cert = verify_bound_set(BoundSetSpec(a, b, 1), 9.81, F1, samples_per_face=8)
     assert cert.verified
     # closed forms only: no spot-check arcs on the line
@@ -639,7 +642,7 @@ def test_verify_linear_forced_config():
 def test_verify_detects_undersized_cone():
     # with b^2 below |F| even the cone vertex stops repelling; the
     # certificate must fail and name offending face samples
-    a = compute_a(9.81, 2.0, 0.5)
+    a = compute_a(9.81, 2.0)
     cert = verify_bound_set(BoundSetSpec(a, 1.0, 1), 9.81, F1,
                             samples_per_face=8)
     assert not cert.verified
@@ -652,7 +655,7 @@ def test_verify_detects_undersized_cone():
 
 
 def test_verify_planar_config():
-    a = compute_a(9.81, 1.5, 0.5)
+    a = compute_a(9.81, 1.5)
     b, _ = compute_b_planar(a, F2, 9.81, samples_per_face=6)
     cert = verify_bound_set(BoundSetSpec(a, b, 2), 9.81, F2, samples_per_face=6)
     assert cert.verified
@@ -699,7 +702,7 @@ def test_planar_cone_margin_matches_a_fine_disk_grid(monkeypatch, name, F):
         return roots(K, B, L)
 
     monkeypatch.setattr(bounds, "_cone_gate_roots", counted)
-    a = compute_a(9.81, F.sup_norm, 0.5)
+    a = compute_a(9.81, F.sup_norm)
     b, cert = compute_b_planar(a, F, 9.81, samples_per_face=6, seed=1)
     assert b == PLANAR_SLOPES[name] and cert.verified
     assert abs(cert.min_margin_delta - _fine_disk_margin(a, b, F)) <= 1e-3
@@ -712,7 +715,7 @@ def test_planar_verdict_is_the_same_for_every_seed():
     # (t, theta, r) grid verified this trap at seeds 1-6 and 8 and refuted
     # it at seed 7.  The disk of forcing values has no seed; the finer
     # _fine_disk_margin refutes it too
-    a = compute_a(9.81, F4.sup_norm, 0.5)
+    a = compute_a(9.81, F4.sup_norm)
     certs = [verify_bound_set(BoundSetSpec(a, 1.449, 2), 9.81, F4,
                               samples_per_face=6, seed=seed) for seed in range(1, 9)]
     assert {(c.verified, c.min_margin_delta) for c in certs} \
@@ -742,7 +745,7 @@ def test_planar_cylinder_gate_points_are_sampled_once():
     # x along F at lam = 1, where that time's curvature is least; its margin
     # is the rod kernel's there and never below the closed form
     spf = 4
-    a1, a2 = compute_a(9.81, F1.sup_norm, 0.5), compute_a(9.81, 1.5, 0.5)
+    a1, a2 = compute_a(9.81, F1.sup_norm), compute_a(9.81, 1.5)
     _, planar = compute_b_planar(a2, F2, 9.81, samples_per_face=spf, seed=0)
     line = verify_bound_set(BoundSetSpec(a1, 5.0, 1), 9.81, F1,
                             samples_per_face=spf, seed=0)
@@ -766,8 +769,8 @@ def test_planar_cylinder_gate_points_are_sampled_once():
 
 def _line_certify_spec():
     """The benchmark's ``certify`` linear trap (|F| = 2 sampled)."""
-    a = compute_a(9.81, F1.sup_norm, 0.5)
-    return BoundSetSpec(a, compute_b_linear(a, F1.sup_norm, 0.5), 1)
+    a = compute_a(9.81, F1.sup_norm)
+    return BoundSetSpec(a, compute_b_linear(a, F1.sup_norm), 1)
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["line", "plane"])
@@ -777,7 +780,7 @@ def test_boundary_samples_count_the_samples_given_a_margin(dim):
     if dim == 1:
         spf, spec, F = 32, _line_certify_spec(), F1
     else:
-        spf, spec, F = 6, BoundSetSpec(compute_a(9.81, 1.5, 0.5), 5.0, 2), F2
+        spf, spec, F = 6, BoundSetSpec(compute_a(9.81, 1.5), 5.0, 2), F2
     cert = verify_bound_set(spec, 9.81, F, samples_per_face=spf, seed=1)
     assert cert.boundary_samples == cert.gamma_gate_count + cert.delta_gate_count
     if dim == 1:
@@ -788,7 +791,7 @@ def test_boundary_samples_count_the_samples_given_a_margin(dim):
 def test_planar_cylinder_pools_exactly_its_gate_grid():
     # the circle forcing at 16 samples per face: one gate point for each of
     # the 32 times, nothing more; no angle or speed grid is formed
-    a = compute_a(9.81, F2.sup_norm, 0.5)
+    a = compute_a(9.81, F2.sup_norm)
     _, cert = compute_b_planar(a, F2, 9.81, samples_per_face=16, seed=0)
     assert cert.gamma_gate_count == 32
 
@@ -806,7 +809,7 @@ def test_cylinder_quantities_run_on_gates_and_spot_candidates_only(
     if dim == 1:
         spec, F = _line_certify_spec(), F1
     else:
-        spec, F = BoundSetSpec(compute_a(9.81, 1.5, 0.5), 5.0, 2), F2
+        spec, F = BoundSetSpec(compute_a(9.81, 1.5), 5.0, 2), F2
     cert = verify_bound_set(spec, 9.81, F, samples_per_face=8, seed=2)
     # the witnesses, one per time; the closed-form face offers no candidates
     assert rows == [cert.gamma_gate_count]
@@ -845,8 +848,8 @@ def test_line_cone_margin_is_the_signed_gate_on_all_four_branches(
     # times F takes both signs, so all four branches x = +-r, p = +-b (1 - r)
     # are met, and no witness is below the enclosed closed form
     G = 9.81
-    a = compute_a(G, F.sup_norm, 0.5)
-    b = b_scale * compute_b_linear(a, F.sup_norm, 0.5)
+    a = compute_a(G, F.sup_norm)
+    b = b_scale * compute_b_linear(a, F.sup_norm)
     pooled, add = [], bounds._MarginPool.add
 
     def added(self, margins, kind, **rows):
@@ -949,8 +952,8 @@ def test_affine_faces_cover_every_lambda_in_the_unit_interval():
     # grid takes a margin below the certificate's
     lam_fine = np.linspace(0.0, 1.0, 1001)[:, None]
     rng = np.random.default_rng(11)
-    a1, a2 = compute_a(9.81, 2.0, 0.5), compute_a(9.81, 1.5, 0.5)
-    for spec, F in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0, 0.5), 1), F1),
+    a1, a2 = compute_a(9.81, 2.0), compute_a(9.81, 1.5)
+    for spec, F in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0), 1), F1),
                     (BoundSetSpec(a1, 1.0, 1), F1),
                     (BoundSetSpec(a2, 5.0, 2), F2)):
         a, b, d = spec.a, spec.b, spec.dim
@@ -984,7 +987,7 @@ def test_line_cone_refutes_a_trap_its_time_grid_misses():
     # p = b (1 - x), lam = 1 the signed gate is -0.113, but 8 times at 4
     # samples per face miss the forcing's peak; the closed form does not
     F = make_fourier_forcing(1.0, 1, [8.0], [])
-    a = compute_a(9.81, F.sup_norm, 0.5)
+    a = compute_a(9.81, F.sup_norm)
     spec = BoundSetSpec(a, 2.911555024, 1)
     x, p = np.array([[0.179]]), np.array([[2.911555024 * (1.0 - 0.179)]])
     assert _cone_quantities(x, p, F.eval([0.0]), F.eval_derivative([0.0]),
@@ -1031,7 +1034,7 @@ def test_closed_form_witnesses_leave_the_trap_on_both_sides(dim):
     if dim == 1:
         spec, F = _line_certify_spec(), F1
     else:
-        spec, F = BoundSetSpec(compute_a(9.81, F4.sup_norm, 0.5), 5.6, 2), F4
+        spec, F = BoundSetSpec(compute_a(9.81, F4.sup_norm), 5.6, 2), F4
     cert = verify_bound_set(spec, 9.81, F, samples_per_face=8)
     cfg, dt = IntegratorConfig(), 1e-3 * F.period
     t_grid = (np.arange(16) + 0.5) / 16 * F.period
@@ -1073,7 +1076,7 @@ def test_line_never_verifies_a_trap_with_a_negative_closed_form(seed):
         k = int(rng.integers(1, 4))
         coeffs = rng.normal(size=(2, k)) * rng.uniform(0.5, 10.0) / np.arange(1, k + 1)
         F = make_fourier_forcing(rng.uniform(0.5, 2.0), 1, *coeffs.tolist())
-        a = compute_a(9.81, F.sup_norm, 0.5)
+        a = compute_a(9.81, F.sup_norm)
         b_star, r = _exact_cone_threshold(a, F.sup_norm)
         b = rng.uniform(0.95, 1.05) * b_star
         c = (b * b * (1 - r) / (1 + r) + r * 9.81 * np.sqrt(1 - r * r)
@@ -1110,8 +1113,8 @@ def test_verify_deterministic_given_seed():
 
 
 def test_verify_density_stability_linear():
-    a = compute_a(9.81, 2.0, 0.5)
-    b = compute_b_linear(a, 2.0, 0.5)
+    a = compute_a(9.81, 2.0)
+    b = compute_b_linear(a, 2.0)
     spec = BoundSetSpec(a, b, 1)
     c1 = verify_bound_set(spec, 9.81, F1, samples_per_face=8)
     c2 = verify_bound_set(spec, 9.81, F1, samples_per_face=16)
@@ -1139,11 +1142,11 @@ LINEAR_CERTIFICATES = {
 
 
 def test_linear_certificates_match_reference_values():
-    a_c = compute_a(9.81, F1.sup_norm, 0.5)
-    a_d = compute_a(9.81, 2.0, 0.5)
-    runs = {"certify": (a_c, compute_b_linear(a_c, F1.sup_norm, 0.5), 32, 1),
+    a_c = compute_a(9.81, F1.sup_norm)
+    a_d = compute_a(9.81, 2.0)
+    runs = {"certify": (a_c, compute_b_linear(a_c, F1.sup_norm), 32, 1),
             "refute": (a_c, 1.0, 32, 1),
-            "demo": (a_d, compute_b_linear(a_d, 2.0, 0.5), 16, 0),
+            "demo": (a_d, compute_b_linear(a_d, 2.0), 16, 0),
             "demo_refuted": (a_d, 1.0, 16, 0)}
     for name, (a, b, spf, seed) in runs.items():
         cert = verify_bound_set(BoundSetSpec(a, b, 1), 9.81, F1,
@@ -1172,9 +1175,9 @@ def test_lambda_free_kernels_run_once_per_verification(monkeypatch):
     names = ("_cylinder_quantities", "_cone_radial")
     for name in names:
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
-    a1 = compute_a(9.81, 2.0, 0.5)
-    a2 = compute_a(9.81, 1.5, 0.5)
-    for spec, F in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0, 0.5), 1), F1),
+    a1 = compute_a(9.81, 2.0)
+    a2 = compute_a(9.81, 1.5)
+    for spec, F in ((BoundSetSpec(a1, compute_b_linear(a1, 2.0), 1), F1),
                     (BoundSetSpec(a2, 5.0, 2), F2)):
         calls.clear()
         verify_bound_set(spec, 9.81, F, samples_per_face=6)
@@ -1277,7 +1280,7 @@ def test_planar_spot_arcs_take_one_step_and_thirteen_field_reads(monkeypatch):
 
     monkeypatch.setattr(bounds, "make_field", counted)
     monkeypatch.setattr(bounds, "integrate_field", recorded)
-    a = compute_a(9.81, F2.sup_norm, 0.5)
+    a = compute_a(9.81, F2.sup_norm)
     cert = verify_bound_set(BoundSetSpec(a, PLANAR_SLOPES["circle"], 2), 9.81, F2,
                             samples_per_face=6, seed=1)
     assert cert.verified and cert.spot_checks["attempted"] == 50

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import importlib
 import json
+import logging
 import math
 import os
 import re
@@ -136,6 +137,21 @@ def test_verify_bounds_planar_cone_cubes_that_underflow_exit_1(tmp_path, caplog,
     assert not (out / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("gravity, b", [(1e170, 1e-30), (1e120, 1e-100)])
+def test_verify_bounds_planar_cone_whose_curvature_overflows_exit_1(tmp_path, caplog,
+                                                                   gravity, b):
+    # the curvature guard bounded |p|^2 acc^2 but not acc^2 / |p|, where
+    # |p| >= b (1 - a): numpy overflowed at acc * acc (gravity 1e170) and in
+    # a divide (1e120), and a spot arc blew up (exit 5).  The set is refused
+    # before any sampling (warnings are errors here)
+    rc, out = run(tmp_path, "verify-bounds", problem="planar", gravity=gravity,
+                  forcing={"cosine": [[1.5, 0.0]], "sine": [[0.0, 1.5]]},
+                  bounds={"samples_per_face": 4, "b_override": b})
+    assert rc == 1
+    assert "invalid configuration: the cone's curvature overflows" in caplog.text
+    assert not (out / "certificate.json").exists()
+
+
 def test_verify_bounds_planar_tiny_cone_slope_fails_with_finite_margins(tmp_path):
     # b = 1e-100 still cubes to a normal float: the set is checked, fails,
     # and every margin is a float
@@ -243,16 +259,19 @@ def test_solve_periodic_continuation_failure(tmp_path, monkeypatch):
     assert (out / "certificate.json").exists()
 
 
-def test_solve_periodic_attempt_budget_exits_3(tmp_path, caplog, monkeypatch):
-    # line T=8, cosine amplitude 8: the trap verifies, but every trial rod
-    # falls at lam=0, so only the attempt budget ends the run
-    monkeypatch.setattr(poincare, "_MAX_ATTEMPTS", 5)
-    rc, out = run(tmp_path, "solve-periodic", problem="linear", period=8.0,
-                  forcing={"cosine": [8.0]},
-                  bounds={"samples_per_face": 8})
+def test_solve_periodic_step_floor_exits_3(tmp_path, caplog):
+    # line T=8, cosine amplitude 8: the trap verifies, but no Newton run
+    # converges (13 fall, the 14th stalls), so the lam step halves from 1
+    # and the step floor ends the run after 14 runs
+    with caplog.at_level(logging.DEBUG, logger="upright.poincare"):
+        rc, out = run(tmp_path, "solve-periodic", problem="linear", period=8.0,
+                      forcing={"cosine": [8.0]},
+                      bounds={"samples_per_face": 8})
     assert json.loads((out / "certificate.json").read_text())["verified"] is True
     assert rc == 3
-    assert "in 5 attempts" in caplog.text
+    assert "continuation stalled at lam=0 with step below 0.0001" in caplog.text
+    assert sum(r.getMessage().startswith("lam=") for r in caplog.records
+               if r.name == "upright.poincare") == 14
     assert (out / "certificate.json").exists()
     assert not (out / "result.json").exists()
 
@@ -641,7 +660,9 @@ def test_readme_constants_table_matches_the_library():
             shown = eval(value, {"__builtins__": {}})
             assert getattr(importlib.import_module(f"upright.{module}"), name) == shown, name
             checked.append(name)
-    assert {"_MAX_ATTEMPTS", "_LAMBDA_STEP_MIN", "_NEWTON_TOL"} <= set(checked)
+    # every constant that ends a continuation or a Newton run, and the trap's
+    assert {"_LAMBDA_STEP_MIN", "_STALL_RUNS", "_STALL_ADVANCE", "_NEWTON_TOL",
+            "_NEWTON_MAX_ITERS", "_TRAP_MARGIN"} <= set(checked)
 
 
 def test_config_defaults_fill_in(tmp_path):

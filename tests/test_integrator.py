@@ -15,7 +15,7 @@ from upright.errors import SingularityError, StepBudgetError
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import (_A, _BHH, _C, _D, _E5, FALL_THRESHOLD,
                                 EventKind, IntegratorConfig, _check_start, _dense_state,
-                                _EXPONENT, _fall_event, _fall_gauge, _interpolant,
+                                _EXPONENT, _fall_gauge, _interpolant,
                                 _locate_fall, _starter, _stepper, evolve, integrate_field)
 from upright.poincare import poincare_map
 from upright.whitney import JourneySpec, bisect_survivor, planar_survivor_grid
@@ -123,7 +123,7 @@ def _pointwise(traj, t):
     """The fall locator's interpolant, in plain floats, on the step holding ``t``."""
     i = min(max(bisect_right(traj.t_nodes.tolist(), t) - 1, 0), len(traj._h) - 1)
     t_left, h = float(traj.t_nodes[i]), float(traj._h[i])
-    traj.dense_array([t])  # builds the step's interpolant
+    traj.dense_array([t])  # builds the run's interpolant rows
     return _dense_state(traj._rows[:, i, :traj.states.shape[1]].tolist(), (t - t_left) / h)
 
 
@@ -725,8 +725,6 @@ def test_a_fall_dimension_beyond_the_plane_is_rejected():
         with pytest.raises(ValueError, match="fall_dim"):
             integrate_field(fun, 0.0, 1.0, [0.0, 0.0, 0.0], IntegratorConfig(),
                             fall_dim=fall_dim)
-        with pytest.raises(ValueError, match="fall_dim"):
-            _fall_event(0.5, [1.0, 0.0, 0.0], fall_dim)
 
 
 # -- the generated interpolant rows and fall bisection are the loop forms ---
@@ -771,7 +769,6 @@ def test_dense_array_rows_equal_the_loop_rows_bit_for_bit(make_run, monkeypatch)
     ours.dense_array(ours.t_nodes)
     monkeypatch.setattr(integrator, "_interpolant", lambda width: _dense_rows)
     ref.dense_array(ref.t_nodes)
-    assert ours._ready.all() and ref._ready.all()
     assert np.array_equal(ours._rows, ref._rows)
 
 
@@ -893,7 +890,7 @@ def test_generated_start_step_corners_are_the_loop_ones(width):
 
 # -- a run's arrays are built on first read --------------------------------
 
-_LAZY = ("_t", "_y", "_h", "_rows", "_ready")
+_LAZY = ("_t", "_y", "_h", "_rows")
 
 
 # sha256 (first 16 hex digits) of t_nodes, states and 101 dense samples,
@@ -938,17 +935,28 @@ def test_a_run_read_for_its_fall_and_last_node_builds_no_arrays(fall):
     assert {"_y"} == set(_LAZY) & vars(traj).keys()
 
 
-def test_a_leading_run_builds_the_full_runs_rows():
-    # the state run of a fused run reads the interpolant built on every
-    # component: after its dense read, the full run's rows are built there
-    fused = _fused_run()
-    run = fused.leading(4)
-    assert run._rows is fused._rows and run._ready is fused._ready
-    ts = np.linspace(0.0, 0.5 * run.t_end, 9)
-    run.dense_array(ts)
-    steps = np.unique(np.searchsorted(fused.t_nodes, ts, side="right") - 1)
-    assert fused._ready[steps].all() and fused._ready.sum() == steps.size + 1
-    assert np.array_equal(fused.dense_array(ts)[:, :4], run.dense_array(ts))
+def test_a_run_whose_one_step_is_its_fall_reads_its_fall_rows():
+    # no step is left to build in one pass: the fall step's rows serve alone
+    traj = integrate_field(lambda t, y: [10.0], 0.0, 1.0, [0.99], IntegratorConfig(),
+                           fall_dim=1)
+    ev = traj.fall_event
+    assert traj.n_accepted == len(traj.t_nodes) - 1 == 1
+    got = traj.dense_array([0.0, ev.time])
+    assert got.tolist() == [[0.99], ev.state.tolist()]
+    assert ev.state[0] == pytest.approx(FALL_THRESHOLD, abs=1e-12)
+
+
+def test_a_leading_run_reads_the_same_before_and_after_its_full_run():
+    # a view builds its own rows on every component, or keeps the full
+    # run's if they were built first: the samples are the same either way
+    view_first, full_first = _fused_run(), _fused_run()
+    assert view_first.fall_event is not None
+    ts = np.linspace(0.0, view_first.t_end, 9)
+    before = view_first.leading(4).dense_array(ts)
+    full = view_first.dense_array(ts)
+    full_first.dense_array(ts)
+    after = full_first.leading(4).dense_array(ts)
+    assert np.array_equal(before, full[:, :4]) and np.array_equal(after, before)
 
 
 # -- the start is converted to floats once --------------------------------

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oracles import linear_scalar_rhs, rk4_scalar
@@ -16,7 +20,7 @@ from upright.errors import (ContinuationStuckError, FallError,
                             IllConditionedError, NewtonConvergenceError)
 from upright.forcing import PathSamples, ingest_path, make_fourier_forcing
 from upright.integrator import IntegratorConfig, evolve, integrate_field
-from upright.poincare import (_NEWTON_TOL, _STALL_ADVANCE, _STALL_RUNS,
+from upright.poincare import (_LAMBDA_STEP_MIN, _NEWTON_TOL, _STALL_ADVANCE, _STALL_RUNS,
                               PeriodicOrbitResult, _finish, _linear_response, _newton,
                               _period_pass, _predict, continue_in_lambda,
                               poincare_jacobian, poincare_map, result_to_dict,
@@ -236,9 +240,9 @@ def test_continuation_logs_every_lambda_attempt(caplog):
         assert ", start residual " in line
 
 
-def test_continuation_gives_up_after_its_attempt_budget(monkeypatch):
-    # every trial rod falls at lam=0, and the budget ends the halving
-    # before the step gets below its minimum
+def test_continuation_gives_up_on_the_step_floor(monkeypatch):
+    # no Newton run converges (13 fall, the 14th stalls): the step halves
+    # from 1 and falls below _LAMBDA_STEP_MIN after 14 runs
     calls = []
 
     def counted(*args, _inner=poincare._newton, **kwargs):
@@ -246,18 +250,67 @@ def test_continuation_gives_up_after_its_attempt_budget(monkeypatch):
         return _inner(*args, **kwargs)
 
     monkeypatch.setattr(poincare, "_newton", counted)
-    monkeypatch.setattr(poincare, "_MAX_ATTEMPTS", 5)
     start = time.perf_counter()
-    with pytest.raises(ContinuationStuckError, match="in 5 attempts") as info:
+    with pytest.raises(ContinuationStuckError, match="stalled at lam=0 with step below "
+                       "0.0001") as info:
         continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_STUCK)
-    assert len(calls) == 5
-    assert info.value.last_lambda < 1.0
+    assert len(calls) == 14 and 2.0 ** -14 < _LAMBDA_STEP_MIN < 2.0 ** -13
+    assert info.value.last_lambda == 0.0 and info.value.last_result is None
     assert time.perf_counter() - start < 30.0
+
+
+def _stubbed_continuation(pattern, reach):
+    """The lam of the last fixed point after each Newton run of a line
+    continuation whose runs are stubbed to the cycled ``pattern``: a
+    success lands at ``lam_try``, unless that lies more than ``reach`` past
+    the last fixed point, where it falls."""
+    outcomes = itertools.cycle(pattern)
+    lams = [0.0]
+
+    def stub(z0, params, F, cfg, origin):
+        lam_try = params.lam
+        kind = next(outcomes)
+        lams.append(lams[-1])
+        if kind == "solved" and lam_try - lams[-1] <= reach:
+            lams[-1] = lam_try
+            return z0, 0.0, None
+        if kind == "stalled":
+            raise NewtonConvergenceError("stub", residual=1.0, iterations=25)
+        if kind == "ill-conditioned":
+            raise IllConditionedError("stub", condition=1e13)
+        raise FallError("stub", time=0.0)
+
+    with mock.patch.object(poincare, "_newton", stub), \
+            mock.patch.object(poincare, "_finish", lambda z, res, run, path, *rest: path):
+        try:
+            path = continue_in_lambda(ModelParams(G=9.81, lam=0.0, dim=1), F_LIN)
+        except ContinuationStuckError as exc:
+            assert exc.last_lambda == lams[-1] < 1.0
+        else:
+            assert path[-1][0] == lams[-1] == 1.0
+    return lams[1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pattern=st.lists(st.sampled_from(["solved", "fell", "stalled", "ill-conditioned"]),
+                        min_size=1, max_size=30),
+       reach=st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e))
+def test_continuation_ends_within_its_run_bound(pattern, reach):
+    # whatever each Newton run does, the step floor or the stall window
+    # ends the continuation within _STALL_RUNS / _STALL_ADVANCE = 500 runs
+    assert len(_stubbed_continuation(pattern, reach)) <= _STALL_RUNS / _STALL_ADVANCE == 500
+
+
+def test_a_crawl_at_the_stall_rate_nears_the_run_bound():
+    # successes up to 0.00502 past the last fixed point advance lam by
+    # about 0.1 in every 50 runs: lam = 1 after 444 runs, within the bound
+    lams = _stubbed_continuation(["solved"], 0.00502)
+    assert len(lams) == 444 and lams[-1] == 1.0
 
 
 def test_continuation_stops_a_crawl(monkeypatch):
     # line T=5, cosine amplitude 8: Newton converges only on tiny lam steps,
-    # so lam creeps; the stall stop ends it long before the attempt budget
+    # so lam creeps; the stall stop ends it after 50-60 of the 500 runs it allows
     calls = []
 
     def counted(*args, _inner=poincare._newton, **kwargs):

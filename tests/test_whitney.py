@@ -304,15 +304,12 @@ def test_classification_agrees_with_evolve(agreement_forcings, forcing, t_end):
 
 def test_classification_keeps_evolves_start_checks():
     params = ModelParams(G=9.81, lam=1.0, dim=1)
-    for x0 in (FALL_THRESHOLD, -FALL_THRESHOLD, 0.9999999):
+    for x0 in (FALL_THRESHOLD, -FALL_THRESHOLD, 0.9999999, 1.0, -1.5, math.nan):
         with pytest.raises(ValueError) as refused:
             evolve(0.0, 1.0, PhaseState(x0, 0.0), params, F_SIN)
-        with pytest.raises(ValueError, match="fall threshold") as err:
+        with pytest.raises(ValueError, match="fall threshold|not finite") as err:
             _classify_with_time(x0, JOURNEY, None)
         assert str(err.value) == str(refused.value)
-    for x0 in (1.0, -1.5, math.nan):
-        with pytest.raises(ValueError, match="must be < 1"):
-            _classify_with_time(x0, JOURNEY, None)
     # no config is the default config
     for x0 in (-0.999, 0.3):
         assert (_classify_with_time(x0, JOURNEY, None)
