@@ -685,7 +685,7 @@ def _spot_check(sample: dict, spec: BoundSetSpec, G: float, F: PeriodicSignal,
 
     # the backward arc runs s = t0 - t: its breaks are the knots before t0
     bwd = integrate_field(fun_rev, 0.0, dt, y0, cfg, d,
-                          breaks=[t0 - s for s in F.breaks_between(t0 - dt, t0)[::-1]])
+                          breaks=[t0 - s for s in reversed([*F.breaks_between(t0 - dt, t0)])])
     e_minus = gauge(bwd.y_end)
 
     if sample["exact_gate"] and sample["curv"] > 0:

@@ -263,9 +263,12 @@ def cmd_solve_periodic(cfg: dict, args) -> None:
     params0 = ModelParams(G=G, lam=0.0, dim=dim)
     result = continue_in_lambda(params0, F, icfg)
     if result.liouville_defect > _LIOUVILLE_WARN:
-        log.warning("monodromy unresolved: Liouville defect |det M - 1| = %.3g "
-                    "exceeds %g, so the Floquet multipliers are unreliable",
-                    result.liouville_defect, _LIOUVILLE_WARN)
+        cond = float(np.linalg.cond(result.monodromy))
+        log.warning("Liouville defect |det M - 1| = %.3g exceeds %g: the monodromy "
+                    "is ill-conditioned, cond(M) = %.3g, so the formed product's "
+                    "determinant and its small multiplier lose about "
+                    "eps cond(M) = %.2g", result.liouville_defect, _LIOUVILLE_WARN,
+                    cond, np.finfo(float).eps * cond)
     result.containment = orbit_containment(result.orbit, spec)
     result.orbit.to_csv(out / "orbit.csv", n_samples=1001)
     save_result_json(result, out / "result.json")

@@ -36,11 +36,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import SingularityError
 from .forcing import PeriodicSignal
+from .kernel import Source, function, renamed
 
 __all__ = [
     "GUARD",
@@ -183,6 +185,15 @@ def make_field(params: ModelParams, F: PeriodicSignal, variational: bool = False
     return field2
 
 
+def _forcing_lines(src):
+    """A chart field's lines of the forcing source ``src``: its statements,
+    which read ``t``, the names that hold ``F(t)`` after them, and the names
+    of its constants.  Its names take the prefix ``F_``, which no chart
+    field's own name carries."""
+    lines, out = renamed(src, "F_", ("t",))
+    return lines, out, tuple("F_" + c for c in src.consts)
+
+
 # The angle chart's stretch ``c``: its state ``c theta`` reaches
 # FALL_THRESHOLD exactly where ``|x| = |sin theta|`` does.
 ANGLE_CHART_SCALE = FALL_THRESHOLD / math.asin(FALL_THRESHOLD)
@@ -196,21 +207,26 @@ def angle_field(params: ModelParams, F: PeriodicSignal):
     pendulum ``theta'' = G sin theta - lam F(t) cos theta``: regular at every
     angle, so nothing stiffens as the rod nears the fall, and a fall gauge on
     ``|y[0]|`` fires where ``|x|`` reaches ``FALL_THRESHOLD``.  Plain floats
-    in and out, one ``eval_scalar`` per call, as ``make_field``.
+    in and out, as ``make_field``.  The field is compiled from its source
+    lines (``kernel.function``), the forcing's scalar lines among them, and
+    the integrator's step splices the same lines into its stages.
     """
     if params.dim != 1 or F.dim != 1:
         raise ValueError("the angle chart is the line's: dim must be 1")
+    f_src, f_values = F.scalar_kernel
     scale = ANGLE_CHART_SCALE
-    G = scale * params.G
-    lam = scale * params.lam
-    eval_scalar = F.eval_scalar
+    return function(_angle_source(f_src), (scale * params.G, scale * params.lam, scale,
+                                           math.sin, math.cos, *f_values))
 
-    def field(t: float, y: list) -> list:
-        phi, v = y
-        theta = phi / scale
-        return [v, G * math.sin(theta) - lam * eval_scalar(t)[0] * math.cos(theta)]
 
-    return field
+@lru_cache
+def _angle_source(f_src):
+    """``angle_field``'s source on the forcing source ``f_src``."""
+    f_lines, (f,), f_consts = _forcing_lines(f_src)
+    return Source(("t", "phi", "v"),
+                  (*f_lines, "theta = phi / scale"),
+                  ("v", f"G * sin(theta) - lam * ({f}) * cos(theta)"),
+                  ("G", "lam", "scale", "sin", "cos", *f_consts))
 
 
 # The direction chart's stretch ``c``: its state ``c (1 - y)`` reaches
@@ -227,25 +243,27 @@ def direction_field(params: ModelParams, F: PeriodicSignal):
     ``u'' = (g.u - |u'|^2) u - g`` with ``g = (lam F1, lam F2, G)``: regular
     at every direction, so nothing stiffens as the rod nears the fall, and a
     fall gauge on ``|s[0]|`` fires where ``|x|`` reaches ``FALL_THRESHOLD``.
-    Plain floats in and out, one ``eval_scalar`` per call, as ``make_field``.
+    Plain floats in and out, compiled from source lines as ``angle_field``.
     """
     if params.dim != 2 or F.dim != 2:
         raise ValueError("the direction chart is the plane's: dim must be 2")
-    scale = DIRECTION_CHART_SCALE
-    G = params.G
-    lam = params.lam
-    eval_scalar = F.eval_scalar
+    f_src, f_values = F.scalar_kernel
+    return function(_direction_source(f_src),
+                    (params.G, params.lam, DIRECTION_CHART_SCALE, *f_values))
 
-    def field(t: float, s: list) -> list:
-        q, x0, x1, w, p0, p1 = s
-        y = 1.0 - q / scale
-        f0, f1 = eval_scalar(t)
-        g0 = lam * f0
-        g1 = lam * f1
-        k = g0 * x0 + g1 * x1 + G * y - (p0 * p0 + p1 * p1 + w * w)
-        return [-scale * w, p0, p1, k * y - G, k * x0 - g0, k * x1 - g1]
 
-    return field
+@lru_cache
+def _direction_source(f_src):
+    """``direction_field``'s source on the forcing source ``f_src``."""
+    f_lines, (f0, f1), f_consts = _forcing_lines(f_src)
+    return Source(("t", "q", "x0", "x1", "w", "p0", "p1"),
+                  (*f_lines,
+                   "y = 1.0 - q / scale",
+                   f"g0 = lam * ({f0})",
+                   f"g1 = lam * ({f1})",
+                   "k = g0 * x0 + g1 * x1 + G * y - (p0 * p0 + p1 * p1 + w * w)"),
+                  ("-scale * w", "p0", "p1", "k * y - G", "k * x0 - g0", "k * x1 - g1"),
+                  ("G", "lam", "scale", *f_consts))
 
 
 def _variational_field(dim: int, G: float, lam: float, guard2: float, eval_scalar):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
+from .kernel import Source, function
 
 __all__ = [
     "PeriodicSignal",
@@ -51,7 +52,9 @@ class PeriodicSignal:
     ``value_fn`` and ``derivative_fn`` take an array of reduced times;
     ``scalar_value_fn`` takes any one time, reduces it itself (``math.fmod``,
     then ``+ period`` if negative, as ``_reduce_scalar``) and returns a tuple
-    of floats: it is the integrator's path, one call per field evaluation.
+    of floats.  The built signals compile it from source lines
+    (``kernel.function``), which the chart fields and the integrator's step
+    splice in (``scalar_kernel``); the fields of ``make_field`` call it.
     ``breakpoints`` are the times in ``[0, period)``, ascending, where
     ``dF/dt`` may jump; ``F`` itself is continuous there.
     """
@@ -99,19 +102,33 @@ class PeriodicSignal:
                                           self.period))
 
     def eval_scalar(self, t: float):
-        """Fast path used by the integrator: returns a plain tuple of floats."""
+        """F(t) for one time, a plain tuple of floats.  The chart fields and
+        the integrator's step read the same lines through ``scalar_kernel``;
+        the fields of ``make_field`` call this."""
         return self._scalar_value_fn(t)
 
-    def breaks_between(self, t0: float, t1: float) -> list[float]:
+    @property
+    def scalar_kernel(self):
+        """``(source, values)`` of the scalar path (``kernel.Source``): the
+        lines it is compiled from, or, for a ``scalar_value_fn`` that has
+        none, one line that calls ``eval_scalar``."""
+        kernel = getattr(self._scalar_value_fn, "kernel", None)
+        if kernel is not None:
+            return kernel
+        out = "ab"[:self.dim]
+        return (Source(("t",), (f"{', '.join(out)}, = eval_scalar(t)",), tuple(out),
+                       ("eval_scalar",)), (self.eval_scalar,))
+
+    def breaks_between(self, t0: float, t1: float):
         """The times ``breakpoint + k * period`` strictly inside ``(t0, t1)``,
-        ascending: the step nodes an integration over ``[t0, t1]`` needs."""
-        out = []
+        ascending: the step nodes an integration over ``[t0, t1]`` needs.
+        An iterator, drawn as the integration reaches them, so a run that
+        ends early draws only the knots before its end."""
         if self.breakpoints and t1 > t0:
             T = self.period
             for k in range(math.floor(t0 / T), math.floor(t1 / T) + 1):
-                out.extend(s for s in (b + k * T for b in self.breakpoints)
-                           if t0 < s < t1)
-        return out
+                yield from (s for s in (b + k * T for b in self.breakpoints)
+                            if t0 < s < t1)
 
     def __repr__(self):
         return (f"PeriodicSignal(period={self.period!r}, dim={self.dim}, "
@@ -177,38 +194,23 @@ def make_fourier_forcing(period, dim, cosine_coeffs, sine_coeffs, *,
 
     # Python floats, not numpy scalars: the integrator's stage sums run on
     # whatever the field returns, and numpy scalar arithmetic is slower.
-    # The scalar path reduces its own argument, fmod then + period, as
-    # ``PeriodicSignal._reduce_scalar`` does, and adds each mode's terms to
-    # the constant in mode order.
+    # The scalar path is written out per mode count: it reduces its own
+    # argument, fmod then + period, as ``PeriodicSignal._reduce_scalar``
+    # does, and adds each mode's terms to the constant in mode order.
     T = float(period)
-    fmod, cos, sin = math.fmod, math.cos, math.sin
-    if dim == 1:
-        modes = list(zip(omega.tolist(), c[:, 0].tolist(), s[:, 0].tolist()))
-        (a0,) = c0.tolist()
-
-        def value_scalar(t):
-            u = fmod(t, T)
-            if u < 0.0:
-                u += T
-            a = a0
-            for w, ck, sk in modes:
-                a += ck * cos(w * u) + sk * sin(w * u)
-            return (a,)
-    else:
-        modes = list(zip(omega.tolist(), c.tolist(), s.tolist()))
-        a0, b0 = c0.tolist()
-
-        def value_scalar(t):
-            u = fmod(t, T)
-            if u < 0.0:
-                u += T
-            a, b = a0, b0
-            for w, (ck0, ck1), (sk0, sk1) in modes:
-                cw = cos(w * u)
-                sw = sin(w * u)
-                a += ck0 * cw + sk0 * sw
-                b += ck1 * cw + sk1 * sw
-            return (a, b)
+    modes = range(1, n_modes + 1)
+    lines = ["u = fmod(t, T)", "if u < 0.0:", "    u += T"]
+    lines += [f"x{k} = cos(w{k} * u)\ny{k} = sin(w{k} * u)" for k in modes]
+    out = "ab"[:dim]
+    lines += [f"{o} = {o}0" + "".join(f" + ({o}c{k} * x{k} + {o}s{k} * y{k})" for k in modes)
+              for o in out]
+    consts = ["T", "fmod", "cos", "sin", *(f"{o}0" for o in out)]
+    values = [T, math.fmod, math.cos, math.sin, *c0.tolist()]
+    for k, w, ck, sk in zip(modes, omega.tolist(), c.tolist(), s.tolist()):
+        consts += [f"w{k}", *(f"{o}c{k}" for o in out), *(f"{o}s{k}" for o in out)]
+        values += [w, *ck, *sk]
+    value_scalar = function(Source(("t",), tuple(lines), tuple(out), tuple(consts)),
+                            values, listed=False)
 
     u = np.linspace(0.0, period, _DENSE_GRID, endpoint=False)
     h = period / _DENSE_GRID
@@ -313,8 +315,8 @@ def ingest_path(samples: PathSamples, gravity: float):
     Sup norms are exact for the spline: ``|F|`` is convex between knots, so
     its maximum sits at a knot, and ``dF/dt`` is constant between knots.
     The knots in ``[0, period)`` are the signal's ``breakpoints``.  The
-    scalar path is written out per dimension in plain floats: about 0.33 us
-    a call on a 2-core Xeon (CPython 3.11), as for a one-mode Fourier sum.
+    scalar path is written out per dimension in plain floats, as source
+    lines that the chart fields and the integrator's step splice in.
     """
     if gravity <= 0:
         raise ValueError(f"gravity must be positive, got {gravity}")
@@ -343,29 +345,19 @@ def ingest_path(samples: PathSamples, gravity: float):
     def derivative(u):
         return rate[np.searchsorted(inner, u % period, side="right")]
 
-    knot_list, inner_list = knots.tolist(), inner.tolist()
-    fmod, bisect_right = math.fmod, _bisect.bisect_right
-    if samples.dim == 1:
-        c, r = curv[:, 0].tolist(), rate[:, 0].tolist()
-
-        def value_scalar(t):
-            u = fmod(t, period)
-            if u < 0.0:
-                u += period
-            u = u % period  # a negative t a hair below a multiple rounds up to period
-            k = bisect_right(inner_list, u)
-            return (c[k] + r[k] * (u - knot_list[k]),)
-    else:
-        pieces = list(zip(knot_list, curv.tolist(), rate.tolist()))
-
-        def value_scalar(t):
-            u = fmod(t, period)
-            if u < 0.0:
-                u += period
-            u = u % period  # a negative t a hair below a multiple rounds up to period
-            t_k, (c0, c1), (r0, r1) = pieces[bisect_right(inner_list, u)]
-            s = u - t_k
-            return (c0 + r0 * s, c1 + r1 * s)
+    # the scalar path, written out per dimension on lists of the fit
+    knot_list = knots.tolist()
+    out = "ab"[:samples.dim]
+    lines = ["u = fmod(t, T)", "if u < 0.0:", "    u += T",
+             "u = u % T",  # a negative t a hair below a multiple rounds up to period
+             "k = bisect_right(inner, u)", "s = u - knots[k]"]
+    lines += [f"{o} = c{o}[k] + r{o}[k] * s" for o in out]
+    consts = ["T", "fmod", "bisect_right", "inner", "knots",
+              *(f"c{o}" for o in out), *(f"r{o}" for o in out)]
+    values = [period, math.fmod, _bisect.bisect_right, inner.tolist(), knot_list,
+              *curv.T.tolist(), *rate.T.tolist()]
+    value_scalar = function(Source(("t",), tuple(lines), tuple(out), tuple(consts)),
+                            values, listed=False)
 
     return PeriodicSignal(period, samples.dim, value, derivative, sup_f, sup_df,
                           scalar_value_fn=value_scalar,

@@ -30,7 +30,11 @@ written out per width too, and a run builds its arrays only when they are
 read, so it costs its steps and little else.  The journey tools step the rod
 in charts where the fall is no singularity (``dynamics.angle_field`` on the
 line, ``dynamics.direction_field`` in the plane), with the gauge
-``fall_dim = 1`` on the chart's first component.
+``fall_dim = 1`` on the chart's first component.  A field compiled from
+source lines (``kernel.function``), as the chart fields are, has its lines
+spliced into each of the step's 11 stages, the forcing's among them, so a
+stage calls nothing; the start step, the 13th stage, the interpolant rows
+and dense reads call the field.
 """
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ import numpy as np
 from .dynamics import FALL_THRESHOLD, ModelParams, PhaseState, make_field
 from .errors import SingularityError, StepBudgetError
 from .forcing import PeriodicSignal
+from .kernel import Source, compiled, renamed
 
 __all__ = [
     "FALL_THRESHOLD",
@@ -350,35 +355,53 @@ def _combo(weights, i):
     return " + ".join(f"{w!r} * {_STAGE[m]}{i}" for m, w in enumerate(weights) if w)
 
 
-def _compiled(src, name, label):
-    """The function ``name`` that the source lines ``src`` define."""
-    namespace = {"sqrt": math.sqrt, "inf": math.inf, "SingularityError": SingularityError}
-    exec(compile("\n".join(src), label, "exec"), namespace)
-    return namespace[name]
+# the prefix of a field's names where the step splices its source in; no
+# name of the step's own starts with it
+_FIELD = "z_"
 
 
 @lru_cache
-def _stepper(width: int, n: int):
-    """The trial step on ``width`` floats, compiled once per ``(width, n)``:
-    ``step(fun, t, h, y, k1, atol, rtol) -> (y_new, K, err_norm)``, ``K`` the
-    twelve stages as ``fun`` returned them.  ``err_norm`` is DOP853's
-    ``h e5 / sqrt(n (e5 + e3 / 100))``: ``e5`` and ``e3`` sum the squares of
-    the estimates ``_E5.K`` and ``_A[12].K - _BHH.K`` over the first ``n``
-    components, scaled by ``atol + rtol max(|y|, |y_new|)``.  The source
-    unpacks every stage into locals (stage ``k_j`` into ``a_i, b_i, ..``)
-    and writes each component's sums out in full, weights as literals, in
-    the order of a loop over the components: the same floats without the
-    loop, and a stage of the wrong length raises where it is unpacked.
+def _stepper(width: int, n: int, source: Source | None = None):
+    """The trial step on ``width`` floats, compiled once per ``(width, n,
+    source)``: ``bind(*values)`` returns ``step(fun, t, h, y, k1, atol,
+    rtol) -> (y_new, K, err_norm)``, ``K`` the twelve stages (``k1`` and
+    the calls' results as ``fun`` returned them, the spliced stages as lists).
+    ``err_norm`` is DOP853's ``h e5 / sqrt(n (e5 + e3 / 100))``: ``e5`` and
+    ``e3`` sum the squares of the estimates ``_E5.K`` and ``_A[12].K -
+    _BHH.K`` over the first ``n`` components, scaled by ``atol + rtol
+    max(|y|, |y_new|)``.  The source unpacks every stage into locals (stage
+    ``k_j`` into ``a_i, b_i, ..``) and writes each component's sums out in
+    full, weights as literals, in the order of a loop over the components:
+    the same floats without the loop, and a stage of the wrong length raises
+    where it is unpacked.
+
+    With no ``source`` each stage calls ``fun`` and ``bind`` takes nothing.
+    With the field's ``kernel.Source``, each stage is the field's own lines,
+    its names under the prefix ``_FIELD``, and ``bind`` takes the values of
+    its constants: the same floats as the call, without it.
     """
     comps = range(width)
+    consts = ()
+    if source is not None:
+        if len(source.args) != width + 1 or len(source.result) != width:
+            raise ValueError(f"a field of {len(source.result)} components "
+                             f"on a state of {width}")
+        body, result = renamed(source, _FIELD)
+        args = [_FIELD + a for a in source.args]
+        consts = [_FIELD + c for c in source.consts]
     src = ["def step(fun, t, h, y, k1, atol, rtol):",
            f"    {_unpack('y', width)}= y",
            f"    {_unpack('a', width)}= k1"]
     for j in range(1, 12):
-        node = "h" if _C[j] == 1.0 else f"{_C[j]!r} * h"
-        stage = ", ".join(f"y{i} + h * ({_combo(_A[j], i)})" for i in comps)
-        src += [f"    k{j + 1} = fun(t + {node}, [{stage}])",
-                f"    {_unpack(_STAGE[j], width)}= k{j + 1}"]
+        node = "t + " + ("h" if _C[j] == 1.0 else f"{_C[j]!r} * h")
+        stage = [f"y{i} + h * ({_combo(_A[j], i)})" for i in comps]
+        if source is None:
+            src += [f"    k{j + 1} = fun({node}, [{', '.join(stage)}])",
+                    f"    {_unpack(_STAGE[j], width)}= k{j + 1}"]
+        else:
+            src += [f"    {arg} = {value}" for arg, value in zip(args, [node, *stage])]
+            src += ["    " + line for line in body]
+            src += [f"    {_STAGE[j]}{i} = {value}" for i, value in enumerate(result)]
     src += [f"    r{i} = {_combo(_A[12], i)}\n    u{i} = y{i} + h * r{i}" for i in comps]
     src.append("    err5 = err3 = 0.0")
     for i in range(min(n, width)):
@@ -389,11 +412,15 @@ def _stepper(width: int, n: int):
                 "    err5 += q * q",
                 f"    q = (r{i} - ({_combo(_BHH, i)})) / s",
                 "    err3 += q * q"]
-    stages = ", ".join(f"k{j}" for j in range(1, 13))
+    if source is None:
+        stages = ", ".join(f"k{j}" for j in range(1, 13))
+    else:
+        stages = ", ".join(["k1"] + [f"[{_unpack(_STAGE[j], width)}]" for j in range(1, 12)])
     src += ["    den = err5 + 0.01 * err3",
             f"    return [{_unpack('u', width)}], ({stages}), "
             f"h * err5 / sqrt((den if den > 0.0 else 1.0) * {n})"]
-    return _compiled(src, "step", f"<DOP853 step, width {width}>")
+    label = "called" if source is None else "spliced"
+    return compiled(src, "step", f"<DOP853 step, width {width}, field {label}>", consts)
 
 
 @lru_cache
@@ -420,7 +447,7 @@ def _interpolant(width: int):
     rows = [[term.format(i) for i in comps] for term in terms]
     rows += [[f"h * ({_combo(row, i)})" for i in comps] for row in _D]
     src.append(f"    return [{', '.join('[' + ', '.join(row) + ']' for row in rows)}]")
-    return _compiled(src, "rows", f"<DOP853 interpolant, width {width}>")
+    return compiled(src, "rows", f"<DOP853 interpolant, width {width}>")
 
 
 @lru_cache
@@ -450,7 +477,7 @@ def _starter(width: int, n: int):
             "    d = max(d1, d2)",
             f"    h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** {_EXPONENT!r}",
             "    return min(100 * h0, h1, abs(t1 - t0))"]
-    return _compiled(src, "start", f"<DOP853 start step, width {width}>")
+    return compiled(src, "start", f"<DOP853 start step, width {width}>")
 
 
 def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
@@ -464,7 +491,9 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     field returns, so they run at Python float speed only if it returns
     Python floats: with numpy scalars the step's own arithmetic takes
     about 3x (width 2) to 4x (width 20) as long (CPython 3.11, 2-core
-    Xeon).
+    Xeon).  A field with a ``kernel`` attribute, ``(source, values)`` from
+    ``kernel.function``, is spliced into the step's stages (``_stepper``),
+    the same floats as calling it.
     ``fall_dim`` (1 or 2) watches the first ``fall_dim`` components as the
     rod's ``x``: integration stops at the first time where ``|x|`` reaches
     ``FALL_THRESHOLD``, recorded as the trajectory's ``fall_event``;
@@ -474,7 +503,9 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     state integrated together with its variational equation then takes the
     steps it takes alone.  ``breaks`` are times strictly inside ``(t0, t1)``,
     ascending, where the field's time derivative may jump
-    (``PeriodicSignal.breaks_between``): each is a step node.  Raises
+    (``PeriodicSignal.breaks_between``): each is a step node.  They are
+    drawn one at a time as the run reaches them, so an iterator over them
+    is drawn only up to one past the run's end.  Raises
     ``ValueError`` for a start that is not finite, ``StepBudgetError`` if the
     step budget is exhausted or a step of the minimum size fails the error
     test, and ``SingularityError`` if the field is singular, or the step's
@@ -507,13 +538,13 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
     n = width if n_err is None else n_err
     f0 = fun(t0, y0)
     h = _starter(width, n)(fun, t0, y0, f0, t1, atol, rtol)
-    step = _stepper(width, n)
+    source, values = getattr(fun, "kernel", (None, ()))
+    step = _stepper(width, n, source)(*values)
     t, y, k1 = t0, y0, f0
     attempts = 0
     grow = _MAX_FACTOR
-    knots = [*breaks, math.inf]
-    i_knot = 0
-    t_knot = knots[0]
+    knots = iter(breaks)
+    t_knot = next(knots, inf)
 
     while t < t1:
         if attempts >= cfg.max_steps:
@@ -574,8 +605,7 @@ def integrate_field(fun, t0, t1, y0, cfg: IntegratorConfig, fall_dim: int = 0,
         t, y, k1 = t_new, y_new, k13
 
         if landing:  # resume at the step the controller had proposed
-            i_knot += 1
-            t_knot = knots[i_knot]
+            t_knot = next(knots, inf)
             h = h_free
         elif err_norm == 0.0:
             h *= grow

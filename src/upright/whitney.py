@@ -210,7 +210,6 @@ def planar_survivor_grid(journey: JourneySpec, grid_radius: float = 0.9,
     n = int(n)
     field = direction_field(ModelParams(G=journey.G, lam=1.0, dim=2), journey.F)
     cfg = cfg or IntegratorConfig()
-    breaks = journey.F.breaks_between(0.0, journey.t_end)
     thr2 = FALL_THRESHOLD * FALL_THRESHOLD
     coords = np.linspace(-grid_radius, grid_radius, n)
     fall_times = np.full((n, n), math.nan)
@@ -222,7 +221,8 @@ def planar_survivor_grid(journey: JourneySpec, grid_radius: float = 0.9,
                 continue
             q0 = DIRECTION_CHART_SCALE * r2 / (1.0 + math.sqrt(1.0 - r2))
             ev = integrate_field(field, 0.0, journey.t_end, [q0, a, b, 0.0, 0.0, 0.0],
-                                 cfg, fall_dim=1, breaks=breaks).fall_event
+                                 cfg, fall_dim=1,
+                                 breaks=journey.F.breaks_between(0.0, journey.t_end)).fall_event
             if ev is not None:
                 fall_times[i, j] = ev.time
     return {"coords": coords, "fall_times": fall_times,

@@ -1238,6 +1238,7 @@ def test_spot_check_arcs_step_on_the_path_knots(monkeypatch):
     arcs = []
 
     def recorded(*args, **kwargs):
+        kwargs["breaks"] = list(kwargs["breaks"])  # drawn lazily, so listed here
         traj = integrate_field(*args, **kwargs)
         arcs.append((kwargs["breaks"], traj.t_nodes.tolist()))
         return traj

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import upright
@@ -278,16 +279,22 @@ def test_solve_periodic_step_floor_exits_3(tmp_path, caplog):
 
 def test_solve_periodic_warns_of_an_unresolved_monodromy(tmp_path, caplog):
     # line T=5, cosine amplitude 0.5: Newton converges, but multipliers near
-    # 6e6 leave |det M - 1| near 3e-3; the run still succeeds
+    # 6e6 leave |det M - 1| near 3e-3; the run still succeeds.  cond(M) is
+    # near 1e14, so eps cond(M) exceeds the defect: the warning names it
     rc, out = run(tmp_path, "solve-periodic", problem="linear", period=5.0,
                   forcing={"cosine": [0.5]},
                   bounds={"samples_per_face": 8})
     assert rc == 0
-    defect = json.loads((out / "result.json").read_text())["liouville_defect"]
+    result = json.loads((out / "result.json").read_text())
+    defect = result["liouville_defect"]
     assert defect > 1e-6
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1 and "Liouville defect" in warnings[0]
     assert f"{defect:.3g}" in warnings[0]
+    cond = np.linalg.cond(np.array(result["monodromy"]))
+    assert np.finfo(float).eps * cond > defect
+    assert f"cond(M) = {cond:.3g}" in warnings[0]
+    assert f"eps cond(M) = {np.finfo(float).eps * cond:.2g}" in warnings[0]
 
 
 def test_solve_periodic_period_3(tmp_path):

@@ -137,6 +137,32 @@ def test_fourier_scalar_value_equals_the_mode_loop_bit_for_bit(dim, T):
         assert np.array_equal(F.eval(t), got)
 
 
+@pytest.mark.parametrize("constant", [False, True])
+@pytest.mark.parametrize("modes", [1, 4])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fourier_source_lines_are_the_mode_loop_bit_for_bit(dim, modes, constant):
+    # the evaluator compiled from its lines per mode count, against the
+    # loop form it replaced: one zero coefficient, with and without a
+    # constant; negative times, signed zeros, and times a hair below a
+    # multiple of the period, where the reduction rounds to the period
+    rng = np.random.default_rng(10 * dim + modes)
+    T = 0.37 * modes
+    cosine = rng.uniform(-2.0, 2.0, (modes, dim))
+    sine = rng.uniform(-2.0, 2.0, (modes, dim))
+    sine[-1, 0] = 0.0
+    const = rng.uniform(-1.0, 1.0, dim).tolist() if constant else [0.0] * dim
+    F = make_fourier_forcing(T, dim, cosine.tolist(), sine.tolist(),
+                             constant=const if constant else None)
+    ref = _loop_scalar(F, cosine.tolist(), sine.tolist(), const)
+    times = (rng.uniform(-9.0 * T, 9.0 * T, 400).tolist() + [0.0, -0.0, -1e-300]
+             + [math.nextafter(k * T, -math.inf) for k in range(-6, 7)]
+             + [k * T for k in range(-6, 7)])
+    for t in times:
+        got = F.eval_scalar(t)
+        assert type(got) is tuple and len(got) == dim
+        assert struct.pack(f"{dim}d", *got) == struct.pack(f"{dim}d", *ref(t))
+
+
 # -- path ingestion ----------------------------------------------------
 
 def _sine_path(n: int, amplitude: float = 0.05, period: float = 1.0):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from oracles import linear_scalar_rhs, rk4_until_fall
 from upright.errors import BracketError
-from upright import whitney
-from upright.forcing import ingest_path, make_fourier_forcing, read_path_csv
+from upright import cli, whitney
+from upright.forcing import (PeriodicSignal, ingest_path, make_fourier_forcing,
+                             read_path_csv)
 from upright.integrator import FALL_THRESHOLD, IntegratorConfig, evolve
 from upright.dynamics import ModelParams, PhaseState
 from upright.whitney import (FallClass, JourneySpec, _classify_with_time,
@@ -392,3 +394,42 @@ def test_path_forced_grid_matches_evolve(tmp_path):
     report = _assert_grid_matches_evolve(JourneySpec(F=F, t_end=1.25, G=G), 0.1, 5)
     survived = report["survived"]
     assert survived.any() and not survived.all()
+
+
+def test_a_long_journey_draws_only_the_knots_its_runs_reach(tmp_path, monkeypatch):
+    # whitney-search on the 64-knot path of -0.5 sin t: every release falls
+    # before t = 14, so t_end 1e5 writes the bytes of t_end 100 and draws
+    # the same knots, not the 1.6e6 knots up to t_end per release
+    path = tmp_path / "path.csv"
+    rows = ["t,f1"] + [f"{t:.17g},{-0.5 * math.sin(t):.17g}"
+                       for t in (2.0 * math.pi * k / 64 for k in range(65))]
+    path.write_text("\n".join(rows) + "\n")
+    drawn = []
+    lazy = PeriodicSignal.breaks_between
+
+    def counted(self, t0, t1):
+        for s in lazy(self, t0, t1):
+            drawn.append(s)
+            yield s
+
+    monkeypatch.setattr(PeriodicSignal, "breaks_between", counted)
+    runs = {}
+    for t_end in (100.0, 1e5):
+        drawn.clear()
+        cfg = tmp_path / f"{t_end:g}.json"
+        cfg.write_text(json.dumps({"problem": "linear",
+                                   "forcing": {"type": "path_csv", "path": str(path)},
+                                   "journey": {"t_end": t_end, "depth": 60}}))
+        out = tmp_path / f"out-{t_end:g}"
+        assert cli.main(["whitney-search", "--config", str(cfg), "--out", str(out)]) == 0
+        files = {f: (out / f).read_bytes() for f in ("result.json", "transcript.csv")}
+        runs[t_end] = files, len(drawn), max(drawn)
+    (short, n_short, last_short), (long, n_long, last_long) = runs[100.0], runs[1e5]
+    assert long == short
+    assert n_long == n_short and last_long == last_short
+    # each release, the bracket's ends and every midpoint, draws the knots
+    # up to one past its fall
+    releases = 2 + short["transcript.csv"].count(b"\n") - 1
+    assert releases == 62
+    assert last_short < 14.0
+    assert n_short <= releases * (64 * 14.0 / (2.0 * math.pi) + 1)
